@@ -153,7 +153,7 @@ func runCmd(args []string) error {
 	budgetMB := fs.Int64("budget", 0, "memory budget in MB (0 = the paper's 1024)")
 	skewed := fs.Bool("skewed", false, "use the exponentially-skewed schema")
 	parallel := fs.Int("parallel", 1, "concurrent optimizations (keep 1 for timing-faithful overhead tables)")
-	workers := fs.Int("workers", 1, "enumeration workers per optimization (>1 = parallel engine; plan-identical)")
+	workers := fs.Int("workers", 1, "enumeration workers per optimization (>1 = parallel enumeration; plan-identical)")
 	cacheEntries := fs.Int("cache", 0, "route optimizations through a plan cache of this capacity (0 = off; skews timing tables)")
 	tracePath := fs.String("trace", "", "stream optimizer events to this JSONL file")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
@@ -216,7 +216,7 @@ func benchCmd(args []string) error {
 	budgetMB := fs.Int64("budget", 0, "memory budget in MB (0 = the paper's 1024)")
 	skewed := fs.Bool("skewed", false, "use the exponentially-skewed schema")
 	parallel := fs.Int("parallel", 1, "concurrent optimizations")
-	workers := fs.Int("workers", 1, "enumeration workers per optimization (>1 = parallel engine; plan-identical)")
+	workers := fs.Int("workers", 1, "enumeration workers per optimization (>1 = parallel enumeration; plan-identical)")
 	cacheEntries := fs.Int("cache", 0, "route batch optimizations through a plan cache of this capacity (0 = off)")
 	out := fs.String("out", ".", "directory for the BENCH_<date>.json report")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the bench run to this file")

@@ -3,7 +3,7 @@
 // becomes infeasible — reproducing the shape of Tables 2.1 and 3.3: DP
 // collapses first, IDP(7) later, while SDP keeps going. A second pass
 // shows the other scaling axis: the same enumeration split across cores
-// by the parallel engine, producing bit-for-bit identical plans.
+// (Workers > 1), producing bit-for-bit identical plans.
 package main
 
 import (
@@ -76,8 +76,8 @@ func main() {
 	}
 	fmt.Println("\n'*' marks the feasibility cliff under the 1 GB simulated-memory budget.")
 
-	// Core scaling: one 17-relation star, enumerated sequentially and with
-	// the parallel engine at growing worker counts. The plans are identical
+	// Core scaling: one 17-relation star, enumerated sequentially and at
+	// growing worker counts. The plans are identical
 	// by contract — only the wall time may move, and only when the runtime
 	// has cores to give (GOMAXPROCS below caps real parallelism).
 	fmt.Printf("\nParallel enumeration, Star-17 SDP (GOMAXPROCS=%d):\n", runtime.GOMAXPROCS(0))

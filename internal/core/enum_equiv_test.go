@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sdpopt/internal/dp"
-	"sdpopt/internal/pardp"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/workload"
 )
@@ -22,7 +21,7 @@ type equivEntry struct {
 	spec workload.Spec
 }
 
-// equivCorpus mirrors the pardp determinism corpus (every topology the
+// equivCorpus mirrors the dp determinism corpus (every topology the
 // generator offers, plus ordered and filtered variants) but with one
 // instance per entry so the full naive×indexed×workers cross product stays
 // quick under -race.
@@ -100,8 +99,8 @@ func assertSameResult(t *testing.T, label string, pRef *plan.Plan, stRef dp.Stat
 
 // TestDPEnumerationEquivalence runs exhaustive DP four ways — the naive
 // generate-and-filter reference loop, the adjacency-indexed walk, the
-// default DPccp csg-cmp enumeration, and the parallel engine at 1/2/4/8
-// workers — and requires identical results. It also pins the point of each
+// default DPccp csg-cmp enumeration, and the worker pool at 2/4/8 workers —
+// and requires identical results. It also pins the point of each
 // enumerator: the indexed walk must consider no more candidate pairs than
 // the naive scan (and on every corpus entry strictly fewer — the filter was
 // doing real work), and DPccp must report considered == connected, its
@@ -141,8 +140,8 @@ func TestDPEnumerationEquivalence(t *testing.T) {
 				t.Errorf("ccp considered %d pairs but connected %d — the csg-cmp enumeration emitted a pair it had to filter",
 					stCcp.PairsConsidered, stCcp.PairsConnected)
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				pPar, stPar, err := pardp.Optimize(q, pardp.Options{Workers: workers})
+			for _, workers := range []int{2, 4, 8} {
+				pPar, stPar, err := dp.Optimize(q, dp.Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("w=%d: %v", workers, err)
 				}
@@ -155,17 +154,17 @@ func TestDPEnumerationEquivalence(t *testing.T) {
 // TestDPccpEquivalenceWidths sweeps DPccp ≡ DPsize across every generator
 // topology at widths 2–15 (cycle and star-chain start at their structural
 // minimum of 3): identical optimal plan to the cost bit, identical memo
-// shape, identical connected-pair count, and the parallel engine bit-for-bit
-// identical at 1/2/4/8 workers — the full proof obligation of making DPccp
+// shape, identical connected-pair count, and the worker pool bit-for-bit
+// identical at 2/4/8 workers — the full proof obligation of making DPccp
 // the default. Three deliberate caps keep the sweep inside test time without
 // weakening the proof — at every capped width the work cut is join costing,
 // never enumeration coverage: the naive scan's per-level cross products are
 // quadratic in the class population, so it drops out above width 13 on the
 // dense hub topologies (the indexed walk — already proven ≡ naive — carries
-// the DPsize side there); the four-way worker sweep stops at parMax because
-// each worker count is a full exhaustive optimization and pardp drives its
-// own level loop, untouched by the enumerator default (its determinism on
-// the hub-heavy corpus is pinned by TestDPEnumerationEquivalence); and the
+// the DPsize side there); the worker sweep stops at parMax because each
+// worker count is a full exhaustive optimization on the indexed walk the
+// ccp-vs-indexed leg already covers at every width (the pool's determinism
+// on the hub-heavy corpus is pinned by TestDPEnumerationEquivalence); and the
 // clique sweep stops at 9 because an exhaustive clique optimization joins
 // Θ(3ⁿ) pairs in *every* enumerator — the joins, not the enumeration, are
 // the cost; pair-set equality for larger cliques is covered structurally
@@ -217,8 +216,8 @@ func TestDPccpEquivalenceWidths(t *testing.T) {
 					assertSameResult(t, "ccp-vs-naive", pNaive, stNaive, pCcp, stCcp)
 				}
 				if n <= sw.parMax {
-					for _, workers := range []int{1, 2, 4, 8} {
-						pPar, stPar, err := pardp.Optimize(q, pardp.Options{Workers: workers})
+					for _, workers := range []int{2, 4, 8} {
+						pPar, stPar, err := dp.Optimize(q, dp.Options{Workers: workers})
 						if err != nil {
 							t.Fatalf("w=%d: %v", workers, err)
 						}
@@ -252,13 +251,14 @@ func TestDPccpStructuralInvariant(t *testing.T) {
 	}
 }
 
-// TestSDPEnumerationEquivalence runs SDP with naive, indexed, and parallel
-// (1/2/4/8 workers) substrates and requires the chosen plan, the stats,
-// and the rendered pruning trace to be byte-for-byte identical. The trace
-// is the strongest oracle available: it serializes every level's
-// PruneGroup/FreeGroup split, partition membership in order, and the
-// pruned sets, so any divergence in enumeration order that leaks into
-// pruning shows up as a text diff.
+// TestSDPEnumerationEquivalence runs SDP on the naive and the indexed
+// substrate, each sequentially and at 2/4/8 workers, and requires the chosen
+// plan, the stats, and the rendered pruning trace to be byte-for-byte
+// identical. The trace is the strongest oracle available: it serializes
+// every level's PruneGroup/FreeGroup split, partition membership in order,
+// and the pruned sets, so any divergence in enumeration order that leaks
+// into pruning shows up as a text diff. Every run must also report the
+// enumerator it was asked for — SDP's hook turns the default into "indexed".
 func TestSDPEnumerationEquivalence(t *testing.T) {
 	for _, ce := range equivCorpus() {
 		ce := ce
@@ -268,21 +268,28 @@ func TestSDPEnumerationEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("One: %v", err)
 			}
-			run := func(workers int, naive bool) (*plan.Plan, dp.Stats, string) {
+			run := func(workers int, enum dp.EnumMode) (*plan.Plan, dp.Stats, string) {
 				t.Helper()
 				opts := DefaultOptions()
 				opts.Workers = workers
-				opts.NaiveEnum = naive
+				opts.Enum = enum
 				var tr Trace
 				opts.Trace = &tr
 				p, st, err := Optimize(q, opts)
 				if err != nil {
-					t.Fatalf("SDP workers=%d naive=%v: %v", workers, naive, err)
+					t.Fatalf("SDP workers=%d enum=%v: %v", workers, enum, err)
+				}
+				want := "indexed"
+				if enum == dp.EnumNaive {
+					want = "naive"
+				}
+				if st.Enumerator != want {
+					t.Errorf("SDP workers=%d enum=%v reports enumerator %q, want %q", workers, enum, st.Enumerator, want)
 				}
 				return p, st, tr.String()
 			}
-			pNaive, stNaive, trNaive := run(0, true)
-			pIdx, stIdx, trIdx := run(0, false)
+			pNaive, stNaive, trNaive := run(0, dp.EnumNaive)
+			pIdx, stIdx, trIdx := run(0, dp.EnumDPccp) // default: the hook resolves it to indexed
 			assertSameResult(t, "sdp-indexed", pNaive, stNaive, pIdx, stIdx)
 			if trNaive != trIdx {
 				t.Errorf("indexed SDP trace diverged from naive:\n--- naive ---\n%s--- indexed ---\n%s", trNaive, trIdx)
@@ -290,39 +297,19 @@ func TestSDPEnumerationEquivalence(t *testing.T) {
 			if stIdx.PairsConsidered > stNaive.PairsConsidered {
 				t.Errorf("indexed considered %d pairs, naive only %d", stIdx.PairsConsidered, stNaive.PairsConsidered)
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				pPar, stPar, trPar := run(workers, false)
-				assertSameResult(t, fmt.Sprintf("sdp-w=%d", workers), pNaive, stNaive, pPar, stPar)
-				if trNaive != trPar {
-					t.Errorf("workers=%d SDP trace diverged from naive:\n--- naive ---\n%s--- w=%d ---\n%s",
-						workers, trNaive, workers, trPar)
+			for _, workers := range []int{2, 4, 8} {
+				for _, enum := range []dp.EnumMode{dp.EnumDPccp, dp.EnumNaive} {
+					pPar, stPar, trPar := run(workers, enum)
+					label := fmt.Sprintf("sdp-w=%d-%s", workers, stPar.Enumerator)
+					assertSameResult(t, label, pNaive, stNaive, pPar, stPar)
+					if trNaive != trPar {
+						t.Errorf("%s trace diverged from naive:\n--- naive ---\n%s--- got ---\n%s", label, trNaive, trPar)
+					}
+					if enum == dp.EnumNaive && stPar.PairsConsidered != stNaive.PairsConsidered {
+						t.Errorf("%s considered %d pairs, sequential naive %d", label, stPar.PairsConsidered, stNaive.PairsConsidered)
+					}
 				}
 			}
 		})
-	}
-}
-
-// TestNaiveEnumFlagIsInert checks the knob itself leaves no residue: a
-// naive run followed by an indexed run on the same fresh queries produces
-// the same statistics either way around (no shared state between runs).
-func TestNaiveEnumFlagIsInert(t *testing.T) {
-	cat := workload.PaperSchema()
-	q, err := workload.One(workload.Spec{Cat: cat, Topology: workload.Cycle, NumRelations: 8, Seed: 99})
-	if err != nil {
-		t.Fatalf("One: %v", err)
-	}
-	_, first, err := dp.Optimize(q, dp.Options{})
-	if err != nil {
-		t.Fatalf("indexed: %v", err)
-	}
-	if _, _, err := dp.Optimize(q, dp.Options{NaiveEnum: true}); err != nil {
-		t.Fatalf("naive: %v", err)
-	}
-	_, again, err := dp.Optimize(q, dp.Options{})
-	if err != nil {
-		t.Fatalf("indexed again: %v", err)
-	}
-	if first.PlansCosted != again.PlansCosted || first.PairsConsidered != again.PairsConsidered {
-		t.Errorf("indexed run not reproducible around a naive run: %+v vs %+v", first, again)
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/obs/span"
-	"sdpopt/internal/pardp"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
 	"sdpopt/internal/skyline"
@@ -120,12 +119,11 @@ type Options struct {
 	Partitioning Partitioning
 	Skyline      SkylineOption
 	Scope        Scope
-	// Workers selects the enumeration engine: 0 or 1 runs the sequential DP
-	// substrate, >1 the level-synchronous parallel engine (internal/pardp)
-	// with that many workers. Results are bit-for-bit identical either way —
-	// pardp's determinism contract. When parallel, the per-level skyline
-	// masks of independent hub partitions are also computed concurrently at
-	// the level barrier.
+	// Workers is the DP substrate's enumeration worker count (see
+	// dp.Options.Workers): 0 or 1 is sequential, >1 fans each level out over
+	// that many workers. Results are bit-for-bit identical either way. When
+	// parallel, the per-level skyline masks of independent hub partitions
+	// are also computed concurrently at the level barrier.
 	Workers int
 	// Budget is the simulated-memory feasibility limit (0 = unlimited).
 	Budget int64
@@ -142,11 +140,10 @@ type Options struct {
 	// Obs receives metrics and trace events; nil falls back to the process
 	// default observer.
 	Obs *obs.Observer
-	// NaiveEnum runs the sequential substrate with the retained
-	// generate-and-filter reference loop instead of the adjacency-indexed
-	// walk (see dp.Options.NaiveEnum). Test/benchmark knob; ignored when
-	// Workers > 1.
-	NaiveEnum bool
+	// Enum is passed through to the DP substrate (see dp.EnumMode). SDP's
+	// hook makes the default resolve to the indexed walk; the equivalence
+	// tests set dp.EnumNaive to compare against the reference loop.
+	Enum dp.EnumMode
 }
 
 // DefaultOptions returns the paper's adopted configuration: root-hub
@@ -204,66 +201,31 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 		ob = ob.WithSinks(&traceSink{t: opts.Trace})
 	}
 	started := time.Now()
-	costedAtStart := model.PlansCosted
 	s := newSDP(q, opts, ob)
 	done := dp.ObserveRun(ob, "SDP", q)
-	// Both engines run the same DPsize semantics with s.hook at every level
-	// barrier; which one carries the search is just a Workers knob.
-	var eng interface {
-		Run(toLevel int) error
-		Finalize() (*plan.Plan, error)
-	}
-	var engStats func() dp.Stats
-	var err error
-	if opts.Workers > 1 {
-		pe, perr := pardp.NewEngine(q, dp.BaseLeaves(q), pardp.Options{
-			Workers: opts.Workers,
-			Budget:  opts.Budget,
-			Ctx:     opts.Ctx,
-			Model:   model,
-			Hook:    s.hook,
-			Obs:     ob,
-			Label:   "SDP",
-		})
-		err = perr
-		if pe != nil {
-			eng = pe
-			engStats = pe.Stats
-		}
-	} else {
-		de, derr := dp.NewEngine(q, dp.BaseLeaves(q), dp.Options{
-			Budget:    opts.Budget,
-			Ctx:       opts.Ctx,
-			Model:     model,
-			Hook:      s.hook,
-			Obs:       ob,
-			Label:     "SDP",
-			NaiveEnum: opts.NaiveEnum,
-		})
-		err = derr
-		if de != nil {
-			eng = de
-			engStats = de.Stats
-		}
-	}
-	stats := func() dp.Stats {
-		st := dp.Stats{PlansCosted: model.PlansCosted - costedAtStart, Elapsed: time.Since(started)}
-		if engStats != nil {
-			es := engStats()
-			st.Memo = es.Memo
-			st.PairsConsidered = es.PairsConsidered
-			st.PairsConnected = es.PairsConnected
-		}
-		return st
-	}
+	// SDP is the DP substrate with s.hook at every level barrier.
+	e, err := dp.NewEngine(q, dp.BaseLeaves(q), dp.Options{
+		Budget:  opts.Budget,
+		Ctx:     opts.Ctx,
+		Model:   model,
+		Hook:    s.hook,
+		Obs:     ob,
+		Label:   "SDP",
+		Enum:    opts.Enum,
+		Workers: opts.Workers,
+	})
 	if err == nil {
-		err = eng.Run(q.NumRelations())
+		err = e.Run(q.NumRelations())
 	}
 	var p *plan.Plan
 	if err == nil {
-		p, err = eng.Finalize()
+		p, err = e.Finalize()
 	}
-	st := stats()
+	var st dp.Stats
+	if e != nil {
+		st = e.Stats()
+	}
+	st.Elapsed = time.Since(started)
 	done(st, p, err)
 	return p, st, err
 }

@@ -133,7 +133,7 @@ func (m *Model) SetEstimator(est Estimator) {
 // read-only after NewModelEst/SetEstimator — Estimator implementations are
 // required to be concurrency-safe pure functions, so sharing is race-free),
 // while PlansCosted restarts at zero so workers count without
-// synchronizing. The parallel engine folds the forks' counts back into the
+// synchronizing. The DP engine folds the forks' counts back into the
 // parent at each level barrier. Estimator-dependent memoized state (the
 // SetRows memo) is dropped, never shared, so a worker can never observe a
 // memo populated under a different estimator.

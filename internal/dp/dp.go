@@ -13,6 +13,33 @@
 // prunes the memo with localized skylines. A leaf is normally one base
 // relation, but IDP's compound relations enter as leaves covering several
 // base relations with a pre-built access plan.
+//
+// # Parallel enumeration
+//
+// Options.Workers > 1 fans each level out over a worker pool, with results
+// bit-for-bit identical to the sequential run. The DP lattice parallelizes
+// along its levels (the MPDP observation): the classes a level-k join reads
+// all live at levels below k, which are frozen once level k starts, so the
+// level's tasks — one per left class of each (i, k−i) split — can be costed
+// by any number of workers with no ordering constraints. Workers pull tasks
+// from a shared atomic queue, cost joins on a cost.Model fork (so the
+// plans-costed counter needs no synchronization) and publish candidates
+// into a mutex-striped staging table (memo.Sharded); at the barrier the
+// engine drains the table in canonical set order into the Memo, runs the
+// level hook, and folds the forks' counters back in fixed worker order.
+//
+// Determinism is a hard invariant, not a goal: every retention decision in
+// both the staging table and the Memo is the same memo dominance rule over
+// plan.Compare's total order, so the chosen plan, its cost,
+// Stats.PlansCosted and the per-level class sets are identical to the
+// sequential run's on every query — property-tested across the workload
+// corpus. The only sanctioned divergences are transient:
+// Stats.Memo.PeakSimBytes may be lower (the staged merge never replays
+// dominated paths the sequential run briefly retained) and abort points
+// under budget/cancellation land mid-level rather than mid-pair. Workers
+// track a shared atomic estimate of the level's simulated memory and stop
+// as soon as it crosses the budget, without waiting for the barrier;
+// cancellation is polled per task.
 package dp
 
 import (
@@ -21,6 +48,8 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdpopt/internal/bits"
@@ -54,14 +83,14 @@ type Leaf struct {
 }
 
 // LevelHook runs after each enumeration level with the classes newly
-// created at that level, in canonical set order (the sequential and
-// parallel engines present the identical slice, so hook decisions — SDP's
-// pruning — are engine-independent). It may prune classes from the memo
-// (SDP) and may abort the optimization by returning an error.
+// created at that level, in canonical set order (sequential and parallel
+// runs present the identical slice, so hook decisions — SDP's pruning — are
+// independent of Workers). It may prune classes from the memo (SDP) and may
+// abort the optimization by returning an error.
 type LevelHook func(level int, m *memo.Memo, created []*memo.Class) error
 
 // SortClasses orders classes canonically by relation set — the order level
-// hooks observe in both the sequential and the parallel engine.
+// hooks observe.
 func SortClasses(cs []*memo.Class) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].Set.Less(cs[j].Set) })
 }
@@ -79,16 +108,18 @@ const (
 	// DPccp): no candidate is ever generated and rejected, so
 	// pairs_considered == pairs_connected by construction and the
 	// enumeration cost is proportional to the connected pairs alone. Runs
-	// with a per-level hook (SDP) fall back to EnumIndexed: DPccp has no
-	// level barrier to run hooks at, and under hook pruning the surviving
-	// classes are a sparse memo-dependent subset that the structural
-	// enumeration cannot see — the indexed walk gathers candidates from the
-	// memo itself, which is exactly what pruned search needs.
+	// with a per-level hook (SDP) or with Workers > 1 fall back to
+	// EnumIndexed: DPccp has no level barrier to run hooks or drain a
+	// staging table at, and under hook pruning the surviving classes are a
+	// sparse memo-dependent subset that the structural enumeration cannot
+	// see — the indexed walk gathers candidates from the memo itself, which
+	// is exactly what pruned search needs. Stats.Enumerator reports the mode
+	// a run resolved to.
 	EnumDPccp EnumMode = iota
 	// EnumIndexed is the adjacency-indexed level walk: per-level bitmap
 	// indexes gather each class's joinable partners, skipping disconnected
 	// candidates without testing them. The enumerator behind every hooked
-	// (SDP) run and the parallel engine's task generator.
+	// (SDP) and every parallel run.
 	EnumIndexed
 	// EnumNaive is the generate-and-filter reference loop: scan every class
 	// pair per level and reject with Disjoint/Connected, recomputing the
@@ -96,6 +127,17 @@ const (
 	// baseline for the two real enumerators.
 	EnumNaive
 )
+
+// String names the mode as Stats.Enumerator reports it.
+func (m EnumMode) String() string {
+	switch m {
+	case EnumIndexed:
+		return "indexed"
+	case EnumNaive:
+		return "naive"
+	}
+	return "dpccp"
+}
 
 // Options configures an engine run.
 type Options struct {
@@ -127,13 +169,14 @@ type Options struct {
 	// spans attribute effort to the right strategy.
 	Label string
 	// Enum selects the candidate-pair generation strategy; the zero value is
-	// EnumDPccp (see EnumMode for the fallback rule hooked runs trigger).
+	// EnumDPccp (see EnumMode for the fallback rule hooked and parallel runs
+	// trigger).
 	Enum EnumMode
-	// NaiveEnum selects the generate-and-filter reference loop.
-	//
-	// Deprecated: equivalent to Enum = EnumNaive, which takes precedence
-	// over this flag and should be used instead.
-	NaiveEnum bool
+	// Workers is the enumeration worker count: 0 or 1 joins each level's
+	// pairs inline, straight into the memo; >1 fans every level out over
+	// that many workers (see the package comment). Results are bit-for-bit
+	// identical either way.
+	Workers int
 }
 
 // Stats aggregates the overhead metrics of one optimization, matching the
@@ -152,8 +195,30 @@ type Stats struct {
 	// considered:connected ratio is the enumerator's filtering efficiency.
 	PairsConsidered int64
 	PairsConnected  int64
+	// Enumerator names the EnumMode the engine actually ran ("dpccp",
+	// "indexed" or "naive") after NewEngine's hook/Workers fallback; empty
+	// for techniques without a DP substrate.
+	Enumerator string
 	// Elapsed is the optimization wall time.
 	Elapsed time.Duration
+}
+
+// scratch is one enumerator's private working state: the cost model it
+// costs on (the engine's own, or a worker's fork of it), the adjacency
+// walker, the buffers the join kernel reuses across pairs (all consumed
+// before the next pair), and the pair counters. The engine owns one; each
+// worker of a parallel level owns one, folded into the engine's at the
+// barrier in fixed worker order — addition commutes, so the totals are
+// schedule-independent.
+type scratch struct {
+	model     *cost.Model
+	walker    memo.Walker
+	predBuf   []int
+	planBuf   []*plan.Plan
+	pathBufA  []*plan.Plan
+	pathBufB  []*plan.Plan
+	pairsCons int64
+	pairsConn int64
 }
 
 // Engine runs the level-wise enumeration over a fixed leaf set.
@@ -166,36 +231,32 @@ type Engine struct {
 	hook     LevelHook
 	leftDeep bool
 	enum     EnumMode
+	workers  int
 
-	// ccpDone is the highest level whose pairs the DPccp path has already
-	// emitted; a later partial Run resumes above it instead of re-joining.
-	ccpDone int
+	// done is the highest completed level. Run resumes above it whatever the
+	// enumerator, so IDP's block-wise Run(k) … Run(n) never re-joins a level.
+	done int
 
 	costedAtStart int64
 	started       time.Time
 
-	// Pair counters (see Stats); the parallel engine folds its workers'
-	// per-task counts in via CountPairs at each level barrier.
-	pairsConsidered int64
-	pairsConnected  int64
-
-	// Enumeration scratch, reused across pairs: the adjacency walker, the
-	// per-pair predicate list and the join-variant buffer. Reuse keeps the
-	// hot loop allocation-free; all three are consumed before the next pair.
-	walker   memo.Walker
-	predBuf  []int
-	planBuf  []*plan.Plan
-	pathBufA []*plan.Plan
-	pathBufB []*plan.Plan
+	// sc is the scratch of everything that runs on the caller's goroutine;
+	// its pair counters are the run's totals (see Stats).
+	sc    scratch
+	tasks []task // levelTasks' buffer, reused across levels
 
 	// Telemetry handles, resolved once at construction; all nil-safe.
 	// (The per-level histogram is labeled by level and resolved per level —
-	// a handful of lookups per run, not per event.)
+	// a handful of lookups per run, not per event.) The last three are
+	// resolved only for parallel runs.
 	ob         *obs.Observer
 	label      string
 	cPlans     *obs.Counter
 	cPairsCons *obs.Counter
 	cPairsConn *obs.Counter
+	cTasks     *obs.Counter
+	cContended *obs.Counter
+	mBarrier   *obs.Histogram
 	// sp is the request span carried by opts.Ctx (nil when the caller is
 	// not tracing): each completed level attaches one child span to it.
 	sp *span.Span
@@ -214,11 +275,8 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 		label = "DP"
 	}
 	enum := opts.Enum
-	if enum == EnumDPccp && opts.NaiveEnum {
-		enum = EnumNaive
-	}
-	if enum == EnumDPccp && opts.Hook != nil {
-		enum = EnumIndexed // hooks need level barriers; see EnumMode docs
+	if enum == EnumDPccp && (opts.Hook != nil || opts.Workers > 1) {
+		enum = EnumIndexed // hooks and staged drains need level barriers; see EnumMode docs
 	}
 	e := &Engine{
 		Q:             q,
@@ -229,9 +287,11 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 		hook:          opts.Hook,
 		leftDeep:      opts.LeftDeepOnly,
 		enum:          enum,
-		ccpDone:       1,
+		workers:       opts.Workers,
+		done:          1,
 		costedAtStart: model.PlansCosted,
 		started:       time.Now(),
+		sc:            scratch{model: model},
 		ob:            ob,
 		label:         label,
 		cPlans:        ob.Counter(obs.MPlansCosted),
@@ -239,8 +299,13 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 		cPairsConn:    ob.Counter(obs.MPairsConnected),
 		sp:            span.FromContext(opts.Ctx),
 	}
+	if e.workers > 1 {
+		e.cTasks = ob.Counter(obs.MParTasks)
+		e.cContended = ob.Counter(obs.MParShardContended)
+		e.mBarrier = ob.Histogram(obs.MParBarrierWait)
+	}
 	// Installed before any class exists so every creation site — the level-1
-	// seed, joinClasses, the parallel drain, IDP's compound leaves — caches
+	// seed, joinDirect, the parallel drain, IDP's compound leaves — caches
 	// its neighborhood for the adjacency-indexed walk.
 	e.Memo.Nbrs = q.Neighbors
 	e.Memo.Observe(ob)
@@ -263,7 +328,7 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 	lvStart := time.Now()
 	prevCosted := model.PlansCosted
 	err := e.seedLevel1()
-	e.observeLevel(1, lvStart, prevCosted, 0, 0, len(leaves), err)
+	e.observeLevel(1, lvStart, prevCosted, 0, 0, len(leaves), nil, err)
 	if err != nil {
 		// Return the engine so callers can still read overhead stats (a
 		// budget abort is a reportable outcome, not a programming error).
@@ -333,9 +398,10 @@ func CtxErr(ctx context.Context) error {
 // its wall time, classes created and plans costed up to the abort point.
 func (e *Engine) checkCtx() error { return CtxErr(e.ctx) }
 
-// Run executes enumeration levels 2..toLevel (capped at the leaf count).
-// On a budget error the memo is left as-is and memo.ErrBudget is returned.
-// Each level — enumeration plus hook (SDP pruning) — is one observed span.
+// Run executes the enumeration levels above the last completed one up to
+// toLevel (capped at the leaf count). On a budget error the memo is left
+// as-is and memo.ErrBudget is returned. Each level — enumeration plus hook
+// (SDP pruning) — is one observed span.
 func (e *Engine) Run(toLevel int) error {
 	if toLevel > len(e.leaves) {
 		toLevel = len(e.leaves)
@@ -343,24 +409,42 @@ func (e *Engine) Run(toLevel int) error {
 	if e.enum == EnumDPccp {
 		return e.runCCP(toLevel)
 	}
-	for k := 2; k <= toLevel; k++ {
+	for k := e.done + 1; k <= toLevel; k++ {
 		if err := e.checkCtx(); err != nil {
 			return err
 		}
 		lvStart := time.Now()
 		prevCosted := e.Model.PlansCosted
-		prevCons, prevConn := e.pairsConsidered, e.pairsConnected
-		created, err := e.runLevel(k)
+		prevCons, prevConn := e.sc.pairsCons, e.sc.pairsConn
+		var created []*memo.Class
+		var wstats []workerStat
+		var err error
+		if tasks := e.levelTasks(k); e.workers > 1 {
+			created, wstats, err = e.runLevelPool(k, tasks)
+		} else {
+			created, err = e.runLevelInline(k, tasks)
+		}
 		if err == nil && e.hook != nil {
-			SortClasses(created)
+			SortClasses(created) // a no-op after a parallel level: the drain is already canonical
 			err = e.hook(k, e.Memo, created)
 		}
-		e.observeLevel(k, lvStart, prevCosted, prevCons, prevConn, len(created), err)
+		e.observeLevel(k, lvStart, prevCosted, prevCons, prevConn, len(created), wstats, err)
 		if err != nil {
 			return err
 		}
+		e.done = k
 	}
 	return nil
+}
+
+// workerStat is one worker's share of a parallel level, collected with plain
+// per-worker writes during the round and read single-threaded after it.
+type workerStat struct {
+	start  time.Time
+	finish time.Time
+	tasks  int64
+	costed int64
+	pairs  int64
 }
 
 // observeLevel closes one enumeration level's span: the level-duration
@@ -369,20 +453,33 @@ func (e *Engine) Run(toLevel int) error {
 // request span — a completed "level" child span with the same attributes.
 // A budget abort additionally bumps the abort counter and emits
 // "budget.abort". No-op when telemetry and tracing are both off.
-func (e *Engine) observeLevel(k int, started time.Time, prevCosted, prevCons, prevConn int64, created int, err error) {
+func (e *Engine) observeLevel(k int, started time.Time, prevCosted, prevCons, prevConn int64, created int, wstats []workerStat, err error) {
 	if e.ob == nil && e.sp == nil {
 		return
 	}
 	e.emitLevel(k, started, time.Since(started),
-		e.Model.PlansCosted-prevCosted, e.pairsConsidered-prevCons, e.pairsConnected-prevConn,
-		created, err)
+		e.Model.PlansCosted-prevCosted, e.sc.pairsCons-prevCons, e.sc.pairsConn-prevConn,
+		created, wstats, err)
 }
 
 // emitLevel is observeLevel's emission body, taking the level's duration and
 // counter deltas directly — the DPccp path accumulates per-level deltas out
-// of emission order and replays them through here at run end. Call only when
+// of emission order and replays them through here at run end. wstats is
+// empty for a level joined inline; a parallel level passes one entry per
+// worker, which adds the "workers" attribute, one "pardp.worker" child span
+// per worker (task count, plans costed, barrier wait) and the barrier-wait
+// histogram — all built here, after the barrier and in fixed worker order,
+// so the trace records the round without synchronizing it. Call only when
 // e.ob or e.sp is non-nil.
-func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pairsCons, pairsConn int64, created int, err error) {
+func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pairsCons, pairsConn int64, created int, wstats []workerStat, err error) {
+	// Each worker's idle time at the barrier is its gap to the last finisher
+	// — the load-balance signal of the level partitioning.
+	var last time.Time
+	for _, ws := range wstats {
+		if ws.finish.After(last) {
+			last = ws.finish
+		}
+	}
 	if e.sp != nil {
 		lv := e.sp.ChildAt("level", started, d)
 		lv.SetAttr("tech", e.label)
@@ -392,15 +489,29 @@ func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pa
 		lv.SetAttr("pairs_considered", pairsCons)
 		lv.SetAttr("pairs_connected", pairsConn)
 		lv.SetAttr("sim_bytes", e.Memo.Stats.SimBytes)
+		if len(wstats) > 0 {
+			lv.SetAttr("workers", len(wstats))
+		}
 		if err != nil {
 			lv.SetError(err.Error())
+		}
+		for w, ws := range wstats {
+			wsp := lv.ChildAt("pardp.worker", ws.start, ws.finish.Sub(ws.start))
+			wsp.SetAttr("worker", w)
+			wsp.SetAttr("tasks", ws.tasks)
+			wsp.SetAttr("plans_costed", ws.costed)
+			wsp.SetAttr("pairs_considered", ws.pairs)
+			wsp.SetAttr("barrier_wait_ns", int64(last.Sub(ws.finish)))
 		}
 	}
 	if e.ob == nil {
 		return
 	}
-	// Labeled per level so sequential level profiles line up against the
-	// parallel engine's in sdptrace and on /metrics.
+	for _, ws := range wstats {
+		e.mBarrier.Observe(last.Sub(ws.finish))
+	}
+	// Labeled per level so sequential and parallel level profiles line up in
+	// sdptrace and on /metrics.
 	e.ob.Histogram(obs.Label(obs.MLevelSeconds, "level", strconv.Itoa(k))).Observe(d)
 	e.cPlans.Add(costed)
 	e.cPairsCons.Add(pairsCons)
@@ -417,6 +528,9 @@ func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pa
 			"pairs_connected":  pairsConn,
 			"classes_alive":    e.Memo.Stats.ClassesAlive,
 			"sim_bytes":        e.Memo.Stats.SimBytes,
+		}
+		if len(wstats) > 0 {
+			attrs["workers"] = len(wstats)
 		}
 		if err != nil {
 			attrs["err"] = err.Error()
@@ -436,98 +550,250 @@ func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pa
 	}
 }
 
-func (e *Engine) runLevel(k int) ([]*memo.Class, error) {
-	if e.enum == EnumNaive {
-		return e.runLevelNaive(k)
-	}
-	var created []*memo.Class
+// task is one unit of level work: every pair with a fixed left class a of
+// one (split, k−split) level split. scan is set in EnumNaive mode only: the
+// slice of level k−split the reference loop tests against a.
+type task struct {
+	split int
+	a     *memo.Class
+	scan  []*memo.Class
+}
+
+// levelTasks lists level k's tasks in the order the sequential run joins
+// them: splits ascending, left classes in creation order. The levels below
+// k are frozen while k runs, so the list — and each naive scan range — is a
+// stable snapshot for any number of workers.
+func (e *Engine) levelTasks(k int) []task {
 	maxSplit := k / 2
 	if e.leftDeep {
 		maxSplit = 1 // only (1, k-1) splits: a leaf extends a composite
 	}
+	tasks := e.tasks[:0]
 	for i := 1; i <= maxSplit; i++ {
-		j := k - i
 		left := e.Memo.Level(i)
-		for _, a := range left {
-			// Poll per left class: frequent enough that a deadline lands
-			// within milliseconds even on hub-heavy levels, cheap enough
-			// (one channel select) to vanish against join costing.
-			if err := e.checkCtx(); err != nil {
-				return created, err
-			}
-			// Same-level split: visit each unordered pair once. Gather's
-			// minSeq cut is the naive loop's right[ai+1:] slice — Level
-			// preserves creation order, so the alive classes after a are
-			// exactly those with larger Seq.
-			minSeq := 0
-			if i == j {
-				minSeq = a.Seq() + 1
-			}
-			// Every gathered candidate is connected to and disjoint from a
-			// by construction (the index masks both conditions), so for the
-			// indexed walk considered == connected: the Disjoint re-check is
-			// a belt-and-braces guard on the index, not a filter. Order
-			// matches the naive scan: Gather returns the joinable
-			// subsequence of Level(j) in creation order, and pairs the
-			// naive scan rejects had no side effects there.
-			for _, b := range e.walker.Gather(e.Memo, a, j, minSeq) {
-				e.pairsConsidered++
-				if !a.Set.Disjoint(b.Set) {
-					continue
-				}
-				e.pairsConnected++
-				cls, isNew, err := e.joinClasses(a, b, k)
-				if err != nil {
-					return created, err
-				}
-				if isNew {
-					created = append(created, cls)
+		right := left
+		if e.enum == EnumNaive && k-i != i {
+			right = e.Memo.Level(k - i)
+		}
+		for ai, a := range left {
+			t := task{split: i, a: a}
+			if e.enum == EnumNaive {
+				t.scan = right
+				if k-i == i {
+					t.scan = right[ai+1:] // each unordered pair once
 				}
 			}
+			tasks = append(tasks, t)
+		}
+	}
+	e.tasks = tasks
+	return tasks
+}
+
+// candidates returns the level-j classes to test against task t's left
+// class. EnumNaive is the retained generate-and-filter reference: the whole
+// scan range, for runTask to reject pair by pair. The indexed walk gathers
+// only the joinable ones; its minSeq cut on a same-level split is the naive
+// right[ai+1:] slice — Level preserves creation order, so the alive classes
+// after a are exactly those with larger Seq — and Gather returns the
+// joinable subsequence of Level(j) in creation order, so both modes join
+// the same pairs in the same order (pairs the naive scan rejects have no
+// side effects).
+func (e *Engine) candidates(sc *scratch, t task, j int) []*memo.Class {
+	if e.enum == EnumNaive {
+		return t.scan
+	}
+	minSeq := 0
+	if t.split == j {
+		minSeq = t.a.Seq() + 1
+	}
+	// The memo's levels below k are frozen during the level, so concurrent
+	// Gather calls read the index bitmaps race-free.
+	return sc.walker.Gather(e.Memo, t.a, j, minSeq)
+}
+
+// runTask feeds every joinable pair of one level-k task to join. Every
+// gathered candidate of the indexed walk is connected to and disjoint from a
+// by construction (the index masks both conditions), so there considered ==
+// connected and the Disjoint re-check is a belt-and-braces guard on the
+// index, not a filter; the naive scan filters for real, recomputing the
+// neighborhood per pair.
+func (e *Engine) runTask(sc *scratch, k int, t task, join func(a, b *memo.Class) error) error {
+	a := t.a
+	for _, b := range e.candidates(sc, t, k-t.split) {
+		sc.pairsCons++
+		if !a.Set.Disjoint(b.Set) || (e.enum == EnumNaive && !e.Q.Connected(a.Set, b.Set)) {
+			continue
+		}
+		sc.pairsConn++
+		if err := join(a, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runLevelInline joins level k's tasks in order on the caller's goroutine,
+// straight into the memo.
+func (e *Engine) runLevelInline(k int, tasks []task) ([]*memo.Class, error) {
+	var created []*memo.Class
+	join := func(a, b *memo.Class) error {
+		cls, isNew, err := e.joinDirect(a, b, k)
+		if err == nil && isNew {
+			created = append(created, cls)
+		}
+		return err
+	}
+	for _, t := range tasks {
+		// Poll per left class: frequent enough that a deadline lands within
+		// milliseconds even on hub-heavy levels, cheap enough (one channel
+		// select) to vanish against join costing.
+		if err := e.checkCtx(); err != nil {
+			return created, err
+		}
+		if err := e.runTask(&e.sc, k, t, join); err != nil {
+			return created, err
 		}
 	}
 	return created, nil
 }
 
-// runLevelNaive is the retained generate-and-filter reference: scan every
-// class pair of the level's splits and reject with Disjoint/Connected,
-// recomputing the neighborhood per pair. Kept verbatim as the equivalence
-// oracle and benchmark baseline for the adjacency-indexed walk above.
-func (e *Engine) runLevelNaive(k int) ([]*memo.Class, error) {
-	var created []*memo.Class
-	maxSplit := k / 2
-	if e.leftDeep {
-		maxSplit = 1
+// staging is the shared sink of one parallel level: the staging table plus
+// the level's would-be simulated memory, tracked so workers can stop
+// promptly when the budget is hopeless instead of costing the whole level
+// first. Offer deltas keep the estimate exact: at the barrier it equals the
+// level's starting SimBytes plus what the drain will charge the memo.
+type staging struct {
+	table  *memo.Sharded
+	simEst atomic.Int64
+	budget int64
+}
+
+// charge adds bytes to the level's estimate, failing once it crosses the
+// budget.
+func (s *staging) charge(bytes int64) error {
+	if est := s.simEst.Add(bytes); s.budget > 0 && est > s.budget {
+		return memo.ErrBudget
 	}
-	for i := 1; i <= maxSplit; i++ {
-		j := k - i
-		left := e.Memo.Level(i)
-		right := e.Memo.Level(j)
-		for ai, a := range left {
-			if err := e.checkCtx(); err != nil {
-				return created, err
-			}
-			bs := right
-			if i == j {
-				bs = right[ai+1:] // each unordered pair once
-			}
-			for _, b := range bs {
-				e.pairsConsidered++
-				if !a.Set.Disjoint(b.Set) || !e.Q.Connected(a.Set, b.Set) {
-					continue
+	return nil
+}
+
+// join enumerates the physical joins of classes a and b into the staging
+// table — joinDirect's worker-side counterpart, costing on the worker's
+// model fork.
+func (s *staging) join(sc *scratch, q *query.Query, a, b *memo.Class) error {
+	set := a.Set.Union(b.Set)
+	st, isNew := s.table.Get(set, func() (float64, float64) {
+		// Canonical per-set cardinality: identical from any worker (see
+		// cost.SetRows), so whoever creates the class stages the same
+		// features the sequential run would.
+		rows := sc.model.SetRows(set)
+		return rows, sc.model.Selectivity(set, rows)
+	})
+	if isNew {
+		if err := s.charge(memo.SimClassBytes); err != nil {
+			return err
+		}
+	}
+	return sc.joinPair(q, a, b, st.Rows, func(p *plan.Plan) error {
+		if d := st.Offer(p); d != 0 {
+			return s.charge(int64(d) * memo.SimPathBytes)
+		}
+		return nil
+	})
+}
+
+// runLevelPool runs level k as one barrier round: fan the tasks out over the
+// worker pool into a staging table, then drain it into the memo in canonical
+// order.
+func (e *Engine) runLevelPool(k int, tasks []task) ([]*memo.Class, []workerStat, error) {
+	m := e.Memo
+	e.cTasks.Add(int64(len(tasks)))
+
+	stage := &staging{table: memo.NewSharded(), budget: m.Budget}
+	stage.simEst.Store(m.Stats.SimBytes)
+	var next atomic.Int64
+	var abort atomic.Bool
+
+	errs := make([]error, e.workers)
+	states := make([]*scratch, e.workers)
+	wstats := make([]workerStat, e.workers)
+	var wg sync.WaitGroup
+	for w := range states {
+		states[w] = &scratch{model: e.Model.Fork()}
+		wg.Add(1)
+		go func(sc *scratch, ws *workerStat, werr *error) {
+			defer wg.Done()
+			ws.start = time.Now()
+			defer func() { ws.finish = time.Now() }()
+			join := func(a, b *memo.Class) error { return stage.join(sc, e.Q, a, b) }
+			for !abort.Load() {
+				t := int(next.Add(1)) - 1
+				if t >= len(tasks) {
+					return
 				}
-				e.pairsConnected++
-				cls, isNew, err := e.joinClasses(a, b, k)
+				ws.tasks++
+				err := e.checkCtx()
+				if err == nil {
+					err = e.runTask(sc, k, tasks[t], join)
+				}
 				if err != nil {
-					return created, err
+					*werr = err
+					abort.Store(true)
+					return
 				}
-				if isNew {
-					created = append(created, cls)
-				}
+			}
+		}(states[w], &wstats[w], &errs[w])
+	}
+	wg.Wait()
+
+	// Fold the forks' counters back; worker order is fixed so the sum — and
+	// therefore Stats.PlansCosted — is deterministic.
+	for w, sc := range states {
+		e.Model.PlansCosted += sc.model.PlansCosted
+		e.sc.pairsCons += sc.pairsCons
+		e.sc.pairsConn += sc.pairsConn
+		wstats[w].costed = sc.model.PlansCosted
+		wstats[w].pairs = sc.pairsCons
+	}
+	e.cContended.Add(stage.table.Contended())
+
+	var sawBudget bool
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, memo.ErrBudget):
+			sawBudget = true
+		default:
+			// Cancellation: the memo keeps its pre-level state, exactly the
+			// partial-state contract the sequential run offers.
+			return nil, wstats, err
+		}
+	}
+
+	// Drain in canonical set order. NewClass + the staged winners reproduce
+	// the sequential end-of-level class state and simulated-memory charge,
+	// so the memo's own budget accounting fires just as it would have.
+	var created []*memo.Class
+	for _, st := range stage.table.Drain() {
+		cls, err := m.NewClass(st.Set, k, st.Rows, st.Sel)
+		if err != nil {
+			return created, wstats, err
+		}
+		created = append(created, cls)
+		for _, p := range st.Plans() {
+			if _, err := m.AddPlan(cls, p); err != nil {
+				return created, wstats, err
 			}
 		}
 	}
-	return created, nil
+	if sawBudget {
+		// The estimate crossed the budget but late in-flight offers shrank
+		// the staged total back under it — still a budget outcome, as the
+		// sequential run's own transient overshoot would have been.
+		return created, wstats, memo.ErrBudget
+	}
+	return created, wstats, nil
 }
 
 // ccpGraph builds the join graph the DPccp enumerator walks: one vertex per
@@ -577,7 +843,7 @@ func (e *Engine) ccpGraph() (adj []bits.Set, rels func(bits.Set) bits.Set) {
 	}
 }
 
-// runCCP runs the DPccp enumerator for levels (e.ccpDone, toLevel]: every
+// runCCP runs the DPccp enumerator for levels (e.done, toLevel]: every
 // emitted csg-cmp pair is a connected, disjoint class pair, joined the
 // moment it surfaces. The enumeration order guarantees both sides' classes
 // are complete before a pair is emitted (see package ccp), so no level
@@ -587,7 +853,7 @@ func (e *Engine) ccpGraph() (adj []bits.Set, rels func(bits.Set) bits.Set) {
 // producing the same one-observation-per-level stream the level-synchronous
 // enumerators emit.
 func (e *Engine) runCCP(toLevel int) error {
-	minLevel := e.ccpDone
+	minLevel := e.done
 	if toLevel <= minLevel {
 		return nil
 	}
@@ -609,15 +875,15 @@ func (e *Engine) runCCP(toLevel int) error {
 			a, b := e.Memo.Get(rels(s1)), e.Memo.Get(rels(s2))
 			// Considered == connected by construction: the enumerator only
 			// produces disjoint connected pairs, it never filters.
-			e.pairsConsidered++
-			e.pairsConnected++
+			e.sc.pairsCons++
+			e.sc.pairsConn++
 			pairs[lvl]++
 			var t0 time.Time
 			if timed {
 				t0 = time.Now()
 			}
 			pc := e.Model.PlansCosted
-			_, isNew, jerr := e.joinClasses(a, b, lvl)
+			_, isNew, jerr := e.joinDirect(a, b, lvl)
 			costed[lvl] += e.Model.PlansCosted - pc
 			if timed {
 				durs[lvl] += time.Since(t0)
@@ -632,7 +898,7 @@ func (e *Engine) runCCP(toLevel int) error {
 			return nil
 		})
 	if err == nil {
-		e.ccpDone = toLevel
+		e.done = toLevel
 	}
 	if timed {
 		lvStart := runStart
@@ -641,20 +907,20 @@ func (e *Engine) runCCP(toLevel int) error {
 			if k == abortLevel {
 				lerr = err
 			}
-			e.emitLevel(k, lvStart, durs[k], costed[k], pairs[k], pairs[k], created[k], lerr)
+			e.emitLevel(k, lvStart, durs[k], costed[k], pairs[k], pairs[k], created[k], nil, lerr)
 			lvStart = lvStart.Add(durs[k])
 		}
 	}
 	return err
 }
 
-// joinClasses enumerates the physical joins of classes a and b, folding the
-// results into the class for a∪b (creating it if needed).
-func (e *Engine) joinClasses(a, b *memo.Class, level int) (*memo.Class, bool, error) {
+// joinDirect enumerates the physical joins of classes a and b, folding the
+// results straight into the memo class for a∪b (creating it if needed).
+func (e *Engine) joinDirect(a, b *memo.Class, level int) (*memo.Class, bool, error) {
 	set := a.Set.Union(b.Set)
 	cls := e.Memo.Get(set)
-	isNew := false
-	if cls == nil {
+	isNew := cls == nil
+	if isNew {
 		// Canonical per-set cardinality: identical for every optimizer and
 		// enumeration order (see cost.SetRows).
 		rows := e.Model.SetRows(set)
@@ -663,31 +929,45 @@ func (e *Engine) joinClasses(a, b *memo.Class, level int) (*memo.Class, bool, er
 		if err != nil {
 			return nil, false, err
 		}
-		isNew = true
 	}
-	// Scratch-backed lookups: the predicate list and the join-variant buffer
-	// are reused across pairs (their contents are consumed before the next
-	// pair), so steady-state enumeration allocates only retained plans.
-	e.predBuf = e.Q.AppendPredsBetween(e.predBuf[:0], a.Set, b.Set)
-	preds := e.predBuf
-	e.pathBufA = a.AppendPaths(e.pathBufA[:0])
-	e.pathBufB = b.AppendPaths(e.pathBufB[:0])
-	for _, pa := range e.pathBufA {
-		for _, pb := range e.pathBufB {
+	err := e.sc.joinPair(e.Q, a, b, cls.Rows, func(p *plan.Plan) error {
+		_, err := e.Memo.AddPlan(cls, p)
+		return err
+	})
+	return cls, isNew, err
+}
+
+// joinPair is the join kernel: it costs every physical join of classes a and
+// b — path × path × direction × operator — for a target class of the given
+// row count and hands each candidate plan to sink, stopping at sink's first
+// error. The predicate list, both path lists and the join-variant buffer
+// live in the scratch and are reused across pairs, so the kernel itself
+// allocates nothing in steady state — but the cost model heap-allocates
+// every candidate node before the sink's dominance test sees it, and ~99% of
+// them are dropped there (allocs per plan costed ≈ 1.01, paths retained per
+// plan costed ≈ 0.006 on the cold-enum benchmark workload). ROADMAP's "cost
+// first, allocate on win" item is the one place that changes that.
+func (sc *scratch) joinPair(q *query.Query, a, b *memo.Class, rows float64, sink func(*plan.Plan) error) error {
+	sc.predBuf = q.AppendPredsBetween(sc.predBuf[:0], a.Set, b.Set)
+	preds := sc.predBuf
+	sc.pathBufA = a.AppendPaths(sc.pathBufA[:0])
+	sc.pathBufB = b.AppendPaths(sc.pathBufB[:0])
+	for _, pa := range sc.pathBufA {
+		for _, pb := range sc.pathBufB {
 			for _, in := range []cost.JoinInputs{
-				{Outer: pa, Inner: pb, Preds: preds, Rows: cls.Rows},
-				{Outer: pb, Inner: pa, Preds: preds, Rows: cls.Rows},
+				{Outer: pa, Inner: pb, Preds: preds, Rows: rows},
+				{Outer: pb, Inner: pa, Preds: preds, Rows: rows},
 			} {
-				e.planBuf = e.Model.AppendJoinPlans(e.planBuf[:0], in)
-				for _, p := range e.planBuf {
-					if _, err := e.Memo.AddPlan(cls, p); err != nil {
-						return cls, isNew, err
+				sc.planBuf = sc.model.AppendJoinPlans(sc.planBuf[:0], in)
+				for _, p := range sc.planBuf {
+					if err := sink(p); err != nil {
+						return err
 					}
 				}
 			}
 		}
 	}
-	return cls, isNew, nil
+	return nil
 }
 
 // Finalize returns the completed plan for the full relation set, applying
@@ -724,19 +1004,11 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Memo:            e.Memo.Stats,
 		PlansCosted:     e.Model.PlansCosted - e.costedAtStart,
-		PairsConsidered: e.pairsConsidered,
-		PairsConnected:  e.pairsConnected,
+		PairsConsidered: e.sc.pairsCons,
+		PairsConnected:  e.sc.pairsConn,
+		Enumerator:      e.enum.String(),
 		Elapsed:         time.Since(e.started),
 	}
-}
-
-// CountPairs folds externally-examined candidate pairs into the engine's
-// counters. The parallel engine calls it at each level barrier with its
-// workers' per-task sums; addition commutes, so the folded totals are
-// deterministic regardless of worker scheduling.
-func (e *Engine) CountPairs(considered, connected int64) {
-	e.pairsConsidered += considered
-	e.pairsConnected += connected
 }
 
 // ObserveRun opens an optimization span for the named technique: it emits
@@ -767,6 +1039,9 @@ func ObserveRun(ob *obs.Observer, tech string, q *query.Query) func(Stats, *plan
 			"pairs_connected":  st.PairsConnected,
 			"classes_created":  st.Memo.ClassesCreated,
 			"peak_sim_bytes":   st.Memo.PeakSimBytes,
+		}
+		if st.Enumerator != "" {
+			attrs["enum"] = st.Enumerator
 		}
 		if p != nil {
 			attrs["cost"] = p.Cost

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,7 +14,11 @@ import (
 )
 
 // sameRun asserts two runs explored the same search and chose the same plan:
-// cost to the bit, plans costed, memo shape, connected pairs.
+// cost to the bit, plans costed, memo shape, end-of-run simulated memory,
+// connected pairs. It is the engine's hard invariant across enumerators and
+// worker counts. (Peak simulated memory is deliberately excluded: a
+// sequential run can transiently retain paths a later candidate of the same
+// level displaces, while the staged merge replays only the winners.)
 func sameRun(t *testing.T, label string, pA *plan.Plan, stA Stats, pB *plan.Plan, stB Stats) {
 	t.Helper()
 	if math.Float64bits(pA.Cost) != math.Float64bits(pB.Cost) {
@@ -30,6 +35,9 @@ func sameRun(t *testing.T, label string, pA *plan.Plan, stA Stats, pB *plan.Plan
 	}
 	if stA.Memo.PathsRetained != stB.Memo.PathsRetained {
 		t.Errorf("%s: PathsRetained %d != %d", label, stA.Memo.PathsRetained, stB.Memo.PathsRetained)
+	}
+	if stA.Memo.SimBytes != stB.Memo.SimBytes {
+		t.Errorf("%s: SimBytes %d != %d", label, stA.Memo.SimBytes, stB.Memo.SimBytes)
 	}
 	if stA.PairsConnected != stB.PairsConnected {
 		t.Errorf("%s: PairsConnected %d != %d", label, stA.PairsConnected, stB.PairsConnected)
@@ -73,29 +81,42 @@ func TestHookFallsBackToIndexed(t *testing.T) {
 	}
 }
 
-// TestNaiveEnumAliasMatchesEnumNaive: the deprecated boolean must select
-// exactly the naive reference loop, statistics included.
-func TestNaiveEnumAliasMatchesEnumNaive(t *testing.T) {
-	q := starQuery(t, 7)
-	pAlias, stAlias, err := Optimize(q, Options{NaiveEnum: true})
-	if err != nil {
-		t.Fatalf("alias: %v", err)
-	}
-	pEnum, stEnum, err := Optimize(q, Options{Enum: EnumNaive})
-	if err != nil {
-		t.Fatalf("enum: %v", err)
-	}
-	sameRun(t, "alias-vs-enum", pEnum, stEnum, pAlias, stAlias)
-	if stAlias.PairsConsidered != stEnum.PairsConsidered {
-		t.Errorf("alias considered %d pairs, EnumNaive %d", stAlias.PairsConsidered, stEnum.PairsConsidered)
+// TestEnumeratorReported: the DPccp → indexed fallback is silent in the
+// results (all modes agree bit for bit), so Stats.Enumerator is the one place
+// it shows. A hook or Workers > 1 must report "indexed"; an explicit mode is
+// reported as asked.
+func TestEnumeratorReported(t *testing.T) {
+	q := starQuery(t, 6)
+	nop := func(int, *memo.Memo, []*memo.Class) error { return nil }
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"default", Options{}, "dpccp"},
+		{"hooked", Options{Hook: nop}, "indexed"},
+		{"workers-2", Options{Workers: 2}, "indexed"},
+		{"workers-1", Options{Workers: 1}, "dpccp"},
+		{"naive", Options{Enum: EnumNaive}, "naive"},
+		{"naive-workers-2", Options{Enum: EnumNaive, Workers: 2}, "naive"},
+	} {
+		_, st, err := Optimize(q, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.Enumerator != tc.want {
+			t.Errorf("%s: Enumerator = %q, want %q", tc.name, st.Enumerator, tc.want)
+		}
 	}
 }
 
 // TestCCPPartialRunResume: IDP drives the engine in blocks — Run(3) then
-// Run(n) must produce exactly the state of a single Run(n). The DPccp path
-// tracks its own resume point (ccpDone) instead of reading memo levels, so
-// this pins that a partial enumeration neither re-joins completed levels
-// (PlansCosted would inflate) nor skips pairs (the plan or memo shape would
+// Run(n) must produce exactly the state of a single Run(n), whichever
+// enumerator finds the pairs and whichever sink takes the plans. The engine
+// tracks one resume cursor (done) instead of reading memo levels, so this
+// pins that a partial enumeration neither re-joins completed levels
+// (PlansCosted would inflate, and a staged drain would collide with the
+// classes already in the memo) nor skips pairs (the plan or memo shape would
 // diverge).
 func TestCCPPartialRunResume(t *testing.T) {
 	for _, fix := range []struct {
@@ -108,36 +129,92 @@ func TestCCPPartialRunResume(t *testing.T) {
 	} {
 		t.Run(fix.name, func(t *testing.T) {
 			q := testutil.MustQuery(testutil.Catalog(fix.n), fix.n, fix.edges, nil)
-			run := func(levels ...int) (*plan.Plan, Stats) {
-				t.Helper()
-				e, err := NewEngine(q, BaseLeaves(q), Options{})
-				if err != nil {
-					t.Fatal(err)
+			for _, enum := range []EnumMode{EnumDPccp, EnumIndexed, EnumNaive} {
+				for _, workers := range []int{1, 4} {
+					t.Run(fmt.Sprintf("%v-w%d", enum, workers), func(t *testing.T) {
+						run := func(levels ...int) (*plan.Plan, Stats) {
+							t.Helper()
+							e, err := NewEngine(q, BaseLeaves(q), Options{Enum: enum, Workers: workers})
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, lv := range levels {
+								if err := e.Run(lv); err != nil {
+									t.Fatalf("Run(%d): %v", lv, err)
+								}
+							}
+							p, err := e.Finalize()
+							if err != nil {
+								t.Fatalf("Finalize: %v", err)
+							}
+							return p, e.Stats()
+						}
+						pFull, stFull := run(fix.n)
+						pSplit, stSplit := run(3, fix.n)
+						sameRun(t, "split-vs-full", pFull, stFull, pSplit, stSplit)
+						if stSplit.PairsConsidered != stFull.PairsConsidered {
+							t.Errorf("split run considered %d pairs, full %d", stSplit.PairsConsidered, stFull.PairsConsidered)
+						}
+						// A repeated partial bound is a no-op, not a re-enumeration.
+						pIdem, stIdem := run(3, 3, fix.n, fix.n)
+						sameRun(t, "idempotent-vs-full", pFull, stFull, pIdem, stIdem)
+						if stIdem.PairsConsidered != stFull.PairsConsidered {
+							t.Errorf("idempotent run considered %d pairs, full %d", stIdem.PairsConsidered, stFull.PairsConsidered)
+						}
+					})
 				}
-				for _, lv := range levels {
-					if err := e.Run(lv); err != nil {
-						t.Fatalf("Run(%d): %v", lv, err)
-					}
-				}
-				p, err := e.Finalize()
-				if err != nil {
-					t.Fatalf("Finalize: %v", err)
-				}
-				return p, e.Stats()
-			}
-			pFull, stFull := run(fix.n)
-			pSplit, stSplit := run(3, fix.n)
-			sameRun(t, "split-vs-full", pFull, stFull, pSplit, stSplit)
-			if stSplit.PairsConsidered != stFull.PairsConsidered {
-				t.Errorf("split run considered %d pairs, full %d", stSplit.PairsConsidered, stFull.PairsConsidered)
-			}
-			// A repeated partial bound is a no-op, not a re-enumeration.
-			pIdem, stIdem := run(3, 3, fix.n, fix.n)
-			sameRun(t, "idempotent-vs-full", pFull, stFull, pIdem, stIdem)
-			if stIdem.PairsConsidered != stFull.PairsConsidered {
-				t.Errorf("idempotent run considered %d pairs, full %d", stIdem.PairsConsidered, stFull.PairsConsidered)
 			}
 		})
+	}
+}
+
+// TestJoinKernelSinksAgree offers one class pair's candidates through both
+// sinks of the join kernel — straight into a memo class, and into a staged
+// class — and requires the same retained plans and the same retained-path
+// charge: the memo's PathsRetained against the staging estimate's path
+// bytes.
+func TestJoinKernelSinksAgree(t *testing.T) {
+	q := testutil.MustQuery(testutil.Catalog(4), 4, query.ChainEdges(4), nil)
+	e, err := NewEngine(q, BaseLeaves(q), Options{Enum: EnumIndexed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	a, b := e.Memo.Get(bits.Of(0, 1)), e.Memo.Get(bits.Of(2, 3))
+	if a == nil || b == nil {
+		t.Fatal("level-2 classes missing")
+	}
+
+	before := e.Memo.Stats.PathsRetained
+	cls, isNew, err := e.joinDirect(a, b, 4)
+	if err != nil || !isNew {
+		t.Fatalf("joinDirect: isNew=%v err=%v", isNew, err)
+	}
+	directDelta := e.Memo.Stats.PathsRetained - before
+
+	stage := &staging{table: memo.NewSharded()}
+	sc := &scratch{model: e.Model.Fork()}
+	if err := stage.join(sc, q, a, b); err != nil {
+		t.Fatalf("staged join: %v", err)
+	}
+	drained := stage.table.Drain()
+	if len(drained) != 1 || drained[0].Set != cls.Set {
+		t.Fatalf("staged %d classes, want one for %v", len(drained), cls.Set)
+	}
+	stagedDelta := (stage.simEst.Load() - memo.SimClassBytes) / memo.SimPathBytes
+	if stagedDelta != directDelta {
+		t.Errorf("retained-path delta: staged %d, direct %d", stagedDelta, directDelta)
+	}
+	want, got := cls.Paths(), drained[0].Plans()
+	if len(got) != len(want) {
+		t.Fatalf("staged retained %d plans, direct %d", len(got), len(want))
+	}
+	for i := range want {
+		if plan.Compare(got[i], want[i]) != 0 || math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) {
+			t.Errorf("path %d: staged %+v, direct %+v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
-// External test package: ce imports core, which imports pardp, so this
-// file cannot live in package pardp without a cycle.
-package pardp_test
+// External test package: ce imports core, which imports dp, so this file
+// cannot live in package dp without a cycle.
+package dp_test
 
 import (
 	"fmt"
@@ -10,7 +10,6 @@ import (
 	"sdpopt/internal/ce"
 	"sdpopt/internal/cost"
 	"sdpopt/internal/dp"
-	"sdpopt/internal/pardp"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/workload"
 )
@@ -46,7 +45,7 @@ func TestInjectedEstimatorParity(t *testing.T) {
 				}
 				for _, workers := range []int{2, 4} {
 					mPar := cost.NewModelEst(q, cost.DefaultParams(), inj)
-					pPar, stPar, err := pardp.Optimize(q, pardp.Options{Workers: workers, Model: mPar})
+					pPar, stPar, err := dp.Optimize(q, dp.Options{Workers: workers, Model: mPar})
 					if err != nil {
 						t.Fatalf("spec %d q%d band %g w=%d: parallel: %v", si, qi, band, workers, err)
 					}

@@ -1,15 +1,12 @@
-package pardp
+package dp
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
-	"sdpopt/internal/dp"
 	"sdpopt/internal/memo"
-	"sdpopt/internal/plan"
 	"sdpopt/internal/workload"
 )
 
@@ -67,37 +64,6 @@ func corpusSpecs() []corpusEntry {
 	return out
 }
 
-func relName(i int) string { return fmt.Sprintf("R%d", i) }
-
-// assertIdentical enforces the engine's hard invariant: the parallel result
-// is bit-for-bit the sequential result — plan structure, exact cost bits,
-// plans costed, classes created, and end-of-run simulated memory. (Peak
-// simulated memory is deliberately excluded: the sequential engine can
-// transiently retain paths a later candidate of the same level displaces,
-// while the staged merge replays only the winners.)
-func assertIdentical(t *testing.T, label string, pSeq *plan.Plan, stSeq dp.Stats, pPar *plan.Plan, stPar dp.Stats) {
-	t.Helper()
-	if math.Float64bits(pSeq.Cost) != math.Float64bits(pPar.Cost) {
-		t.Errorf("%s: cost %v (seq) != %v (par)", label, pSeq.Cost, pPar.Cost)
-	}
-	if plan.Compare(pSeq, pPar) != 0 {
-		t.Errorf("%s: plan shape diverged:\nseq: %s\npar: %s",
-			label, pSeq.Shape(relName), pPar.Shape(relName))
-	}
-	if stSeq.PlansCosted != stPar.PlansCosted {
-		t.Errorf("%s: PlansCosted %d (seq) != %d (par)", label, stSeq.PlansCosted, stPar.PlansCosted)
-	}
-	if stSeq.Memo.ClassesCreated != stPar.Memo.ClassesCreated {
-		t.Errorf("%s: ClassesCreated %d (seq) != %d (par)", label, stSeq.Memo.ClassesCreated, stPar.Memo.ClassesCreated)
-	}
-	if stSeq.Memo.PathsRetained != stPar.Memo.PathsRetained {
-		t.Errorf("%s: PathsRetained %d (seq) != %d (par)", label, stSeq.Memo.PathsRetained, stPar.Memo.PathsRetained)
-	}
-	if stSeq.Memo.SimBytes != stPar.Memo.SimBytes {
-		t.Errorf("%s: SimBytes %d (seq) != %d (par)", label, stSeq.Memo.SimBytes, stPar.Memo.SimBytes)
-	}
-}
-
 // TestParallelMatchesSequential is the determinism property test: across the
 // full workload-generator corpus, parallel enumeration at several worker
 // counts produces results identical to the sequential engine. Run under
@@ -112,16 +78,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("Instances: %v", err)
 			}
 			for qi, q := range qs {
-				pSeq, stSeq, err := dp.Optimize(q, dp.Options{})
+				pSeq, stSeq, err := Optimize(q, Options{})
 				if err != nil {
 					t.Fatalf("q%d: sequential: %v", qi, err)
 				}
-				for _, workers := range []int{1, 2, 4} {
+				for _, workers := range []int{2, 4, 8} {
 					pPar, stPar, err := Optimize(q, Options{Workers: workers})
 					if err != nil {
 						t.Fatalf("q%d w=%d: parallel: %v", qi, workers, err)
 					}
-					assertIdentical(t, fmt.Sprintf("q%d w=%d", qi, workers), pSeq, stSeq, pPar, stPar)
+					sameRun(t, fmt.Sprintf("q%d w=%d", qi, workers), pSeq, stSeq, pPar, stPar)
 				}
 			}
 		})
@@ -137,7 +103,7 @@ func TestLeftDeepParity(t *testing.T) {
 		t.Fatalf("Instances: %v", err)
 	}
 	for qi, q := range qs {
-		pSeq, stSeq, err := dp.Optimize(q, dp.Options{LeftDeepOnly: true})
+		pSeq, stSeq, err := Optimize(q, Options{LeftDeepOnly: true})
 		if err != nil {
 			t.Fatalf("q%d: sequential: %v", qi, err)
 		}
@@ -145,7 +111,7 @@ func TestLeftDeepParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%d: parallel: %v", qi, err)
 		}
-		assertIdentical(t, fmt.Sprintf("q%d", qi), pSeq, stSeq, pPar, stPar)
+		sameRun(t, fmt.Sprintf("q%d", qi), pSeq, stSeq, pPar, stPar)
 	}
 }
 
@@ -158,7 +124,7 @@ func TestHookParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("One: %v", err)
 	}
-	hook := func(record *[][]string) dp.LevelHook {
+	hook := func(record *[][]string) LevelHook {
 		return func(level int, m *memo.Memo, created []*memo.Class) error {
 			var sets []string
 			for _, c := range created {
@@ -178,7 +144,7 @@ func TestHookParity(t *testing.T) {
 		}
 	}
 	var seqSeen, parSeen [][]string
-	pSeq, stSeq, err := dp.Optimize(q, dp.Options{Hook: hook(&seqSeen)})
+	pSeq, stSeq, err := Optimize(q, Options{Hook: hook(&seqSeen)})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -186,7 +152,7 @@ func TestHookParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
-	assertIdentical(t, "hooked", pSeq, stSeq, pPar, stPar)
+	sameRun(t, "hooked", pSeq, stSeq, pPar, stPar)
 	if len(seqSeen) != len(parSeen) {
 		t.Fatalf("hook invocations: %d (seq) != %d (par)", len(seqSeen), len(parSeen))
 	}
@@ -197,17 +163,17 @@ func TestHookParity(t *testing.T) {
 	}
 }
 
-// TestBudgetAbort checks that an infeasible budget aborts the parallel run
+// TestParallelBudgetAbort checks that an infeasible budget aborts the parallel run
 // with memo.ErrBudget, same as the sequential engine, and that stats remain
 // readable.
-func TestBudgetAbort(t *testing.T) {
+func TestParallelBudgetAbort(t *testing.T) {
 	cat := workload.PaperSchema()
 	q, err := workload.One(workload.Spec{Cat: cat, Topology: workload.Star, NumRelations: 12, Seed: 3})
 	if err != nil {
 		t.Fatalf("One: %v", err)
 	}
 	budget := int64(256 * 1024)
-	_, _, errSeq := dp.Optimize(q, dp.Options{Budget: budget})
+	_, _, errSeq := Optimize(q, Options{Budget: budget})
 	if !errors.Is(errSeq, memo.ErrBudget) {
 		t.Fatalf("sequential err = %v, want ErrBudget", errSeq)
 	}
@@ -240,7 +206,7 @@ func TestSeedLevelBudgetAbort(t *testing.T) {
 }
 
 // TestCancellation checks a pre-canceled context aborts promptly with
-// dp.ErrCanceled from the worker pool.
+// ErrCanceled from the worker pool.
 func TestCancellation(t *testing.T) {
 	cat := workload.PaperSchema()
 	q, err := workload.One(workload.Spec{Cat: cat, Topology: workload.Chain, NumRelations: 12, Seed: 9})
@@ -250,26 +216,7 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, errPar := Optimize(q, Options{Workers: 4, Ctx: ctx})
-	if !errors.Is(errPar, dp.ErrCanceled) {
+	if !errors.Is(errPar, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", errPar)
 	}
-}
-
-// TestDefaultWorkers checks Workers: 0 resolves to GOMAXPROCS and still
-// matches the sequential result.
-func TestDefaultWorkers(t *testing.T) {
-	cat := workload.PaperSchema()
-	q, err := workload.One(workload.Spec{Cat: cat, Topology: workload.Cycle, NumRelations: 8, Seed: 11})
-	if err != nil {
-		t.Fatalf("One: %v", err)
-	}
-	pSeq, stSeq, err := dp.Optimize(q, dp.Options{})
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	pPar, stPar, err := Optimize(q, Options{})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	assertIdentical(t, "default-workers", pSeq, stSeq, pPar, stPar)
 }

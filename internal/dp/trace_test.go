@@ -1,4 +1,4 @@
-package pardp
+package dp
 
 import (
 	"context"
@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sdpopt/internal/dp"
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/workload"
 )
@@ -25,8 +24,8 @@ func countSpans(s span.SpanJSON, name string) int {
 
 // TestTracingDeterminism re-runs the determinism property with a request
 // span installed: spans observe, they never order, so parallel enumeration
-// at 1/2/4/8 workers must stay bit-for-bit identical to the sequential
-// engine with tracing enabled. Run under -race in CI.
+// at 2/4/8 workers must stay bit-for-bit identical to the sequential run
+// with tracing enabled. Run under -race in CI.
 func TestTracingDeterminism(t *testing.T) {
 	cat := workload.PaperSchema()
 	for _, spec := range []workload.Spec{
@@ -40,11 +39,11 @@ func TestTracingDeterminism(t *testing.T) {
 		}
 		// Sequential baseline, itself traced.
 		seqRoot := span.New("request")
-		pSeq, stSeq, err := dp.Optimize(q, dp.Options{Ctx: span.NewContext(context.Background(), seqRoot)})
+		pSeq, stSeq, err := Optimize(q, Options{Ctx: span.NewContext(context.Background(), seqRoot)})
 		if err != nil {
 			t.Fatalf("sequential: %v", err)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range []int{2, 4, 8} {
 			rec := span.NewRecorder(span.RecorderOptions{SlowThreshold: time.Hour})
 			root := span.New("request")
 			rec.Start(root)
@@ -55,7 +54,7 @@ func TestTracingDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("w=%d: parallel: %v", workers, err)
 			}
-			assertIdentical(t, fmt.Sprintf("%v w=%d traced", spec.Topology, workers), pSeq, stSeq, pPar, stPar)
+			sameRun(t, fmt.Sprintf("%v w=%d traced", spec.Topology, workers), pSeq, stSeq, pPar, stPar)
 
 			rec.Finish(root, 200)
 			d := rec.Snapshot()
@@ -65,8 +64,8 @@ func TestTracingDeterminism(t *testing.T) {
 				t.Fatalf("w=%d: no level spans", workers)
 			}
 			// Every barrier round attaches one worker span per worker, in
-			// fixed worker order. The seed level (level 1) is recorded by
-			// the inner sequential engine and has no worker round.
+			// fixed worker order. The seed level (level 1) is built inline
+			// and has no worker round.
 			wspans := countSpans(tree, "pardp.worker")
 			if want := (levels - 1) * workers; wspans != want {
 				t.Errorf("w=%d: %d pardp.worker spans across %d levels, want %d",

@@ -21,7 +21,6 @@ import (
 	"sdpopt/internal/idp"
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
-	"sdpopt/internal/pardp"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/plancache"
 	"sdpopt/internal/quality"
@@ -46,11 +45,11 @@ type Config struct {
 	// wall-time measurements under CPU contention.
 	Workers int
 	// EnumWorkers is the enumeration worker count inside each DP-substrate
-	// optimization (0 or 1 = the sequential engine, >1 = the parallel
-	// engine, internal/pardp). Orthogonal to Workers: that knob runs many
-	// optimizations at once, this one splits each optimization's level
-	// enumeration across cores. Results are bit-for-bit identical either
-	// way.
+	// optimization (dp.Options.Workers: 0 or 1 = sequential, >1 = every
+	// level fanned out over that many workers). Orthogonal to Workers: that
+	// knob runs many optimizations at once, this one splits each
+	// optimization's level enumeration across cores. Results are bit-for-bit
+	// identical either way.
 	EnumWorkers int
 	// Cache, if non-nil, routes every optimization through the plan cache
 	// (keyed by fingerprint × technique × catalog version), so repeated
@@ -106,8 +105,8 @@ type Technique struct {
 
 // Standard technique constructors. Each closes over the budget so
 // infeasibility surfaces as memo.ErrBudget. The optional trailing workers
-// argument (at most one) selects the parallel enumeration engine when >1 —
-// plan-identical to the sequential default, it only changes wall time.
+// argument (at most one) sets the enumeration worker count — plan-identical
+// to the sequential default, it only changes wall time.
 
 // enumWorkersOf folds the optional variadic workers argument.
 func enumWorkersOf(workers []int) int {
@@ -121,10 +120,7 @@ func enumWorkersOf(workers []int) int {
 func TechDP(budget int64, workers ...int) Technique {
 	w := enumWorkersOf(workers)
 	return Technique{Name: "DP", Run: func(q *query.Query) (*plan.Plan, dp.Stats, error) {
-		if w > 1 {
-			return pardp.Optimize(q, pardp.Options{Workers: w, Budget: budget})
-		}
-		return dp.Optimize(q, dp.Options{Budget: budget})
+		return dp.Optimize(q, dp.Options{Budget: budget, Workers: w})
 	}}
 }
 
@@ -169,9 +165,7 @@ func TechSDPVariant(name string, opts core.Options, budget int64, workers ...int
 	return Technique{Name: name, Run: func(q *query.Query) (*plan.Plan, dp.Stats, error) {
 		opts := opts
 		opts.Budget = budget
-		if w > 1 {
-			opts.Workers = w
-		}
+		opts.Workers = w
 		return core.Optimize(q, opts)
 	}}
 }

@@ -55,16 +55,9 @@ type Class struct {
 	// Rows and Sel are the JCR's shared cardinality and selectivity
 	// features; every plan of the class produces the same output.
 	Rows, Sel float64
-	// Best is the cheapest plan for the class.
-	Best *plan.Plan
-	// ordered holds the cheapest plan per order equivalence class, sorted
-	// by ascending order id. A class retains very few ordered plans (one
-	// per interesting order of its join columns), and AddPlan re-counts
-	// retained paths on every candidate, so this is a small sorted slice
-	// rather than a map: slice scans cost a few compares where map
-	// iteration — with its per-iteration random seeding — dominated CPU
-	// profiles of enumeration-bound runs.
-	ordered []OrderedPlan
+	// pathSet holds the retained plans: Best, the cheapest plan for the
+	// class, plus the cheapest plan per interesting order.
+	pathSet
 	// Nbrs caches the join-graph neighborhood of Set (the memo's Nbrs
 	// callback, evaluated once at class creation), so the enumerator's
 	// connectivity test is a single AND against a candidate's Set instead
@@ -97,19 +90,61 @@ type OrderedPlan struct {
 	Plan  *plan.Plan
 }
 
-// OrderedPlan returns the cheapest retained plan delivering the given
-// order equivalence class, if any.
-func (c *Class) OrderedPlan(order int) (*plan.Plan, bool) {
-	return orderedGet(c.ordered, order)
+// pathSet is the retained-path set of one class under PostgreSQL's add_path
+// dominance rule restricted to the (cost, order) criteria this model
+// tracks: the cheapest plan, plus the cheapest plan per interesting order.
+// Class and Staged both hold one, so the sequential memo and the parallel
+// staging table retain by the same rule — offer — by construction.
+type pathSet struct {
+	// Best is the cheapest plan offered so far.
+	Best *plan.Plan
+	// ordered holds the cheapest plan per order equivalence class, sorted
+	// by ascending order id. A class retains very few ordered plans (one
+	// per interesting order of its join columns), and offer re-counts
+	// retained paths on every candidate, so this is a small sorted slice
+	// rather than a map: slice scans cost a few compares where map
+	// iteration — with its per-iteration random seeding — dominated CPU
+	// profiles of enumeration-bound runs.
+	ordered []OrderedPlan
 }
 
-// orderedGet scans the sorted ordered-plan slice for the given order id.
-func orderedGet(s []OrderedPlan, order int) (*plan.Plan, bool) {
-	for i := range s {
-		if s[i].Order == order {
-			return s[i].Plan, true
+// offer retains p if it improves the cheapest plan or the cheapest plan for
+// its output order, and returns the change in the retained-path count (it
+// can be negative when a new best displaces an ordered path it also covers)
+// and whether p was retained. Cost ties break on plan.Compare's canonical
+// structural order, so the retained plans are a function of the candidate
+// set alone, not of arrival order — the determinism contract that lets
+// parallel workers offer in any interleaving.
+func (ps *pathSet) offer(p *plan.Plan) (delta int, kept bool) {
+	before := ps.numPaths()
+	if ps.Best == nil || better(p, ps.Best) {
+		ps.Best = p
+		kept = true
+	}
+	if p.Order != plan.NoOrder {
+		if cur, ok := ps.OrderedPlan(p.Order); !ok || better(p, cur) {
+			ps.ordered = orderedPut(ps.ordered, p.Order, p)
+			kept = true
 		}
-		if s[i].Order > order {
+	}
+	// A new Best may dominate previously retained ordered paths that cost
+	// more but deliver an order Best also delivers.
+	if kept && ps.Best.Order != plan.NoOrder {
+		if cur, ok := ps.OrderedPlan(ps.Best.Order); !ok || better(ps.Best, cur) {
+			ps.ordered = orderedPut(ps.ordered, ps.Best.Order, ps.Best)
+		}
+	}
+	return ps.numPaths() - before, kept
+}
+
+// OrderedPlan returns the cheapest retained plan delivering the given
+// order equivalence class, if any.
+func (ps *pathSet) OrderedPlan(order int) (*plan.Plan, bool) {
+	for i := range ps.ordered {
+		if ps.ordered[i].Order == order {
+			return ps.ordered[i].Plan, true
+		}
+		if ps.ordered[i].Order > order {
 			break
 		}
 	}
@@ -135,53 +170,41 @@ func orderedPut(s []OrderedPlan, order int, p *plan.Plan) []OrderedPlan {
 	return s
 }
 
-// orderedNumPaths counts the distinct retained plans: best plus every
-// ordered plan that is not best itself.
-func orderedNumPaths(best *plan.Plan, s []OrderedPlan) int {
+// numPaths counts the distinct retained plans — Best plus every ordered
+// plan that is not Best itself — the count simulated memory is charged on.
+func (ps *pathSet) numPaths() int {
 	n := 0
-	if best != nil {
+	if ps.Best != nil {
 		n = 1
 	}
-	for i := range s {
-		if s[i].Plan != best {
+	for i := range ps.ordered {
+		if ps.ordered[i].Plan != ps.Best {
 			n++
 		}
 	}
 	return n
 }
 
-// orderedAppendPaths appends the distinct retained plans to dst: best
-// first, then ordered plans by ascending order class (the slice's sort
-// order).
-func orderedAppendPaths(dst []*plan.Plan, best *plan.Plan, s []OrderedPlan) []*plan.Plan {
-	if best != nil {
-		dst = append(dst, best)
-	}
-	for i := range s {
-		if p := s[i].Plan; p != best {
-			dst = append(dst, p)
-		}
-	}
-	return dst
-}
-
 // Paths returns the distinct retained plans: Best plus every ordered plan
 // that is not Best itself.
-func (c *Class) Paths() []*plan.Plan {
-	return c.AppendPaths(make([]*plan.Plan, 0, 1+len(c.ordered)))
+func (ps *pathSet) Paths() []*plan.Plan {
+	return ps.AppendPaths(make([]*plan.Plan, 0, 1+len(ps.ordered)))
 }
 
 // AppendPaths appends the distinct retained plans to dst in Paths order:
 // Best first, then ordered plans by ascending order class. The enumeration
 // hot path passes a reused scratch slice (dst[:0]) so the per-pair path
 // lookup stops allocating once the scratch has grown.
-func (c *Class) AppendPaths(dst []*plan.Plan) []*plan.Plan {
-	return orderedAppendPaths(dst, c.Best, c.ordered)
-}
-
-// numPaths is the retained-path count used for simulated memory.
-func (c *Class) numPaths() int {
-	return orderedNumPaths(c.Best, c.ordered)
+func (ps *pathSet) AppendPaths(dst []*plan.Plan) []*plan.Plan {
+	if ps.Best != nil {
+		dst = append(dst, ps.Best)
+	}
+	for i := range ps.ordered {
+		if p := ps.ordered[i].Plan; p != ps.Best {
+			dst = append(dst, p)
+		}
+	}
+	return dst
 }
 
 // Stats aggregates the optimization overheads the paper's tables report.
@@ -289,37 +312,12 @@ func (m *Memo) NewClass(set bits.Set, level int, rows, sel float64) (*Class, err
 	return c, nil
 }
 
-// AddPlan offers plan p to class c, retaining it if it improves the
-// cheapest plan or the cheapest plan for its output order — PostgreSQL's
-// add_path dominance rule restricted to the (cost, order) criteria this
-// model tracks. It reports whether p was retained. Cost ties break on
-// plan.Compare's canonical structural order, so the retained plans are a
-// function of the candidate set alone, not of arrival order — the
-// determinism contract the parallel engine's staging table (Sharded)
-// replicates.
+// AddPlan offers plan p to class c under the pathSet dominance rule and
+// charges the retained-path change to the simulated-memory budget. It
+// reports whether p was retained.
 func (m *Memo) AddPlan(c *Class, p *plan.Plan) (bool, error) {
-	before := c.numPaths()
-	kept := false
-	if c.Best == nil || better(p, c.Best) {
-		c.Best = p
-		kept = true
-	}
-	if p.Order != plan.NoOrder {
-		if cur, ok := orderedGet(c.ordered, p.Order); !ok || better(p, cur) {
-			c.ordered = orderedPut(c.ordered, p.Order, p)
-			kept = true
-		}
-	}
-	if kept {
-		// A new Best may dominate previously retained ordered paths that
-		// cost more but deliver an order Best also delivers.
-		if c.Best.Order != plan.NoOrder {
-			if cur, ok := orderedGet(c.ordered, c.Best.Order); !ok || better(c.Best, cur) {
-				c.ordered = orderedPut(c.ordered, c.Best.Order, c.Best)
-			}
-		}
-	}
-	if d := c.numPaths() - before; d != 0 {
+	d, kept := c.offer(p)
+	if d != 0 {
 		m.Stats.PathsRetained += int64(d)
 		if err := m.addSim(int64(d) * SimPathBytes); err != nil {
 			return kept, err

@@ -16,16 +16,16 @@ import (
 const numShards = 64
 
 // Sharded is a mutex-striped concurrent staging table for one enumeration
-// level of the parallel engine (internal/pardp). Workers publish candidate
-// classes and plans into it while a level runs; at the level barrier the
-// engine drains it — in canonical set order — into the real Memo.
+// level of a parallel run (dp.Options.Workers > 1). Workers publish
+// candidate classes and plans into it while a level runs; at the level
+// barrier the engine drains it — in canonical set order — into the real Memo.
 //
-// The table enforces the same dominance rule as Memo.AddPlan with the same
-// plan.Compare tie-breaking, so the staged winners are a function of the
-// candidate set alone: whatever interleaving the workers ran under, draining
-// reproduces exactly the class contents the sequential engine would have
-// built. Staging keeps the Memo itself single-threaded — its budget
-// accounting, level table and statistics never need a lock.
+// Staged classes retain by the same pathSet rule as memo classes, so the
+// staged winners are a function of the candidate set alone: whatever
+// interleaving the workers ran under, draining reproduces exactly the class
+// contents a sequential run would have built. Staging keeps the Memo itself
+// single-threaded — its budget accounting, level table and statistics never
+// need a lock.
 type Sharded struct {
 	shards    [numShards]mapShard
 	contended atomic.Int64
@@ -54,9 +54,8 @@ type Staged struct {
 	// cost.SetRows — so any worker computes the same values).
 	Rows, Sel float64
 
-	mu      sync.Mutex
-	best    *plan.Plan
-	ordered []OrderedPlan
+	mu    sync.Mutex
+	paths pathSet
 }
 
 // shardOf spreads sets across stripes with the set's word-mixing Fibonacci
@@ -91,44 +90,21 @@ func (s *Sharded) lock(sh *mapShard) {
 	}
 }
 
-// Offer folds candidate p into the staged class under Memo.AddPlan's
-// dominance rule and returns the retained-path delta (for the caller's
-// running simulated-memory estimate; it can be negative when a new best
-// displaces an ordered path it also covers). Safe for concurrent use.
+// Offer folds candidate p into the staged class under the same dominance
+// rule as Memo.AddPlan (pathSet.offer) and returns the retained-path delta
+// for the caller's running simulated-memory estimate. Safe for concurrent
+// use.
 func (st *Staged) Offer(p *plan.Plan) int {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	before := st.numPaths()
-	kept := false
-	if st.best == nil || better(p, st.best) {
-		st.best = p
-		kept = true
-	}
-	if p.Order != plan.NoOrder {
-		if cur, ok := orderedGet(st.ordered, p.Order); !ok || better(p, cur) {
-			st.ordered = orderedPut(st.ordered, p.Order, p)
-			kept = true
-		}
-	}
-	if kept && st.best.Order != plan.NoOrder {
-		if cur, ok := orderedGet(st.ordered, st.best.Order); !ok || better(st.best, cur) {
-			st.ordered = orderedPut(st.ordered, st.best.Order, st.best)
-		}
-	}
-	return st.numPaths() - before
-}
-
-func (st *Staged) numPaths() int {
-	return orderedNumPaths(st.best, st.ordered)
+	d, _ := st.paths.offer(p)
+	st.mu.Unlock()
+	return d
 }
 
 // Plans returns the staged winners — the best plan first, then the ordered
 // plans in ascending order id. Offering this sequence to a fresh Memo class
-// reproduces exactly the class state the sequential engine ends a level
-// with. Call only from the drained (single-threaded) side of the barrier.
-func (st *Staged) Plans() []*plan.Plan {
-	return orderedAppendPaths(make([]*plan.Plan, 0, 1+len(st.ordered)), st.best, st.ordered)
-}
+// reproduces exactly the class state a sequential run ends a level with. Call only from the drained (single-threaded) side of the barrier.
+func (st *Staged) Plans() []*plan.Plan { return st.paths.Paths() }
 
 // Drain returns every staged class in canonical set order. Call only after
 // all workers have stopped publishing (the level barrier).

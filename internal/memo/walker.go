@@ -79,7 +79,7 @@ func (ix *levelIndex) orRel(dst []uint64, r int) {
 // plans, are bit-for-bit identical to the reference scan's.
 //
 // A Walker reuses its scratch across calls and is not safe for concurrent
-// use; the parallel engine gives each worker its own.
+// use; a parallel level gives each worker its own.
 type Walker struct {
 	conn []uint64
 	over []uint64

@@ -174,7 +174,9 @@ const (
 	// labeled tech=.
 	MTechniqueSeconds = "sdpopt_technique_seconds"
 
-	// Parallel-enumeration metrics (see internal/pardp).
+	// Parallel-enumeration metrics (internal/dp with Options.Workers > 1; the
+	// pardp prefix is the name of the package that used to hold that path,
+	// kept so dashboards survive).
 
 	// MParTasks counts work-queue tasks dispatched to parallel enumeration
 	// workers (one task = one left class of one level split).

@@ -26,7 +26,7 @@ type Event struct {
 // in the README's Observability section.
 const (
 	EvOptimizeStart = "optimize.start" // tech, rels
-	EvOptimizeEnd   = "optimize.end"   // tech, rels, dur_ns, plans_costed, classes_created, peak_sim_bytes, cost, err
+	EvOptimizeEnd   = "optimize.end"   // tech, rels, dur_ns, plans_costed, classes_created, peak_sim_bytes, enum, cost, err
 	EvLevel         = "level"          // tech, level, dur_ns, classes_created, plans_costed, classes_alive, sim_bytes
 	EvBudgetAbort   = "budget.abort"   // tech, level, sim_bytes, budget
 	EvSDPLevel      = "sdp.level"      // tech, level, prune_group, free_group, survivors, pruned

@@ -11,7 +11,6 @@ import (
 	"sdpopt/internal/idp"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/obs/span"
-	"sdpopt/internal/pardp"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
 	"sdpopt/internal/randomized"
@@ -59,16 +58,18 @@ func KnownRequestTechnique(name string) bool {
 // would never fire before completion anyway; greedy polls once per merge
 // step.
 //
-// workers > 1 runs the DP-substrate techniques (sdp, dp, dp/ld) on the
-// level-synchronous parallel engine with that many enumeration workers;
-// results are bit-for-bit identical to the sequential engine's, so the
-// knob never changes a response, only its latency. Techniques without a DP
-// substrate ignore it.
+// workers > 1 fans each enumeration level of the DP-substrate techniques
+// (sdp, dp, dp/ld) out over that many workers (dp.Options.Workers); results
+// are bit-for-bit identical to the sequential run's, so the knob never
+// changes a response, only its latency. Techniques without a DP substrate
+// ignore it.
+//
 // OptimizeTraced is Optimize under span tracing: when ctx carries a request
 // span, the dispatch runs inside an "optimize" child span that the engines
 // then hang their per-level / per-partition spans off, and the optimizer's
-// summary statistics land on it as attributes. Without a span in ctx it is
-// exactly Optimize.
+// summary statistics — including the enumerator the engine resolved to, as
+// "enum" — land on it as attributes. Without a span in ctx it is exactly
+// Optimize.
 func OptimizeTraced(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
 	sp := span.FromContext(ctx)
 	if sp == nil {
@@ -86,6 +87,9 @@ func OptimizeTraced(ctx context.Context, technique string, q *query.Query, budge
 	os.SetAttr("plans_costed", st.PlansCosted)
 	os.SetAttr("classes_created", st.Memo.ClassesCreated)
 	os.SetAttr("peak_sim_bytes", st.Memo.PeakSimBytes)
+	if st.Enumerator != "" {
+		os.SetAttr("enum", st.Enumerator)
+	}
 	if p != nil {
 		os.SetAttr("cost", p.Cost)
 	}
@@ -103,15 +107,9 @@ func Optimize(ctx context.Context, technique string, q *query.Query, budget int6
 		opts.Obs = ob
 		return core.Optimize(q, opts)
 	case "dp":
-		if workers > 1 {
-			return pardp.Optimize(q, pardp.Options{Workers: workers, Budget: budget, Ctx: ctx, Obs: ob})
-		}
-		return dp.Optimize(q, dp.Options{Budget: budget, Ctx: ctx, Obs: ob})
+		return dp.Optimize(q, dp.Options{Budget: budget, Ctx: ctx, Workers: workers, Obs: ob})
 	case "dp/ld":
-		if workers > 1 {
-			return pardp.Optimize(q, pardp.Options{Workers: workers, Budget: budget, Ctx: ctx, LeftDeepOnly: true, Obs: ob})
-		}
-		return dp.Optimize(q, dp.Options{Budget: budget, Ctx: ctx, LeftDeepOnly: true, Obs: ob})
+		return dp.Optimize(q, dp.Options{Budget: budget, Ctx: ctx, Workers: workers, LeftDeepOnly: true, Obs: ob})
 	case "idp":
 		opts := idp.DefaultOptions()
 		opts.Budget = budget

@@ -91,11 +91,12 @@ type Options struct {
 	// detached from the request that happened to trigger it.
 	Timeout time.Duration
 	// Workers is the default enumeration worker count for the DP-substrate
-	// techniques (sdp, dp, dp/ld): 0 or 1 runs the sequential engine, >1 the
-	// parallel engine. Requests may override it via the workers field within
-	// [1, 2×GOMAXPROCS]. Because the parallel engine is plan-identical to
-	// the sequential one, this knob never changes what is computed or
-	// cached — only the latency of a miss.
+	// techniques (sdp, dp, dp/ld): 0 or 1 enumerates sequentially, >1 fans
+	// each level out over that many workers (dp.Options.Workers). Requests
+	// may override it via the workers field within [1, 2×GOMAXPROCS].
+	// Because parallel enumeration is plan-identical to sequential, this
+	// knob never changes what is computed or cached — only the latency of a
+	// miss.
 	Workers int
 	// Flight sizes the flight recorder (ring capacities and slow-trace
 	// pinning threshold); the zero value gives the span-package defaults
@@ -310,7 +311,7 @@ type OptimizeRequest struct {
 	// silently clamped, so a misconfigured client learns about it. The
 	// override binds the uncached path only: a cache-filling compute is
 	// shared property and always runs with the server's default workers —
-	// harmless, since the parallel engine is plan-identical and the worker
+	// harmless, since parallel enumeration is plan-identical and the worker
 	// count can never change what gets cached.
 	Workers int `json:"workers,omitempty"`
 	// NoCache bypasses the plan cache for this request (no lookup, no

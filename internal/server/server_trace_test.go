@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -311,5 +312,55 @@ func TestFlightUnderLoad(t *testing.T) {
 	d := getFlight(t, ts.URL)
 	if d.Counts.Finished != 60 {
 		t.Errorf("finished = %d, want 60", d.Counts.Finished)
+	}
+}
+
+// TestOptimizeReportsEnumerator pins where the engine's silent DPccp →
+// indexed fallback becomes visible: the "optimize" span's enum attribute and
+// the optimize.end event's. SDP's hook and Workers > 1 both resolve to the
+// indexed walk, unhooked sequential DP stays on DPccp, and a technique
+// without a DP substrate reports nothing.
+func TestOptimizeReportsEnumerator(t *testing.T) {
+	q, err := workload.One(workload.Spec{Cat: workload.PaperSchema(), Topology: workload.Star, NumRelations: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		technique string
+		workers   int
+		want      any
+	}{
+		{"sdp", 0, "indexed"},
+		{"dp", 0, "dpccp"},
+		{"dp", 2, "indexed"},
+		{"greedy", 0, nil},
+	} {
+		sink := &obs.MemSink{}
+		rec := span.NewRecorder(span.RecorderOptions{SlowThreshold: time.Hour})
+		root := span.New("request")
+		rec.Start(root)
+		_, st, err := OptimizeTraced(span.NewContext(context.Background(), root), tc.technique, q, 0, tc.workers, obs.New(sink))
+		if err != nil {
+			t.Fatalf("%s w=%d: %v", tc.technique, tc.workers, err)
+		}
+		rec.Finish(root, 200)
+		label := fmt.Sprintf("%s/w%d", tc.technique, tc.workers)
+		if tc.want != nil && st.Enumerator != tc.want {
+			t.Errorf("%s: Stats.Enumerator = %q, want %v", label, st.Enumerator, tc.want)
+		}
+		opt := spansNamed(*rec.Snapshot().Recent[0].Root, "optimize")
+		if len(opt) != 1 {
+			t.Fatalf("%s: %d optimize spans", label, len(opt))
+		}
+		if got := opt[0].Attrs["enum"]; got != tc.want {
+			t.Errorf("%s: optimize span enum = %v, want %v", label, got, tc.want)
+		}
+		ends := sink.ByType(obs.EvOptimizeEnd)
+		if len(ends) != 1 {
+			t.Fatalf("%s: %d optimize.end events", label, len(ends))
+		}
+		if got := ends[0].Attrs["enum"]; got != tc.want {
+			t.Errorf("%s: optimize.end enum = %v, want %v", label, got, tc.want)
+		}
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"sdpopt/internal/idp"
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
-	"sdpopt/internal/pardp"
 	"sdpopt/internal/parse"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/quality"
@@ -165,10 +164,10 @@ type DPOptions struct {
 	// budget's ErrBudget — a deadline is a serving concern, a budget a
 	// feasibility measurement).
 	Ctx context.Context
-	// Workers selects the enumeration engine: 0 or 1 runs the classic
-	// sequential DPsize loop, >1 the level-synchronous parallel engine with
-	// that many workers. The result — plan, cost, plans costed, classes
-	// created — is bit-for-bit identical either way; only wall time changes.
+	// Workers is the enumeration worker count: 0 or 1 enumerates
+	// sequentially, >1 fans each DP level out over that many workers. The
+	// result — plan, cost, plans costed, classes created — is bit-for-bit
+	// identical either way; only wall time changes.
 	Workers int
 	// Obs receives metrics and trace events; nil falls back to the
 	// process-wide default observer (see SetDefaultObserver).
@@ -179,12 +178,7 @@ type DPOptions struct {
 // the paper's DP baseline. It fails with ErrBudget beyond the feasibility
 // cliff (a ~17-relation star under the default 1 GB budget).
 func OptimizeDP(q *Query, opts DPOptions) (*Plan, Stats, error) {
-	if opts.Workers > 1 {
-		return pardp.Optimize(q, pardp.Options{
-			Workers: opts.Workers, Budget: opts.Budget, Ctx: opts.Ctx, Obs: opts.Obs,
-		})
-	}
-	return dp.Optimize(q, dp.Options{Budget: opts.Budget, Ctx: opts.Ctx, Obs: opts.Obs})
+	return dp.Optimize(q, dp.Options{Budget: opts.Budget, Ctx: opts.Ctx, Workers: opts.Workers, Obs: opts.Obs})
 }
 
 // IDPOptions configures Iterative Dynamic Programming.
