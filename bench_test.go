@@ -270,8 +270,10 @@ func BenchmarkCostModel(b *testing.B) {
 // naive generate-and-filter reference scan, the adjacency-indexed walk,
 // and the default DPccp csg-cmp enumeration. Each sub-bench reports how
 // many candidate pairs one optimization considers; CI runs the trio as a
-// regression guard (indexed failing to beat 110 % of the naive time, or
-// ccp failing to stay within 110 % of the indexed time, fails the build).
+// regression guard on the counts, which repeat exactly (pairs/op per
+// enumerator, and allocs/op at most 200 000 — the join kernel builds only
+// the candidates the memo admits), and prints the wall times without gating
+// on them.
 func BenchmarkEnumerationOnly(b *testing.B) {
 	qs, err := workload.Instances(workload.Spec{
 		Cat: workload.PaperSchema(), Topology: workload.Star, NumRelations: 12, Seed: 9,

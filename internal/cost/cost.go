@@ -61,6 +61,13 @@ type Model struct {
 	relRows  []float64 // post-filter output cardinality per relation
 	relWidth []int     // tuple width per query-local relation
 
+	// predEq and idxEq snapshot the query's equivalence classes — per
+	// predicate, and per relation for its indexed column (-1 when that column
+	// joins nothing) — because join costing reads them per candidate and the
+	// query answers from a map.
+	predEq []int
+	idxEq  []int
+
 	// rowsMemo and widthMemo cache SetRows and Width per relation set. Both
 	// are pure functions of the set (SetRows is canonical by design), so
 	// memoization cannot change any estimate — it only removes the repeated
@@ -89,8 +96,14 @@ func NewModelEst(q *query.Query, params Params, est Estimator) *Model {
 	}
 	m := &Model{Q: q, Params: params, est: est}
 	m.relWidth = make([]int, q.NumRelations())
+	m.idxEq = make([]int, q.NumRelations())
 	for i := 0; i < q.NumRelations(); i++ {
 		m.relWidth[i] = q.Relation(i).RowWidth()
+		m.idxEq[i] = q.EqClass(i, q.Relation(i).IndexCol)
+	}
+	m.predEq = make([]int, len(q.Preds))
+	for pi := range q.Preds {
+		m.predEq[pi] = q.PredEqClass(pi)
 	}
 	m.derive()
 	return m
@@ -224,7 +237,8 @@ func (m *Model) SetRows(s bits.Set) float64 {
 		}
 		logRows += math.Log(m.relRows[i])
 	}
-	for _, pi := range m.Q.PredsWithin(s) {
+	var buf [32]int // on the stack; a set with more inner predicates spills to the heap
+	for _, pi := range m.Q.AppendPredsWithin(buf[:0], s) {
 		logRows += math.Log(m.predSel[pi])
 	}
 	rows := math.Exp(logRows)
@@ -300,6 +314,13 @@ func (m *Model) seqScan(i int) *plan.Plan {
 // interpolates between sequential and random fetches by the index
 // correlation, following PostgreSQL's cost_index.
 func (m *Model) indexScan(i, orderClass int) *plan.Plan {
+	m.PlansCosted++
+	return m.indexScanNode(i, orderClass)
+}
+
+// indexScanNode builds the index scan without counting it as a plan costed
+// (an indexed nested-loop candidate counted its inner scan when costed).
+func (m *Model) indexScanNode(i, orderClass int) *plan.Plan {
 	rel := m.Q.Relation(i)
 	frac := m.indexedFilterSel(i)
 	scanned := math.Max(1, rel.Rows*frac)
@@ -314,7 +335,6 @@ func (m *Model) indexScan(i, orderClass int) *plan.Plan {
 	c := idxPages*m.Params.SeqPageCost +
 		scanned*(m.Params.CPUIndexTupleCost+m.Params.CPUTupleCost+float64(nOther)*m.Params.CPUOperatorCost) +
 		heap
-	m.PlansCosted++
 	return &plan.Plan{
 		Op: plan.IndexScan, Rels: bits.Single(i), Rel: i,
 		Cost: c, Rows: m.relRows[i], Order: orderClass,
@@ -326,9 +346,23 @@ func (m *Model) indexScan(i, orderClass int) *plan.Plan {
 // exceeds work_mem.
 func (m *Model) SortPlan(p *plan.Plan, orderClass int) *plan.Plan {
 	m.PlansCosted++
+	return m.sortNode(p, orderClass, m.Width(p.Rels))
+}
+
+// sortedCost is the total cost of p under an explicit sort, given p's tuple
+// width. Merge-join costing calls it without building the Sort node;
+// sortNode calls it with the same arguments, so the two agree bit for bit.
+func (m *Model) sortedCost(p *plan.Plan, width int) float64 {
+	return p.Cost + m.sortCost(p.Rows, width)
+}
+
+// sortNode builds the Sort node over p without counting it as a plan costed
+// — SortPlan counts, and a merge-join candidate counted its sorts when it
+// was costed.
+func (m *Model) sortNode(p *plan.Plan, orderClass, width int) *plan.Plan {
 	return &plan.Plan{
 		Op: plan.Sort, Rels: p.Rels, Left: p,
-		Cost: p.Cost + m.sortCost(p.Rows, m.Width(p.Rels)),
+		Cost: m.sortedCost(p, width),
 		Rows: p.Rows, Order: orderClass,
 	}
 }
@@ -359,6 +393,24 @@ type JoinInputs struct {
 	Preds []int
 	// Rows is the output cardinality of the joined JCR.
 	Rows float64
+	// OuterWidth and InnerWidth are Width(Outer.Rels) and Width(Inner.Rels).
+	// They are constant per class pair, so the join kernel reads them once
+	// per pair instead of once per operator; zero means "look it up".
+	OuterWidth, InnerWidth int
+}
+
+// JoinCand is one physical join of a JoinInputs, costed but not built: the
+// operator, the two inputs as given (before any sort or index scan the
+// operator puts over them), the output cardinality, and the cost and output
+// order a memo decides retention on. It is a plain value — costing a
+// candidate allocates nothing — and BuildJoin turns it into the plan tree.
+type JoinCand struct {
+	Outer, Inner *plan.Plan
+	Rows, Cost   float64
+	// Order is the output order class: the merge class for a merge join, the
+	// outer's order for an indexed nested loop, plan.NoOrder otherwise.
+	Order int
+	Op    plan.Op
 }
 
 // JoinPlans returns every candidate physical join of the inputs in this
@@ -370,18 +422,32 @@ func (m *Model) JoinPlans(in JoinInputs) []*plan.Plan {
 	return m.AppendJoinPlans(make([]*plan.Plan, 0, 4), in)
 }
 
-// AppendJoinPlans is JoinPlans appending into a caller-owned slice, in the
-// same candidate order. The enumeration hot path passes a reused scratch
-// (dst[:0], consumed before the next call) so variant generation allocates
-// only the plans themselves.
+// AppendJoinPlans is JoinPlans appending into a caller-owned slice: it costs
+// the candidates (AppendJoinCands) and builds every one of them (BuildJoin),
+// in candidate order. Callers that keep only some of the candidates — the
+// enumerators — cost first and build the ones they keep.
 func (m *Model) AppendJoinPlans(dst []*plan.Plan, in JoinInputs) []*plan.Plan {
-	dst = append(dst, m.nestLoop(in))
-	if p := m.indexNestLoop(in); p != nil {
-		dst = append(dst, p)
+	var buf [8]JoinCand
+	for _, c := range m.AppendJoinCands(buf[:0], in) {
+		dst = append(dst, m.BuildJoin(c))
 	}
-	dst = append(dst, m.hashJoin(in))
+	return dst
+}
+
+// AppendJoinCands costs every candidate physical join of the inputs in this
+// orientation and appends them to dst in JoinPlans order. PlansCosted
+// advances here, by exactly what building the plans would have counted: one
+// per candidate, one more per sort a merge join inserts, one more for an
+// indexed nested loop's inner index scan.
+func (m *Model) AppendJoinCands(dst []JoinCand, in JoinInputs) []JoinCand {
+	in = m.withWidths(in)
+	dst = append(dst, m.nestLoopCand(&in))
+	if c, ok := m.indexNestLoopCand(&in); ok {
+		dst = append(dst, c)
+	}
+	dst = append(dst, m.hashJoinCand(&in))
 	for k, pi := range in.Preds {
-		ec := m.Q.PredEqClass(pi)
+		ec := m.predEq[pi]
 		if ec < 0 {
 			continue
 		}
@@ -390,7 +456,7 @@ func (m *Model) AppendJoinPlans(dst []*plan.Plan, in JoinInputs) []*plan.Plan {
 		// a per-call seen-map allocation.
 		dup := false
 		for _, pj := range in.Preds[:k] {
-			if m.Q.PredEqClass(pj) == ec {
+			if m.predEq[pj] == ec {
 				dup = true
 				break
 			}
@@ -398,59 +464,139 @@ func (m *Model) AppendJoinPlans(dst []*plan.Plan, in JoinInputs) []*plan.Plan {
 		if dup {
 			continue
 		}
-		dst = append(dst, m.mergeJoin(in, ec))
+		dst = append(dst, m.mergeJoinCand(&in, ec))
 	}
 	return dst
 }
 
-// nestLoop costs a plain nested loop with the inner side materialized once
-// and rescanned per outer row.
+// BuildJoin materializes a costed candidate as the plan tree JoinPlans
+// returns for it: the join node over its inputs, with a Sort node over each
+// merge input not already ordered on the merge class and a fresh IndexScan
+// as an indexed nested loop's inner. What those child nodes cost is a pure
+// function of the inputs, so it is recomputed here rather than carried in
+// the candidate; PlansCosted is not touched — costing counted them.
+func (m *Model) BuildJoin(c JoinCand) *plan.Plan {
+	o, i := c.Outer, c.Inner
+	switch c.Op {
+	case plan.MergeJoin:
+		if o.Order != c.Order {
+			o = m.sortNode(o, c.Order, m.Width(o.Rels))
+		}
+		if i.Order != c.Order {
+			i = m.sortNode(i, c.Order, m.Width(i.Rels))
+		}
+	case plan.IndexNestLoop:
+		// The inner scan plan is replaced by the index scan the loop repeats.
+		i = m.indexScanNode(i.Rel, m.idxEq[i.Rel])
+	}
+	return &plan.Plan{
+		Op: c.Op, Rels: c.Outer.Rels.Union(c.Inner.Rels), Left: o, Right: i,
+		Cost: c.Cost, Rows: c.Rows, Order: c.Order,
+	}
+}
+
+// CheapestJoin returns the cheapest physical join of subplans a and b over
+// both orientations (a as outer first), the first candidate winning cost
+// ties. Only the winner is built. The greedy-style techniques, which keep a
+// single plan per step, all join through here.
+func (m *Model) CheapestJoin(a, b *plan.Plan, preds []int, rows float64) *plan.Plan {
+	wa, wb := m.Width(a.Rels), m.Width(b.Rels)
+	var buf [16]JoinCand
+	cands := m.AppendJoinCands(buf[:0], JoinInputs{Outer: a, Inner: b, Preds: preds, Rows: rows, OuterWidth: wa, InnerWidth: wb})
+	cands = m.AppendJoinCands(cands, JoinInputs{Outer: b, Inner: a, Preds: preds, Rows: rows, OuterWidth: wb, InnerWidth: wa})
+	best := 0
+	for k := range cands {
+		if cands[k].Cost < cands[best].Cost {
+			best = k
+		}
+	}
+	return m.BuildJoin(cands[best])
+}
+
+// withWidths fills in the input widths a caller left at zero; the per-operator
+// costing below reads them from in and never looks them up itself. (That
+// costing takes in by pointer: the struct is nine words and is handed to four
+// or more operators per orientation on the enumeration hot path.)
+func (m *Model) withWidths(in JoinInputs) JoinInputs {
+	if in.OuterWidth == 0 {
+		in.OuterWidth = m.Width(in.Outer.Rels)
+	}
+	if in.InnerWidth == 0 {
+		in.InnerWidth = m.Width(in.Inner.Rels)
+	}
+	return in
+}
+
+// The per-operator constructors cost one candidate and build it — what
+// Recost, which re-runs a single known operator, needs.
 func (m *Model) nestLoop(in JoinInputs) *plan.Plan {
+	in = m.withWidths(in)
+	return m.BuildJoin(m.nestLoopCand(&in))
+}
+
+func (m *Model) hashJoin(in JoinInputs) *plan.Plan {
+	in = m.withWidths(in)
+	return m.BuildJoin(m.hashJoinCand(&in))
+}
+
+func (m *Model) mergeJoin(in JoinInputs, ec int) *plan.Plan {
+	in = m.withWidths(in)
+	return m.BuildJoin(m.mergeJoinCand(&in, ec))
+}
+
+func (m *Model) indexNestLoop(in JoinInputs) *plan.Plan {
+	c, ok := m.indexNestLoopCand(&in)
+	if !ok {
+		return nil
+	}
+	return m.BuildJoin(c)
+}
+
+// nestLoopCand costs a plain nested loop with the inner side materialized
+// once and rescanned per outer row.
+func (m *Model) nestLoopCand(in *JoinInputs) JoinCand {
 	o, i := in.Outer, in.Inner
 	mat := i.Rows * 2 * m.Params.CPUOperatorCost // write to tuplestore
-	rescan := i.Rows*m.Params.CPUOperatorCost + m.rescanIO(i)
+	rescan := i.Rows*m.Params.CPUOperatorCost + m.rescanIO(i.Rows, in.InnerWidth)
 	c := o.Cost + i.Cost + mat + o.Rows*rescan + in.Rows*m.Params.CPUTupleCost
 	m.PlansCosted++
-	return &plan.Plan{
-		Op: plan.NestLoop, Rels: o.Rels.Union(i.Rels), Left: o, Right: i,
-		Cost: c, Rows: in.Rows, Order: plan.NoOrder,
-	}
+	return JoinCand{Op: plan.NestLoop, Outer: o, Inner: i, Rows: in.Rows, Cost: c, Order: plan.NoOrder}
 }
 
 // rescanIO is the page cost of re-reading a materialized inner that spills
 // out of work_mem.
-func (m *Model) rescanIO(i *plan.Plan) float64 {
-	bytes := i.Rows * float64(m.Width(i.Rels))
+func (m *Model) rescanIO(rows float64, width int) float64 {
+	bytes := rows * float64(width)
 	if bytes <= m.Params.WorkMemBytes {
 		return 0
 	}
-	return m.pages(i.Rows, m.Width(i.Rels)) * m.Params.SeqPageCost
+	return m.pages(rows, width) * m.Params.SeqPageCost
 }
 
-// indexNestLoop costs a nested loop that probes the inner base relation's
-// index once per outer row. It applies only when the inner subplan is a
-// single-relation scan and that relation's indexed column belongs to the
-// equivalence class of one of the spanning predicates — the plan shape that
-// makes star joins on indexed spoke columns cheap.
-func (m *Model) indexNestLoop(in JoinInputs) *plan.Plan {
+// indexNestLoopCand costs a nested loop that probes the inner base
+// relation's index once per outer row. It applies only when the inner
+// subplan is a single-relation scan and that relation's indexed column
+// belongs to the equivalence class of one of the spanning predicates — the
+// plan shape that makes star joins on indexed spoke columns cheap.
+func (m *Model) indexNestLoopCand(in *JoinInputs) (JoinCand, bool) {
 	o, i := in.Outer, in.Inner
 	if !i.Op.IsScan() {
-		return nil
+		return JoinCand{}, false
 	}
 	rel := m.Q.Relation(i.Rel)
-	idxClass := m.Q.EqClass(i.Rel, rel.IndexCol)
+	idxClass := m.idxEq[i.Rel]
 	if idxClass < 0 {
-		return nil
+		return JoinCand{}, false
 	}
 	usable := false
 	for _, pi := range in.Preds {
-		if m.Q.PredEqClass(pi) == idxClass {
+		if m.predEq[pi] == idxClass {
 			usable = true
 			break
 		}
 	}
 	if !usable {
-		return nil
+		return JoinCand{}, false
 	}
 	// Matching inner rows per outer row; the remaining spanning predicates
 	// filter after the index probe, so the probe fetches matchRows tuples.
@@ -462,54 +608,50 @@ func (m *Model) indexNestLoop(in JoinInputs) *plan.Plan {
 		matchRows*(m.Params.CPUIndexTupleCost+m.Params.CPUTupleCost+perFetch)
 	// The inner scan plan's own cost is not paid: the index replaces it.
 	c := o.Cost + o.Rows*probe + in.Rows*m.Params.CPUTupleCost
-	inner := m.indexScan(i.Rel, idxClass)
-	m.PlansCosted++
-	return &plan.Plan{
-		Op: plan.IndexNestLoop, Rels: o.Rels.Union(i.Rels), Left: o, Right: inner,
-		Cost: c, Rows: in.Rows,
+	// One for the join, one for the inner index scan BuildJoin puts under it.
+	m.PlansCosted += 2
+	return JoinCand{
+		Op: plan.IndexNestLoop, Outer: o, Inner: i, Rows: in.Rows, Cost: c,
 		// Indexed nested loops preserve the outer ordering.
 		Order: o.Order,
-	}
+	}, true
 }
 
-// hashJoin costs a hash join building on the inner side, with batching IO
-// when the build side exceeds work_mem (PostgreSQL's hybrid hash join).
-func (m *Model) hashJoin(in JoinInputs) *plan.Plan {
+// hashJoinCand costs a hash join building on the inner side, with batching
+// IO when the build side exceeds work_mem (PostgreSQL's hybrid hash join).
+func (m *Model) hashJoinCand(in *JoinInputs) JoinCand {
 	o, i := in.Outer, in.Inner
 	c := o.Cost + i.Cost +
 		i.Rows*(m.Params.CPUOperatorCost*1.5+m.Params.CPUTupleCost) + // build
 		o.Rows*m.Params.CPUOperatorCost*1.5 + // probe
 		in.Rows*m.Params.CPUTupleCost
-	innerBytes := i.Rows * float64(m.Width(i.Rels))
+	innerBytes := i.Rows * float64(in.InnerWidth)
 	if innerBytes > m.Params.WorkMemBytes {
 		// Both inputs are written out and re-read once per extra batch pass.
-		io := m.pages(i.Rows, m.Width(i.Rels)) + m.pages(o.Rows, m.Width(o.Rels))
+		io := m.pages(i.Rows, in.InnerWidth) + m.pages(o.Rows, in.OuterWidth)
 		c += 2 * io * m.Params.SeqPageCost
 	}
 	m.PlansCosted++
-	return &plan.Plan{
-		Op: plan.HashJoin, Rels: o.Rels.Union(i.Rels), Left: o, Right: i,
-		Cost: c, Rows: in.Rows, Order: plan.NoOrder,
-	}
+	return JoinCand{Op: plan.HashJoin, Outer: o, Inner: i, Rows: in.Rows, Cost: c, Order: plan.NoOrder}
 }
 
-// mergeJoin costs a merge join on equivalence class ec, inserting explicit
-// sorts for inputs not already ordered on ec. Its output carries ec as an
-// interesting order.
-func (m *Model) mergeJoin(in JoinInputs, ec int) *plan.Plan {
+// mergeJoinCand costs a merge join on equivalence class ec, charging an
+// explicit sort for each input not already ordered on ec (BuildJoin inserts
+// the Sort nodes). Its output carries ec as an interesting order.
+func (m *Model) mergeJoinCand(in *JoinInputs, ec int) JoinCand {
 	o, i := in.Outer, in.Inner
+	oCost, iCost := o.Cost, i.Cost
 	if o.Order != ec {
-		o = m.SortPlan(o, ec)
+		oCost = m.sortedCost(o, in.OuterWidth)
+		m.PlansCosted++
 	}
 	if i.Order != ec {
-		i = m.SortPlan(i, ec)
+		iCost = m.sortedCost(i, in.InnerWidth)
+		m.PlansCosted++
 	}
-	c := o.Cost + i.Cost +
+	c := oCost + iCost +
 		(o.Rows+i.Rows)*m.Params.CPUOperatorCost +
 		in.Rows*m.Params.CPUTupleCost
 	m.PlansCosted++
-	return &plan.Plan{
-		Op: plan.MergeJoin, Rels: o.Rels.Union(i.Rels), Left: o, Right: i,
-		Cost: c, Rows: in.Rows, Order: ec,
-	}
+	return JoinCand{Op: plan.MergeJoin, Outer: o, Inner: i, Rows: in.Rows, Cost: c, Order: ec}
 }

@@ -214,7 +214,7 @@ type scratch struct {
 	model     *cost.Model
 	walker    memo.Walker
 	predBuf   []int
-	planBuf   []*plan.Plan
+	candBuf   []cost.JoinCand
 	pathBufA  []*plan.Plan
 	pathBufB  []*plan.Plan
 	pairsCons int64
@@ -638,7 +638,7 @@ func (e *Engine) runTask(sc *scratch, k int, t task, join func(a, b *memo.Class)
 func (e *Engine) runLevelInline(k int, tasks []task) ([]*memo.Class, error) {
 	var created []*memo.Class
 	join := func(a, b *memo.Class) error {
-		cls, isNew, err := e.joinDirect(a, b, k)
+		cls, isNew, err := e.sc.joinDirect(e.Q, e.Memo, a, b, k)
 		if err == nil && isNew {
 			created = append(created, cls)
 		}
@@ -695,7 +695,7 @@ func (s *staging) join(sc *scratch, q *query.Query, a, b *memo.Class) error {
 			return err
 		}
 	}
-	return sc.joinPair(q, a, b, st.Rows, func(p *plan.Plan) error {
+	return sc.joinPair(q, a, b, st.Rows, st.Admits, func(p *plan.Plan) error {
 		if d := st.Offer(p); d != 0 {
 			return s.charge(int64(d) * memo.SimPathBytes)
 		}
@@ -883,7 +883,7 @@ func (e *Engine) runCCP(toLevel int) error {
 				t0 = time.Now()
 			}
 			pc := e.Model.PlansCosted
-			_, isNew, jerr := e.joinDirect(a, b, lvl)
+			_, isNew, jerr := e.sc.joinDirect(e.Q, e.Memo, a, b, lvl)
 			costed[lvl] += e.Model.PlansCosted - pc
 			if timed {
 				durs[lvl] += time.Since(t0)
@@ -916,55 +916,93 @@ func (e *Engine) runCCP(toLevel int) error {
 
 // joinDirect enumerates the physical joins of classes a and b, folding the
 // results straight into the memo class for a∪b (creating it if needed).
-func (e *Engine) joinDirect(a, b *memo.Class, level int) (*memo.Class, bool, error) {
+func (sc *scratch) joinDirect(q *query.Query, m *memo.Memo, a, b *memo.Class, level int) (*memo.Class, bool, error) {
 	set := a.Set.Union(b.Set)
-	cls := e.Memo.Get(set)
+	cls := m.Get(set)
 	isNew := cls == nil
 	if isNew {
 		// Canonical per-set cardinality: identical for every optimizer and
 		// enumeration order (see cost.SetRows).
-		rows := e.Model.SetRows(set)
+		rows := sc.model.SetRows(set)
 		var err error
-		cls, err = e.Memo.NewClass(set, level, rows, e.Model.Selectivity(set, rows))
+		cls, err = m.NewClass(set, level, rows, sc.model.Selectivity(set, rows))
 		if err != nil {
 			return nil, false, err
 		}
 	}
-	err := e.sc.joinPair(e.Q, a, b, cls.Rows, func(p *plan.Plan) error {
-		_, err := e.Memo.AddPlan(cls, p)
+	err := sc.joinPair(q, a, b, cls.Rows, cls.Admits, func(p *plan.Plan) error {
+		_, err := m.AddPlan(cls, p)
 		return err
 	})
 	return cls, isNew, err
 }
 
-// joinPair is the join kernel: it costs every physical join of classes a and
-// b — path × path × direction × operator — for a target class of the given
-// row count and hands each candidate plan to sink, stopping at sink's first
-// error. The predicate list, both path lists and the join-variant buffer
-// live in the scratch and are reused across pairs, so the kernel itself
-// allocates nothing in steady state — but the cost model heap-allocates
-// every candidate node before the sink's dominance test sees it, and ~99% of
-// them are dropped there (allocs per plan costed ≈ 1.01, paths retained per
-// plan costed ≈ 0.006 on the cold-enum benchmark workload). ROADMAP's "cost
-// first, allocate on win" item is the one place that changes that.
-func (sc *scratch) joinPair(q *query.Query, a, b *memo.Class, rows float64, sink func(*plan.Plan) error) error {
+// Joiner is the engine's direct join step — the join kernel over a memo — for
+// a caller that drives its own pair source (IDP2 re-plans a subtree's
+// relations over ccp.Enumerate, which an Engine, requiring leaves that cover
+// the whole query, cannot run).
+type Joiner struct {
+	q    *query.Query
+	memo *memo.Memo
+	sc   scratch
+}
+
+// NewJoiner returns a Joiner costing on model and retaining into m.
+func NewJoiner(q *query.Query, model *cost.Model, m *memo.Memo) *Joiner {
+	return &Joiner{q: q, memo: m, sc: scratch{model: model}}
+}
+
+// Join folds every physical join of classes a and b into m's class for a∪b,
+// creating it at the given level if needed, and reports whether it did.
+func (j *Joiner) Join(a, b *memo.Class, level int) (*memo.Class, bool, error) {
+	return j.sc.joinDirect(j.q, j.memo, a, b, level)
+}
+
+// joinPair is the join kernel: for every physical join of classes a and b —
+// path × path × direction × operator — into a target class of the given row
+// count it runs cost → admit → build → offer. The cost model costs each
+// candidate as a value (cost.JoinCand, no allocation); admits asks the target
+// class whether a candidate of that cost and order could be retained
+// (pathSet.Admits); only then is the plan tree built and handed to sink, the
+// class's dominance rule, stopping at sink's first error. Nearly every
+// candidate loses on cost alone (paths retained per plan costed ≈ 0.006 on
+// the cold-enum benchmark workload), so nearly none is built. Cost ties are
+// admitted, so the structural tie-break still runs on the built tree and the
+// retained plans are what offering every candidate would retain; a candidate
+// that is not admitted would have changed nothing, so budget accounting
+// fires at the same candidate as well. Everything constant per class pair —
+// the spanning predicates, both path lists, both tuple widths — is read once
+// here; the buffers live in the scratch and are reused across pairs.
+func (sc *scratch) joinPair(q *query.Query, a, b *memo.Class, rows float64, admits func(cost float64, order int) bool, sink func(*plan.Plan) error) error {
 	sc.predBuf = q.AppendPredsBetween(sc.predBuf[:0], a.Set, b.Set)
-	preds := sc.predBuf
 	sc.pathBufA = a.AppendPaths(sc.pathBufA[:0])
 	sc.pathBufB = b.AppendPaths(sc.pathBufB[:0])
+	wa, wb := sc.model.Width(a.Set), sc.model.Width(b.Set)
 	for _, pa := range sc.pathBufA {
 		for _, pb := range sc.pathBufB {
-			for _, in := range []cost.JoinInputs{
-				{Outer: pa, Inner: pb, Preds: preds, Rows: rows},
-				{Outer: pb, Inner: pa, Preds: preds, Rows: rows},
-			} {
-				sc.planBuf = sc.model.AppendJoinPlans(sc.planBuf[:0], in)
-				for _, p := range sc.planBuf {
-					if err := sink(p); err != nil {
-						return err
-					}
-				}
+			ab := cost.JoinInputs{Outer: pa, Inner: pb, Preds: sc.predBuf, Rows: rows, OuterWidth: wa, InnerWidth: wb}
+			if err := sc.joinOriented(ab, admits, sink); err != nil {
+				return err
 			}
+			ba := cost.JoinInputs{Outer: pb, Inner: pa, Preds: sc.predBuf, Rows: rows, OuterWidth: wb, InnerWidth: wa}
+			if err := sc.joinOriented(ba, admits, sink); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// joinOriented is joinPair's inner step for one path pair in one orientation.
+func (sc *scratch) joinOriented(in cost.JoinInputs, admits func(cost float64, order int) bool, sink func(*plan.Plan) error) error {
+	sc.candBuf = sc.model.AppendJoinCands(sc.candBuf[:0], in)
+	for i := range sc.candBuf {
+		c := &sc.candBuf[i]
+		if !admits(c.Cost, c.Order) {
+			continue
+		}
+		if err := sink(sc.model.BuildJoin(*c)); err != nil {
+			return err
 		}
 	}
 	return nil

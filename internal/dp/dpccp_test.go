@@ -3,6 +3,8 @@ package dp
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sdpopt/internal/bits"
@@ -168,37 +170,87 @@ func TestCCPPartialRunResume(t *testing.T) {
 	}
 }
 
-// TestJoinKernelSinksAgree offers one class pair's candidates through both
-// sinks of the join kernel — straight into a memo class, and into a staged
-// class — and requires the same retained plans and the same retained-path
-// charge: the memo's PathsRetained against the staging estimate's path
-// bytes.
+// TestJoinKernelSinksAgree runs every class pair that joins into the top
+// class of a 6-relation cycle through both sinks of the join kernel —
+// straight into a memo class, one pair after another, and into one staged
+// class from four workers at once, so under -race the staged admission test
+// and offer interleave on the class's mutex — and requires the same retained
+// plans, the same retained-path charge (the memo's PathsRetained against the
+// staging estimate's path bytes) and the same plans costed: admission decides
+// what is built, never what is costed or kept.
 func TestJoinKernelSinksAgree(t *testing.T) {
-	q := testutil.MustQuery(testutil.Catalog(4), 4, query.ChainEdges(4), nil)
+	const n, workers = 6, 4
+	q := testutil.MustQuery(testutil.Catalog(n), n, query.CycleEdges(n), &query.OrderSpec{Rel: 0, Col: 0})
 	e, err := NewEngine(q, BaseLeaves(q), Options{Enum: EnumIndexed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(2); err != nil {
+	if err := e.Run(n - 1); err != nil {
 		t.Fatal(err)
 	}
-	a, b := e.Memo.Get(bits.Of(0, 1)), e.Memo.Get(bits.Of(2, 3))
-	if a == nil || b == nil {
-		t.Fatal("level-2 classes missing")
+	full := bits.Full(n)
+	type pair struct{ a, b *memo.Class }
+	var pairs []pair
+	for i := 1; i <= n/2; i++ {
+		for _, a := range e.Memo.Level(i) {
+			b := e.Memo.Get(full.Diff(a.Set))
+			if b == nil || !q.Connected(a.Set, b.Set) || (i == n-i && !a.Set.Less(b.Set)) {
+				continue
+			}
+			pairs = append(pairs, pair{a, b})
+		}
+	}
+	if len(pairs) < 2*workers {
+		t.Fatalf("only %d pairs join into the top class; the staged run would not contend", len(pairs))
 	}
 
-	before := e.Memo.Stats.PathsRetained
-	cls, isNew, err := e.joinDirect(a, b, 4)
-	if err != nil || !isNew {
-		t.Fatalf("joinDirect: isNew=%v err=%v", isNew, err)
+	// Staged first: the direct run below adds the top class to the memo.
+	stage := &staging{table: memo.NewSharded()}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	forks := make([]*cost.Model, workers)
+	errs := make([]error, workers)
+	for w := range forks {
+		forks[w] = e.Model.Fork()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sc := &scratch{model: forks[w]}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(pairs) {
+					return
+				}
+				if err := stage.join(sc, q, pairs[i].a, pairs[i].b); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var stagedCosted int64
+	for w := range forks {
+		if errs[w] != nil {
+			t.Fatalf("staged join: %v", errs[w])
+		}
+		stagedCosted += forks[w].PlansCosted
+	}
+
+	before, costedBefore := e.Memo.Stats.PathsRetained, e.Model.PlansCosted
+	var cls *memo.Class
+	for i, p := range pairs {
+		var isNew bool
+		cls, isNew, err = e.sc.joinDirect(q, e.Memo, p.a, p.b, n)
+		if err != nil || isNew != (i == 0) {
+			t.Fatalf("joinDirect pair %d: isNew=%v err=%v", i, isNew, err)
+		}
 	}
 	directDelta := e.Memo.Stats.PathsRetained - before
-
-	stage := &staging{table: memo.NewSharded()}
-	sc := &scratch{model: e.Model.Fork()}
-	if err := stage.join(sc, q, a, b); err != nil {
-		t.Fatalf("staged join: %v", err)
+	if directCosted := e.Model.PlansCosted - costedBefore; stagedCosted != directCosted {
+		t.Errorf("plans costed: staged %d, direct %d", stagedCosted, directCosted)
 	}
+
 	drained := stage.table.Drain()
 	if len(drained) != 1 || drained[0].Set != cls.Set {
 		t.Fatalf("staged %d classes, want one for %v", len(drained), cls.Set)
@@ -208,6 +260,9 @@ func TestJoinKernelSinksAgree(t *testing.T) {
 		t.Errorf("retained-path delta: staged %d, direct %d", stagedDelta, directDelta)
 	}
 	want, got := cls.Paths(), drained[0].Plans()
+	if len(want) < 2 {
+		t.Fatalf("the top class retained %d paths; the fixture should keep an ordered one too", len(want))
+	}
 	if len(got) != len(want) {
 		t.Fatalf("staged retained %d plans, direct %d", len(got), len(want))
 	}

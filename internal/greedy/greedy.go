@@ -103,18 +103,7 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 				fmt.Errorf("greedy: disconnected join graph"))
 		}
 		a, b := nodes[bi], nodes[bj]
-		preds := q.PredsBetween(a.set, b.set)
-		var best *plan.Plan
-		for _, in := range []cost.JoinInputs{
-			{Outer: a.pl, Inner: b.pl, Preds: preds, Rows: bestRows},
-			{Outer: b.pl, Inner: a.pl, Preds: preds, Rows: bestRows},
-		} {
-			for _, p := range model.JoinPlans(in) {
-				if best == nil || p.Cost < best.Cost {
-					best = p
-				}
-			}
-		}
+		best := model.CheapestJoin(a.pl, b.pl, q.PredsBetween(a.set, b.set), bestRows)
 		merged := node{set: a.set.Union(b.set), pl: best}
 		nodes = append(nodes[:bj], nodes[bj+1:]...)
 		nodes[bi] = merged

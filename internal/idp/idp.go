@@ -287,19 +287,7 @@ func balloon(q *query.Query, model *cost.Model, c *memo.Class, leaves []dp.Leaf,
 			panic("idp: ballooning stuck on a connected graph")
 		}
 		leafPlan := bestLeafPlan(model, bestLeaf)
-		preds := q.PredsBetween(covered, bestLeaf.Set)
-		var cheapest *plan.Plan
-		for _, in := range []cost.JoinInputs{
-			{Outer: cur, Inner: leafPlan, Preds: preds, Rows: bestRows},
-			{Outer: leafPlan, Inner: cur, Preds: preds, Rows: bestRows},
-		} {
-			for _, p := range model.JoinPlans(in) {
-				if cheapest == nil || p.Cost < cheapest.Cost {
-					cheapest = p
-				}
-			}
-		}
-		cur = cheapest
+		cur = model.CheapestJoin(cur, leafPlan, q.PredsBetween(covered, bestLeaf.Set), bestRows)
 		covered = covered.Union(bestLeaf.Set)
 	}
 }

@@ -77,7 +77,7 @@ func optimize2(q *query.Query, opts Options, model *cost.Model, ob *obs.Observer
 		if bi < 0 {
 			return nil, finish(agg, model, costedAtStart, started), fmt.Errorf("idp: disconnected join graph")
 		}
-		joined := cheapestJoin(q, model, nodes[bi], nodes[bj], bestRows)
+		joined := model.CheapestJoin(nodes[bi], nodes[bj], q.PredsBetween(nodes[bi].Rels, nodes[bj].Rels), bestRows)
 		nodes = append(nodes[:bj], nodes[bj+1:]...)
 		nodes[bi] = joined
 	}
@@ -128,23 +128,6 @@ func optimize2(q *query.Query, opts Options, model *cost.Model, ob *obs.Observer
 	return current, finish(agg, model, costedAtStart, started), nil
 }
 
-// cheapestJoin builds the cheapest physical join of two subplans.
-func cheapestJoin(q *query.Query, model *cost.Model, a, b *plan.Plan, rows float64) *plan.Plan {
-	preds := q.PredsBetween(a.Rels, b.Rels)
-	var best *plan.Plan
-	for _, in := range []cost.JoinInputs{
-		{Outer: a, Inner: b, Preds: preds, Rows: rows},
-		{Outer: b, Inner: a, Preds: preds, Rows: rows},
-	} {
-		for _, p := range model.JoinPlans(in) {
-			if best == nil || p.Cost < best.Cost {
-				best = p
-			}
-		}
-	}
-	return best
-}
-
 // subtreesUpTo collects the join subtrees of p spanning at most k base
 // relations, largest first so re-optimization prefers big wins.
 func subtreesUpTo(p *plan.Plan, k int) []*plan.Plan {
@@ -189,13 +172,11 @@ func replanSubtree(q *query.Query, model *cost.Model, ob *obs.Observer, root, su
 func dpOverSubset(q *query.Query, model *cost.Model, ob *obs.Observer, set bits.Set, budget int64) (*plan.Plan, memo.Stats, error) {
 	m := memo.New(budget)
 	m.Observe(ob)
-	mk := func(s bits.Set, level int) (*memo.Class, error) {
-		rows := model.SetRows(s)
-		return m.NewClass(s, level, rows, model.Selectivity(s, rows))
-	}
 	rels := set.Slice()
 	for _, r := range rels {
-		c, err := mk(bits.Single(r), 1)
+		s := bits.Single(r)
+		rows := model.SetRows(s)
+		c, err := m.NewClass(s, 1, rows, model.Selectivity(s, rows))
 		if err != nil {
 			return nil, m.Stats, err
 		}
@@ -219,33 +200,10 @@ func dpOverSubset(q *query.Query, model *cost.Model, ob *obs.Observer, set bits.
 		s.Each(func(i int) { out = out.Add(rels[i]) })
 		return out
 	}
+	joiner := dp.NewJoiner(q, model, m)
 	err := ccp.Enumerate(adj, ccp.Options{}, func(s1, s2 bits.Set) error {
-		a, b := m.Get(toRels(s1)), m.Get(toRels(s2))
-		u := a.Set.Union(b.Set)
-		cls := m.Get(u)
-		if cls == nil {
-			var err error
-			cls, err = mk(u, s1.Len()+s2.Len())
-			if err != nil {
-				return err
-			}
-		}
-		preds := q.PredsBetween(a.Set, b.Set)
-		for _, pa := range a.Paths() {
-			for _, pb := range b.Paths() {
-				for _, in := range []cost.JoinInputs{
-					{Outer: pa, Inner: pb, Preds: preds, Rows: cls.Rows},
-					{Outer: pb, Inner: pa, Preds: preds, Rows: cls.Rows},
-				} {
-					for _, p := range model.JoinPlans(in) {
-						if _, err := m.AddPlan(cls, p); err != nil {
-							return err
-						}
-					}
-				}
-			}
-		}
-		return nil
+		_, _, err := joiner.Join(m.Get(toRels(s1)), m.Get(toRels(s2)), s1.Len()+s2.Len())
+		return err
 	})
 	if err != nil {
 		return nil, m.Stats, err
@@ -286,5 +244,5 @@ func rebuildWith(q *query.Query, model *cost.Model, root, sub *plan.Plan, repl *
 	// For indexed nested loops the inner is a synthesized index scan that
 	// never contains sub; only re-cost with the (possibly) new outer.
 	rows := model.SetRows(left.Rels.Union(right.Rels))
-	return cheapestJoin(q, model, left, right, rows)
+	return model.CheapestJoin(left, right, q.PredsBetween(left.Rels, right.Rels), rows)
 }

@@ -97,21 +97,7 @@ func Build(q *query.Query, m *cost.Model, perm []int) (*plan.Plan, error) {
 	cur := cheapestAccess(m, perm[0])
 	for _, r := range perm[1:] {
 		leaf := cheapestAccess(m, r)
-		set := cur.Rels.Union(leaf.Rels)
-		in := cost.JoinInputs{
-			Outer: cur, Inner: leaf,
-			Preds: q.PredsBetween(cur.Rels, leaf.Rels),
-			Rows:  m.SetRows(set),
-		}
-		var best *plan.Plan
-		for _, side := range []cost.JoinInputs{in, {Outer: in.Inner, Inner: in.Outer, Preds: in.Preds, Rows: in.Rows}} {
-			for _, p := range m.JoinPlans(side) {
-				if best == nil || p.Cost < best.Cost {
-					best = p
-				}
-			}
-		}
-		cur = best
+		cur = m.CheapestJoin(cur, leaf, q.PredsBetween(cur.Rels, leaf.Rels), m.SetRows(cur.Rels.Union(leaf.Rels)))
 	}
 	if q.OrderBy != nil {
 		ec := q.OrderEqClass()

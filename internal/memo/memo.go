@@ -137,6 +137,24 @@ func (ps *pathSet) offer(p *plan.Plan) (delta int, kept bool) {
 	return ps.numPaths() - before, kept
 }
 
+// Admits reports whether offer could retain a candidate of the given cost
+// and output order. It is false only when offer would certainly drop the
+// candidate — it costs more than Best and, if ordered, more than the retained
+// plan of its order — so a caller holding a costed but unbuilt candidate can
+// skip building it: offering it would keep nothing and return delta 0. Cost
+// ties are admitted, because offer breaks them with plan.Compare on the built
+// tree. Retained costs only ever fall, so a false answer stays false.
+func (ps *pathSet) Admits(cost float64, order int) bool {
+	if ps.Best == nil || cost <= ps.Best.Cost {
+		return true
+	}
+	if order == plan.NoOrder {
+		return false
+	}
+	cur, ok := ps.OrderedPlan(order)
+	return !ok || cost <= cur.Cost
+}
+
 // OrderedPlan returns the cheapest retained plan delivering the given
 // order equivalence class, if any.
 func (ps *pathSet) OrderedPlan(order int) (*plan.Plan, bool) {
@@ -163,6 +181,11 @@ func orderedPut(s []OrderedPlan, order int, p *plan.Plan) []OrderedPlan {
 		if s[i].Order > order {
 			break
 		}
+	}
+	if s == nil {
+		// Sized once: a class retains a handful of ordered plans, and growing
+		// from nil by append reallocates at 1, 2 and 4.
+		s = make([]OrderedPlan, 0, 4)
 	}
 	s = append(s, OrderedPlan{})
 	copy(s[i+1:], s[i:])

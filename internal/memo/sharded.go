@@ -101,6 +101,17 @@ func (st *Staged) Offer(p *plan.Plan) int {
 	return d
 }
 
+// Admits is pathSet.Admits under the class mutex. Staged costs only fall, so
+// a false answer is still true after the mutex is released and the caller may
+// drop the candidate; a true answer may be stale, which only costs a build
+// that Offer then rejects. Safe for concurrent use.
+func (st *Staged) Admits(cost float64, order int) bool {
+	st.mu.Lock()
+	ok := st.paths.Admits(cost, order)
+	st.mu.Unlock()
+	return ok
+}
+
 // Plans returns the staged winners — the best plan first, then the ordered
 // plans in ascending order id. Offering this sequence to a fresh Memo class
 // reproduces exactly the class state a sequential run ends a level with. Call only from the drained (single-threaded) side of the barrier.

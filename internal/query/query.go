@@ -373,13 +373,18 @@ func (q *Query) AppendPredsBetween(dst []int, a, b bits.Set) []int {
 // PredsWithin returns the indexes of every predicate whose both sides fall
 // inside s.
 func (q *Query) PredsWithin(s bits.Set) []int {
-	var out []int
+	return q.AppendPredsWithin(nil, s)
+}
+
+// AppendPredsWithin is PredsWithin appending into a caller-owned slice, so a
+// caller with a buffer to hand allocates nothing.
+func (q *Query) AppendPredsWithin(dst []int, s bits.Set) []int {
 	for i, p := range q.Preds {
 		if s.Has(p.LeftRel) && s.Has(p.RightRel) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // EqClass returns the join-column equivalence class id of (rel, col), or -1

@@ -190,19 +190,54 @@ func TestAutoDeadlineDowngrade(t *testing.T) {
 func TestAutoMidFlightDemote(t *testing.T) {
 	ob := obs.New()
 	// HeavyRels above 24 keeps star-24 on the SDP default instead of the
-	// IDP2 heavy-tail rung, so the demotion path has an engine slow
-	// enough (SDP star-24 runs for hundreds of ms) to blow its slice.
+	// IDP2 heavy-tail rung, so the demotion path has the slowest engine the
+	// catalog offers to blow its slice.
 	s, ts := newTestServer(t, Options{Obs: ob, Route: route.Options{HeavyRels: 30}})
+	star24 := topoSpec(t, workload.Star, 24)
+	band := route.Band(24)
+
+	// The deadline is derived from what the engines take on this host, in
+	// this build, rather than from a constant that assumes how slow SDP is.
+	// A second server measures, so the measurements do not reach the router
+	// under test.
+	_, probe := newTestServer(t, Options{})
+	elapsed := func(tech string) time.Duration {
+		code, resp := postOptimize(t, probe.URL, OptimizeRequest{Technique: tech, Query: star24, NoCache: true})
+		if code != http.StatusOK || resp.Stats == nil {
+			t.Fatalf("probe %s: code %d, error %q", tech, code, resp.Error)
+		}
+		return time.Duration(resp.Stats.ElapsedNS)
+	}
+	sdpTook, idpTook := elapsed("sdp"), elapsed("idp2")
+
+	// A third of SDP's time, so the engine slice (deadline minus the router's
+	// reserve of an eighth, at least 5ms) is under 0.3× what SDP needs; the
+	// 20ms floor keeps the slice at 15ms or more, which greedy (reserve) and
+	// IDP2 (second half) fit many times over. On the 2-vCPU development host
+	// SDP star-24 took 112ms, IDP2 1.5ms and greedy 0.5ms: deadline 37ms,
+	// slice 32ms — 3.5× too short for SDP, 10× what IDP2's safety-scaled
+	// estimate needs, and a 5ms reserve 10× greedy's time. Under -race all
+	// three slow down together and the deadline scales with them.
+	if sdpTook < 30*time.Millisecond {
+		t.Skipf("SDP star-24 took %v: too fast to overrun a 15ms slice with 2× margin; this test needs a heavier query", sdpTook)
+	}
+	timeoutMS := int64(sdpTook / (3 * time.Millisecond))
+	if timeoutMS < 20 {
+		timeoutMS = 20
+	}
 
 	// Teach the router a wildly optimistic SDP latency for big stars, so
-	// the pre-flight check happily routes a 24-relation star into a 200ms
-	// deadline.
-	s.Router().Observe(route.TechSDP, "star", route.Band(24), time.Millisecond, false)
+	// the pre-flight check happily routes a 24-relation star into the
+	// deadline, and IDP2's measured one, so the rung below SDP fits the
+	// deadline on its merits rather than by how its 40ms cold prior happens
+	// to compare with it.
+	s.Router().Observe(route.TechSDP, "star", band, time.Millisecond, false)
+	s.Router().Observe(route.TechIDP, "star", band, idpTook, false)
 
 	code, resp := postOptimize(t, ts.URL, OptimizeRequest{
 		Technique: "auto",
-		Query:     topoSpec(t, workload.Star, 24),
-		TimeoutMS: 200,
+		Query:     star24,
+		TimeoutMS: timeoutMS,
 		NoCache:   true,
 	})
 	if code != http.StatusOK {
@@ -230,11 +265,11 @@ func TestAutoMidFlightDemote(t *testing.T) {
 
 	// The timed-out slice fed the latency profile as an inflated lower
 	// bound, so the same request now downgrades pre-flight — onto the
-	// IDP2 rung, whose prior fits the deadline SDP just blew.
+	// IDP2 rung, whose estimate fits the deadline SDP just blew.
 	code, resp = postOptimize(t, ts.URL, OptimizeRequest{
 		Technique: "auto",
-		Query:     topoSpec(t, workload.Star, 24),
-		TimeoutMS: 200,
+		Query:     star24,
+		TimeoutMS: timeoutMS,
 		NoCache:   true,
 	})
 	if code != http.StatusOK {
