@@ -271,7 +271,7 @@ func BenchmarkCostModel(b *testing.B) {
 // and the default DPccp csg-cmp enumeration. Each sub-bench reports how
 // many candidate pairs one optimization considers; CI runs the trio as a
 // regression guard on the counts, which repeat exactly (pairs/op per
-// enumerator, and allocs/op at most 200 000 — the join kernel builds only
+// enumerator, and allocs/op at most 130 000 — the join kernel builds only
 // the candidates the memo admits), and prints the wall times without gating
 // on them.
 func BenchmarkEnumerationOnly(b *testing.B) {

@@ -669,11 +669,17 @@ func (s *sdp) maskOf(pts [][]float64) []bool {
 	}
 }
 
+// featurePoints returns the classes' (rows, cost, selectivity) points for the
+// skylines, all backed by one array: a partition costs two allocations, not
+// one per class.
 func featurePoints(classes []*memo.Class) [][]float64 {
+	flat := make([]float64, 3*len(classes))
 	pts := make([][]float64, len(classes))
 	for i, c := range classes {
 		fv := c.FeatureVector()
-		pts[i] = []float64{fv.Rows, fv.Cost, fv.Sel}
+		p := flat[3*i : 3*i+3 : 3*i+3]
+		p[0], p[1], p[2] = fv.Rows, fv.Cost, fv.Sel
+		pts[i] = p
 	}
 	return pts
 }

@@ -12,6 +12,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 
 	"sdpopt/internal/bits"
 	"sdpopt/internal/catalog"
@@ -68,6 +69,15 @@ type Model struct {
 	predEq []int
 	idxEq  []int
 
+	// relProbe and relIdxScan are what an indexed nested loop over relation i
+	// repeats per outer row: the cost of one probe of i's index and the
+	// IndexScan node that stands as the join's inner. Both are pure functions
+	// of (relation, estimator), so derive computes them once — only for
+	// relations whose indexed column joins something, idxEq[i] >= 0 — and
+	// every plan that probes i shares the one immutable node.
+	relProbe   []float64
+	relIdxScan []*plan.Plan
+
 	// rowsMemo and widthMemo cache SetRows and Width per relation set. Both
 	// are pure functions of the set (SetRows is canonical by design), so
 	// memoization cannot change any estimate — it only removes the repeated
@@ -110,7 +120,8 @@ func NewModelEst(q *query.Query, params Params, est Estimator) *Model {
 }
 
 // derive snapshots the estimator's per-relation and per-predicate answers
-// into the hot-path arrays and drops the estimator-dependent SetRows memo.
+// into the hot-path arrays, with the per-relation index probe cost and scan
+// node that follow from them, and drops the estimator-dependent SetRows memo.
 // (widthMemo survives estimator swaps: tuple widths are physical schema
 // facts, not estimates.)
 func (m *Model) derive() {
@@ -122,6 +133,14 @@ func (m *Model) derive() {
 	m.predSel = make([]float64, len(q.Preds))
 	for i := range q.Preds {
 		m.predSel[i] = m.est.PredSel(i)
+	}
+	m.relProbe = make([]float64, q.NumRelations())
+	m.relIdxScan = make([]*plan.Plan, q.NumRelations())
+	for i, ec := range m.idxEq {
+		if ec >= 0 {
+			m.relProbe[i] = m.indexProbeCost(i)
+			m.relIdxScan[i] = m.indexScanNode(i, ec)
+		}
 	}
 	m.rowsMemo = nil
 }
@@ -319,7 +338,8 @@ func (m *Model) indexScan(i, orderClass int) *plan.Plan {
 }
 
 // indexScanNode builds the index scan without counting it as a plan costed
-// (an indexed nested-loop candidate counted its inner scan when costed).
+// (derive builds the node indexed nested loops share; a candidate counts it
+// when costed).
 func (m *Model) indexScanNode(i, orderClass int) *plan.Plan {
 	rel := m.Q.Relation(i)
 	frac := m.indexedFilterSel(i)
@@ -386,17 +406,15 @@ func (m *Model) sortCost(rows float64, width int) float64 {
 }
 
 // JoinInputs identifies one candidate join: two disjoint subplans plus the
-// predicates connecting them and the (shared) output cardinality.
+// predicates connecting them and the (shared) output cardinality. The tuple
+// widths costing also needs are not part of it: they belong to the class pair
+// (PairCoster.Begin), and AppendJoinCands looks them up.
 type JoinInputs struct {
 	Outer, Inner *plan.Plan
 	// Preds indexes the query predicates spanning the two sides.
 	Preds []int
 	// Rows is the output cardinality of the joined JCR.
 	Rows float64
-	// OuterWidth and InnerWidth are Width(Outer.Rels) and Width(Inner.Rels).
-	// They are constant per class pair, so the join kernel reads them once
-	// per pair instead of once per operator; zero means "look it up".
-	OuterWidth, InnerWidth int
 }
 
 // JoinCand is one physical join of a JoinInputs, costed but not built: the
@@ -411,6 +429,25 @@ type JoinCand struct {
 	// outer's order for an indexed nested loop, plan.NoOrder otherwise.
 	Order int
 	Op    plan.Op
+}
+
+// plansCosted is what the candidate adds to Model.PlansCosted — what building
+// it would have counted: the join itself, one more per sort a merge join
+// inserts, one more for an indexed nested loop's inner index scan.
+func (c *JoinCand) plansCosted() int64 {
+	n := int64(1)
+	switch c.Op {
+	case plan.IndexNestLoop:
+		n++
+	case plan.MergeJoin:
+		if c.Outer.Order != c.Order {
+			n++
+		}
+		if c.Inner.Order != c.Order {
+			n++
+		}
+	}
+	return n
 }
 
 // JoinPlans returns every candidate physical join of the inputs in this
@@ -435,46 +472,24 @@ func (m *Model) AppendJoinPlans(dst []*plan.Plan, in JoinInputs) []*plan.Plan {
 }
 
 // AppendJoinCands costs every candidate physical join of the inputs in this
-// orientation and appends them to dst in JoinPlans order. PlansCosted
-// advances here, by exactly what building the plans would have counted: one
-// per candidate, one more per sort a merge join inserts, one more for an
-// indexed nested loop's inner index scan.
+// orientation and appends them to dst in JoinPlans order: a one-pair,
+// one-orientation use of PairCoster, which owns the arithmetic and the
+// PlansCosted accounting. A caller costing many path pairs of one class pair
+// holds a PairCoster itself and begins it once.
 func (m *Model) AppendJoinCands(dst []JoinCand, in JoinInputs) []JoinCand {
-	in = m.withWidths(in)
-	dst = append(dst, m.nestLoopCand(&in))
-	if c, ok := m.indexNestLoopCand(&in); ok {
-		dst = append(dst, c)
-	}
-	dst = append(dst, m.hashJoinCand(&in))
-	for k, pi := range in.Preds {
-		ec := m.predEq[pi]
-		if ec < 0 {
-			continue
-		}
-		// One merge join per distinct class, first occurrence wins. The
-		// spanning-predicate list is tiny, so a rescan of the prefix beats
-		// a per-call seen-map allocation.
-		dup := false
-		for _, pj := range in.Preds[:k] {
-			if m.predEq[pj] == ec {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		dst = append(dst, m.mergeJoinCand(&in, ec))
-	}
-	return dst
+	var pc PairCoster
+	pc.Begin(m, in.Preds, in.Rows, m.Width(in.Outer.Rels), m.Width(in.Inner.Rels))
+	return pc.AppendCands(dst, in.Outer, in.Inner, false)
 }
 
 // BuildJoin materializes a costed candidate as the plan tree JoinPlans
 // returns for it: the join node over its inputs, with a Sort node over each
-// merge input not already ordered on the merge class and a fresh IndexScan
-// as an indexed nested loop's inner. What those child nodes cost is a pure
-// function of the inputs, so it is recomputed here rather than carried in
-// the candidate; PlansCosted is not touched — costing counted them.
+// merge input not already ordered on the merge class, and the model's
+// per-relation IndexScan node (derive) as an indexed nested loop's inner —
+// one node shared by every plan that probes that relation, as subplans are
+// shared already. A Sort node's cost is a pure function of its input, so it
+// is recomputed here rather than carried in the candidate; PlansCosted is not
+// touched — costing counted them.
 func (m *Model) BuildJoin(c JoinCand) *plan.Plan {
 	o, i := c.Outer, c.Inner
 	switch c.Op {
@@ -487,7 +502,7 @@ func (m *Model) BuildJoin(c JoinCand) *plan.Plan {
 		}
 	case plan.IndexNestLoop:
 		// The inner scan plan is replaced by the index scan the loop repeats.
-		i = m.indexScanNode(i.Rel, m.idxEq[i.Rel])
+		i = m.relIdxScan[i.Rel]
 	}
 	return &plan.Plan{
 		Op: c.Op, Rels: c.Outer.Rels.Union(c.Inner.Rels), Left: o, Right: i,
@@ -500,10 +515,11 @@ func (m *Model) BuildJoin(c JoinCand) *plan.Plan {
 // ties. Only the winner is built. The greedy-style techniques, which keep a
 // single plan per step, all join through here.
 func (m *Model) CheapestJoin(a, b *plan.Plan, preds []int, rows float64) *plan.Plan {
-	wa, wb := m.Width(a.Rels), m.Width(b.Rels)
+	var pc PairCoster
+	pc.Begin(m, preds, rows, m.Width(a.Rels), m.Width(b.Rels))
 	var buf [16]JoinCand
-	cands := m.AppendJoinCands(buf[:0], JoinInputs{Outer: a, Inner: b, Preds: preds, Rows: rows, OuterWidth: wa, InnerWidth: wb})
-	cands = m.AppendJoinCands(cands, JoinInputs{Outer: b, Inner: a, Preds: preds, Rows: rows, OuterWidth: wb, InnerWidth: wa})
+	cands := pc.AppendCands(buf[:0], a, b, false)
+	cands = pc.AppendCands(cands, b, a, true)
 	best := 0
 	for k := range cands {
 		if cands[k].Cost < cands[best].Cost {
@@ -513,54 +529,194 @@ func (m *Model) CheapestJoin(a, b *plan.Plan, preds []int, rows float64) *plan.P
 	return m.BuildJoin(cands[best])
 }
 
-// withWidths fills in the input widths a caller left at zero; the per-operator
-// costing below reads them from in and never looks them up itself. (That
-// costing takes in by pointer: the struct is nine words and is handed to four
-// or more operators per orientation on the enumeration hot path.)
-func (m *Model) withWidths(in JoinInputs) JoinInputs {
-	if in.OuterWidth == 0 {
-		in.OuterWidth = m.Width(in.Outer.Rels)
-	}
-	if in.InnerWidth == 0 {
-		in.InnerWidth = m.Width(in.Inner.Rels)
-	}
-	return in
-}
-
-// The per-operator constructors cost one candidate and build it — what
-// Recost, which re-runs a single known operator, needs.
+// The per-operator constructors cost one candidate, count it and build it —
+// what Recost, which re-runs a single known operator, needs.
 func (m *Model) nestLoop(in JoinInputs) *plan.Plan {
-	in = m.withWidths(in)
-	return m.BuildJoin(m.nestLoopCand(&in))
+	return m.joinOne(in, plan.NestLoop, plan.NoOrder)
 }
 
 func (m *Model) hashJoin(in JoinInputs) *plan.Plan {
-	in = m.withWidths(in)
-	return m.BuildJoin(m.hashJoinCand(&in))
+	return m.joinOne(in, plan.HashJoin, plan.NoOrder)
 }
 
 func (m *Model) mergeJoin(in JoinInputs, ec int) *plan.Plan {
-	in = m.withWidths(in)
-	return m.BuildJoin(m.mergeJoinCand(&in, ec))
+	return m.joinOne(in, plan.MergeJoin, ec)
 }
 
+// indexNestLoop returns nil when the operator does not apply to the inputs.
 func (m *Model) indexNestLoop(in JoinInputs) *plan.Plan {
-	c, ok := m.indexNestLoopCand(&in)
-	if !ok {
-		return nil
+	return m.joinOne(in, plan.IndexNestLoop, plan.NoOrder)
+}
+
+// joinOne runs one operator's step of a PairCoster begun for the inputs; ec
+// is the merge class of a merge join.
+func (m *Model) joinOne(in JoinInputs, op plan.Op, ec int) *plan.Plan {
+	var pc PairCoster
+	pc.Begin(m, in.Preds, in.Rows, m.Width(in.Outer.Rels), m.Width(in.Inner.Rels))
+	o, i := in.Outer, in.Inner
+	t := pc.terms(o, i, false)
+	var c JoinCand
+	switch op {
+	case plan.NestLoop:
+		c = pc.nestLoop(t, o, i)
+	case plan.HashJoin:
+		c = pc.hashJoin(t, o, i)
+	case plan.MergeJoin:
+		c = pc.mergeJoin(t, o, i, ec)
+	case plan.IndexNestLoop:
+		if !pc.probes(t, i) {
+			return nil
+		}
+		c = pc.indexNestLoop(t, o, i)
 	}
+	m.PlansCosted += c.plansCosted()
 	return m.BuildJoin(c)
 }
 
-// nestLoopCand costs a plain nested loop with the inner side materialized
-// once and rescanned per outer row.
-func (m *Model) nestLoopCand(in *JoinInputs) JoinCand {
-	o, i := in.Outer, in.Inner
-	mat := i.Rows * 2 * m.Params.CPUOperatorCost // write to tuplestore
-	rescan := i.Rows*m.Params.CPUOperatorCost + m.rescanIO(i.Rows, in.InnerWidth)
-	c := o.Cost + i.Cost + mat + o.Rows*rescan + in.Rows*m.Params.CPUTupleCost
-	m.PlansCosted++
-	return JoinCand{Op: plan.NestLoop, Outer: o, Inner: i, Rows: in.Rows, Cost: c, Order: plan.NoOrder}
+// PairCoster costs the physical joins of one class pair (A, B). Every path of
+// a memo class has the class's row count and tuple width, so of each
+// operator's formula only the two input costs vary between the candidates of
+// a pair; everything else — the spanning predicates' merge classes, the
+// output CPU term, and per orientation the materialize/rescan, build/probe,
+// spill IO, merge comparison, sort and index-probe terms — is computed once
+// (Begin, then lazily per orientation) and each candidate costs a handful of
+// additions. The sums keep the addend order the formulas are written in, so
+// a hoisted term changes no cost bit.
+//
+// The zero value is ready for Begin, and a coster is meant to be reused
+// across pairs: it keeps its merge-class buffer.
+type PairCoster struct {
+	m      *Model
+	preds  []int
+	rows   float64
+	outCPU float64 // rows * CPUTupleCost
+	// mergeClasses is the distinct equivalence classes of the spanning
+	// predicates in first-occurrence order: one merge join each.
+	mergeClasses []int
+	width        [2]int       // tuple width of A, of B
+	sort         [2]sortTerm  // an explicit sort of A's paths, of B's
+	dir          [2]pairTerms // A outer and B inner; B outer and A inner
+}
+
+// pairTerms is one orientation's candidate-independent terms. They are pure
+// functions of the two inputs' row counts (and the pair's widths), and keyed
+// on the counts they were computed from: a path that disagrees — a base
+// relation's scans carry the estimator's count where the class carries
+// exp(log(count)); IDP's compound leaves bring their own plans — recomputes
+// them, so the terms are always the ones the formula would have produced for
+// the paths in hand.
+type pairTerms struct {
+	oRows, iRows float64 // NaN until first computed
+
+	mat, rescan float64 // nested loop: materialize the inner, o.Rows rescans of it
+	build       float64 // hash join: build on the inner,
+	probe       float64 // probe with the outer,
+	spill       bool    // and when the inner exceeds work_mem,
+	spillIO     float64 // write out and re-read both inputs
+	cmp         float64 // merge join: comparisons,
+	oSort       float64 // and an explicit sort of the outer
+	iSort       float64 // or the inner where it is not ordered on the class
+
+	// Indexed nested loop, per inner relation: whether relation inlRel's
+	// index is on a spanning join column, and o.Rows probes of it.
+	inlRel   int
+	inlOK    bool
+	inlProbe float64
+}
+
+// sortTerm is sortCost(rows, width) of one side, keyed like pairTerms.
+type sortTerm struct{ rows, cost float64 }
+
+// Begin starts a class pair: the predicates spanning A and B, the joined
+// class's cardinality, and the two sides' tuple widths. preds is retained
+// until the next Begin.
+func (pc *PairCoster) Begin(m *Model, preds []int, rows float64, widthA, widthB int) {
+	pc.m, pc.preds, pc.rows = m, preds, rows
+	pc.outCPU = rows * m.Params.CPUTupleCost
+	pc.width = [2]int{widthA, widthB}
+	pc.mergeClasses = pc.mergeClasses[:0]
+	for _, pi := range preds {
+		ec := m.predEq[pi]
+		if ec < 0 || slices.Contains(pc.mergeClasses, ec) {
+			continue
+		}
+		pc.mergeClasses = append(pc.mergeClasses, ec)
+	}
+	// NaN equals no row count: the first paths seen compute every term.
+	nan := math.NaN()
+	pc.sort[0].rows, pc.sort[1].rows = nan, nan
+	pc.dir[0].oRows, pc.dir[1].oRows = nan, nan
+}
+
+// AppendCands costs every candidate physical join of outer o and inner i —
+// paths of A and B, or of B and A when swapped — and appends them to dst:
+// nested loop, indexed nested loop if it applies, hash join, one merge join
+// per spanning equivalence class. PlansCosted advances by what building them
+// all would count (JoinCand.plansCosted).
+func (pc *PairCoster) AppendCands(dst []JoinCand, o, i *plan.Plan, swapped bool) []JoinCand {
+	t := pc.terms(o, i, swapped)
+	first := len(dst)
+	dst = append(dst, pc.nestLoop(t, o, i))
+	if pc.probes(t, i) {
+		dst = append(dst, pc.indexNestLoop(t, o, i))
+	}
+	dst = append(dst, pc.hashJoin(t, o, i))
+	for _, ec := range pc.mergeClasses {
+		dst = append(dst, pc.mergeJoin(t, o, i, ec))
+	}
+	n := int64(0)
+	for k := first; k < len(dst); k++ {
+		n += dst[k].plansCosted()
+	}
+	pc.m.PlansCosted += n
+	return dst
+}
+
+// terms returns the orientation's terms for these two paths, recomputing
+// them when they were computed from other row counts.
+func (pc *PairCoster) terms(o, i *plan.Plan, swapped bool) *pairTerms {
+	k := 0
+	if swapped {
+		k = 1
+	}
+	t := &pc.dir[k]
+	if t.oRows == o.Rows && t.iRows == i.Rows {
+		return t
+	}
+	m, p := pc.m, &pc.m.Params
+	oRows, iRows, ow, iw := o.Rows, i.Rows, pc.width[k], pc.width[1-k]
+	t.oRows, t.iRows = oRows, iRows
+	t.mat = iRows * 2 * p.CPUOperatorCost // write to tuplestore
+	t.rescan = oRows * (iRows*p.CPUOperatorCost + m.rescanIO(iRows, iw))
+	t.build = iRows * (p.CPUOperatorCost*1.5 + p.CPUTupleCost)
+	t.probe = oRows * p.CPUOperatorCost * 1.5
+	t.spill = iRows*float64(iw) > p.WorkMemBytes
+	if t.spill {
+		// Both inputs are written out and re-read once per extra batch pass.
+		io := m.pages(iRows, iw) + m.pages(oRows, ow)
+		t.spillIO = 2 * io * p.SeqPageCost
+	}
+	t.cmp = (oRows + iRows) * p.CPUOperatorCost
+	t.oSort, t.iSort = pc.sortCost(k, oRows), pc.sortCost(1-k, iRows)
+	t.inlRel = -1
+	return t
+}
+
+// sortCost is the cost of sorting rows tuples of one side (0 is A): both
+// orientations charge the same two sorts, so they are computed per side.
+func (pc *PairCoster) sortCost(side int, rows float64) float64 {
+	s := &pc.sort[side]
+	if s.rows != rows {
+		s.rows, s.cost = rows, pc.m.sortCost(rows, pc.width[side])
+	}
+	return s.cost
+}
+
+// nestLoop costs a plain nested loop with the inner side materialized once
+// and rescanned per outer row.
+func (pc *PairCoster) nestLoop(t *pairTerms, o, i *plan.Plan) JoinCand {
+	c := o.Cost + i.Cost + t.mat + t.rescan + pc.outCPU
+	return JoinCand{Op: plan.NestLoop, Outer: o, Inner: i, Rows: pc.rows, Cost: c, Order: plan.NoOrder}
 }
 
 // rescanIO is the page cost of re-reading a materialized inner that spills
@@ -573,85 +729,76 @@ func (m *Model) rescanIO(rows float64, width int) float64 {
 	return m.pages(rows, width) * m.Params.SeqPageCost
 }
 
-// indexNestLoopCand costs a nested loop that probes the inner base
-// relation's index once per outer row. It applies only when the inner
-// subplan is a single-relation scan and that relation's indexed column
-// belongs to the equivalence class of one of the spanning predicates — the
-// plan shape that makes star joins on indexed spoke columns cheap.
-func (m *Model) indexNestLoopCand(in *JoinInputs) (JoinCand, bool) {
-	o, i := in.Outer, in.Inner
+// probes reports whether an indexed nested loop applies with i as the inner:
+// i is a single-relation scan and that relation's indexed column belongs to
+// the equivalence class of one of the spanning predicates — the plan shape
+// that makes star joins on indexed spoke columns cheap. The answer and the
+// probe term are kept per inner relation.
+func (pc *PairCoster) probes(t *pairTerms, i *plan.Plan) bool {
 	if !i.Op.IsScan() {
-		return JoinCand{}, false
+		return false
 	}
-	rel := m.Q.Relation(i.Rel)
-	idxClass := m.idxEq[i.Rel]
-	if idxClass < 0 {
-		return JoinCand{}, false
-	}
-	usable := false
-	for _, pi := range in.Preds {
-		if m.predEq[pi] == idxClass {
-			usable = true
-			break
+	if t.inlRel != i.Rel {
+		m := pc.m
+		t.inlRel, t.inlOK = i.Rel, false
+		if idxClass := m.idxEq[i.Rel]; idxClass >= 0 {
+			for _, pi := range pc.preds {
+				if m.predEq[pi] == idxClass {
+					t.inlOK = true
+					t.inlProbe = t.oRows * m.relProbe[i.Rel]
+					break
+				}
+			}
 		}
 	}
-	if !usable {
-		return JoinCand{}, false
-	}
-	// Matching inner rows per outer row; the remaining spanning predicates
-	// filter after the index probe, so the probe fetches matchRows tuples.
-	matchRows := math.Max(1, m.relRows[i.Rel]/m.columnNDV(i.Rel, rel.IndexCol))
-	descend := math.Ceil(math.Log2(rel.Rows+1)) * m.Params.CPUOperatorCost
-	corr := rel.IndexCorr * rel.IndexCorr
+	return t.inlOK
+}
+
+// indexNestLoop costs a nested loop that probes the inner base relation's
+// index once per outer row (probes must have said it applies). The inner
+// scan plan's own cost is not paid: the index replaces it. The candidate
+// keeps the inner it was given; BuildJoin swaps in the index scan.
+func (pc *PairCoster) indexNestLoop(t *pairTerms, o, i *plan.Plan) JoinCand {
+	c := o.Cost + t.inlProbe + pc.outCPU
+	// Indexed nested loops preserve the outer ordering.
+	return JoinCand{Op: plan.IndexNestLoop, Outer: o, Inner: i, Rows: pc.rows, Cost: c, Order: o.Order}
+}
+
+// indexProbeCost is the cost of one probe of relation rel's index by an
+// indexed nested loop: a b-tree descent, the leaf page, and the matching
+// inner rows per outer row (the remaining spanning predicates filter after
+// the probe, so the probe fetches them all).
+func (m *Model) indexProbeCost(rel int) float64 {
+	r := m.Q.Relation(rel)
+	matchRows := math.Max(1, m.relRows[rel]/m.columnNDV(rel, r.IndexCol))
+	descend := math.Ceil(math.Log2(r.Rows+1)) * m.Params.CPUOperatorCost
+	corr := r.IndexCorr * r.IndexCorr
 	perFetch := corr*m.Params.SeqPageCost*0.1 + (1-corr)*m.Params.RandomPageCost
-	probe := descend + m.Params.RandomPageCost + // b-tree leaf page
+	return descend + m.Params.RandomPageCost + // b-tree leaf page
 		matchRows*(m.Params.CPUIndexTupleCost+m.Params.CPUTupleCost+perFetch)
-	// The inner scan plan's own cost is not paid: the index replaces it.
-	c := o.Cost + o.Rows*probe + in.Rows*m.Params.CPUTupleCost
-	// One for the join, one for the inner index scan BuildJoin puts under it.
-	m.PlansCosted += 2
-	return JoinCand{
-		Op: plan.IndexNestLoop, Outer: o, Inner: i, Rows: in.Rows, Cost: c,
-		// Indexed nested loops preserve the outer ordering.
-		Order: o.Order,
-	}, true
 }
 
-// hashJoinCand costs a hash join building on the inner side, with batching
-// IO when the build side exceeds work_mem (PostgreSQL's hybrid hash join).
-func (m *Model) hashJoinCand(in *JoinInputs) JoinCand {
-	o, i := in.Outer, in.Inner
-	c := o.Cost + i.Cost +
-		i.Rows*(m.Params.CPUOperatorCost*1.5+m.Params.CPUTupleCost) + // build
-		o.Rows*m.Params.CPUOperatorCost*1.5 + // probe
-		in.Rows*m.Params.CPUTupleCost
-	innerBytes := i.Rows * float64(in.InnerWidth)
-	if innerBytes > m.Params.WorkMemBytes {
-		// Both inputs are written out and re-read once per extra batch pass.
-		io := m.pages(i.Rows, in.InnerWidth) + m.pages(o.Rows, in.OuterWidth)
-		c += 2 * io * m.Params.SeqPageCost
+// hashJoin costs a hash join building on the inner side, with batching IO
+// when the build side exceeds work_mem (PostgreSQL's hybrid hash join).
+func (pc *PairCoster) hashJoin(t *pairTerms, o, i *plan.Plan) JoinCand {
+	c := o.Cost + i.Cost + t.build + t.probe + pc.outCPU
+	if t.spill {
+		c += t.spillIO
 	}
-	m.PlansCosted++
-	return JoinCand{Op: plan.HashJoin, Outer: o, Inner: i, Rows: in.Rows, Cost: c, Order: plan.NoOrder}
+	return JoinCand{Op: plan.HashJoin, Outer: o, Inner: i, Rows: pc.rows, Cost: c, Order: plan.NoOrder}
 }
 
-// mergeJoinCand costs a merge join on equivalence class ec, charging an
-// explicit sort for each input not already ordered on ec (BuildJoin inserts
-// the Sort nodes). Its output carries ec as an interesting order.
-func (m *Model) mergeJoinCand(in *JoinInputs, ec int) JoinCand {
-	o, i := in.Outer, in.Inner
+// mergeJoin costs a merge join on equivalence class ec, charging an explicit
+// sort for each input not already ordered on ec (BuildJoin inserts the Sort
+// nodes). Its output carries ec as an interesting order.
+func (pc *PairCoster) mergeJoin(t *pairTerms, o, i *plan.Plan, ec int) JoinCand {
 	oCost, iCost := o.Cost, i.Cost
 	if o.Order != ec {
-		oCost = m.sortedCost(o, in.OuterWidth)
-		m.PlansCosted++
+		oCost += t.oSort
 	}
 	if i.Order != ec {
-		iCost = m.sortedCost(i, in.InnerWidth)
-		m.PlansCosted++
+		iCost += t.iSort
 	}
-	c := oCost + iCost +
-		(o.Rows+i.Rows)*m.Params.CPUOperatorCost +
-		in.Rows*m.Params.CPUTupleCost
-	m.PlansCosted++
-	return JoinCand{Op: plan.MergeJoin, Outer: o, Inner: i, Rows: in.Rows, Cost: c, Order: ec}
+	c := oCost + iCost + t.cmp + pc.outCPU
+	return JoinCand{Op: plan.MergeJoin, Outer: o, Inner: i, Rows: pc.rows, Cost: c, Order: ec}
 }

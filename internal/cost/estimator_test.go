@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"sdpopt/internal/bits"
@@ -42,10 +43,23 @@ func chainQuery(t *testing.T, n int) *query.Query {
 	return q
 }
 
+// indexNestLoopSig is the fixture's A ⋈ B indexed nested loop under m — cost
+// and inner index scan node, bit for bit. It reads what derive snapshots per
+// relation (the probe cost and the shared scan node).
+func indexNestLoopSig(m *Model) string {
+	a, b := m.AccessPaths(0)[0], m.AccessPaths(1)[0]
+	p := m.indexNestLoop(JoinInputs{Outer: a, Inner: b, Preds: m.Q.PredsBetween(a.Rels, b.Rels), Rows: m.SetRows(bits.Of(0, 1))})
+	if p == nil {
+		return "indexed nested loop does not apply"
+	}
+	return planSig(p)
+}
+
 // TestSetEstimatorResetsMemo guards the refactor's sharpest edge: SetRows is
 // memoized per relation set, so swapping estimators must invalidate the
 // memo — a stale entry would let a "true" model serve cardinalities computed
-// under the lie.
+// under the lie. The same holds for the per-relation index probe cost and
+// index scan node an indexed nested loop reads.
 func TestSetEstimatorResetsMemo(t *testing.T) {
 	q := chainQuery(t, 5)
 	m := NewModel(q, DefaultParams())
@@ -67,6 +81,23 @@ func TestSetEstimatorResetsMemo(t *testing.T) {
 	if back := m.SetRows(s); back != orig {
 		t.Errorf("SetRows after restoring default = %g, want bit-identical %g", back, orig)
 	}
+
+	fq := fixtureQuery(t, nil)
+	fm := NewModel(fq, DefaultParams())
+	origINL := indexNestLoopSig(fm)
+	lie := scaledEstimator{Estimator: NewCatalogEstimator(fq), factor: 2}
+	fm.SetEstimator(lie)
+	swapped := indexNestLoopSig(fm)
+	if swapped == origINL {
+		t.Fatalf("indexed nested loop %s unchanged after estimator swap — stale probe cost or scan node", origINL)
+	}
+	if want := indexNestLoopSig(NewModelEst(fq, DefaultParams(), lie)); swapped != want {
+		t.Errorf("indexed nested loop after SetEstimator: %s\nfresh model under it:              %s", swapped, want)
+	}
+	fm.SetEstimator(nil)
+	if back := indexNestLoopSig(fm); back != origINL {
+		t.Errorf("indexed nested loop after restoring default: %s, want %s", back, origINL)
+	}
 }
 
 // TestForkDropsEstimatorMemo proves a fork never inherits memoized state
@@ -84,6 +115,31 @@ func TestForkDropsEstimatorMemo(t *testing.T) {
 	}
 	if got, want := f.SetRows(s), m.SetRows(s); got != want {
 		t.Errorf("fork SetRows = %g, parent = %g; must agree bit-for-bit", got, want)
+	}
+
+	// What forks do share — the per-relation probe cost and index scan node —
+	// they only read: four forks costing and building the same indexed nested
+	// loop at once agree with the parent (and run clean under -race).
+	fq := fixtureQuery(t, nil)
+	fm := NewModelEst(fq, DefaultParams(), scaledEstimator{Estimator: NewCatalogEstimator(fq), factor: 3})
+	want := indexNestLoopSig(fm)
+	sigs := make([]string, 4)
+	var wg sync.WaitGroup
+	for w := range sigs {
+		fork := fm.Fork()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				sigs[w] = indexNestLoopSig(fork)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, got := range sigs {
+		if got != want {
+			t.Errorf("fork %d: indexed nested loop %s, parent %s", w, got, want)
+		}
 	}
 }
 

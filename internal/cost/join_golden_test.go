@@ -190,16 +190,13 @@ func TestGoldenJoinPlans(t *testing.T) {
 // TestJoinCandsMatchPlans: costing without building advances PlansCosted
 // exactly as costing and building does, every candidate carries the cost and
 // order of the plan built from it, and that plan is the one JoinPlans returns
-// at the same position — whether or not the caller hoisted the input widths.
+// at the same position.
 func TestJoinCandsMatchPlans(t *testing.T) {
 	q := fixtureQuery(t, &query.OrderSpec{Rel: 1, Col: 1})
 	built, costed := NewModel(q, DefaultParams()), NewModel(q, DefaultParams())
 	for n, in := range joinCases(t, built) {
 		costed.PlansCosted = built.PlansCosted
 		plans := built.JoinPlans(in)
-		if n%2 == 1 {
-			in.OuterWidth, in.InnerWidth = costed.Width(in.Outer.Rels), costed.Width(in.Inner.Rels)
-		}
 		cands := costed.AppendJoinCands(nil, in)
 		if costed.PlansCosted != built.PlansCosted {
 			t.Fatalf("case %d: costing alone counted to %d, costing and building to %d", n, costed.PlansCosted, built.PlansCosted)

@@ -205,14 +205,15 @@ type Stats struct {
 
 // scratch is one enumerator's private working state: the cost model it
 // costs on (the engine's own, or a worker's fork of it), the adjacency
-// walker, the buffers the join kernel reuses across pairs (all consumed
-// before the next pair), and the pair counters. The engine owns one; each
-// worker of a parallel level owns one, folded into the engine's at the
-// barrier in fixed worker order — addition commutes, so the totals are
-// schedule-independent.
+// walker, the per-pair coster and the buffers the join kernel reuses across
+// pairs (all consumed before the next pair), and the pair counters. The
+// engine owns one; each worker of a parallel level owns one, folded into the
+// engine's at the barrier in fixed worker order — addition commutes, so the
+// totals are schedule-independent.
 type scratch struct {
 	model     *cost.Model
 	walker    memo.Walker
+	coster    cost.PairCoster
 	predBuf   []int
 	candBuf   []cost.JoinCand
 	pathBufA  []*plan.Plan
@@ -522,7 +523,7 @@ func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pa
 			"level":            k,
 			"dur_ns":           int64(d),
 			"classes_created":  created,
-			"classes_pruned":   created - len(e.Memo.Level(k)),
+			"classes_pruned":   created - e.Memo.LevelAlive(k),
 			"plans_costed":     costed,
 			"pairs_considered": pairsCons,
 			"pairs_connected":  pairsConn,
@@ -960,8 +961,12 @@ func (j *Joiner) Join(a, b *memo.Class, level int) (*memo.Class, bool, error) {
 
 // joinPair is the join kernel: for every physical join of classes a and b —
 // path × path × direction × operator — into a target class of the given row
-// count it runs cost → admit → build → offer. The cost model costs each
-// candidate as a value (cost.JoinCand, no allocation); admits asks the target
+// count it runs begin pair → cost → admit → build → offer. Everything
+// constant per class pair is read once here: the spanning predicates, both
+// path lists, both tuple widths, and — inside the coster this begins — every
+// term of the operators' cost formulas except the two input costs (see
+// cost.PairCoster). The coster then costs each candidate as a value
+// (cost.JoinCand: a few additions, no allocation); admits asks the target
 // class whether a candidate of that cost and order could be retained
 // (pathSet.Admits); only then is the plan tree built and handed to sink, the
 // class's dominance rule, stopping at sink's first error. Nearly every
@@ -970,22 +975,20 @@ func (j *Joiner) Join(a, b *memo.Class, level int) (*memo.Class, bool, error) {
 // admitted, so the structural tie-break still runs on the built tree and the
 // retained plans are what offering every candidate would retain; a candidate
 // that is not admitted would have changed nothing, so budget accounting
-// fires at the same candidate as well. Everything constant per class pair —
-// the spanning predicates, both path lists, both tuple widths — is read once
-// here; the buffers live in the scratch and are reused across pairs.
+// fires at the same candidate as well. The loop order pa × pb × {ab, ba} and
+// the candidate order within an orientation are part of that contract. The
+// buffers and the coster live in the scratch and are reused across pairs.
 func (sc *scratch) joinPair(q *query.Query, a, b *memo.Class, rows float64, admits func(cost float64, order int) bool, sink func(*plan.Plan) error) error {
 	sc.predBuf = q.AppendPredsBetween(sc.predBuf[:0], a.Set, b.Set)
 	sc.pathBufA = a.AppendPaths(sc.pathBufA[:0])
 	sc.pathBufB = b.AppendPaths(sc.pathBufB[:0])
-	wa, wb := sc.model.Width(a.Set), sc.model.Width(b.Set)
+	sc.coster.Begin(sc.model, sc.predBuf, rows, sc.model.Width(a.Set), sc.model.Width(b.Set))
 	for _, pa := range sc.pathBufA {
 		for _, pb := range sc.pathBufB {
-			ab := cost.JoinInputs{Outer: pa, Inner: pb, Preds: sc.predBuf, Rows: rows, OuterWidth: wa, InnerWidth: wb}
-			if err := sc.joinOriented(ab, admits, sink); err != nil {
+			if err := sc.joinOriented(pa, pb, false, admits, sink); err != nil {
 				return err
 			}
-			ba := cost.JoinInputs{Outer: pb, Inner: pa, Preds: sc.predBuf, Rows: rows, OuterWidth: wb, InnerWidth: wa}
-			if err := sc.joinOriented(ba, admits, sink); err != nil {
+			if err := sc.joinOriented(pb, pa, true, admits, sink); err != nil {
 				return err
 			}
 		}
@@ -993,11 +996,12 @@ func (sc *scratch) joinPair(q *query.Query, a, b *memo.Class, rows float64, admi
 	return nil
 }
 
-// joinOriented is joinPair's inner step for one path pair in one orientation.
-func (sc *scratch) joinOriented(in cost.JoinInputs, admits func(cost float64, order int) bool, sink func(*plan.Plan) error) error {
-	sc.candBuf = sc.model.AppendJoinCands(sc.candBuf[:0], in)
-	for i := range sc.candBuf {
-		c := &sc.candBuf[i]
+// joinOriented is joinPair's inner step for one path pair in one orientation
+// (swapped: the outer is b's path).
+func (sc *scratch) joinOriented(o, i *plan.Plan, swapped bool, admits func(cost float64, order int) bool, sink func(*plan.Plan) error) error {
+	sc.candBuf = sc.coster.AppendCands(sc.candBuf[:0], o, i, swapped)
+	for k := range sc.candBuf {
+		c := &sc.candBuf[k]
 		if !admits(c.Cost, c.Order) {
 			continue
 		}

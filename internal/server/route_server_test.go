@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sdpopt/internal/catalog"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/plancache"
 	"sdpopt/internal/route"
@@ -16,8 +17,14 @@ import (
 // it as the request's query-JSON shape.
 func topoSpec(t *testing.T, topo workload.Topology, n int) *QuerySpec {
 	t.Helper()
+	return topoSpecOn(t, workload.PaperSchema(), topo, n)
+}
+
+// topoSpecOn is topoSpec over a catalog other than the servers' default.
+func topoSpecOn(t *testing.T, cat *catalog.Catalog, topo workload.Topology, n int) *QuerySpec {
+	t.Helper()
 	q, err := workload.One(workload.Spec{
-		Cat: workload.PaperSchema(), Topology: topo, NumRelations: n, Seed: 7,
+		Cat: cat, Topology: topo, NumRelations: n, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,37 +196,56 @@ func TestAutoDeadlineDowngrade(t *testing.T) {
 // routing.
 func TestAutoMidFlightDemote(t *testing.T) {
 	ob := obs.New()
-	// HeavyRels above 24 keeps star-24 on the SDP default instead of the
-	// IDP2 heavy-tail rung, so the demotion path has the slowest engine the
-	// catalog offers to blow its slice.
-	s, ts := newTestServer(t, Options{Obs: ob, Route: route.Options{HeavyRels: 30}})
-	star24 := topoSpec(t, workload.Star, 24)
-	band := route.Band(24)
+	// HeavyRels above the widest probe keeps the star on the SDP default
+	// instead of the IDP2 heavy-tail rung, so the demotion path has the
+	// slowest engine the catalog offers to blow its slice. The paper schema's
+	// hub runs out of join columns at 25 relations; the extended one does not.
+	cat := workload.ExtendedSchema(30)
+	s, ts := newTestServer(t, Options{Cat: cat, Obs: ob, Route: route.Options{HeavyRels: 30}})
 
 	// The deadline is derived from what the engines take on this host, in
-	// this build, rather than from a constant that assumes how slow SDP is.
-	// A second server measures, so the measurements do not reach the router
-	// under test.
-	_, probe := newTestServer(t, Options{})
-	elapsed := func(tech string) time.Duration {
-		code, resp := postOptimize(t, probe.URL, OptimizeRequest{Technique: tech, Query: star24, NoCache: true})
+	// this build, rather than from a constant that assumes how slow SDP is —
+	// and so is the query: the star is widened (24, 26, 28) until SDP takes
+	// 60ms on it. A second server measures, so the measurements do not reach
+	// the router under test.
+	_, probe := newTestServer(t, Options{Cat: cat})
+	elapsed := func(tech string, q *QuerySpec) time.Duration {
+		code, resp := postOptimize(t, probe.URL, OptimizeRequest{Technique: tech, Query: q, NoCache: true})
 		if code != http.StatusOK || resp.Stats == nil {
 			t.Fatalf("probe %s: code %d, error %q", tech, code, resp.Error)
 		}
 		return time.Duration(resp.Stats.ElapsedNS)
 	}
-	sdpTook, idpTook := elapsed("sdp"), elapsed("idp2")
+	var (
+		star    *QuerySpec
+		rels    int
+		sdpTook time.Duration
+	)
+	for _, rels = range []int{24, 26, 28} {
+		star = topoSpecOn(t, cat, workload.Star, rels)
+		if sdpTook = elapsed("sdp", star); sdpTook >= 60*time.Millisecond {
+			break
+		}
+	}
+	idpTook := elapsed("idp2", star)
+	band := route.Band(rels)
+	t.Logf("probe star-%d: sdp %v, idp2 %v", rels, sdpTook, idpTook)
 
 	// A third of SDP's time, so the engine slice (deadline minus the router's
 	// reserve of an eighth, at least 5ms) is under 0.3× what SDP needs; the
 	// 20ms floor keeps the slice at 15ms or more, which greedy (reserve) and
-	// IDP2 (second half) fit many times over. On the 2-vCPU development host
-	// SDP star-24 took 112ms, IDP2 1.5ms and greedy 0.5ms: deadline 37ms,
-	// slice 32ms — 3.5× too short for SDP, 10× what IDP2's safety-scaled
-	// estimate needs, and a 5ms reserve 10× greedy's time. Under -race all
-	// three slow down together and the deadline scales with them.
-	if sdpTook < 30*time.Millisecond {
-		t.Skipf("SDP star-24 took %v: too fast to overrun a 15ms slice with 2× margin; this test needs a heavier query", sdpTook)
+	// IDP2 (second half) fit many times over, and 60ms is that floor with SDP
+	// still 4× over its slice. On the 2-vCPU development host, since join
+	// costing was hoisted per class pair, SDP takes 70ms on star-24, 105ms on
+	// star-26 and 140ms on star-28 of this schema (star-24 took 112ms
+	// before), IDP2 1.2–1.6ms and greedy 0.3–0.4ms on all three: at 70ms,
+	// deadline 23ms, slice 18ms — 3.9× too short for SDP, 7× what IDP2's
+	// safety-scaled estimate needs, and a 5ms reserve 12× greedy's time.
+	// Under -race all three slow down together and the deadline scales with
+	// them. A host on which SDP star-28 is under 60ms needs a heavier query
+	// here; failing says so, where skipping would turn the test off quietly.
+	if sdpTook < 60*time.Millisecond {
+		t.Fatalf("SDP star-%d took %v: too fast to overrun a 15ms slice with 4× margin; this test needs a heavier query", rels, sdpTook)
 	}
 	timeoutMS := int64(sdpTook / (3 * time.Millisecond))
 	if timeoutMS < 20 {
@@ -227,7 +253,7 @@ func TestAutoMidFlightDemote(t *testing.T) {
 	}
 
 	// Teach the router a wildly optimistic SDP latency for big stars, so
-	// the pre-flight check happily routes a 24-relation star into the
+	// the pre-flight check happily routes the wide star into the
 	// deadline, and IDP2's measured one, so the rung below SDP fits the
 	// deadline on its merits rather than by how its 40ms cold prior happens
 	// to compare with it.
@@ -236,7 +262,7 @@ func TestAutoMidFlightDemote(t *testing.T) {
 
 	code, resp := postOptimize(t, ts.URL, OptimizeRequest{
 		Technique: "auto",
-		Query:     star24,
+		Query:     star,
 		TimeoutMS: timeoutMS,
 		NoCache:   true,
 	})
@@ -268,7 +294,7 @@ func TestAutoMidFlightDemote(t *testing.T) {
 	// IDP2 rung, whose estimate fits the deadline SDP just blew.
 	code, resp = postOptimize(t, ts.URL, OptimizeRequest{
 		Technique: "auto",
-		Query:     star24,
+		Query:     star,
 		TimeoutMS: timeoutMS,
 		NoCache:   true,
 	})
