@@ -386,8 +386,8 @@ func BenchmarkOptimizeCached(b *testing.B) {
 // request span recorded into a flight recorder ("on"), the way the server
 // traces it. Spans attach at level barriers, not inside the enumeration
 // hot loop, so the two variants must stay within noise of each other; CI
-// runs both at -benchtime=1x as a smoke check, and `sdplab bench` records
-// the full comparison in BENCH_<date>.json.
+// runs both at -benchtime=1x as a smoke check, and the repository benchmark
+// reports the measured comparison as the obs.overhead_ratio layer metric.
 func BenchmarkOptimizeTracing(b *testing.B) {
 	q := benchQueries(b, sdpopt.Star, 12)[0]
 	b.Run("off", func(b *testing.B) {

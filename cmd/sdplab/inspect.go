@@ -1,10 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -15,10 +13,9 @@ import (
 // document saved while debugging a slow or failed request — as the span
 // trees the server shows at /debug/requests, followed by the same
 // per-level and per-partition aggregate tables sdptrace prints for JSONL
-// traces. The dump is read from a file argument, or stdin with "-", so
-// `curl .../debug/flight.json | sdplab inspect -` works.
-func inspectCmd(args []string) error {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
+// traces.
+func inspectCmd(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("inspect", stderr)
 	top := fs.Int("top", 5, "levels to list in the per-level table")
 	traceID := fs.String("trace", "", "render only traces whose ID starts with this prefix")
 	summaryOnly := fs.Bool("summary", false, "print only the aggregate tables, not the span trees")
@@ -28,16 +25,12 @@ func inspectCmd(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: sdplab inspect [-top N] [-trace PREFIX] [-summary] <flight.json | ->")
 	}
-	var r io.Reader = os.Stdin
-	if path := fs.Arg(0); path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
+	f, err := openArg(fs.Arg(0))
+	if err != nil {
+		return err
 	}
-	dump, err := sdpopt.ReadFlightDump(r)
+	defer f.Close()
+	dump, err := sdpopt.ReadFlightDump(f)
 	if err != nil {
 		return err
 	}
@@ -56,13 +49,13 @@ func inspectCmd(args []string) error {
 		}
 	}
 
-	fmt.Printf("flight dump at %s: %d started, %d finished, %d active, %d slow (>= %v), %d errored\n\n",
+	fmt.Fprintf(stdout, "flight dump at %s: %d started, %d finished, %d active, %d slow (>= %v), %d errored\n\n",
 		dump.Time.Format(time.RFC3339), dump.Counts.Started, dump.Counts.Finished,
 		dump.Counts.Active, dump.Counts.Slow, time.Duration(dump.Config.SlowThresholdNS), dump.Counts.Errored)
 
 	if !*summaryOnly {
 		for i := range traces {
-			fmt.Println(traces[i].Render())
+			fmt.Fprintln(stdout, traces[i].Render())
 		}
 	}
 
@@ -71,7 +64,7 @@ func inspectCmd(args []string) error {
 	// per-partition tables.
 	filtered := &sdpopt.FlightDump{Active: traces}
 	if sum := sdpopt.SummarizeTrace(filtered.Records()); sum != nil {
-		fmt.Print(sum.Render(*top))
+		fmt.Fprint(stdout, sum.Render(*top))
 	}
 	return nil
 }

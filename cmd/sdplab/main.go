@@ -6,8 +6,7 @@
 //	sdplab run -exp tab1.1               # reproduce Table 1.1
 //	sdplab run -exp all -instances 100   # full paper-scale reproduction
 //	sdplab run -exp tab3.3 -trace out.jsonl -metrics :8080
-//	sdplab bench                         # write BENCH_<date>.json
-//	sdplab load -addr http://host:8080   # open-loop load against a running serve
+//	sdplab serve -addr :8080             # the optimizer as an HTTP service
 //	sdplab inspect flight.json           # render a /debug/flight.json dump
 //	sdplab regret regret.json            # render a /debug/regret.json dump
 //	sdplab feedback cardinality.json     # render a /debug/cardinality.json dump
@@ -17,94 +16,71 @@
 // simulated memory budget in MB (-budget), and the skewed-schema variant
 // (-skewed). -trace streams optimizer events to a JSONL file (summarize
 // with sdptrace); -metrics serves Prometheus /metrics, expvar and pprof
-// for the lifetime of the run. `sdplab bench` additionally takes
-// -cpuprofile and -memprofile to write offline pprof profiles of the
-// whole bench sweep.
+// for the lifetime of the run. Throughput, latency and per-layer numbers
+// are not measured here: that is benchmark/ (see BENCHMARK.json).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"sdpopt"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	switch os.Args[1] {
-	case "list":
-		for _, e := range sdpopt.Experiments() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
-		}
-	case "run":
-		if err := runCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sdplab:", err)
-			os.Exit(1)
-		}
-	case "bench":
-		if err := benchCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sdplab:", err)
-			os.Exit(1)
-		}
-	case "serve":
-		if err := serveCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sdplab:", err)
-			os.Exit(1)
-		}
-	case "load":
-		if err := loadCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sdplab:", err)
-			os.Exit(1)
-		}
-	case "inspect":
-		if err := inspectCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sdplab:", err)
-			os.Exit(1)
-		}
-	case "regret":
-		if err := regretCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sdplab:", err)
-			os.Exit(1)
-		}
-	case "feedback":
-		if err := feedbackCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sdplab:", err)
-			os.Exit(1)
-		}
-	case "robust":
-		if err := robustCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "sdplab:", err)
-			os.Exit(1)
-		}
-	default:
-		usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// command is one subcommand: it parses its own flags from args and reports
+// on the two streams.
+type command func(args []string, stdout, stderr io.Writer) error
+
+var commands = map[string]command{
+	"list":    listCmd,
+	"run":     runCmd,
+	"serve":   serveCmd,
+	"inspect": inspectCmd,
+	"robust":  robustCmd,
+	// regret renders the /debug/regret.json document of a shadow-enabled
+	// server: the counter line, the per-key quality table (ρ, W, bucket
+	// shares), and the worst-regret exemplars with both plan trees.
+	"regret": dumpCmd("regret", "regret.json", sdpopt.ReadRegretDump),
+	// feedback renders the /debug/cardinality.json document of a
+	// feedback-enabled server: the counter lines and the per-object
+	// q-error/staleness table with sparkline windows.
+	"feedback": dumpCmd("feedback", "cardinality.json", sdpopt.ReadFeedbackDump),
+}
+
+// run dispatches args[0] to its subcommand and returns the process exit
+// code: 0 on success, 1 when the subcommand fails, 2 when there is none.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || commands[args[0]] == nil {
+		usage(stderr)
+		return 2
+	}
+	err := commands[args[0]](args[1:], stdout, stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "sdplab:", err)
+	return 1
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   sdplab list
   sdplab run -exp <id|all> [-instances N] [-seed S] [-budget MB] [-skewed] [-parallel P]
-             [-workers W] [-cache N] [-trace FILE.jsonl] [-metrics ADDR]
-  sdplab bench [-instances N] [-seed S] [-budget MB] [-skewed] [-parallel P] [-workers W]
-             [-cache N] [-out DIR]
+             [-workers W] [-trace FILE.jsonl] [-metrics ADDR]
   sdplab serve [-addr ADDR] [-catalog FILE.json] [-skewed] [-workers W] [-cache N] [-shards N]
              [-max-concurrent N] [-queue N] [-budget MB] [-timeout D] [-trace FILE.jsonl]
              [-flight-slow-ms MS] [-flight-recent N] [-flight-notable N]
              [-shadow-rate F] [-shadow-hit-rate F] [-shadow-workers N] [-shadow-queue N]
              [-shadow-dp-rels N] [-shadow-dedup D] [-shadow-pin-ratio F]
              [-exec-sample-rate F] [-exec-max-rels N] [-exec-max-rows N] [-feedback-log FILE.jsonl]
-  sdplab load  [-addr URL] [-qps F] [-duration D] [-warmup D] [-arrivals poisson|constant]
-             [-technique T] [-timeout-ms MS] [-mix SPEC] [-pool N] [-seed S] [-use-cache]
-             [-json FILE] [-max-shed-rate F] [-max-5xx N] [-require-routes T1,T2]
   sdplab inspect [-top N] [-trace PREFIX] [-summary] <flight.json | ->
   sdplab regret <regret.json | ->
   sdplab feedback <cardinality.json | ->
@@ -117,9 +93,58 @@ splits each optimization's enumeration across W cores (plan-identical,
 latency only).`)
 }
 
+// newFlagSet is a flag set that reports to stderr and returns parse errors
+// instead of exiting, so run decides the exit code.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// openArg opens a command's input argument: the named file, or stdin for
+// "-", so `curl .../debug/flight.json | sdplab inspect -` works.
+func openArg(path string) (io.ReadCloser, error) {
+	if path == "-" {
+		return io.NopCloser(os.Stdin), nil
+	}
+	return os.Open(path)
+}
+
+// dumpCmd is the subcommand that reads one debug dump with read and prints
+// its rendering.
+func dumpCmd[D interface{ Render() string }](name, arg string, read func(io.Reader) (D, error)) command {
+	return func(args []string, stdout, stderr io.Writer) error {
+		fs := newFlagSet(name, stderr)
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		if fs.NArg() != 1 {
+			return fmt.Errorf("usage: sdplab %s <%s | ->", name, arg)
+		}
+		f, err := openArg(fs.Arg(0))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		dump, err := read(f)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, dump.Render())
+		return nil
+	}
+}
+
+func listCmd(_ []string, stdout, _ io.Writer) error {
+	for _, e := range sdpopt.Experiments() {
+		fmt.Fprintf(stdout, "%-12s %s\n", e.ID, e.Title)
+	}
+	return nil
+}
+
 // enableObservability installs the process-wide observer from the -trace
 // and -metrics flags. It returns a flush function for the trace sink.
-func enableObservability(tracePath, metricsAddr string) (func() error, error) {
+func enableObservability(tracePath, metricsAddr string, stderr io.Writer) (func() error, error) {
 	flush := func() error { return nil }
 	if tracePath == "" && metricsAddr == "" {
 		return flush, nil
@@ -140,13 +165,13 @@ func enableObservability(tracePath, metricsAddr string) (func() error, error) {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "[metrics, expvar and pprof on http://%s]\n", addr)
+		fmt.Fprintf(stderr, "[metrics, expvar and pprof on http://%s]\n", addr)
 	}
 	return flush, nil
 }
 
-func runCmd(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func runCmd(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("run", stderr)
 	exp := fs.String("exp", "", "experiment id (see 'sdplab list'), or 'all'")
 	instances := fs.Int("instances", 0, "instances per workload (0 = experiment default)")
 	seed := fs.Int64("seed", 42, "workload sampling seed")
@@ -154,7 +179,6 @@ func runCmd(args []string) error {
 	skewed := fs.Bool("skewed", false, "use the exponentially-skewed schema")
 	parallel := fs.Int("parallel", 1, "concurrent optimizations (keep 1 for timing-faithful overhead tables)")
 	workers := fs.Int("workers", 1, "enumeration workers per optimization (>1 = parallel enumeration; plan-identical)")
-	cacheEntries := fs.Int("cache", 0, "route optimizations through a plan cache of this capacity (0 = off; skews timing tables)")
 	tracePath := fs.String("trace", "", "stream optimizer events to this JSONL file")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	if err := fs.Parse(args); err != nil {
@@ -163,7 +187,7 @@ func runCmd(args []string) error {
 	if *exp == "" {
 		return fmt.Errorf("missing -exp (try 'sdplab list')")
 	}
-	flush, err := enableObservability(*tracePath, *metricsAddr)
+	flush, err := enableObservability(*tracePath, *metricsAddr, stderr)
 	if err != nil {
 		return err
 	}
@@ -174,9 +198,6 @@ func runCmd(args []string) error {
 		Skewed:      *skewed,
 		Workers:     *parallel,
 		EnumWorkers: *workers,
-	}
-	if *cacheEntries > 0 {
-		cfg.Cache = sdpopt.NewPlanCache(sdpopt.PlanCacheOptions{MaxEntries: *cacheEntries, Obs: sdpopt.DefaultObserver()})
 	}
 	ids := []string{*exp}
 	if *exp == "all" {
@@ -192,83 +213,14 @@ func runCmd(args []string) error {
 			flush()
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	if cfg.Cache != nil {
-		ct := cfg.Cache.Counts()
-		fmt.Fprintf(os.Stderr, "[plan cache: %d entries, %d hits, %d misses, %d evictions, %.0f%% hit rate]\n",
-			ct.Entries, ct.Hits, ct.Misses, ct.Evictions, 100*ct.HitRate())
+		fmt.Fprintln(stdout, out)
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	if err := flush(); err != nil {
 		return err
 	}
 	if *tracePath != "" {
-		fmt.Fprintf(os.Stderr, "[trace written to %s; summarize with: sdptrace %s]\n", *tracePath, *tracePath)
+		fmt.Fprintf(stderr, "[trace written to %s; summarize with: sdptrace %s]\n", *tracePath, *tracePath)
 	}
 	return nil
-}
-
-func benchCmd(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	instances := fs.Int("instances", 0, "instances per workload (0 = bench default)")
-	seed := fs.Int64("seed", 42, "workload sampling seed")
-	budgetMB := fs.Int64("budget", 0, "memory budget in MB (0 = the paper's 1024)")
-	skewed := fs.Bool("skewed", false, "use the exponentially-skewed schema")
-	parallel := fs.Int("parallel", 1, "concurrent optimizations")
-	workers := fs.Int("workers", 1, "enumeration workers per optimization (>1 = parallel enumeration; plan-identical)")
-	cacheEntries := fs.Int("cache", 0, "route batch optimizations through a plan cache of this capacity (0 = off)")
-	out := fs.String("out", ".", "directory for the BENCH_<date>.json report")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the bench run to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sdplab: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // capture settled live-heap, not transient garbage
-			if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "sdplab: memprofile:", err)
-			}
-		}()
-	}
-	cfg := sdpopt.ExperimentConfig{
-		Instances:   *instances,
-		Seed:        *seed,
-		Budget:      *budgetMB << 20,
-		Skewed:      *skewed,
-		Workers:     *parallel,
-		EnumWorkers: *workers,
-	}
-	if *cacheEntries > 0 {
-		cfg.Cache = sdpopt.NewPlanCache(sdpopt.PlanCacheOptions{MaxEntries: *cacheEntries})
-	}
-	start := time.Now()
-	r, err := sdpopt.RunBench(cfg, time.Now())
-	if err != nil {
-		return err
-	}
-	path, err := r.WriteFile(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("[bench completed in %v, report: %s]\n", time.Since(start).Round(time.Millisecond), path)
-	return r.WriteJSON(os.Stdout)
 }

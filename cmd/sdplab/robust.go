@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -21,8 +20,8 @@ import (
 // invariants (DP lands exactly on the optimum at band 1 / health 1, no
 // technique beats the optimum anywhere) and exits non-zero on violation —
 // the CI smoke contract.
-func robustCmd(args []string) error {
-	fs := flag.NewFlagSet("robust", flag.ExitOnError)
+func robustCmd(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("robust", stderr)
 	instances := fs.Int("instances", 3, "instances per topology")
 	seed := fs.Int64("seed", 42, "workload, injection and degradation seed")
 	budgetMB := fs.Int64("budget", 0, "memory budget in MB (0 = the paper's 1024)")
@@ -73,16 +72,12 @@ func robustCmd(args []string) error {
 		Exec:       *exec,
 	}
 	if *feedbackPath != "" {
-		var r io.Reader = os.Stdin
-		if *feedbackPath != "-" {
-			f, err := os.Open(*feedbackPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			r = f
+		f, err := openArg(*feedbackPath)
+		if err != nil {
+			return err
 		}
-		observations, skipped, err := sdpopt.ReadFeedbackCorpus(r, os.Stderr)
+		defer f.Close()
+		observations, skipped, err := sdpopt.ReadFeedbackCorpus(f, stderr)
 		if err != nil {
 			return err
 		}
@@ -90,27 +85,27 @@ func robustCmd(args []string) error {
 			return fmt.Errorf("-feedback: corpus %s holds no readable observations", *feedbackPath)
 		}
 		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "sdplab robust: skipped %d malformed corpus lines\n", skipped)
+			fmt.Fprintf(stderr, "sdplab robust: skipped %d malformed corpus lines\n", skipped)
 		}
 		cfg.Empirical = sdpopt.BuildFeedbackProfile(observations)
-		fmt.Fprintf(os.Stderr, "sdplab robust: replaying %d observations as empirical error factors\n", len(observations))
+		fmt.Fprintf(stderr, "sdplab robust: replaying %d observations as empirical error factors\n", len(observations))
 	}
 	start := time.Now()
 	rep, err := sdpopt.RunRobustness(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Print(rep.String())
-	fmt.Printf("\n[robustness sweep completed in %v]\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprint(stdout, rep.String())
+	fmt.Fprintf(stdout, "\n[robustness sweep completed in %v]\n", time.Since(start).Round(time.Millisecond))
 	if *jsonOut != "" {
-		var w *os.File
-		if *jsonOut == "-" {
-			w = os.Stdout
-		} else {
-			if w, err = os.Create(*jsonOut); err != nil {
+		w := stdout
+		if *jsonOut != "-" {
+			f, err := os.Create(*jsonOut)
+			if err != nil {
 				return err
 			}
-			defer w.Close()
+			defer f.Close()
+			w = f
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -122,7 +117,7 @@ func robustCmd(args []string) error {
 		if err := rep.CheckReference(); err != nil {
 			return err
 		}
-		fmt.Println("[reference invariants hold: rho = 1 for dp at band 1, rho >= 1 everywhere]")
+		fmt.Fprintln(stdout, "[reference invariants hold: rho = 1 for dp at band 1, rho >= 1 everywhere]")
 	}
 	return nil
 }

@@ -2,8 +2,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -15,8 +15,8 @@ import (
 // serveCmd runs the optimizer as a service: an HTTP JSON API over a plan
 // cache, with admission control and the observability surface on the same
 // listener. It blocks until SIGINT/SIGTERM, then drains gracefully.
-func serveCmd(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+func serveCmd(args []string, _, stderr io.Writer) error {
+	fs := newFlagSet("serve", stderr)
 	addr := fs.String("addr", ":8080", "listen address")
 	catalogPath := fs.String("catalog", "", "catalog JSON file (empty = the paper's base schema)")
 	skewed := fs.Bool("skewed", false, "use the exponentially-skewed schema (ignored with -catalog)")
@@ -152,29 +152,29 @@ func serveCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "sdplab serve on http://%s\n", bound)
-	fmt.Fprintf(os.Stderr, "  POST /optimize   {\"sql\": \"SELECT * FROM R1 a, R2 b WHERE a.c1 = b.c1\"}\n")
-	fmt.Fprintf(os.Stderr, "  GET  /healthz    liveness, admission and cache state\n")
-	fmt.Fprintf(os.Stderr, "  GET  /catalog    schema statistics and version\n")
-	fmt.Fprintf(os.Stderr, "  GET  /metrics    Prometheus exposition (plus /debug/vars, /debug/pprof)\n")
-	fmt.Fprintf(os.Stderr, "  GET  /debug/requests     flight recorder: live + recent + slow/error traces\n")
-	fmt.Fprintf(os.Stderr, "  GET  /debug/flight.json  flight recorder dump (render with 'sdplab inspect')\n")
+	fmt.Fprintf(stderr, "sdplab serve on http://%s\n", bound)
+	fmt.Fprintf(stderr, "  POST /optimize   {\"sql\": \"SELECT * FROM R1 a, R2 b WHERE a.c1 = b.c1\"}\n")
+	fmt.Fprintf(stderr, "  GET  /healthz    liveness, admission and cache state\n")
+	fmt.Fprintf(stderr, "  GET  /catalog    schema statistics and version\n")
+	fmt.Fprintf(stderr, "  GET  /metrics    Prometheus exposition (plus /debug/vars, /debug/pprof)\n")
+	fmt.Fprintf(stderr, "  GET  /debug/requests     flight recorder: live + recent + slow/error traces\n")
+	fmt.Fprintf(stderr, "  GET  /debug/flight.json  flight recorder dump (render with 'sdplab inspect')\n")
 	if shadow != nil {
-		fmt.Fprintf(os.Stderr, "  GET  /debug/regret       plan-quality regret: shadowed ρ/W windows per technique\n")
-		fmt.Fprintf(os.Stderr, "  GET  /debug/regret.json  regret dump (render with 'sdplab regret')\n")
+		fmt.Fprintf(stderr, "  GET  /debug/regret       plan-quality regret: shadowed ρ/W windows per technique\n")
+		fmt.Fprintf(stderr, "  GET  /debug/regret.json  regret dump (render with 'sdplab regret')\n")
 	}
 	if fb != nil {
-		fmt.Fprintf(os.Stderr, "  GET  /debug/cardinality       estimate-vs-actual q-errors and staleness per catalog object\n")
-		fmt.Fprintf(os.Stderr, "  GET  /debug/cardinality.json  cardinality dump (render with 'sdplab feedback')\n")
+		fmt.Fprintf(stderr, "  GET  /debug/cardinality       estimate-vs-actual q-errors and staleness per catalog object\n")
+		fmt.Fprintf(stderr, "  GET  /debug/cardinality.json  cardinality dump (render with 'sdplab feedback')\n")
 	}
-	fmt.Fprintf(os.Stderr, "  GET  /debug              index of every mounted debug surface\n")
-	fmt.Fprintf(os.Stderr, "  catalog version %s, cache %d entries, techniques %v\n",
+	fmt.Fprintf(stderr, "  GET  /debug              index of every mounted debug surface\n")
+	fmt.Fprintf(stderr, "  catalog version %s, cache %d entries, techniques %v\n",
 		sdpopt.CatalogFingerprint(cat), *cacheEntries, sdpopt.Techniques())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
-	fmt.Fprintln(os.Stderr, "sdplab serve: draining...")
+	fmt.Fprintln(stderr, "sdplab serve: draining...")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -183,7 +183,7 @@ func serveCmd(args []string) error {
 	}
 	if cache != nil {
 		ct := cache.Counts()
-		fmt.Fprintf(os.Stderr, "sdplab serve: cache %d entries, %d hits, %d misses, %d dedups (%.0f%% hit rate)\n",
+		fmt.Fprintf(stderr, "sdplab serve: cache %d entries, %d hits, %d misses, %d dedups (%.0f%% hit rate)\n",
 			ct.Entries, ct.Hits, ct.Misses, ct.Dedups, 100*ct.HitRate())
 	}
 	return flush()

@@ -22,7 +22,6 @@ import (
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/plan"
-	"sdpopt/internal/plancache"
 	"sdpopt/internal/quality"
 	"sdpopt/internal/query"
 	"sdpopt/internal/workload"
@@ -51,14 +50,6 @@ type Config struct {
 	// optimization's level enumeration across cores. Results are bit-for-bit
 	// identical either way.
 	EnumWorkers int
-	// Cache, if non-nil, routes every optimization through the plan cache
-	// (keyed by fingerprint × technique × catalog version), so repeated
-	// query shapes within and across batches are served without
-	// re-enumeration. Cached instances report the lookup's wall time and
-	// zero enumeration work, which skews the overhead tables toward what a
-	// serving deployment would pay — leave unset for paper-faithful
-	// measurements.
-	Cache *plancache.Cache
 }
 
 func (c Config) workers() int {

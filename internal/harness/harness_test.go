@@ -358,3 +358,40 @@ func TestExtValidateIdenticalMultisets(t *testing.T) {
 		t.Errorf("IDENTICAL rows = %d, want 3:\n%s", got, out)
 	}
 }
+
+func TestExtLargeQuery(t *testing.T) {
+	if e, err := Lookup("ext.large"); err != nil || e.Run == nil {
+		t.Fatalf("Lookup(ext.large): %+v, %v", e, err)
+	}
+	batches, err := Config{Instances: 1, Seed: 11}.largeQueryBatches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byGraph := map[string]*Batch{}
+	for _, b := range batches {
+		byGraph[b.Graph] = b
+	}
+	if len(batches) != 3 || byGraph["Star-30"] == nil || byGraph["Clique-25"] == nil || byGraph["Chain-40"] == nil {
+		t.Fatalf("batches = %v, want Star-30, Clique-25, Chain-40", batches)
+	}
+	// Chain-40 is the headline: exhaustive DP via DPccp must be feasible
+	// beyond 64 relations, and its enumeration must be perfectly tight
+	// (every pair considered is connected), while the naive DP-size scan
+	// considers an order of magnitude more pairs for the same plan work.
+	ccp, size := byGraph["Chain-40"].Outcome("DP"), byGraph["Chain-40"].Outcome("DP-size")
+	if ccp == nil || size == nil || !ccp.Feasible || !size.Feasible {
+		t.Fatalf("Chain-40 DP feasibility: ccp=%+v size=%+v", ccp, size)
+	}
+	if ccp.MeanPairsConsidered != ccp.MeanPairsConnected {
+		t.Errorf("Chain-40 DPccp considered %v != connected %v", ccp.MeanPairsConsidered, ccp.MeanPairsConnected)
+	}
+	if size.MeanPairsConsidered <= 10*ccp.MeanPairsConsidered {
+		t.Errorf("Chain-40 DP-size considered %v, want >10x DPccp's %v", size.MeanPairsConsidered, ccp.MeanPairsConsidered)
+	}
+	// Clique-25 records the exhaustive techniques as statically infeasible.
+	for _, name := range []string{"DP", "SDP"} {
+		if o := byGraph["Clique-25"].Outcome(name); o == nil || o.Feasible {
+			t.Errorf("Clique-25 %s = %+v, want an infeasible row", name, o)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"testing"
-	"time"
 
 	"sdpopt/internal/obs"
 	"sdpopt/internal/workload"
@@ -54,91 +53,6 @@ func TestRunBatchWorkersRace(t *testing.T) {
 		h := ob.Histogram(obs.Label(obs.MTechniqueSeconds, "tech", tech))
 		if h.Count() != 6 {
 			t.Errorf("%s technique histogram count = %d, want 6", tech, h.Count())
-		}
-	}
-}
-
-func TestBenchReport(t *testing.T) {
-	c := Config{Instances: 2, Seed: 11}
-	r, err := Bench(c, time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC))
-	if err != nil {
-		t.Fatalf("Bench: %v", err)
-	}
-	if r.Date != "2026-08-05" || len(r.Batches) != 2 {
-		t.Fatalf("report = %+v", r)
-	}
-	dir := t.TempDir()
-	path, err := r.WriteFile(dir)
-	if err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	if want := dir + "/BENCH_2026-08-05.json"; path != want {
-		t.Errorf("path = %q, want %q", path, want)
-	}
-	for _, b := range r.Batches {
-		if len(b.Techniques) == 0 {
-			t.Errorf("batch %s has no techniques", b.Graph)
-		}
-		for _, tech := range b.Techniques {
-			if tech.Feasible && (tech.MeanPlansCosted <= 0 || tech.MeanTimeSeconds <= 0) {
-				t.Errorf("%s/%s: empty overheads %+v", b.Graph, tech.Name, tech)
-			}
-		}
-	}
-	if r.Tracing == nil {
-		t.Fatal("report missing tracing comparison")
-	}
-	tr := r.Tracing
-	if tr.Graph != "Star-12" || tr.Technique != "SDP" || tr.Instances == 0 {
-		t.Errorf("tracing bench = %+v", tr)
-	}
-	if tr.OffMeanSeconds <= 0 || tr.OnMeanSeconds <= 0 || tr.Overhead <= 0 {
-		t.Errorf("tracing bench has empty measurements: %+v", tr)
-	}
-	if r.LargeQuery == nil {
-		t.Fatal("report missing large_query section")
-	}
-	lq := r.LargeQuery
-	if len(lq.Batches) != 3 {
-		t.Fatalf("large_query batches = %d, want 3", len(lq.Batches))
-	}
-	byGraph := map[string]BenchBatch{}
-	for _, b := range lq.Batches {
-		byGraph[b.Graph] = b
-	}
-	for _, g := range []string{"Star-30", "Clique-25", "Chain-40"} {
-		if _, ok := byGraph[g]; !ok {
-			t.Fatalf("large_query missing %s batch", g)
-		}
-	}
-	// Chain-40 is the headline: exhaustive DP via DPccp must be feasible
-	// beyond 64 relations, and its enumeration must be perfectly tight
-	// (every pair considered is connected), while the naive DP-size scan
-	// considers an order of magnitude more pairs for the same plan work.
-	var ccp, size BenchTech
-	for _, tech := range byGraph["Chain-40"].Techniques {
-		switch tech.Name {
-		case "DP":
-			ccp = tech
-		case "DP-size":
-			size = tech
-		}
-	}
-	if !ccp.Feasible || !size.Feasible {
-		t.Fatalf("Chain-40 DP feasibility: ccp=%+v size=%+v", ccp, size)
-	}
-	if ccp.MeanPairsConsidered != ccp.MeanPairsConnected {
-		t.Errorf("Chain-40 DPccp considered %v != connected %v",
-			ccp.MeanPairsConsidered, ccp.MeanPairsConnected)
-	}
-	if size.MeanPairsConsidered <= 10*ccp.MeanPairsConsidered {
-		t.Errorf("Chain-40 DP-size considered %v, want >10x DPccp's %v",
-			size.MeanPairsConsidered, ccp.MeanPairsConsidered)
-	}
-	// Clique-25 records exhaustive techniques as statically infeasible.
-	for _, tech := range byGraph["Clique-25"].Techniques {
-		if (tech.Name == "DP" || tech.Name == "SDP") && tech.Feasible {
-			t.Errorf("Clique-25 %s marked feasible, want infeasible", tech.Name)
 		}
 	}
 }

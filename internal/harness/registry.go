@@ -37,6 +37,7 @@ var Registry = []Experiment{
 	{"ext.validate", "Extension: executor validation (estimates vs reality)", ExtValidate},
 	{"abl.bushy", "Ablation: bushy vs left-deep enumeration", AblationBushy},
 	{"ext.esterr", "Extension: filter selectivity estimation accuracy", ExtEstimation},
+	{"ext.large", "Extension: queries beyond 64-bit relation sets (Star-30 / Clique-25 / Chain-40)", ExtLargeQuery},
 }
 
 // Lookup returns the experiment with the given id.

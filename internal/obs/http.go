@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"time"
 )
 
 // Handler returns an http.Handler exposing the registry and the Go runtime
@@ -43,6 +44,15 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
+// Connection deadlines of Serve's listener, so a client that never finishes
+// its headers cannot hold a connection for the life of the process. No
+// ReadTimeout or WriteTimeout: /debug/pprof/profile streams for as long as
+// its seconds parameter asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve starts an HTTP server for the registry on addr (e.g. ":8080") in a
 // background goroutine, returning the bound address — useful with ":0".
 // The server lives until process exit; it exists to watch long experiment
@@ -52,7 +62,11 @@ func (r *Registry) Serve(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("obs: metrics listener: %w", err)
 	}
-	srv := &http.Server{Handler: r.Handler()}
+	srv := &http.Server{
+		Handler:           r.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil
 }

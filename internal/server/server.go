@@ -63,6 +63,16 @@ import (
 // small, so anything larger is a client error, not a big query.
 const maxBodyBytes = 1 << 20
 
+// Connection deadlines of a Started server: a client that never finishes
+// its request headers, or keeps an idle connection open, is dropped. There
+// is no ReadTimeout or WriteTimeout on purpose — either would also bound the
+// time between reading the body and writing the answer, and cut a legitimate
+// multi-second optimization; Options.Timeout bounds that.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Options configures a Server.
 type Options struct {
 	// Cat is the schema the server optimizes against. Required.
@@ -177,6 +187,9 @@ type Server struct {
 	cShed     *obs.Counter
 
 	httpSrv *http.Server
+	// readHeaderTimeout is the constant of that name; a field so that a test
+	// can wait out a shorter one.
+	readHeaderTimeout time.Duration
 }
 
 // New validates opts and builds a server.
@@ -211,6 +224,8 @@ func New(opts Options) (*Server, error) {
 		flight:     span.NewRecorder(opts.Flight),
 		router:     route.New(opts.Route),
 		sem:        make(chan struct{}, opts.MaxConcurrent),
+
+		readHeaderTimeout: readHeaderTimeout,
 	}
 	if s.ob != nil {
 		s.gInFlight = s.ob.Gauge(obs.MServerInFlight)
@@ -489,7 +504,11 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	s.httpSrv = &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: s.readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() { _ = s.httpSrv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -371,6 +372,35 @@ func TestStartShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", addr)); err == nil {
 		t.Fatal("server still answering after Shutdown")
+	}
+}
+
+// TestSlowHeaderClientIsDropped: a client that sends half a request line
+// and then nothing must not hold its connection forever.
+func TestSlowHeaderClientIsDropped(t *testing.T) {
+	s, err := New(Options{Cat: workload.PaperSchema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.readHeaderTimeout = 50 * time.Millisecond
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /optim")); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns without error once the server closes its side; the
+	// client's own deadline is what fails the test when it never does.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept a connection with unfinished headers open: %v", err)
 	}
 }
 

@@ -20,7 +20,6 @@ package sdpopt
 import (
 	"context"
 	"io"
-	"time"
 
 	"sdpopt/internal/catalog"
 	"sdpopt/internal/ce"
@@ -435,16 +434,6 @@ func ReadTraceJSONLLenient(r io.Reader, warn io.Writer) ([]TraceRecord, int, err
 // SummarizeTrace aggregates decoded trace records; render the result with
 // TraceSummary.Render.
 func SummarizeTrace(records []TraceRecord) *TraceSummary { return obs.Summarize(records) }
-
-// BenchReport is the machine-readable benchmark result `sdplab bench`
-// writes as BENCH_<date>.json.
-type BenchReport = harness.BenchReport
-
-// RunBench runs the benchmark workload set and returns the per-technique
-// overhead report, stamped with date.
-func RunBench(cfg ExperimentConfig, date time.Time) (*BenchReport, error) {
-	return harness.Bench(cfg, date)
-}
 
 // Cardinality-error robustness (see internal/ce): optimize under a lying
 // estimator, re-cost under truth, report ρ-under-error per technique.

@@ -12,7 +12,6 @@ import (
 	"sdpopt/internal/catalog"
 	"sdpopt/internal/dp"
 	"sdpopt/internal/feedback"
-	"sdpopt/internal/loadgen"
 	"sdpopt/internal/obs/regret"
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plancache"
@@ -90,16 +89,6 @@ type (
 	// RouteDecision is one routing outcome: the chosen technique, the
 	// reason, and the latency prediction behind it.
 	RouteDecision = route.Decision
-	// LoadOptions configures one open-loop load run against a serving
-	// URL: arrival rate and process, workload mix, per-request deadline
-	// and technique (see internal/loadgen; `sdplab load` wraps it).
-	LoadOptions = loadgen.Options
-	// LoadMixEntry is one workload component of a load run.
-	LoadMixEntry = loadgen.MixEntry
-	// LoadReport is a load run's outcome: latency percentiles measured
-	// from scheduled arrival times, shed rate, per-route counts, and
-	// mean plan-quality ρ against local SDP references.
-	LoadReport = loadgen.Report
 )
 
 // ErrCanceled reports an optimization aborted by context cancellation or
@@ -149,20 +138,6 @@ func ReadFeedbackCorpus(r io.Reader, warn io.Writer) ([]FeedbackObservation, int
 func BuildFeedbackProfile(observations []FeedbackObservation) *FeedbackProfile {
 	return feedback.BuildProfile(observations)
 }
-
-// RunLoad drives one open-loop load run against a running server and
-// returns the aggregated report (`sdplab load` wraps it).
-func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
-	return loadgen.Run(ctx, opts)
-}
-
-// ParseLoadMix parses a workload-mix spec like
-// "star-7:3,chain-12:3,star-chain-15:2" (topology-rels:weight).
-func ParseLoadMix(s string) ([]LoadMixEntry, error) { return loadgen.ParseMix(s) }
-
-// DefaultLoadMix is the mixed Star/Chain/Star-Chain workload `sdplab
-// bench` uses for its load section.
-func DefaultLoadMix() []LoadMixEntry { return loadgen.DefaultMix() }
 
 // RequestTechniques lists the values the server's /optimize "technique"
 // field accepts: every Techniques entry plus "auto" (route per request).
