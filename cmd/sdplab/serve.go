@@ -156,18 +156,7 @@ func serveCmd(args []string, _, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "  POST /optimize   {\"sql\": \"SELECT * FROM R1 a, R2 b WHERE a.c1 = b.c1\"}\n")
 	fmt.Fprintf(stderr, "  GET  /healthz    liveness, admission and cache state\n")
 	fmt.Fprintf(stderr, "  GET  /catalog    schema statistics and version\n")
-	fmt.Fprintf(stderr, "  GET  /metrics    Prometheus exposition (plus /debug/vars, /debug/pprof)\n")
-	fmt.Fprintf(stderr, "  GET  /debug/requests     flight recorder: live + recent + slow/error traces\n")
-	fmt.Fprintf(stderr, "  GET  /debug/flight.json  flight recorder dump (render with 'sdplab inspect')\n")
-	if shadow != nil {
-		fmt.Fprintf(stderr, "  GET  /debug/regret       plan-quality regret: shadowed ρ/W windows per technique\n")
-		fmt.Fprintf(stderr, "  GET  /debug/regret.json  regret dump (render with 'sdplab regret')\n")
-	}
-	if fb != nil {
-		fmt.Fprintf(stderr, "  GET  /debug/cardinality       estimate-vs-actual q-errors and staleness per catalog object\n")
-		fmt.Fprintf(stderr, "  GET  /debug/cardinality.json  cardinality dump (render with 'sdplab feedback')\n")
-	}
-	fmt.Fprintf(stderr, "  GET  /debug              index of every mounted debug surface\n")
+	fmt.Fprintf(stderr, "  GET  /debug      index of every mounted surface: /metrics, traces, routing, regret, cardinality\n")
 	fmt.Fprintf(stderr, "  catalog version %s, cache %d entries, techniques %v\n",
 		sdpopt.CatalogFingerprint(cat), *cacheEntries, sdpopt.Techniques())
 

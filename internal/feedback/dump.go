@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdpopt/internal/obs"
+	"sdpopt/internal/obs/lane"
 )
 
 // ObjectSummary is one catalog object's ledger state in a Dump.
@@ -40,16 +41,14 @@ type ObjectSummary struct {
 	RecentQErr []float64 `json:"recent_qerr,omitempty"`
 }
 
-// SamplerCounts are the exec-sampler's lifetime counters.
+// SamplerCounts are the exec-sampler's lifetime counters: serves offered,
+// those passing the rate gate, those skipped as ineligible, and the lane
+// counters of the rest.
 type SamplerCounts struct {
-	Observed  int64 `json:"observed"`
-	Sampled   int64 `json:"sampled"`
-	Skipped   int64 `json:"skipped"`
-	Deduped   int64 `json:"deduped"`
-	Dropped   int64 `json:"dropped"`
-	Enqueued  int64 `json:"enqueued"`
-	Completed int64 `json:"completed"`
-	Failures  int64 `json:"failures"`
+	Observed int64 `json:"observed"`
+	Sampled  int64 `json:"sampled"`
+	Skipped  int64 `json:"skipped"`
+	lane.Counts
 }
 
 // LedgerConfig echoes the ledger sizing so a dump is self-describing.
@@ -124,14 +123,10 @@ func (l *Ledger) Snapshot(s *Sampler) *Dump {
 	})
 	if s != nil {
 		d.Sampler = &SamplerCounts{
-			Observed:  s.observed.Load(),
-			Sampled:   s.sampled.Load(),
-			Skipped:   s.skipped.Load(),
-			Deduped:   s.deduped.Load(),
-			Dropped:   s.dropped.Load(),
-			Enqueued:  s.enqueued.Load(),
-			Completed: s.completed.Load(),
-			Failures:  s.failures.Load(),
+			Observed: s.observed.Load(),
+			Sampled:  s.sampled.Load(),
+			Skipped:  s.skipped.Load(),
+			Counts:   s.lane.Counts(),
 		}
 	}
 	return d

@@ -303,13 +303,11 @@ func TestSamplerEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	cw := NewCorpusWriter(&buf)
 	s, err := NewSampler(SamplerOptions{
-		Ledger:   l,
-		Corpus:   cw,
-		Obs:      ob,
-		Rate:     1,
-		DedupFor: -1,
-		Seed:     2,
-	})
+		Ledger: l,
+		Corpus: cw,
+		Obs:    ob,
+		Rate:   1,
+	}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +351,7 @@ func TestSamplerEndToEnd(t *testing.T) {
 
 	// Eligibility gates: an oversized query is skipped, not executed.
 	l2 := NewLedger(LedgerOptions{})
-	s2, err := NewSampler(SamplerOptions{Ledger: l2, Rate: 1, MaxRels: 2, DedupFor: -1})
+	s2, err := NewSampler(SamplerOptions{Ledger: l2, Rate: 1, MaxRels: 2}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}

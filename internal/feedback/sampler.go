@@ -3,12 +3,12 @@ package feedback
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"sdpopt/internal/exec"
 	"sdpopt/internal/obs"
+	"sdpopt/internal/obs/lane"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
 )
@@ -35,18 +35,16 @@ type SamplerOptions struct {
 	// queries touching bigger relations are skipped — the executor is a
 	// validation harness, not a data warehouse.
 	MaxRows int
-	// Workers is the execution pool size (default 1).
-	Workers int
-	// QueueSize bounds jobs waiting for a worker (default 32); overflow is
-	// dropped and counted, never queued unboundedly.
-	QueueSize int
-	// DedupFor suppresses re-executing one canonical fingerprint within
-	// this interval (default 1m). Negative disables deduplication.
-	DedupFor time.Duration
-	// Seed drives synthetic data generation, so every sampled execution
-	// sees the same deterministic database (default 1).
-	Seed int64
 }
+
+// The exec lane: one worker, since an execution costs orders of magnitude
+// more CPU than an optimization; 32 queued jobs before dropping; one
+// execution per fingerprint × catalog version per minute. dataSeed drives
+// synthetic data generation, so every sampled execution sees the same
+// deterministic database.
+var samplerLane = lane.Options{Workers: 1, QueueSize: 32, DedupFor: time.Minute}
+
+const dataSeed = 1
 
 func (o SamplerOptions) withDefaults() SamplerOptions {
 	if o.Rate < 0 {
@@ -60,18 +58,6 @@ func (o SamplerOptions) withDefaults() SamplerOptions {
 	}
 	if o.MaxRows <= 0 {
 		o.MaxRows = 2000
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = 32
-	}
-	if o.DedupFor == 0 {
-		o.DedupFor = time.Minute
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -90,31 +76,19 @@ type Sample struct {
 
 // Sampler is the exec-sampling worker pool. Construct with NewSampler; all
 // exported methods are nil-safe, so an unconfigured server carries a nil
-// *Sampler at zero cost. Like the regret shadow, sampled work may never
-// degrade serving: Observe is a few atomics plus cheap eligibility checks,
-// jobs run in background workers, and overflow is dropped, not queued.
+// *Sampler at zero cost. Like the regret shadow, sampled work runs on an
+// off-path lane (internal/obs/lane) and may never degrade serving: Observe
+// is a few atomics plus cheap eligibility checks.
 type Sampler struct {
-	opts SamplerOptions
+	opts       SamplerOptions
+	catVersion string
 
-	gate rateGate
+	gate lane.Gate
+	lane *lane.Lane[sampleJob]
 
-	jobs      chan sampleJob
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	enqMu   sync.Mutex
-	closed  bool
-	closing atomic.Bool
-	dedup   map[string]time.Time
-
-	observed  atomic.Int64
-	sampled   atomic.Int64
-	skipped   atomic.Int64
-	deduped   atomic.Int64
-	dropped   atomic.Int64
-	enqueued  atomic.Int64
-	completed atomic.Int64
-	failures  atomic.Int64
+	observed atomic.Int64
+	sampled  atomic.Int64
+	skipped  atomic.Int64
 }
 
 type sampleJob struct {
@@ -124,123 +98,65 @@ type sampleJob struct {
 	traceID string
 }
 
-// NewSampler validates opts and starts the worker pool. Callers must Close
-// it to stop the workers.
-func NewSampler(opts SamplerOptions) (*Sampler, error) {
+// NewSampler validates opts and starts the worker pool. catalogVersion is
+// the catalog half of the dedup key — the fingerprint of the one catalog the
+// caller serves. Callers must Close it to stop the workers.
+func NewSampler(opts SamplerOptions, catalogVersion string) (*Sampler, error) {
 	if opts.Ledger == nil {
 		return nil, errors.New("feedback: SamplerOptions.Ledger is required")
 	}
 	opts = opts.withDefaults()
-	s := &Sampler{
-		opts:  opts,
-		jobs:  make(chan sampleJob, opts.QueueSize),
-		dedup: map[string]time.Time{},
-	}
-	s.gate.setRate(opts.Rate)
-	if opts.Obs != nil && opts.Obs.Registry != nil {
-		opts.Obs.Registry.GaugeFunc(obs.MFeedbackQueueDepth, func() int64 { return int64(len(s.jobs)) })
-	}
-	for i := 0; i < opts.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+	s := &Sampler{opts: opts, catVersion: catalogVersion}
+	s.gate.SetRate(opts.Rate)
+	s.lane = lane.New(samplerLane, s.runJob, s.fail)
+	if opts.Obs != nil {
+		opts.Obs.Registry.GaugeFunc(obs.MFeedbackQueueDepth, func() int64 { return int64(s.lane.Len()) })
 	}
 	return s, nil
 }
 
-func (s *Sampler) counter(name string) *obs.Counter {
-	if s.opts.Obs == nil {
-		return nil
-	}
-	return s.opts.Obs.Counter(name)
-}
-
 // Observe offers one successful serve to the sampler. The fast path — not
 // sampled — is one atomic add plus the rate gate; a sampled serve is checked
-// for eligibility, deduplicated by canonical fingerprint, and enqueued
-// without blocking. Nil-safe; never blocks serving.
+// for eligibility and offered to the lane, which deduplicates it by
+// fingerprint × catalog version and enqueues it without blocking. Nil-safe;
+// never blocks serving.
 func (s *Sampler) Observe(sm Sample) {
 	if s == nil || sm.Query == nil || sm.Plan == nil {
 		return
 	}
 	s.observed.Add(1)
-	if !s.gate.sample() {
+	if !s.gate.Sample() {
 		return
 	}
 	if n := sm.Query.NumRelations(); n > s.opts.MaxRels {
 		s.skipped.Add(1)
-		s.counter(obs.Label(obs.MFeedbackSkipped, "cause", "rels")).Add(1)
+		s.opts.Obs.Counter(obs.Label(obs.MFeedbackSkipped, "cause", "rels")).Add(1)
 		return
 	}
 	for i := 0; i < sm.Query.NumRelations(); i++ {
 		if sm.Query.Relation(i).Rows > float64(s.opts.MaxRows) {
 			s.skipped.Add(1)
-			s.counter(obs.Label(obs.MFeedbackSkipped, "cause", "rows")).Add(1)
+			s.opts.Obs.Counter(obs.Label(obs.MFeedbackSkipped, "cause", "rows")).Add(1)
 			return
 		}
 	}
 	s.sampled.Add(1)
-	s.counter(obs.MFeedbackSampled).Add(1)
+	s.opts.Obs.Counter(obs.MFeedbackSampled).Add(1)
 
-	now := time.Now()
-	key := sm.Query.Fingerprint()
 	j := sampleJob{q: sm.Query, p: sm.Plan, tech: sm.Technique, traceID: sm.TraceID}
-
-	s.enqMu.Lock()
-	if s.closed {
-		s.enqMu.Unlock()
-		return
-	}
-	if last, ok := s.dedup[key]; ok && now.Sub(last) < s.opts.DedupFor {
-		s.enqMu.Unlock()
-		s.deduped.Add(1)
-		s.counter(obs.Label(obs.MFeedbackSkipped, "cause", "dedup")).Add(1)
-		return
-	}
-	// Bounded dedup map: sweep expired entries at capacity, reset wholesale
-	// if none expired (same policy as the regret shadow).
-	if len(s.dedup) >= 4096 {
-		for k, at := range s.dedup {
-			if now.Sub(at) >= s.opts.DedupFor {
-				delete(s.dedup, k)
-			}
-		}
-		if len(s.dedup) >= 4096 {
-			s.dedup = map[string]time.Time{}
-		}
-	}
-	s.dedup[key] = now
-	select {
-	case s.jobs <- j:
-		s.enqueued.Add(1)
-	default:
-		delete(s.dedup, key)
-		s.dropped.Add(1)
-		s.counter(obs.Label(obs.MFeedbackSkipped, "cause", "queue")).Add(1)
-	}
-	s.enqMu.Unlock()
-}
-
-// jobYield parks a worker briefly before each job so the serving goroutine
-// that enqueued it — still flushing its response — drains first on small
-// hosts (see the regret shadow's jobYield for the full rationale).
-const jobYield = time.Millisecond
-
-func (s *Sampler) worker() {
-	defer s.wg.Done()
-	for j := range s.jobs {
-		if !s.closing.Load() {
-			time.Sleep(jobYield)
-			s.runJob(j)
-		}
-		s.completed.Add(1)
+	switch s.lane.Offer(sm.Query.Fingerprint(), s.catVersion, j) {
+	case lane.Deduped:
+		s.opts.Obs.Counter(obs.Label(obs.MFeedbackSkipped, "cause", "dedup")).Add(1)
+	case lane.Dropped:
+		s.opts.Obs.Counter(obs.Label(obs.MFeedbackSkipped, "cause", "queue")).Add(1)
 	}
 }
 
 // runJob executes one sampled plan over synthetic data and feeds the ledger
 // and corpus. Detached from the serving request entirely.
-func (s *Sampler) runJob(j sampleJob) {
+func (s *Sampler) runJob(j sampleJob) error {
 	started := time.Now()
-	db, err := exec.Generate(j.q, s.opts.Seed, s.opts.MaxRows)
+	db, err := exec.Generate(j.q, dataSeed, s.opts.MaxRows)
 	if err == nil {
 		var actuals map[*plan.Plan]int
 		_, actuals, err = db.RunActuals(j.p)
@@ -250,13 +166,13 @@ func (s *Sampler) runJob(j sampleJob) {
 			s.opts.Corpus.Append(observations...)
 		}
 	}
-	if s.opts.Obs != nil {
-		s.opts.Obs.Histogram(obs.MFeedbackExecSeconds).Observe(time.Since(started))
-	}
-	if err != nil {
-		s.failures.Add(1)
-		s.counter(obs.MFeedbackExecErrors).Add(1)
-	}
+	s.opts.Obs.Histogram(obs.MFeedbackExecSeconds).Observe(time.Since(started))
+	return err
+}
+
+// fail accounts one failed (or panicked) sampled execution.
+func (s *Sampler) fail(sampleJob, error) {
+	s.opts.Obs.Counter(obs.MFeedbackExecErrors).Add(1)
 }
 
 // Drain blocks until every enqueued job has completed or ctx expires — the
@@ -265,16 +181,7 @@ func (s *Sampler) Drain(ctx context.Context) error {
 	if s == nil {
 		return nil
 	}
-	for {
-		if s.completed.Load() >= s.enqueued.Load() {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
+	return s.lane.Drain(ctx)
 }
 
 // Close stops accepting samples, discards queued jobs, waits for in-flight
@@ -283,34 +190,8 @@ func (s *Sampler) Close() {
 	if s == nil {
 		return
 	}
-	s.closeOnce.Do(func() {
-		s.closing.Store(true)
-		s.enqMu.Lock()
-		s.closed = true
-		s.enqMu.Unlock()
-		close(s.jobs)
-		s.wg.Wait()
-		_ = s.opts.Corpus.Flush()
-	})
-}
-
-// rateGate is a deterministic fixed-point sampling gate: each call
-// accumulates rate in 1/2^20 units and fires when the integer part advances
-// (the regret shadow's sampler, reproduced here to keep the packages
-// independent).
-type rateGate struct {
-	acc    atomic.Int64
-	rateFP int64
-}
-
-func (g *rateGate) setRate(rate float64) {
-	g.rateFP = int64(rate * (1 << 20))
-}
-
-func (g *rateGate) sample() bool {
-	if g.rateFP <= 0 {
-		return false
-	}
-	nv := g.acc.Add(g.rateFP)
-	return nv>>20 != (nv-g.rateFP)>>20
+	s.lane.Close()
+	// The corpus owner closes it afterwards and reports the write error
+	// there; flushing an already-flushed corpus is a no-op.
+	_ = s.opts.Corpus.Flush()
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"expvar"
 	"fmt"
+	"html"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -69,4 +71,61 @@ func (r *Registry) Serve(addr string) (string, error) {
 	}
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil
+}
+
+// DebugMux is a ServeMux that records every surface mounted through it and
+// serves the list at /debug, so the index shows exactly what a server
+// mounted — no hand-kept list to drift.
+type DebugMux struct {
+	*http.ServeMux
+	surfaces []debugSurface
+}
+
+type debugSurface struct{ path, title string }
+
+// NewDebugMux returns a mux serving the /debug index.
+func NewDebugMux() *DebugMux {
+	m := &DebugMux{ServeMux: http.NewServeMux()}
+	m.HandleFunc("/debug", m.serveIndex)
+	return m
+}
+
+// Mount serves h at path and lists it on the /debug index under title.
+func (m *DebugMux) Mount(path, title string, h http.Handler) {
+	m.Handle(path, h)
+	m.surfaces = append(m.surfaces, debugSurface{path, title})
+}
+
+func (m *DebugMux) serveIndex(w http.ResponseWriter, r *http.Request) {
+	var b strings.Builder
+	b.WriteString("<!DOCTYPE html><html><head><title>/debug</title>" + debugStyle + "</head><body>\n")
+	b.WriteString("<h1>sdpopt debug surfaces</h1>\n<table><tr><th>surface</th><th>what it shows</th></tr>\n")
+	for _, s := range m.surfaces {
+		fmt.Fprintf(&b, "<tr><td><a href=\"%s\">%s</a></td><td>%s</td></tr>\n", s.path, s.path, html.EscapeString(s.title))
+	}
+	b.WriteString("</table>\n</body></html>\n")
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	_, _ = w.Write([]byte(b.String()))
+}
+
+const debugStyle = "<style>body{font-family:sans-serif;margin:1em 2em}pre{background:#f6f8fa;padding:0.8em;overflow-x:auto}" +
+	"table{border-collapse:collapse}td,th{padding:0.15em 0.8em;text-align:left;border-bottom:1px solid #eee}</style>"
+
+// MountPage mounts a typed snapshot as two surfaces: path, an HTML page
+// showing the dump's own text rendering — the same text the sdplab
+// subcommand for that dump prints — and path.json, the dump as indented
+// JSON. snapshot is called once per request.
+func MountPage[D interface{ Render() string }](m *DebugMux, path, title string, snapshot func() D) {
+	m.Mount(path, title, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		fmt.Fprintf(w, "<!DOCTYPE html><html><head><title>%s</title>%s</head><body>\n"+
+			"<h1>sdpopt %s</h1>\n<p><a href=\"%s.json\">%s.json</a> · <a href=\"/debug\">debug index</a></p>\n<pre>%s</pre>\n</body></html>\n",
+			path, debugStyle, html.EscapeString(title), path, path, html.EscapeString(snapshot().Render()))
+	}))
+	m.Mount(path+".json", title+", machine-readable", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(snapshot())
+	}))
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"sdpopt/internal/obs/lane"
 	"sdpopt/internal/quality"
 )
 
@@ -60,19 +61,14 @@ type Exemplar struct {
 }
 
 // Counts are the shadow layer's lifetime counters. Observed counts every
-// serve offered; Sampled those passing the rate gate; Deduped and Dropped
-// the sampled serves suppressed by the dedup window or shed by the full
-// queue; Completed the finished shadow jobs (Failures of which produced no
-// ratio); Pinned the worst-regret traces filed into the flight recorder.
+// serve offered; Sampled those passing the rate gate; the lane counters
+// what became of the sampled serves (Failures produced no ratio); Pinned
+// the worst-regret traces filed into the flight recorder.
 type Counts struct {
-	Observed  int64 `json:"observed"`
-	Sampled   int64 `json:"sampled"`
-	Deduped   int64 `json:"deduped"`
-	Dropped   int64 `json:"dropped"`
-	Enqueued  int64 `json:"enqueued"`
-	Completed int64 `json:"completed"`
-	Failures  int64 `json:"failures"`
-	Pinned    int64 `json:"pinned"`
+	Observed int64 `json:"observed"`
+	Sampled  int64 `json:"sampled"`
+	lane.Counts
+	Pinned int64 `json:"pinned"`
 }
 
 // Config echoes the shadow sizing so a dump is self-describing.
@@ -116,14 +112,10 @@ func (s *Shadow) Snapshot() *Dump {
 		PinRatio:      s.opts.PinRatio,
 	}
 	d.Counts = Counts{
-		Observed:  s.observed.Load(),
-		Sampled:   s.sampled.Load(),
-		Deduped:   s.deduped.Load(),
-		Dropped:   s.dropped.Load(),
-		Enqueued:  s.enqueued.Load(),
-		Completed: s.completed.Load(),
-		Failures:  s.failures.Load(),
-		Pinned:    s.pinned.Load(),
+		Observed: s.observed.Load(),
+		Sampled:  s.sampled.Load(),
+		Counts:   s.lane.Counts(),
+		Pinned:   s.pinned.Load(),
 	}
 	s.aggMu.Lock()
 	for key, w := range s.windows {

@@ -9,12 +9,10 @@
 //
 // The design constraint mirrors the plan cache's detached-fill rule:
 // shadow work may never degrade serving. Observe is a few atomic
-// operations on the non-sampled path; sampled queries are handed to a
-// bounded queue drained by a dedicated worker pool, overflow is dropped
-// (and counted) rather than queued unboundedly, shadow optimizations run
-// under their own context — detached from any request deadline — and hot
-// fingerprints are deduplicated so repeated serves of one query cannot
-// burn the shadow budget.
+// operations on the non-sampled path; sampled queries go to an off-path
+// lane (internal/obs/lane: dedup, bounded queue, worker pool, panic
+// containment), and shadow optimizations run under their own context —
+// detached from any request deadline.
 package regret
 
 import (
@@ -26,10 +24,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sdpopt/internal/catalog"
 	"sdpopt/internal/dp"
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
+	"sdpopt/internal/obs/lane"
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
@@ -79,8 +77,6 @@ type Options struct {
 	// Budget is the memory-feasibility budget per shadow optimization
 	// (default the paper's 1 GB).
 	Budget int64
-	// Timeout caps each shadow optimization's wall time (default 30s).
-	Timeout time.Duration
 	// DedupFor suppresses re-shadowing of one canonical fingerprint ×
 	// catalog version within this interval (default 1m), so a hot query
 	// is measured once per window, not once per serve. Negative disables
@@ -94,14 +90,10 @@ type Options struct {
 	// measured ratio reaches it (default 2 — the paper's Good/Acceptable
 	// boundary). Set to +Inf to disable pinning.
 	PinRatio float64
-
-	// CatalogVersion, when set, is used as the catalog half of the dedup
-	// key for every sample, skipping Catalog.Fingerprint entirely — the
-	// server fills it from the fingerprint it already computed at startup
-	// (a server serves exactly one catalog). When empty, the shadow
-	// computes the fingerprint itself, once per catalog instance.
-	CatalogVersion string
 }
+
+// shadowTimeout caps each shadow optimization's wall time.
+const shadowTimeout = 30 * time.Second
 
 func (o Options) withDefaults() Options {
 	if o.SampleRate < 0 {
@@ -133,9 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Budget <= 0 {
 		o.Budget = memo.DefaultBudget
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 30 * time.Second
 	}
 	if o.DedupFor == 0 {
 		o.DedupFor = time.Minute
@@ -175,43 +164,20 @@ type Sample struct {
 // for concurrent use, and all exported methods are no-ops on a nil
 // receiver, so an unconfigured server carries a nil *Shadow at zero cost.
 type Shadow struct {
-	opts Options
+	opts       Options
+	catVersion string
 
-	compSampler sampler // computed serves (miss/dedup/uncached)
-	hitSampler  sampler // cache hits
-
-	jobs      chan job
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	enqMu   sync.Mutex // guards closed + jobs send + dedup map
-	closed  bool
-	closing atomic.Bool // read by workers to skip queued jobs on Close
-	dedup   map[string]time.Time
-
-	// catVer memoizes Catalog.Fingerprint per catalog instance. The
-	// fingerprint hashes the JSON of every statistic in the catalog —
-	// milliseconds on realistic schemas — and Observe runs before the
-	// response is flushed to the client, so recomputing it per sampled
-	// serve would put that cost on the serving path. A process serves a
-	// handful of catalog instances at most, and catalogs are immutable
-	// once serving starts (the server caches its own fingerprint at New
-	// under the same assumption).
-	catMu  sync.Mutex
-	catVer map[*catalog.Catalog]string
+	compGate lane.Gate // computed serves (miss/dedup/uncached)
+	hitGate  lane.Gate // cache hits
+	lane     *lane.Lane[*job]
 
 	aggMu     sync.Mutex // guards windows + exemplars
 	windows   map[Key]*window
 	exemplars []Exemplar
 
-	observed  atomic.Int64
-	sampled   atomic.Int64
-	deduped   atomic.Int64
-	dropped   atomic.Int64
-	enqueued  atomic.Int64
-	completed atomic.Int64 // finished jobs, successes and failures alike
-	failures  atomic.Int64
-	pinned    atomic.Int64
+	observed atomic.Int64
+	sampled  atomic.Int64
+	pinned   atomic.Int64
 }
 
 // job carries everything a worker needs; the serving request is long gone
@@ -228,39 +194,33 @@ type job struct {
 	shape       string
 	band        string
 	rels        int
+
+	// root is the job's regret.shadow span, opened by runJob; fail closes
+	// it with the error.
+	root *span.Span
 }
 
 // New validates opts and builds a shadow optimizer with its worker pool
-// running. Callers must Close it to stop the workers.
-func New(opts Options) (*Shadow, error) {
+// running. catalogVersion is the catalog half of the dedup key — the
+// fingerprint of the one catalog the caller serves. Callers must Close it
+// to stop the workers.
+func New(opts Options, catalogVersion string) (*Shadow, error) {
 	if opts.Optimize == nil {
 		return nil, errors.New("regret: Options.Optimize is required")
 	}
 	opts = opts.withDefaults()
 	s := &Shadow{
-		opts:    opts,
-		jobs:    make(chan job, opts.QueueSize),
-		dedup:   map[string]time.Time{},
-		catVer:  map[*catalog.Catalog]string{},
-		windows: map[Key]*window{},
+		opts:       opts,
+		catVersion: catalogVersion,
+		windows:    map[Key]*window{},
 	}
-	s.compSampler.setRate(opts.SampleRate)
-	s.hitSampler.setRate(opts.HitSampleRate)
-	if reg := s.registry(); reg != nil {
-		reg.GaugeFunc(obs.MRegretQueueDepth, func() int64 { return int64(len(s.jobs)) })
-	}
-	for i := 0; i < opts.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+	s.compGate.SetRate(opts.SampleRate)
+	s.hitGate.SetRate(opts.HitSampleRate)
+	s.lane = lane.New(lane.Options{Workers: opts.Workers, QueueSize: opts.QueueSize, DedupFor: opts.DedupFor}, s.runJob, s.fail)
+	if opts.Obs != nil {
+		opts.Obs.Registry.GaugeFunc(obs.MRegretQueueDepth, func() int64 { return int64(s.lane.Len()) })
 	}
 	return s, nil
-}
-
-func (s *Shadow) registry() *obs.Registry {
-	if s == nil || s.opts.Obs == nil {
-		return nil
-	}
-	return s.opts.Obs.Registry
 }
 
 // Band buckets a relation count into the dump's relation-count bands.
@@ -291,29 +251,28 @@ func (s *Shadow) Reference(n int) string {
 }
 
 // Observe offers one successful serve to the shadow layer. The fast path —
-// not sampled — is two atomic adds; a sampled serve is deduplicated by
-// fingerprint × catalog version and enqueued without blocking (dropped,
-// and counted, when the queue is full). Nil-safe; never blocks serving.
+// not sampled — is two atomic adds; a sampled serve is offered to the lane,
+// which deduplicates it by fingerprint × catalog version and enqueues it
+// without blocking (dropped, and counted, when the queue is full). Nil-safe;
+// never blocks serving.
 func (s *Shadow) Observe(sm Sample) {
 	if s == nil || sm.Query == nil || sm.Plan == nil {
 		return
 	}
 	s.observed.Add(1)
-	sp := &s.compSampler
+	g := &s.compGate
 	if sm.Source == "hit" {
-		sp = &s.hitSampler
+		g = &s.hitGate
 	}
-	if !sp.sample() {
+	if !g.Sample() {
 		return
 	}
 	s.sampled.Add(1)
 
 	n := sm.Query.NumRelations()
-	now := time.Now()
-	key := sm.Query.Fingerprint() + "|" + s.catalogVersion(sm.Query.Cat)
-	j := job{
+	j := &job{
 		q:           sm.Query,
-		tech:        techName(sm.Technique),
+		tech:        sm.Technique,
 		ref:         s.Reference(n),
 		source:      sm.Source,
 		routeReason: sm.RouteReason,
@@ -326,111 +285,22 @@ func (s *Shadow) Observe(sm Sample) {
 		band:  Band(n),
 		rels:  n,
 	}
-
-	s.enqMu.Lock()
-	if s.closed {
-		s.enqMu.Unlock()
-		return
-	}
-	if last, ok := s.dedup[key]; ok && now.Sub(last) < s.opts.DedupFor {
-		s.enqMu.Unlock()
-		s.deduped.Add(1)
-		s.counter(obs.MRegretDeduped).Add(1)
-		return
-	}
-	// The dedup map is bounded: at capacity, expired entries are swept
-	// first; if none expired the map resets wholesale — re-shadowing a few
-	// queries early is cheaper than unbounded growth.
-	if len(s.dedup) >= 4096 {
-		for k, at := range s.dedup {
-			if now.Sub(at) >= s.opts.DedupFor {
-				delete(s.dedup, k)
-			}
-		}
-		if len(s.dedup) >= 4096 {
-			s.dedup = map[string]time.Time{}
-		}
-	}
-	s.dedup[key] = now
-	select {
-	case s.jobs <- j:
-		s.enqueued.Add(1)
-	default:
-		// Queue full: forget the dedup mark so the next serve of this
-		// query gets another chance once load subsides.
-		delete(s.dedup, key)
-		s.dropped.Add(1)
-		s.counter(obs.MRegretDropped).Add(1)
-	}
-	s.enqMu.Unlock()
-}
-
-// catalogVersion returns c's fingerprint, computed once per catalog
-// instance and memoized (see the catVer field for why). The map is reset
-// at a small cap so a pathological caller cycling catalogs cannot grow it
-// unboundedly — re-hashing after a reset is correct, just slower.
-func (s *Shadow) catalogVersion(c *catalog.Catalog) string {
-	if s.opts.CatalogVersion != "" {
-		return s.opts.CatalogVersion
-	}
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	if v, ok := s.catVer[c]; ok {
-		return v
-	}
-	if len(s.catVer) >= 16 {
-		s.catVer = map[*catalog.Catalog]string{}
-	}
-	v := c.Fingerprint()
-	s.catVer[c] = v
-	return v
-}
-
-func techName(t string) string {
-	if t == "" {
-		return "sdp"
-	}
-	return t
-}
-
-func (s *Shadow) counter(name string) *obs.Counter {
-	if s.opts.Obs == nil {
-		return nil
-	}
-	return s.opts.Obs.Counter(name)
-}
-
-// jobYield is how long a worker de-schedules before starting each job. A
-// job is enqueued while its serving request is still flushing its response;
-// on a host with a single core the runtime would otherwise hand the CPU to
-// the worker for the whole re-optimization (shadow runs are shorter than
-// the ~10ms async-preemption threshold), stalling that flush and any other
-// in-flight serve. Sleeping first parks the worker so the scheduler drains
-// runnable serving goroutines and the netpoller; the delay is invisible to
-// the shadow's purpose (its results are windowed aggregates) and caps a
-// worker at a throughput far above any sane sampling rate.
-const jobYield = time.Millisecond
-
-func (s *Shadow) worker() {
-	defer s.wg.Done()
-	for j := range s.jobs {
-		// Once Close is underway, queued jobs are discarded (but still
-		// counted, so Drain's enqueued==completed invariant holds) rather
-		// than delaying shutdown by up to Timeout each.
-		if !s.closing.Load() {
-			time.Sleep(jobYield)
-			s.runJob(j)
-		}
-		s.completed.Add(1)
+	switch s.lane.Offer(sm.Query.Fingerprint(), s.catVersion, j) {
+	case lane.Deduped:
+		s.opts.Obs.Counter(obs.MRegretDeduped).Add(1)
+	case lane.Dropped:
+		s.opts.Obs.Counter(obs.MRegretDropped).Add(1)
 	}
 }
 
 // runJob executes one shadow re-optimization, entirely detached from the
 // serving request that sampled it: fresh context, shadow timeout, shadow
 // budget, sequential enumeration, and a nil engine observer so shadow load
-// never pollutes the serving-path optimization metrics.
-func (s *Shadow) runJob(j job) {
+// never pollutes the serving-path optimization metrics. An error (or a
+// panic, which the lane turns into one) reaches fail.
+func (s *Shadow) runJob(j *job) error {
 	root := span.New("regret.shadow")
+	j.root = root
 	root.SetAttr("tech", j.tech)
 	root.SetAttr("ref", j.ref)
 	root.SetAttr("shape", j.shape)
@@ -441,34 +311,24 @@ func (s *Shadow) runJob(j job) {
 	}
 	root.SetAttr("served_trace", j.traceID)
 
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shadowTimeout)
 	defer cancel()
 	ctx = span.NewContext(ctx, root)
 
 	started := time.Now()
 	refPlan, _, err := s.opts.Optimize(ctx, j.ref, j.q, s.opts.Budget, 0, nil)
 	dur := time.Since(started)
-	if s.opts.Obs != nil {
-		s.opts.Obs.Histogram(obs.MRegretShadowSeconds).Observe(dur)
-	}
+	s.opts.Obs.Histogram(obs.MRegretShadowSeconds).Observe(dur)
 	if err == nil && (refPlan == nil || refPlan.Cost <= 0) {
 		err = fmt.Errorf("regret: reference %s produced invalid cost", j.ref)
 	}
 	if err != nil {
-		s.failures.Add(1)
-		s.counter(obs.MRegretShadowErrors).Add(1)
-		root.SetError(err.Error())
-		root.Finish()
-		return
+		return err
 	}
 
 	ratio := j.servedCost / refPlan.Cost
 	if !(ratio > 0) || math.IsInf(ratio, 0) {
-		s.failures.Add(1)
-		s.counter(obs.MRegretShadowErrors).Add(1)
-		root.SetError(fmt.Sprintf("regret: invalid ratio %g", ratio))
-		root.Finish()
-		return
+		return fmt.Errorf("regret: invalid ratio %g", ratio)
 	}
 	root.SetAttr("ratio", ratio)
 	root.SetAttr("served_cost", j.servedCost)
@@ -492,14 +352,11 @@ func (s *Shadow) runJob(j job) {
 		TraceID:     j.traceID,
 	}
 
-	pinned := false
 	if s.opts.Flight != nil && ratio >= s.opts.PinRatio {
 		ex.ShadowTraceID = root.TraceID()
 		s.opts.Flight.Pin(root, 200)
 		s.pinned.Add(1)
-		pinned = true
-	}
-	if !pinned {
+	} else {
 		root.Finish()
 	}
 
@@ -525,11 +382,19 @@ func (s *Shadow) runJob(j job) {
 			"dur_ns":      dur.Nanoseconds(),
 		})
 	}
+	return nil
+}
+
+// fail accounts one failed shadow job: the error metric, and the error on
+// its span.
+func (s *Shadow) fail(j *job, err error) {
+	s.opts.Obs.Counter(obs.MRegretShadowErrors).Add(1)
+	j.root.FinishErr(err)
 }
 
 // record folds one measured ratio into the per-key rolling window and the
 // top-N exemplar list.
-func (s *Shadow) record(j job, ratio float64, ex Exemplar) {
+func (s *Shadow) record(j *job, ratio float64, ex Exemplar) {
 	key := Key{Tech: j.tech, Shape: j.shape, Band: j.band}
 	s.aggMu.Lock()
 	w := s.windows[key]
@@ -579,50 +444,13 @@ func (s *Shadow) Drain(ctx context.Context) error {
 	if s == nil {
 		return nil
 	}
-	for {
-		if s.completed.Load() >= s.enqueued.Load() {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
+	return s.lane.Drain(ctx)
 }
 
-// Close stops accepting samples, discards queued shadow jobs, and waits
-// for the in-flight ones to finish. Idempotent and nil-safe.
+// Close stops accepting samples, discards queued shadow jobs, and waits for
+// the in-flight ones to finish. Idempotent and nil-safe.
 func (s *Shadow) Close() {
-	if s == nil {
-		return
+	if s != nil {
+		s.lane.Close()
 	}
-	s.closeOnce.Do(func() {
-		s.closing.Store(true)
-		s.enqMu.Lock()
-		s.closed = true
-		s.enqMu.Unlock()
-		close(s.jobs)
-		s.wg.Wait()
-	})
-}
-
-// sampler is a deterministic fixed-point rate gate: each call accumulates
-// rate in 1/2^20 units and fires when the integer part advances. At rate 1
-// every call fires; at rate 0 none do. Race-safe without math/rand state.
-type sampler struct {
-	acc    atomic.Int64
-	rateFP int64
-}
-
-func (sp *sampler) setRate(rate float64) {
-	sp.rateFP = int64(rate * (1 << 20))
-}
-
-func (sp *sampler) sample() bool {
-	if sp.rateFP <= 0 {
-		return false
-	}
-	nv := sp.acc.Add(sp.rateFP)
-	return nv>>20 != (nv-sp.rateFP)>>20
 }

@@ -76,7 +76,7 @@ func TestShadowMeasuresRegret(t *testing.T) {
 		Optimize:   fixedOptimize(50),
 		Obs:        ob,
 		SampleRate: 1,
-	})
+	}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestShadowSamplingRates(t *testing.T) {
 		HitSampleRate: 1,
 		DedupFor:      -1, // effectively disabled: every sample may enqueue
 		QueueSize:     64,
-	})
+	}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestShadowDedup(t *testing.T) {
 	cat := testCatalog(t)
 	q := chainQuery(t, cat, 3)
 	other := chainQuery(t, cat, 4)
-	s, err := New(Options{Optimize: fixedOptimize(50), SampleRate: 1, DedupFor: time.Hour})
+	s, err := New(Options{Optimize: fixedOptimize(50), SampleRate: 1, DedupFor: time.Hour}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestShadowQueueOverflowDrops(t *testing.T) {
 		<-block
 		return scanPlan(50), dp.Stats{}, nil
 	}
-	s, err := New(Options{Optimize: slow, SampleRate: 1, Workers: 1, QueueSize: 1})
+	s, err := New(Options{Optimize: slow, SampleRate: 1, Workers: 1, QueueSize: 1}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +203,10 @@ func TestShadowQueueOverflowDrops(t *testing.T) {
 	for started.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if got := s.dropped.Load(); got < 1 {
+	if got := s.lane.Counts().Dropped; got < 1 {
 		t.Errorf("dropped = %d, want >= 1", got)
 	}
-	if got := s.enqueued.Load(); got > 3 {
+	if got := s.lane.Counts().Enqueued; got > 3 {
 		t.Errorf("enqueued = %d with queue size 1 + 1 worker", got)
 	}
 	close(block)
@@ -230,7 +230,7 @@ func TestShadowPinsWorstRegret(t *testing.T) {
 		SampleRate: 1,
 		PinRatio:   2,
 		DedupFor:   -1,
-	})
+	}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestShadowWindowRolls(t *testing.T) {
 	opt := func(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
 		return scanPlan(float64(cost.Load())), dp.Stats{}, nil
 	}
-	s, err := New(Options{Optimize: opt, SampleRate: 1, DedupFor: -1, Window: 4, TopN: 2})
+	s, err := New(Options{Optimize: opt, SampleRate: 1, DedupFor: -1, Window: 4, TopN: 2}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestShadowFailuresCounted(t *testing.T) {
 		return nil, dp.Stats{}, context.DeadlineExceeded
 	}
 	ob := obs.New()
-	s, err := New(Options{Optimize: fail, Obs: ob, SampleRate: 1})
+	s, err := New(Options{Optimize: fail, Obs: ob, SampleRate: 1}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +333,39 @@ func TestShadowFailuresCounted(t *testing.T) {
 	}
 }
 
+// A reference optimization that panics costs one failed measurement, not
+// the process: the error metric moves and the next job still completes.
+func TestShadowContainsPanic(t *testing.T) {
+	cat := testCatalog(t)
+	var calls atomic.Int64
+	opt := func(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+		if calls.Add(1) == 1 {
+			panic("engine bug")
+		}
+		return scanPlan(50), dp.Stats{}, nil
+	}
+	ob := obs.New()
+	s, err := New(Options{Optimize: opt, Obs: ob, SampleRate: 1, DedupFor: -1}, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		s.Observe(Sample{Query: chainQuery(t, cat, 3), Technique: "greedy", Plan: scanPlan(100), Source: "miss"})
+	}
+	drain(t, s)
+	d := s.Snapshot()
+	if d.Counts.Failures != 1 || d.Counts.Completed != 2 || len(d.Keys) != 1 {
+		t.Fatalf("after a panicking job: %+v keys=%v", d.Counts, d.Keys)
+	}
+	if c := ob.Counter(obs.MRegretShadowErrors); c.Value() != 1 {
+		t.Errorf("shadow error counter = %d, want 1", c.Value())
+	}
+}
+
 func TestDumpRoundTripAndRender(t *testing.T) {
 	cat := testCatalog(t)
-	s, err := New(Options{Optimize: fixedOptimize(50), SampleRate: 1, DedupFor: -1})
+	s, err := New(Options{Optimize: fixedOptimize(50), SampleRate: 1, DedupFor: -1}, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +374,10 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 	drain(t, s)
 
 	d := s.Snapshot()
+	mux := obs.NewDebugMux()
+	obs.MountPage(mux, "/debug/regret", "plan-quality regret", s.Snapshot)
 	rw := httptest.NewRecorder()
-	s.JSONHandler().ServeHTTP(rw, httptest.NewRequest("GET", "/debug/regret.json", nil))
+	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/debug/regret.json", nil))
 	back, err := ReadDump(rw.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +394,7 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 	}
 
 	hw := httptest.NewRecorder()
-	s.Handler().ServeHTTP(hw, httptest.NewRequest("GET", "/debug/regret", nil))
+	mux.ServeHTTP(hw, httptest.NewRequest("GET", "/debug/regret", nil))
 	for _, want := range []string{"plan-quality regret", "greedy", "regret.json"} {
 		if !strings.Contains(hw.Body.String(), want) {
 			t.Errorf("HTML missing %q", want)

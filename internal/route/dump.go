@@ -1,7 +1,9 @@
 package route
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -150,6 +152,54 @@ func (r *Router) Snapshot() *Dump {
 		}
 	}
 	return d
+}
+
+// Render formats the dump as the /debug/routes text: the router thresholds,
+// executed-decision tallies, the decision table the current profile state
+// implies, and the latency and regret profiles.
+func (d *Dump) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "technique routing: fast path ≤ %d rels or chain-like · heavy tail ≥ %d rels · regret demotion at ρ > %g (≥ %d samples) · safety ×%g\n",
+		d.Config.SmallRels, d.Config.HeavyRels, d.Config.DemoteRho, d.Config.MinRegretSamples, d.Config.SafetyFactor)
+	fmt.Fprintf(&b, "exact tier ≤ %d rels (0 = off), demoted at staleness ≥ %g · %d mid-flight fallbacks\n",
+		d.Config.ExactRels, d.Config.StaleScore, d.Fallbacks)
+
+	b.WriteString("\nExecuted decisions\n")
+	if len(d.Decisions) == 0 {
+		b.WriteString("no requests routed yet\n")
+	}
+	for _, dc := range d.Decisions {
+		fmt.Fprintf(&b, "%-8s %-26s %8d\n", dc.Technique, dc.Reason, dc.Count)
+	}
+
+	b.WriteString("\nDecision table\n")
+	b.WriteString("what Decide returns right now per (shape, rels, remaining deadline); predictions are EWMAs where traffic has taught the router, priors elsewhere\n")
+	fmt.Fprintf(&b, "%-10s %4s %8s %-8s %-26s %11s %9s\n", "shape", "rels", "deadline", "route", "reason", "predicted", "reserve")
+	for _, row := range d.Table {
+		dl := "∞"
+		if row.DeadlineMS > 0 {
+			dl = fmt.Sprintf("%dms", row.DeadlineMS)
+		}
+		fmt.Fprintf(&b, "%-10s %4d %8s %-8s %-26s %9.2fms %7.1fms\n",
+			row.Shape, row.Rels, dl, row.Technique, row.Reason, row.PredictedMS, row.ReserveMS)
+	}
+
+	b.WriteString("\nLatency profiles (ms)\n")
+	renderProfiles(&b, d.Latency)
+	b.WriteString("\nRegret profiles (ρ)\n")
+	renderProfiles(&b, d.Regret)
+	return b.String()
+}
+
+func renderProfiles(b *strings.Builder, ps []Profile) {
+	if len(ps) == 0 {
+		b.WriteString("no observations yet — predictions fall back to priors\n")
+		return
+	}
+	fmt.Fprintf(b, "%-8s %-10s %-6s %8s %9s %9s %9s\n", "tech", "shape", "band", "samples", "ewma", "last", "max")
+	for _, p := range ps {
+		fmt.Fprintf(b, "%-8s %-10s %-6s %8d %9.3f %9.3f %9.3f\n", p.Tech, p.Shape, p.Band, p.Samples, p.EWMA, p.Last, p.Max)
+	}
 }
 
 func sortProfiles(ps []Profile) {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sdpopt/internal/obs"
 )
 
 // TestDecisionTableGolden pins the full decision ladder as a golden table:
@@ -189,8 +191,10 @@ func TestSnapshotAndHandlers(t *testing.T) {
 	r.Count(TechGreedy, ReasonFastPath)
 	r.Count(TechGreedy, ReasonDeadlineDemote)
 
+	mux := obs.NewDebugMux()
+	obs.MountPage(mux, "/debug/routes", "technique routing", r.Snapshot)
 	rec := httptest.NewRecorder()
-	r.JSONHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/routes.json", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/routes.json", nil))
 	var d Dump
 	if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
 		t.Fatalf("routes.json does not decode: %v", err)
@@ -206,7 +210,7 @@ func TestSnapshotAndHandlers(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/routes", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/routes", nil))
 	body := rec.Body.String()
 	for _, want := range []string{"Decision table", "auto:greedy-fastpath", "Latency profiles"} {
 		if !strings.Contains(body, want) {

@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -118,8 +117,8 @@ type Options struct {
 	// fraction of served plans is re-optimized in the background with a
 	// reference technique and the cost ratios are aggregated at
 	// /debug/regret (see internal/obs/regret). The server fills in the
-	// Optimize hook and, when unset, Obs and Flight; every other knob
-	// (rates, pool sizing, dedup window) is the caller's.
+	// Optimize and OnSample hooks and, when unset, Obs and Flight; every
+	// other knob (rates, pool sizing, dedup window) is the caller's.
 	Regret *regret.Options
 	// Route configures the SLO-aware technique router behind
 	// technique:"auto" (see internal/route); the zero value selects the
@@ -236,11 +235,6 @@ func New(opts Options) (*Server, error) {
 	if opts.Regret != nil {
 		ro := *opts.Regret
 		ro.Optimize = OptimizeTraced
-		// Hand the shadow the catalog version computed above so not even
-		// the first sampled serve re-hashes the catalog on the request path.
-		if ro.CatalogVersion == "" {
-			ro.CatalogVersion = s.catVersion
-		}
 		if ro.Obs == nil {
 			ro.Obs = s.ob
 		}
@@ -250,16 +244,11 @@ func New(opts Options) (*Server, error) {
 		// The router rides the shadow's sample stream: every measured
 		// ratio updates the matching (tech, shape, band) regret EWMA, so a
 		// cheap route whose ρ degrades is demoted without any extra
-		// shadow work. A caller-supplied hook still runs after.
-		if user := ro.OnSample; user != nil {
-			ro.OnSample = func(tech, shape, band string, ratio float64) {
-				s.router.NoteRegret(tech, shape, band, ratio)
-				user(tech, shape, band, ratio)
-			}
-		} else {
-			ro.OnSample = s.router.NoteRegret
-		}
-		shadow, err := regret.New(ro)
+		// shadow work.
+		ro.OnSample = s.router.NoteRegret
+		// The catalog version computed above keys the shadow's dedup, so no
+		// sampled serve re-hashes the catalog on the request path.
+		shadow, err := regret.New(ro, s.catVersion)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +276,7 @@ func New(opts Options) (*Server, error) {
 				Rate:    fo.SampleRate,
 				MaxRels: fo.MaxRels,
 				MaxRows: fo.MaxRows,
-			})
+			}, s.catVersion)
 			if err != nil {
 				return nil, err
 			}
@@ -406,69 +395,30 @@ type OptimizeResponse struct {
 
 // Handler returns the server's HTTP routes: POST /optimize, GET /healthz,
 // GET /catalog, the flight recorder (/debug/requests, /debug/flight.json —
-// always on), and — when an observer is configured — the metrics surface
-// (/metrics, /debug/vars, /debug/pprof/).
+// always on), the routing page, the regret and cardinality pages when those
+// layers are configured, the metrics surface (/metrics, /debug/vars,
+// /debug/pprof/) when an observer is, and the /debug index of all of them.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := obs.NewDebugMux()
 	mux.HandleFunc("/optimize", s.handleOptimize)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/catalog", s.handleCatalog)
-	// Exact paths outrank the /debug/ subtree below, so the flight
-	// recorder coexists with pprof/expvar on one listener.
-	mux.HandleFunc("/debug", s.handleDebugIndex)
-	mux.Handle("/debug/requests", s.flight.RequestsHandler(s.registry()))
-	mux.Handle("/debug/flight.json", s.flight.FlightHandler())
+	mux.Mount("/debug/requests", "flight recorder: recent and slow/error request traces", s.flight.RequestsHandler(s.registry()))
+	mux.Mount("/debug/flight.json", "flight recorder, machine-readable", s.flight.FlightHandler())
+	obs.MountPage(mux, "/debug/routes", "technique routing", s.router.Snapshot)
 	if s.shadow != nil {
-		mux.Handle("/debug/regret", s.shadow.Handler())
-		mux.Handle("/debug/regret.json", s.shadow.JSONHandler())
+		obs.MountPage(mux, "/debug/regret", "plan-quality regret", s.shadow.Snapshot)
 	}
-	mux.Handle("/debug/routes", s.router.Handler())
-	mux.Handle("/debug/routes.json", s.router.JSONHandler())
 	if s.ledger != nil {
-		mux.Handle("/debug/cardinality", s.ledger.Handler(s.sampler))
-		mux.Handle("/debug/cardinality.json", s.ledger.JSONHandler(s.sampler))
+		obs.MountPage(mux, "/debug/cardinality", "cardinality feedback", func() *feedback.Dump { return s.ledger.Snapshot(s.sampler) })
 	}
-	if s.ob != nil && s.ob.Registry != nil {
-		oh := s.ob.Registry.Handler()
-		mux.Handle("/metrics", oh)
-		mux.Handle("/debug/", oh)
+	if reg := s.registry(); reg != nil {
+		oh := reg.Handler()
+		mux.Mount("/metrics", "Prometheus metrics with trace-ID exemplars", oh)
+		mux.Mount("/debug/pprof/", "Go runtime profiles", oh)
+		mux.Mount("/debug/vars", "expvar", oh)
 	}
 	return mux
-}
-
-// handleDebugIndex serves /debug: one page listing every debug surface this
-// server actually mounts, so an operator landing on a live instance can see
-// what is observable without reading the source.
-func (s *Server) handleDebugIndex(w http.ResponseWriter, r *http.Request) {
-	type entry struct{ path, desc string }
-	entries := []entry{
-		{"/debug/requests", "flight recorder: recent and slow/error request traces (HTML)"},
-		{"/debug/flight.json", "flight recorder, machine-readable"},
-		{"/debug/routes", "technique router: decision table, latency and regret profiles (HTML; .json twin)"},
-	}
-	if s.shadow != nil {
-		entries = append(entries, entry{"/debug/regret", "shadow re-optimization regret: served-vs-reference plan cost ratios (HTML; .json twin)"})
-	}
-	if s.ledger != nil {
-		entries = append(entries, entry{"/debug/cardinality", "cardinality feedback ledger: estimate-vs-actual q-errors and staleness per catalog object (HTML; .json twin)"})
-	}
-	if s.ob != nil && s.ob.Registry != nil {
-		entries = append(entries,
-			entry{"/metrics", "Prometheus metrics with trace-ID exemplars"},
-			entry{"/debug/pprof/", "Go runtime profiles"},
-			entry{"/debug/vars", "expvar"},
-		)
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html><html><head><title>/debug</title><style>\n")
-	b.WriteString("body{font-family:sans-serif;margin:1em 2em}td,th{padding:0.15em 0.8em;text-align:left;border-bottom:1px solid #eee}table{border-collapse:collapse}</style></head><body>\n")
-	b.WriteString("<h1>sdpopt debug surfaces</h1>\n<table><tr><th>surface</th><th>what it shows</th></tr>\n")
-	for _, e := range entries {
-		fmt.Fprintf(&b, "<tr><td><a href=\"%s\">%s</a></td><td>%s</td></tr>\n", e.path, e.path, e.desc)
-	}
-	b.WriteString("</table>\n</body></html>\n")
-	_, _ = w.Write([]byte(b.String()))
 }
 
 // registry returns the observer's metrics registry, or nil without one.
