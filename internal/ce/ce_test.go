@@ -1,6 +1,7 @@
 package ce
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"sdpopt/internal/cost"
 	"sdpopt/internal/dp"
 	"sdpopt/internal/plan"
+	"sdpopt/internal/tech"
 	"sdpopt/internal/workload"
 )
 
@@ -221,15 +223,15 @@ func TestRecostIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range qs {
-			for _, tech := range techNames {
+			for _, name := range tech.Names() {
 				m := cost.NewModel(q, cost.DefaultParams())
-				p, _, err := runTechnique(tech, q, m, 0)
+				p, _, err := tech.Run(context.Background(), name, q, tech.Options{Model: m})
 				if err != nil {
-					t.Fatalf("%v/%s: %v", spec.Topology, tech, err)
+					t.Fatalf("%v/%s: %v", spec.Topology, name, err)
 				}
 				rc := cost.NewModel(q, cost.DefaultParams()).Recost(p)
 				if err := samePlan(p, rc); err != nil {
-					t.Errorf("%v/%s: recost drifted: %v", spec.Topology, tech, err)
+					t.Errorf("%v/%s: recost drifted: %v", spec.Topology, name, err)
 				}
 			}
 		}

@@ -1,20 +1,18 @@
 package ce
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"sdpopt/internal/catalog"
-	"sdpopt/internal/core"
 	"sdpopt/internal/cost"
-	"sdpopt/internal/dp"
 	"sdpopt/internal/feedback"
-	"sdpopt/internal/greedy"
-	"sdpopt/internal/idp"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
+	"sdpopt/internal/tech"
 	"sdpopt/internal/workload"
 )
 
@@ -108,30 +106,6 @@ type Report struct {
 	Healths    []float64        `json:"healths"`
 	Topologies []TopologyReport `json:"topologies"`
 	Exec       *ExecReport      `json:"exec,omitempty"`
-}
-
-// Techniques evaluated by the sweep, in report order. DP is first: it is
-// the reference that defines the true optimum at band 1 / health 1.
-var techNames = []string{"dp", "sdp", "idp2", "greedy"}
-
-func runTechnique(name string, q *query.Query, m *cost.Model, budget int64) (*plan.Plan, dp.Stats, error) {
-	switch name {
-	case "dp":
-		return dp.Optimize(q, dp.Options{Model: m, Budget: budget})
-	case "sdp":
-		o := core.DefaultOptions()
-		o.Model = m
-		o.Budget = budget
-		return core.Optimize(q, o)
-	case "idp2":
-		o := idp.DefaultOptions()
-		o.Model = m
-		o.Budget = budget
-		return idp.Optimize2(q, o)
-	case "greedy":
-		return greedy.Optimize(q, greedy.Options{Model: m})
-	}
-	return nil, dp.Stats{}, fmt.Errorf("ce: unknown technique %q", name)
 }
 
 func (c *Config) defaults() {
@@ -233,7 +207,7 @@ func evaluateTopology(cfg *Config, topo TopoSpec, ob *obs.Observer) (*TopologyRe
 	refCosts := make([]float64, len(qs))
 	for i, q := range qs {
 		trueModels[i] = cost.NewModel(q, params)
-		ref, _, err := dp.Optimize(q, dp.Options{Model: cost.NewModel(q, params), Budget: cfg.Budget})
+		ref, _, err := tech.Run(context.TODO(), tech.DP, q, tech.Options{Model: cost.NewModel(q, params), Budget: cfg.Budget})
 		if err != nil {
 			return nil, fmt.Errorf("reference dp on instance %d: %w", i, err)
 		}
@@ -259,7 +233,10 @@ func evaluateTopology(cfg *Config, topo TopoSpec, ob *obs.Observer) (*TopologyRe
 			}
 		}
 		for _, band := range cfg.Bands {
-			for _, tech := range techNames {
+			// tech.Names() is strongest first, so DP — the reference that
+			// defines the true optimum at band 1 / health 1 — leads each
+			// band's rows.
+			for _, name := range tech.Names() {
 				acc := cellAccum{}
 				for i, lq := range lyingQs {
 					var est cost.Estimator
@@ -273,10 +250,10 @@ func evaluateTopology(cfg *Config, topo TopoSpec, ob *obs.Observer) (*TopologyRe
 						est = inj
 					}
 					m := cost.NewModelEst(lq, params, est)
-					p, st, err := runTechnique(tech, lq, m, cfg.Budget)
+					p, st, err := tech.Run(context.TODO(), name, lq, tech.Options{Model: m, Budget: cfg.Budget})
 					if err != nil {
 						acc.infeas++
-						ob.Counter(obs.Label(obs.MCEInfeasible, "tech", tech)).Add(1)
+						ob.Counter(obs.Label(obs.MCEInfeasible, "tech", name)).Add(1)
 						continue
 					}
 					// The chosen tree re-costed under truth: what the plan
@@ -289,11 +266,11 @@ func evaluateTopology(cfg *Config, topo TopoSpec, ob *obs.Observer) (*TopologyRe
 					collectJoinQErr(p, trueP, &acc.qerrs)
 					acc.alive = append(acc.alive, float64(st.Memo.ClassesAlive))
 					acc.paths = append(acc.paths, float64(st.Memo.PathsRetained))
-					ob.Counter(obs.Label(obs.MCEEvaluations, "tech", tech)).Add(1)
-					ob.FloatHistogram(obs.Label(obs.MCEPlanRatio, "tech", tech), nil).Observe(ratio)
+					ob.Counter(obs.Label(obs.MCEEvaluations, "tech", name)).Add(1)
+					ob.FloatHistogram(obs.Label(obs.MCEPlanRatio, "tech", name), nil).Observe(ratio)
 				}
 				cell := Cell{
-					Tech:              tech,
+					Tech:              name,
 					Band:              band,
 					Health:            health,
 					Rho:               geoMean(acc.ratios),
@@ -306,7 +283,7 @@ func evaluateTopology(cfg *Config, topo TopoSpec, ob *obs.Observer) (*TopologyRe
 					Infeasible:        acc.infeas,
 				}
 				for _, qe := range acc.qerrs {
-					ob.FloatHistogram(obs.Label(obs.MCEQError, "tech", tech), nil).Observe(qe)
+					ob.FloatHistogram(obs.Label(obs.MCEQError, "tech", name), nil).Observe(qe)
 				}
 				tr.Cells = append(tr.Cells, cell)
 			}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -15,69 +16,40 @@ import (
 	"sdpopt/internal/dp"
 	"sdpopt/internal/exec"
 	"sdpopt/internal/genetic"
-	"sdpopt/internal/greedy"
 	"sdpopt/internal/idp"
 	"sdpopt/internal/memo"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
 	"sdpopt/internal/randomized"
 	"sdpopt/internal/skyline"
+	"sdpopt/internal/tech"
 	"sdpopt/internal/tpch"
 	"sdpopt/internal/workload"
 )
 
-// starChainBatch runs the four main techniques over an n-relation
-// Star-Chain workload, with DP as reference when refDP is set (otherwise
-// SDP, the paper's convention when DP is infeasible).
-func (c Config) starChainBatch(n, defInstances int, refDP, ordered bool) (*Batch, error) {
-	spec := c.schema()
-	spec.Topology = workload.StarChain
-	spec.NumRelations = n
-	spec.Ordered = ordered
-	qs, err := workload.Instances(*spec, c.instances(defInstances))
-	if err != nil {
-		return nil, err
-	}
-	budget := c.budget()
-	ew := c.enumWorkers()
-	techs := []Technique{TechIDP(7, budget), TechIDP(4, budget), TechSDP(budget, ew)}
-	ref := "SDP"
-	if refDP {
-		techs = append([]Technique{TechDP(budget, ew)}, techs...)
-		ref = "DP"
-	}
-	graph := fmt.Sprintf("Star-Chain-%d", n)
-	if ordered {
-		graph = "Ord-" + graph
-	}
-	b, err := RunBatchWorkers(graph, qs, techs, ref, c.workers())
-	if err != nil {
-		return nil, err
-	}
-	if !refDP {
-		b.AddInfeasible("DP")
-	}
-	return b, nil
+// paperRows is the paper's comparison set: DP, IDP(7), IDP(4) and SDP.
+func paperRows(budget int64, ew int) []Technique {
+	return []Technique{TechDP(budget, ew), TechIDP(7, budget), TechIDP(4, budget), TechSDP(budget, ew)}
 }
 
-func (c Config) starBatch(n, defInstances int, refDP, ordered bool) (*Batch, error) {
+// paperBatch runs the paper's comparison set over an n-relation workload
+// of the given topology, with DP as reference when refDP is set (otherwise
+// SDP, the paper's convention when DP is infeasible).
+func (c Config) paperBatch(topo workload.Topology, n, defInstances int, refDP, ordered bool) (*Batch, error) {
 	spec := c.schema()
-	spec.Topology = workload.Star
+	spec.Topology = topo
 	spec.NumRelations = n
 	spec.Ordered = ordered
 	qs, err := workload.Instances(*spec, c.instances(defInstances))
 	if err != nil {
 		return nil, err
 	}
-	budget := c.budget()
-	ew := c.enumWorkers()
-	techs := []Technique{TechIDP(7, budget), TechIDP(4, budget), TechSDP(budget, ew)}
-	ref := "SDP"
-	if refDP {
-		techs = append([]Technique{TechDP(budget, ew)}, techs...)
-		ref = "DP"
+	techs := paperRows(c.budget(), c.enumWorkers())
+	ref := "DP"
+	if !refDP {
+		techs, ref = techs[1:], "SDP"
 	}
-	graph := fmt.Sprintf("Star-%d", n)
+	graph := fmt.Sprintf("%v-%d", topo, n)
 	if ordered {
 		graph = "Ord-" + graph
 	}
@@ -94,7 +66,7 @@ func (c Config) starBatch(n, defInstances int, refDP, ordered bool) (*Batch, err
 // Table11 reproduces Table 1.1: plan quality of DP, IDP and SDP on
 // Star-Chain-15.
 func Table11(c Config) (string, error) {
-	b, err := c.starChainBatch(15, 20, true, false)
+	b, err := c.paperBatch(workload.StarChain, 15, 20, true, false)
 	if err != nil {
 		return "", err
 	}
@@ -103,7 +75,7 @@ func Table11(c Config) (string, error) {
 
 // Table12 reproduces Table 1.2: optimization overheads on Star-Chain-15.
 func Table12(c Config) (string, error) {
-	b, err := c.starChainBatch(15, 20, true, false)
+	b, err := c.paperBatch(workload.StarChain, 15, 20, true, false)
 	if err != nil {
 		return "", err
 	}
@@ -114,7 +86,7 @@ func Table12(c Config) (string, error) {
 // of DP, IDP(4), IDP(7) and SDP on Star-Chain-15, emitted as plot series
 // (one line per technique: time, plans costed, ρ).
 func Figure12(c Config) (string, error) {
-	b, err := c.starChainBatch(15, 20, true, false)
+	b, err := c.paperBatch(workload.StarChain, 15, 20, true, false)
 	if err != nil {
 		return "", err
 	}
@@ -134,7 +106,7 @@ func Figure12(c Config) (string, error) {
 // Table13 reproduces Table 1.3: plan quality on the scaled Star-Chain-23,
 // with SDP as the reference since DP is infeasible.
 func Table13(c Config) (string, error) {
-	b, err := c.starChainBatch(23, 10, false, false)
+	b, err := c.paperBatch(workload.StarChain, 23, 10, false, false)
 	if err != nil {
 		return "", err
 	}
@@ -143,7 +115,7 @@ func Table13(c Config) (string, error) {
 
 // Table14 reproduces Table 1.4: overheads on Star-Chain-23.
 func Table14(c Config) (string, error) {
-	b, err := c.starChainBatch(23, 10, false, false)
+	b, err := c.paperBatch(workload.StarChain, 23, 10, false, false)
 	if err != nil {
 		return "", err
 	}
@@ -383,7 +355,7 @@ func Table31(c Config) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("Table 3.1: Star Plan Quality\n")
 	for _, n := range []int{15, 20, 23} {
-		b, err := c.starBatch(n, starDefaults(n), n <= starDPLimit, false)
+		b, err := c.paperBatch(workload.Star, n, starDefaults(n), n <= starDPLimit, false)
 		if err != nil {
 			return "", err
 		}
@@ -408,7 +380,7 @@ func Table32(c Config) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("Table 3.2: Star Optimization Overheads\n")
 	for _, n := range []int{15, 20, 23} {
-		b, err := c.starBatch(n, starDefaults(n), n <= starDPLimit, false)
+		b, err := c.paperBatch(workload.Star, n, starDefaults(n), n <= starDPLimit, false)
 		if err != nil {
 			return "", err
 		}
@@ -423,7 +395,7 @@ func Table32(c Config) (string, error) {
 func Table33(c Config) (string, error) {
 	cat := workload.ExtendedSchema(50)
 	budget := c.budget()
-	techs := []Technique{TechDP(budget), TechIDP(7, budget), TechIDP(4, budget), TechSDP(budget)}
+	techs := paperRows(budget, 1)
 	starts := map[string]int{"DP": 14, "IDP(7)": 18, "IDP(4)": 30, "SDP": 30}
 	const ceiling = 45 // the paper's scan ceiling
 	var sb strings.Builder
@@ -502,7 +474,7 @@ func Table34(c Config) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("Table 3.4: Ordered Star Plan Quality\n")
 	for _, n := range []int{15, 20, 23} {
-		b, err := c.starBatch(n, starDefaults(n), n <= starDPLimit, true)
+		b, err := c.paperBatch(workload.Star, n, starDefaults(n), n <= starDPLimit, true)
 		if err != nil {
 			return "", err
 		}
@@ -522,7 +494,7 @@ func Table35(c Config) (string, error) {
 		refDP   bool
 	}{{15, 12, true}, {20, 3, true}, {23, 8, false}}
 	for _, sz := range sizes {
-		b, err := c.starChainBatch(sz.n, sz.inst, sz.refDP, true)
+		b, err := c.paperBatch(workload.StarChain, sz.n, sz.inst, sz.refDP, true)
 		if err != nil {
 			return "", err
 		}
@@ -683,11 +655,17 @@ func AblationIDP2(c Config) (string, error) {
 		return "", err
 	}
 	budget := c.budget()
+	idp2K4 := Technique{Name: "IDP2(4)", Run: func(q *query.Query) (*plan.Plan, dp.Stats, error) {
+		opts := idp.DefaultOptions()
+		opts.K = 4
+		opts.Budget = budget
+		return idp.Optimize2(q, opts)
+	}}
 	b, err := RunBatch("Star-Chain-15", qs, []Technique{
 		TechDP(budget),
 		TechIDP(7, budget),
-		TechIDP2(7, budget),
-		TechIDP2(4, budget),
+		TechIDP2(budget),
+		idp2K4,
 		TechSDP(budget),
 	}, "DP")
 	if err != nil {
@@ -720,9 +698,7 @@ func ExtTopologies(c Config) (string, error) {
 			return "", err
 		}
 		graph := fmt.Sprintf("%s-%d", wl.topo, wl.n)
-		b, err := RunBatch(graph, qs, []Technique{
-			TechDP(budget), TechIDP(7, budget), TechIDP(4, budget), TechSDP(budget),
-		}, "DP")
+		b, err := RunBatch(graph, qs, paperRows(budget, 1), "DP")
 		if err != nil {
 			return "", err
 		}
@@ -751,7 +727,7 @@ func ExtTPCH(c Config) (string, error) {
 			return "", err
 		}
 		var ref float64
-		for _, t := range []Technique{TechDP(budget), TechIDP(7, budget), TechIDP(4, budget), TechSDP(budget)} {
+		for _, t := range paperRows(budget, 1) {
 			p, stats, err := t.Run(q)
 			if err != nil {
 				return "", fmt.Errorf("%s %s: %w", name, t.Name, err)
@@ -807,27 +783,23 @@ func ExtValidate(c Config) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		plans := map[string]*plan.Plan{}
-		if plans["DP"], _, err = dp.Optimize(q, dp.Options{}); err != nil {
-			return "", err
-		}
-		if plans["SDP"], _, err = core.Optimize(q, core.DefaultOptions()); err != nil {
-			return "", err
-		}
-		if plans["GOO"], _, err = greedy.Optimize(q, greedy.Options{}); err != nil {
-			return "", err
-		}
+		var plans []*plan.Plan
 		fingerprints := map[string]bool{}
 		var actual int
-		for _, p := range plans {
+		for _, name := range []string{tech.DP, tech.SDP, tech.Greedy} {
+			p, _, err := tech.Run(context.TODO(), name, q, tech.Options{})
+			if err != nil {
+				return "", err
+			}
 			res, err := db.Run(p)
 			if err != nil {
 				return "", err
 			}
+			plans = append(plans, p)
 			fingerprints[res.Fingerprint()] = true
 			actual = res.NumRows()
 		}
-		est := plans["DP"].Rows
+		est := plans[0].Rows
 		agreement := "IDENTICAL"
 		if len(fingerprints) != 1 {
 			agreement = "MISMATCH"
@@ -966,12 +938,12 @@ func (c Config) largeQueryBatches() ([]*Batch, error) {
 		return nil
 	}
 	if err := run(workload.Star, 30,
-		[]Technique{TechSDP(budget, ew), TechIDP2(7, budget), TechGOO()},
+		[]Technique{TechSDP(budget, ew), TechIDP2(budget), TechGOO()},
 		"SDP", "DP"); err != nil {
 		return nil, err
 	}
 	if err := run(workload.Clique, 25,
-		[]Technique{TechIDP2(7, budget), TechGOO()},
+		[]Technique{TechIDP2(budget), TechGOO()},
 		"GOO", "DP", "SDP"); err != nil {
 		return nil, err
 	}
@@ -979,7 +951,7 @@ func (c Config) largeQueryBatches() ([]*Batch, error) {
 		return dp.Optimize(q, dp.Options{Enum: dp.EnumNaive, Budget: budget, Label: "DP-size"})
 	}}
 	if err := run(workload.Chain, 40,
-		[]Technique{TechDP(budget), dpSize, TechSDP(budget, ew), TechIDP2(7, budget), TechGOO()},
+		[]Technique{TechDP(budget), dpSize, TechSDP(budget, ew), TechIDP2(budget), TechGOO()},
 		"DP"); err != nil {
 		return nil, err
 	}

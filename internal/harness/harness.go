@@ -9,6 +9,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -17,13 +18,13 @@ import (
 
 	"sdpopt/internal/core"
 	"sdpopt/internal/dp"
-	"sdpopt/internal/greedy"
 	"sdpopt/internal/idp"
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/quality"
 	"sdpopt/internal/query"
+	"sdpopt/internal/tech"
 	"sdpopt/internal/workload"
 )
 
@@ -107,12 +108,17 @@ func enumWorkersOf(workers []int) int {
 	return workers[0]
 }
 
+// tableRow labels one tech table entry — a served technique at its default
+// configuration — as a harness row.
+func tableRow(label, name string, o tech.Options) Technique {
+	return Technique{Name: label, Run: func(q *query.Query) (*plan.Plan, dp.Stats, error) {
+		return tech.Run(context.TODO(), name, q, o)
+	}}
+}
+
 // TechDP is exhaustive dynamic programming.
 func TechDP(budget int64, workers ...int) Technique {
-	w := enumWorkersOf(workers)
-	return Technique{Name: "DP", Run: func(q *query.Query) (*plan.Plan, dp.Stats, error) {
-		return dp.Optimize(q, dp.Options{Budget: budget, Workers: w})
-	}}
+	return tableRow("DP", tech.DP, tech.Options{Budget: budget, Workers: enumWorkersOf(workers)})
 }
 
 // TechIDP is IDP1-balanced-bestRow with the given block size.
@@ -125,29 +131,20 @@ func TechIDP(k int, budget int64) Technique {
 	}}
 }
 
-// TechIDP2 is IDP2 (greedy-then-re-optimize subtree passes) with block
-// size k.
-func TechIDP2(k int, budget int64) Technique {
-	return Technique{Name: fmt.Sprintf("IDP2(%d)", k), Run: func(q *query.Query) (*plan.Plan, dp.Stats, error) {
-		opts := idp.DefaultOptions()
-		opts.K = k
-		opts.Budget = budget
-		return idp.Optimize2(q, opts)
-	}}
+// TechIDP2 is IDP2 (greedy-then-re-optimize subtree passes) at the default
+// block size.
+func TechIDP2(budget int64) Technique {
+	return tableRow(fmt.Sprintf("IDP2(%d)", idp.DefaultOptions().K), tech.IDP2, tech.Options{Budget: budget})
 }
 
 // TechGOO is greedy operator ordering. It takes no budget: greedy's memory
 // is linear in the query, so it is feasible on every workload the harness
 // can generate.
-func TechGOO() Technique {
-	return Technique{Name: "GOO", Run: func(q *query.Query) (*plan.Plan, dp.Stats, error) {
-		return greedy.Optimize(q, greedy.Options{})
-	}}
-}
+func TechGOO() Technique { return tableRow("GOO", tech.Greedy, tech.Options{}) }
 
 // TechSDP is SDP with the paper's default configuration.
 func TechSDP(budget int64, workers ...int) Technique {
-	return TechSDPVariant("SDP", core.DefaultOptions(), budget, workers...)
+	return tableRow("SDP", tech.SDP, tech.Options{Budget: budget, Workers: enumWorkersOf(workers)})
 }
 
 // TechSDPVariant is SDP with explicit options, for the ablations.

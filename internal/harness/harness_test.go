@@ -206,9 +206,9 @@ func TestStarChainBatchSmall(t *testing.T) {
 		t.Skip("runs exhaustive DP on star-chain-12")
 	}
 	cfg := Config{Instances: 2, Seed: 5}
-	b, err := cfg.starChainBatch(12, 2, true, false)
+	b, err := cfg.paperBatch(workload.StarChain, 12, 2, true, false)
 	if err != nil {
-		t.Fatalf("starChainBatch: %v", err)
+		t.Fatalf("paperBatch star-chain: %v", err)
 	}
 	if b.Outcome("SDP") == nil || b.Outcome("DP") == nil {
 		t.Fatal("missing outcomes")
@@ -225,9 +225,9 @@ func TestOrderedStarBatchSmall(t *testing.T) {
 		t.Skip("runs exhaustive DP")
 	}
 	cfg := Config{Instances: 2, Seed: 5}
-	b, err := cfg.starBatch(10, 2, true, true)
+	b, err := cfg.paperBatch(workload.Star, 10, 2, true, true)
 	if err != nil {
-		t.Fatalf("starBatch ordered: %v", err)
+		t.Fatalf("paperBatch star ordered: %v", err)
 	}
 	if got := b.Graph; !strings.HasPrefix(got, "Ord-") {
 		t.Errorf("graph label = %q", got)

@@ -31,11 +31,12 @@ import (
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
+	"sdpopt/internal/tech"
 )
 
-// OptimizeFunc runs one optimization by technique name. The server injects
-// its OptimizeTraced here so this package never imports the serving layer.
-type OptimizeFunc func(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error)
+// OptimizeFunc runs one optimization by technique name. It has tech.Run's
+// signature: the server passes tech.Run, and tests inject fakes.
+type OptimizeFunc func(ctx context.Context, technique string, q *query.Query, o tech.Options) (*plan.Plan, dp.Stats, error)
 
 // Options configures a Shadow.
 type Options struct {
@@ -245,9 +246,9 @@ func Band(n int) string {
 // n-relation query: exhaustive DP while feasible, full SDP beyond.
 func (s *Shadow) Reference(n int) string {
 	if s != nil && n <= s.opts.MaxDPRels {
-		return "dp"
+		return tech.DP
 	}
-	return "sdp"
+	return tech.SDP
 }
 
 // Observe offers one successful serve to the shadow layer. The fast path —
@@ -316,7 +317,7 @@ func (s *Shadow) runJob(j *job) error {
 	ctx = span.NewContext(ctx, root)
 
 	started := time.Now()
-	refPlan, _, err := s.opts.Optimize(ctx, j.ref, j.q, s.opts.Budget, 0, nil)
+	refPlan, _, err := s.opts.Optimize(ctx, j.ref, j.q, tech.Options{Budget: s.opts.Budget})
 	dur := time.Since(started)
 	s.opts.Obs.Histogram(obs.MRegretShadowSeconds).Observe(dur)
 	if err == nil && (refPlan == nil || refPlan.Cost <= 0) {

@@ -15,6 +15,7 @@ import (
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
+	"sdpopt/internal/tech"
 )
 
 func testCatalog(t *testing.T) *catalog.Catalog {
@@ -53,7 +54,7 @@ func scanPlan(cost float64) *plan.Plan {
 
 // fixedOptimize is an OptimizeFunc returning a plan of the given cost.
 func fixedOptimize(cost float64) OptimizeFunc {
-	return func(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+	return func(ctx context.Context, technique string, q *query.Query, _ tech.Options) (*plan.Plan, dp.Stats, error) {
 		return scanPlan(cost), dp.Stats{}, nil
 	}
 }
@@ -186,7 +187,7 @@ func TestShadowQueueOverflowDrops(t *testing.T) {
 	queries := []*query.Query{chainQuery(t, cat, 2), chainQuery(t, cat, 3), chainQuery(t, cat, 4), chainQuery(t, cat, 5)}
 	block := make(chan struct{})
 	var started atomic.Int64
-	slow := func(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+	slow := func(ctx context.Context, technique string, q *query.Query, _ tech.Options) (*plan.Plan, dp.Stats, error) {
 		started.Add(1)
 		<-block
 		return scanPlan(50), dp.Stats{}, nil
@@ -273,7 +274,7 @@ func TestShadowWindowRolls(t *testing.T) {
 	q := chainQuery(t, cat, 3)
 	var cost atomic.Int64
 	cost.Store(100)
-	opt := func(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+	opt := func(ctx context.Context, technique string, q *query.Query, _ tech.Options) (*plan.Plan, dp.Stats, error) {
 		return scanPlan(float64(cost.Load())), dp.Stats{}, nil
 	}
 	s, err := New(Options{Optimize: opt, SampleRate: 1, DedupFor: -1, Window: 4, TopN: 2}, "v1")
@@ -285,12 +286,12 @@ func TestShadowWindowRolls(t *testing.T) {
 	// 6 samples at ratio 2, then 4 at ratio 1: the window of 4 retains
 	// only the ratio-1 tail while lifetime counts all 10.
 	for i := 0; i < 6; i++ {
-		s.Observe(Sample{Query: q, Technique: "idp", Plan: scanPlan(200), Source: "miss"})
+		s.Observe(Sample{Query: q, Technique: "idp2", Plan: scanPlan(200), Source: "miss"})
 		drain(t, s)
 	}
 	cost.Store(200)
 	for i := 0; i < 4; i++ {
-		s.Observe(Sample{Query: q, Technique: "idp", Plan: scanPlan(200), Source: "miss"})
+		s.Observe(Sample{Query: q, Technique: "idp2", Plan: scanPlan(200), Source: "miss"})
 		drain(t, s)
 	}
 
@@ -313,7 +314,7 @@ func TestShadowWindowRolls(t *testing.T) {
 
 func TestShadowFailuresCounted(t *testing.T) {
 	cat := testCatalog(t)
-	fail := func(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+	fail := func(ctx context.Context, technique string, q *query.Query, _ tech.Options) (*plan.Plan, dp.Stats, error) {
 		return nil, dp.Stats{}, context.DeadlineExceeded
 	}
 	ob := obs.New()
@@ -338,7 +339,7 @@ func TestShadowFailuresCounted(t *testing.T) {
 func TestShadowContainsPanic(t *testing.T) {
 	cat := testCatalog(t)
 	var calls atomic.Int64
-	opt := func(ctx context.Context, technique string, q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+	opt := func(ctx context.Context, technique string, q *query.Query, _ tech.Options) (*plan.Plan, dp.Stats, error) {
 		if calls.Add(1) == 1 {
 			panic("engine bug")
 		}

@@ -12,7 +12,7 @@
 //     canonical encoding that normalizes relation order, predicate order
 //     and orientation, and filter constants, so syntactically different but
 //     semantically identical queries share an entry;
-//   - the technique namespace ("dp", "idp", "sdp", "greedy", ...) — each
+//   - the technique namespace ("dp", "sdp", "idp2", "greedy") — each
 //     optimizer's plans are cached independently, since a cached SDP plan
 //     is not an answer to a DP request;
 //   - the catalog version — catalog.Fingerprint(), a digest of the schema
@@ -38,6 +38,7 @@ package plancache
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,7 +244,18 @@ func (c *Cache) do(key Key, compute func() (*plan.Plan, dp.Stats, error), sp *sp
 	c.misses.Add(1)
 	c.cMisses.Add(1)
 	lookup(Miss)
+	computed := false
+	defer func() {
+		if !computed { // compute panicked: free the key and its waiters
+			f.err = errComputePanicked
+			s.mu.Lock()
+			delete(s.flights, id)
+			s.mu.Unlock()
+			close(f.done)
+		}
+	}()
 	f.p, f.st, f.err = compute()
+	computed = true
 
 	s.mu.Lock()
 	delete(s.flights, id)
@@ -263,6 +275,10 @@ func (c *Cache) do(key Key, compute func() (*plan.Plan, dp.Stats, error), sp *sp
 	close(f.done)
 	return f.p, f.st, Miss, f.err
 }
+
+// errComputePanicked is what coalesced waiters get when the compute they
+// waited on panicked.
+var errComputePanicked = errors.New("plancache: compute panicked")
 
 // Get returns the cached plan and stats for key without computing,
 // refreshing its LRU position on a hit.

@@ -145,6 +145,47 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
+// TestComputePanicReleasesKey: a compute that panics hands the panic to its
+// own caller, releases the coalesced waiter with an error, and leaves the
+// key computable by the next caller instead of blocking it for good.
+func TestComputePanicReleasesKey(t *testing.T) {
+	c := New(Options{})
+	release := make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(mkKey(3), func() (*plan.Plan, dp.Stats, error) {
+			<-release
+			panic("engine bug")
+		})
+	}()
+	for c.Counts().Misses == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	waited := make(chan error)
+	go func() {
+		_, _, _, err := c.Do(mkKey(3), func() (*plan.Plan, dp.Stats, error) {
+			t.Error("waiter ran its own compute")
+			return mkPlan(3), dp.Stats{}, nil
+		})
+		waited <- err
+	}()
+	for c.Counts().Dedups == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if v := <-panicked; v != "engine bug" {
+		t.Fatalf("computing caller recovered %v, want the panic", v)
+	}
+	if err := <-waited; !errors.Is(err, errComputePanicked) {
+		t.Fatalf("waiter got %v, want errComputePanicked", err)
+	}
+	p, _, src, err := c.Do(mkKey(3), func() (*plan.Plan, dp.Stats, error) { return mkPlan(3), dp.Stats{}, nil })
+	if err != nil || src != Miss || p.Cost != 3 {
+		t.Fatalf("next caller: p=%v src=%v err=%v, want a fresh miss", p, src, err)
+	}
+}
+
 func TestErrorsNotCached(t *testing.T) {
 	c := New(Options{})
 	boom := errors.New("boom")

@@ -22,10 +22,10 @@
 // (internal/obs/regret) so a cheap route whose rolling plan-quality ρ
 // degrades on some key is promoted back to SDP.
 //
-// The router observes and recommends; it never executes. The serving layer
-// owns running the decision (and the mid-flight fallback), which keeps this
-// package free of engine imports and makes the decision table a pure
-// function of the profile state — directly testable as a golden table.
+// The router observes and recommends; it never executes. It names its
+// rungs from the tech table, and the serving layer owns running the
+// decision (and the mid-flight fallback), which makes the decision table a
+// pure function of the profile state — directly testable as a golden table.
 package route
 
 import (
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"sdpopt/internal/obs/regret"
+	"sdpopt/internal/tech"
 )
 
 // Route reasons, attached to responses, span attributes, metrics labels and
@@ -71,24 +72,13 @@ const (
 	ReasonStaleDemote = "auto:stale-demote"
 )
 
-// Technique names the router routes between, strongest first. The router
-// deliberately never routes to exhaustive DP by default: its
-// super-polynomial blowup is exactly what a serving path must not gamble
-// on. Operators may opt small queries into the DP tier via
-// Options.ExactRels; even then the cardinality-feedback loop demotes DP
-// back to SDP when the ledger flags the query's estimates stale. The IDP
-// rung is the balanced IDP2 variant, not plain IDP1: IDP1's k-sized table
-// rebuilds run for seconds on large stars (unservable), while IDP2's
-// greedy-skeleton + windowed-DP refinement stays in single-digit
-// milliseconds at plan quality close to the reference — exactly the
-// latency/quality point a deadline-squeezed or budget-endangered request
-// needs.
-const (
-	TechDP     = "dp"
-	TechSDP    = "sdp"
-	TechIDP    = "idp2"
-	TechGreedy = "greedy"
-)
+// rungs are the tech table's techniques, strongest first. By default the
+// router never routes to exhaustive DP, whose super-polynomial blowup a
+// serving path must not gamble on; Options.ExactRels opts small queries in.
+// The IDP rung is IDP2, not IDP1: IDP1's k-sized table rebuilds run for
+// seconds on large stars, while IDP2 stays in single-digit milliseconds at
+// plan quality close to the reference.
+var rungs = tech.Names()
 
 // Options configures a Router. The zero value selects the defaults noted
 // on each field.
@@ -247,20 +237,16 @@ func New(opts Options) *Router {
 // up with the decision keys by construction.
 func Band(rels int) string { return regret.Band(rels) }
 
-// ladder returns the downgrade chain from tech toward cheaper techniques.
-// The chain is by optimization effort, not quality: a deadline squeeze
-// trades quality for an answer in time.
-func ladder(tech string) []string {
-	switch tech {
-	case TechDP:
-		return []string{TechDP, TechSDP, TechIDP, TechGreedy}
-	case TechSDP:
-		return []string{TechSDP, TechIDP, TechGreedy}
-	case TechIDP:
-		return []string{TechIDP, TechGreedy}
-	default:
-		return []string{TechGreedy}
+// ladder returns the downgrade chain from t toward cheaper techniques: the
+// rungs from t down. The chain is by optimization effort, not quality: a
+// deadline squeeze trades quality for an answer in time.
+func ladder(t string) []string {
+	for i, r := range rungs {
+		if r == t {
+			return rungs[i:]
+		}
 	}
+	return []string{tech.Greedy}
 }
 
 // Decide routes one query: rels relations, shape from query.Shape(), and
@@ -286,14 +272,14 @@ func (r *Router) DecideObserved(rels int, shape string, remaining time.Duration,
 	// Base ladder: fast path for small or chain-like shapes, IDP for the
 	// heavy tail, the opt-in exhaustive tier for small-enough queries, SDP
 	// in between.
-	tech, reason := TechSDP, ReasonDefault
+	choice, reason := tech.SDP, ReasonDefault
 	switch {
 	case rels <= r.opts.SmallRels || shape == "single" || shape == "chain":
-		tech, reason = TechGreedy, ReasonFastPath
+		choice, reason = tech.Greedy, ReasonFastPath
 	case rels >= r.opts.HeavyRels:
-		tech, reason = TechIDP, ReasonHeavy
+		choice, reason = tech.IDP2, ReasonHeavy
 	case r.opts.ExactRels > 0 && rels <= r.opts.ExactRels:
-		tech, reason = TechDP, ReasonExact
+		choice, reason = tech.DP, ReasonExact
 	}
 
 	// Cardinality feedback: exhaustive DP chases the cost model's exact
@@ -301,18 +287,18 @@ func (r *Router) DecideObserved(rels int, shape string, remaining time.Duration,
 	// while the estimates are. A stale-flagged shape falls back to SDP —
 	// the paper's point that heuristics lose little under misestimation
 	// applies doubly when the misestimation is measured, not hypothetical.
-	if tech == TechDP && staleness >= r.opts.StaleScore {
-		tech, reason = TechSDP, ReasonStaleDemote
+	if choice == tech.DP && staleness >= r.opts.StaleScore {
+		choice, reason = tech.SDP, ReasonStaleDemote
 	}
 
 	// Regret feedback: a cheap route whose rolling ρ on this key degraded
 	// is promoted back to SDP — plan quality is the thing the cheap route
 	// was trading away, and the shadow optimizer just measured the trade
 	// going bad.
-	if tech != TechSDP && tech != TechDP {
-		if e := r.reg[key{tech, shape, band}]; e != nil &&
+	if choice != tech.SDP && choice != tech.DP {
+		if e := r.reg[key{choice, shape, band}]; e != nil &&
 			e.n >= r.opts.MinRegretSamples && e.val > r.opts.DemoteRho {
-			tech, reason = TechSDP, ReasonRegretPromote
+			choice, reason = tech.SDP, ReasonRegretPromote
 		}
 	}
 
@@ -333,7 +319,7 @@ func (r *Router) DecideObserved(rels int, shape string, remaining time.Duration,
 		if avail <= 0 {
 			avail = remaining / 2
 		}
-		chain := ladder(tech)
+		chain := ladder(choice)
 		fit := ""
 		for _, t := range chain {
 			if time.Duration(float64(r.predictLocked(t, shape, band))*r.opts.SafetyFactor) <= avail {
@@ -342,15 +328,15 @@ func (r *Router) DecideObserved(rels int, shape string, remaining time.Duration,
 			}
 		}
 		if fit == "" {
-			fit = TechGreedy
+			fit = tech.Greedy
 		}
-		if fit != tech {
-			tech, reason = fit, ReasonDeadlineDowngrade
+		if fit != choice {
+			choice, reason = fit, ReasonDeadlineDowngrade
 		}
 	}
 
-	dec := Decision{Technique: tech, Reason: reason, Predicted: r.predictLocked(tech, shape, Band(rels))}
-	if tech != TechGreedy && remaining > 0 {
+	dec := Decision{Technique: choice, Reason: reason, Predicted: r.predictLocked(choice, shape, Band(rels))}
+	if choice != tech.Greedy && remaining > 0 {
 		dec.Reserve = reserve
 	}
 	return dec
@@ -441,27 +427,27 @@ var bands = []string{"1-4", "5-8", "9-12", "13-16", "17-24", "25+"}
 // rounded up — an optimistic prior causes mid-flight demotions until the
 // EWMA learns better, a pessimistic one merely keeps the fast path warm.
 var priors = map[string][]time.Duration{
-	TechGreedy: {100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond,
+	tech.Greedy: {100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond,
 		time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond},
-	TechSDP: {time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond,
+	tech.SDP: {time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond,
 		60 * time.Millisecond, 250 * time.Millisecond, 2 * time.Second},
 	// IDP2's cost is dominated by the greedy skeleton plus K-bounded DP
 	// re-optimizations, which grows far more gently with query size than
 	// full enumeration — measured single-digit ms through Star-24.
-	TechIDP: {time.Millisecond, 4 * time.Millisecond, 6 * time.Millisecond,
+	tech.IDP2: {time.Millisecond, 4 * time.Millisecond, 6 * time.Millisecond,
 		15 * time.Millisecond, 40 * time.Millisecond, 150 * time.Millisecond},
 	// Exhaustive DP's priors reflect its super-polynomial blowup: sane in
 	// the exact tier's intended bands, prohibitive beyond — a deadline of
 	// any realistic size demotes it down the ladder there, which is the
 	// intended behavior, not a tuning problem.
-	TechDP: {time.Millisecond, 30 * time.Millisecond, 500 * time.Millisecond,
+	tech.DP: {time.Millisecond, 30 * time.Millisecond, 500 * time.Millisecond,
 		10 * time.Second, 15 * time.Minute, 24 * time.Hour},
 }
 
-func prior(tech, band string) time.Duration {
-	p, ok := priors[tech]
+func prior(t, band string) time.Duration {
+	p, ok := priors[t]
 	if !ok {
-		p = priors[TechSDP] // unknown technique: assume SDP-like cost
+		p = priors[tech.SDP] // unknown technique: assume SDP-like cost
 	}
 	for i, b := range bands {
 		if b == band {

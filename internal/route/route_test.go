@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdpopt/internal/obs"
+	"sdpopt/internal/tech"
 )
 
 // TestDecisionTableGolden pins the full decision ladder as a golden table:
@@ -26,40 +27,40 @@ func TestDecisionTableGolden(t *testing.T) {
 		reason   string
 	}{
 		// Fast path: small queries route greedy regardless of shape...
-		{"star", 3, none, TechGreedy, ReasonFastPath},
-		{"clique", 4, none, TechGreedy, ReasonFastPath},
+		{"star", 3, none, tech.Greedy, ReasonFastPath},
+		{"clique", 4, none, tech.Greedy, ReasonFastPath},
 		// ...and chain-like shapes route greedy regardless of size: GOO's
 		// neighborhood ordering is near-ideal on chains.
-		{"chain", 12, none, TechGreedy, ReasonFastPath},
-		{"chain", 25, none, TechGreedy, ReasonFastPath},
-		{"single", 1, none, TechGreedy, ReasonFastPath},
+		{"chain", 12, none, tech.Greedy, ReasonFastPath},
+		{"chain", 25, none, tech.Greedy, ReasonFastPath},
+		{"single", 1, none, tech.Greedy, ReasonFastPath},
 
 		// The SDP default covers the middle.
-		{"star", 7, none, TechSDP, ReasonDefault},
-		{"star", 12, none, TechSDP, ReasonDefault},
-		{"star-chain", 15, none, TechSDP, ReasonDefault},
-		{"tree", 16, none, TechSDP, ReasonDefault},
-		{"clique", 10, none, TechSDP, ReasonDefault},
+		{"star", 7, none, tech.SDP, ReasonDefault},
+		{"star", 12, none, tech.SDP, ReasonDefault},
+		{"star-chain", 15, none, tech.SDP, ReasonDefault},
+		{"tree", 16, none, tech.SDP, ReasonDefault},
+		{"clique", 10, none, tech.SDP, ReasonDefault},
 
 		// Heavy tail: IDP where full SDP risks the memory cliff.
-		{"star", 20, none, TechIDP, ReasonHeavy},
-		{"clique", 25, none, TechIDP, ReasonHeavy},
+		{"star", 20, none, tech.IDP2, ReasonHeavy},
+		{"clique", 25, none, tech.IDP2, ReasonHeavy},
 
 		// Deadline downgrades: the cold prior for SDP at 13-16 rels is
 		// 60ms ×2 safety — a 25ms deadline cannot fit it, so the ladder
 		// walks down to greedy; a generous deadline keeps SDP.
-		{"star-chain", 15, 25 * time.Millisecond, TechGreedy, ReasonDeadlineDowngrade},
-		{"star-chain", 15, 2500 * time.Millisecond, TechSDP, ReasonDefault},
-		{"star", 12, 5 * time.Millisecond, TechGreedy, ReasonDeadlineDowngrade},
+		{"star-chain", 15, 25 * time.Millisecond, tech.Greedy, ReasonDeadlineDowngrade},
+		{"star-chain", 15, 2500 * time.Millisecond, tech.SDP, ReasonDefault},
+		{"star", 12, 5 * time.Millisecond, tech.Greedy, ReasonDeadlineDowngrade},
 		// Heavy tail under deadlines: IDP2's 40ms prior at 17-24 rels fits
 		// ×2 safety into 250ms, but not into 60ms — greedy absorbs that.
-		{"star", 20, 250 * time.Millisecond, TechIDP, ReasonHeavy},
-		{"star", 20, 60 * time.Millisecond, TechGreedy, ReasonDeadlineDowngrade},
+		{"star", 20, 250 * time.Millisecond, tech.IDP2, ReasonHeavy},
+		{"star", 20, 60 * time.Millisecond, tech.Greedy, ReasonDeadlineDowngrade},
 		// A mid-band deadline squeeze lands on the IDP2 middle rung: SDP's
 		// 60ms prior fails ×2 safety against 45ms but IDP2's 15ms fits.
-		{"star-chain", 15, 45 * time.Millisecond, TechIDP, ReasonDeadlineDowngrade},
+		{"star-chain", 15, 45 * time.Millisecond, tech.IDP2, ReasonDeadlineDowngrade},
 		// An impossible deadline still resolves to greedy, never an error.
-		{"star", 12, time.Microsecond, TechGreedy, ReasonDeadlineDowngrade},
+		{"star", 12, time.Microsecond, tech.Greedy, ReasonDeadlineDowngrade},
 	}
 	for _, c := range cases {
 		got := r.Decide(c.rels, c.shape, c.deadline)
@@ -67,7 +68,7 @@ func TestDecisionTableGolden(t *testing.T) {
 			t.Errorf("Decide(%d, %q, %v) = (%s, %s); want (%s, %s)",
 				c.rels, c.shape, c.deadline, got.Technique, got.Reason, c.tech, c.reason)
 		}
-		if got.Technique != TechGreedy && c.deadline > 0 && got.Reserve <= 0 {
+		if got.Technique != tech.Greedy && c.deadline > 0 && got.Reserve <= 0 {
 			t.Errorf("Decide(%d, %q, %v): expected a fallback reserve, got %v",
 				c.rels, c.shape, c.deadline, got.Reserve)
 		}
@@ -87,21 +88,21 @@ func TestRegretFeedbackDemotesRoute(t *testing.T) {
 
 	// Three bad ratios: below the sample floor, route unchanged.
 	for i := 0; i < 3; i++ {
-		r.NoteRegret(TechGreedy, "chain", band, 3.0)
+		r.NoteRegret(tech.Greedy, "chain", band, 3.0)
 	}
-	if d := r.Decide(12, "chain", 0); d.Technique != TechGreedy {
+	if d := r.Decide(12, "chain", 0); d.Technique != tech.Greedy {
 		t.Fatalf("below sample floor: got %s/%s, want greedy fast path", d.Technique, d.Reason)
 	}
 
 	// Fourth bad ratio crosses the floor; the EWMA is far above 1.15.
-	r.NoteRegret(TechGreedy, "chain", band, 3.0)
+	r.NoteRegret(tech.Greedy, "chain", band, 3.0)
 	d := r.Decide(12, "chain", 0)
-	if d.Technique != TechSDP || d.Reason != ReasonRegretPromote {
+	if d.Technique != tech.SDP || d.Reason != ReasonRegretPromote {
 		t.Fatalf("after degradation: got %s/%s, want sdp/%s", d.Technique, d.Reason, ReasonRegretPromote)
 	}
 
 	// A different shape's fast path is untouched.
-	if d := r.Decide(3, "star", 0); d.Technique != TechGreedy {
+	if d := r.Decide(3, "star", 0); d.Technique != tech.Greedy {
 		t.Fatalf("unrelated key demoted: got %s/%s", d.Technique, d.Reason)
 	}
 }
@@ -114,24 +115,24 @@ func TestObserveLearnsLatency(t *testing.T) {
 	band := Band(15)
 
 	// Cold prediction is the prior (60ms for sdp at 13-16).
-	if got := r.Predict(TechSDP, "star-chain", band); got != 60*time.Millisecond {
+	if got := r.Predict(tech.SDP, "star-chain", band); got != 60*time.Millisecond {
 		t.Fatalf("cold prior = %v, want 60ms", got)
 	}
 
 	// A fast measurement pulls the estimate down; the 25ms deadline that
 	// was downgraded on priors now fits SDP.
-	r.Observe(TechSDP, "star-chain", band, 2*time.Millisecond, false)
-	if got := r.Predict(TechSDP, "star-chain", band); got != 2*time.Millisecond {
+	r.Observe(tech.SDP, "star-chain", band, 2*time.Millisecond, false)
+	if got := r.Predict(tech.SDP, "star-chain", band); got != 2*time.Millisecond {
 		t.Fatalf("after one sample: predict = %v, want 2ms", got)
 	}
-	if d := r.Decide(15, "star-chain", 25*time.Millisecond); d.Technique != TechSDP {
+	if d := r.Decide(15, "star-chain", 25*time.Millisecond); d.Technique != tech.SDP {
 		t.Fatalf("learned-fast SDP still downgraded: %s/%s", d.Technique, d.Reason)
 	}
 
 	// Timed-out observations count double, ratcheting the estimate up.
-	before := r.Predict(TechSDP, "star-chain", band)
-	r.Observe(TechSDP, "star-chain", band, 100*time.Millisecond, true)
-	if after := r.Predict(TechSDP, "star-chain", band); after <= before {
+	before := r.Predict(tech.SDP, "star-chain", band)
+	r.Observe(tech.SDP, "star-chain", band, 100*time.Millisecond, true)
+	if after := r.Predict(tech.SDP, "star-chain", band); after <= before {
 		t.Fatalf("timeout inflation had no effect: %v -> %v", before, after)
 	}
 }
@@ -159,9 +160,9 @@ func TestConcurrentDecideAndUpdate(t *testing.T) {
 				shape := shapes[i%len(shapes)]
 				rels := 1 + i%25
 				band := Band(rels)
-				r.Observe(TechSDP, shape, band, time.Duration(1+i%50)*time.Millisecond, i%7 == 0)
-				r.NoteRegret(TechGreedy, shape, band, 1.0+float64(i%10)/4)
-				r.Count(TechGreedy, ReasonFastPath)
+				r.Observe(tech.SDP, shape, band, time.Duration(1+i%50)*time.Millisecond, i%7 == 0)
+				r.NoteRegret(tech.Greedy, shape, band, 1.0+float64(i%10)/4)
+				r.Count(tech.Greedy, ReasonFastPath)
 				i++
 			}
 		}(w)
@@ -186,10 +187,10 @@ func TestConcurrentDecideAndUpdate(t *testing.T) {
 // round-trips with a populated decision table and the HTML page renders.
 func TestSnapshotAndHandlers(t *testing.T) {
 	r := New(Options{})
-	r.Observe(TechSDP, "star", Band(12), 9*time.Millisecond, false)
-	r.NoteRegret(TechGreedy, "chain", Band(12), 1.02)
-	r.Count(TechGreedy, ReasonFastPath)
-	r.Count(TechGreedy, ReasonDeadlineDemote)
+	r.Observe(tech.SDP, "star", Band(12), 9*time.Millisecond, false)
+	r.NoteRegret(tech.Greedy, "chain", Band(12), 1.02)
+	r.Count(tech.Greedy, ReasonFastPath)
+	r.Count(tech.Greedy, ReasonDeadlineDemote)
 
 	mux := obs.NewDebugMux()
 	obs.MountPage(mux, "/debug/routes", "technique routing", r.Snapshot)
@@ -231,26 +232,26 @@ func TestExactTierStaleDemotion(t *testing.T) {
 	r := New(Options{ExactRels: 12})
 
 	healthy := r.DecideObserved(10, "star", 0, 0)
-	if healthy.Technique != TechDP || healthy.Reason != ReasonExact {
+	if healthy.Technique != tech.DP || healthy.Reason != ReasonExact {
 		t.Fatalf("healthy 10-rel star = %s/%s, want dp/%s", healthy.Technique, healthy.Reason, ReasonExact)
 	}
 	stale := r.DecideObserved(10, "star", 0, 0.8)
-	if stale.Technique != TechSDP || stale.Reason != ReasonStaleDemote {
+	if stale.Technique != tech.SDP || stale.Reason != ReasonStaleDemote {
 		t.Fatalf("stale 10-rel star = %s/%s, want sdp/%s", stale.Technique, stale.Reason, ReasonStaleDemote)
 	}
 	// Below the staleness threshold the exact tier holds.
-	if mild := r.DecideObserved(10, "star", 0, 0.3); mild.Technique != TechDP {
+	if mild := r.DecideObserved(10, "star", 0, 0.3); mild.Technique != tech.DP {
 		t.Fatalf("mildly-stale shape demoted: %s/%s", mild.Technique, mild.Reason)
 	}
 	// The fast path and heavy tail are untouched by the exact tier.
-	if d := r.DecideObserved(3, "star", 0, 0); d.Technique != TechGreedy {
+	if d := r.DecideObserved(3, "star", 0, 0); d.Technique != tech.Greedy {
 		t.Fatalf("small query = %s, want greedy", d.Technique)
 	}
-	if d := r.DecideObserved(25, "clique", 0, 0); d.Technique != TechIDP {
+	if d := r.DecideObserved(25, "clique", 0, 0); d.Technique != tech.IDP2 {
 		t.Fatalf("heavy query = %s, want idp2", d.Technique)
 	}
 	// A deadline the DP prior cannot fit walks the ladder down from dp.
-	if d := r.DecideObserved(10, "star", 40*time.Millisecond, 0); d.Technique == TechDP {
+	if d := r.DecideObserved(10, "star", 40*time.Millisecond, 0); d.Technique == tech.DP {
 		t.Fatalf("40ms deadline kept dp (predicted %v)", d.Predicted)
 	} else if d.Reason != ReasonDeadlineDowngrade {
 		t.Fatalf("deadline-squeezed exact tier reason = %s", d.Reason)
@@ -259,7 +260,7 @@ func TestExactTierStaleDemotion(t *testing.T) {
 	// Without the opt-in, staleness or not, DP is never routed.
 	def := New(Options{})
 	for _, s := range []float64{0, 0.9} {
-		if d := def.DecideObserved(10, "star", 0, s); d.Technique == TechDP {
+		if d := def.DecideObserved(10, "star", 0, s); d.Technique == tech.DP {
 			t.Fatalf("default router routed dp (staleness %g)", s)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"sdpopt/internal/feedback"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/route"
+	"sdpopt/internal/tech"
 )
 
 // TestFeedbackEndToEnd drives the full loop: serve → exec sample → ledger →
@@ -178,7 +179,7 @@ func TestStaleDemotionServes(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthy optimize: code %d, error %q", code, healthy.Error)
 	}
-	if healthy.Technique != route.TechDP || healthy.RouteReason != route.ReasonExact {
+	if healthy.Technique != tech.DP || healthy.RouteReason != route.ReasonExact {
 		t.Fatalf("healthy route = %s/%s, want dp/%s", healthy.Technique, healthy.RouteReason, route.ReasonExact)
 	}
 
@@ -193,7 +194,7 @@ func TestStaleDemotionServes(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("stale optimize: code %d, error %q", code, stale.Error)
 	}
-	if stale.Technique != route.TechSDP || stale.RouteReason != route.ReasonStaleDemote {
+	if stale.Technique != tech.SDP || stale.RouteReason != route.ReasonStaleDemote {
 		t.Fatalf("stale route = %s/%s, want sdp/%s", stale.Technique, stale.RouteReason, route.ReasonStaleDemote)
 	}
 
@@ -206,7 +207,7 @@ func TestStaleDemotionServes(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("unaffected optimize: code %d, error %q", code, unaffected.Error)
 	}
-	if unaffected.Technique != route.TechDP || unaffected.RouteReason != route.ReasonExact {
+	if unaffected.Technique != tech.DP || unaffected.RouteReason != route.ReasonExact {
 		t.Fatalf("unaffected route = %s/%s, want dp/%s", unaffected.Technique, unaffected.RouteReason, route.ReasonExact)
 	}
 }

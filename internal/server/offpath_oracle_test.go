@@ -62,7 +62,7 @@ func TestOffPathSurfacesGolden(t *testing.T) {
 		{Query: star, Technique: "sdp"},
 		{Query: star, Technique: "sdp"}, // cache hit
 		{Query: chain, Technique: "greedy"},
-		{Query: chain, Technique: "idp"},
+		{Query: chain, Technique: "idp2"},
 		{Query: star, Technique: "auto"},
 	} {
 		if code, resp := postOptimize(t, ts.URL, req); code != http.StatusOK {

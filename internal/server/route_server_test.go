@@ -10,6 +10,7 @@ import (
 	"sdpopt/internal/obs"
 	"sdpopt/internal/plancache"
 	"sdpopt/internal/route"
+	"sdpopt/internal/tech"
 	"sdpopt/internal/workload"
 )
 
@@ -165,8 +166,8 @@ func TestAutoDeadlineDowngrade(t *testing.T) {
 		timeoutMS int64
 		tech      string
 	}{
-		{20, route.TechGreedy},
-		{50, route.TechIDP},
+		{20, tech.Greedy},
+		{50, tech.IDP2},
 	}
 	for _, c := range cases {
 		code, resp := postOptimize(t, ts.URL, OptimizeRequest{
@@ -257,8 +258,8 @@ func TestAutoMidFlightDemote(t *testing.T) {
 	// deadline, and IDP2's measured one, so the rung below SDP fits the
 	// deadline on its merits rather than by how its 40ms cold prior happens
 	// to compare with it.
-	s.Router().Observe(route.TechSDP, "star", band, time.Millisecond, false)
-	s.Router().Observe(route.TechIDP, "star", band, idpTook, false)
+	s.Router().Observe(tech.SDP, "star", band, time.Millisecond, false)
+	s.Router().Observe(tech.IDP2, "star", band, idpTook, false)
 
 	code, resp := postOptimize(t, ts.URL, OptimizeRequest{
 		Technique: "auto",
@@ -301,9 +302,9 @@ func TestAutoMidFlightDemote(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("second request: code %d, error %q", code, resp.Error)
 	}
-	if resp.Technique != route.TechIDP || resp.RouteReason != route.ReasonDeadlineDowngrade {
+	if resp.Technique != tech.IDP2 || resp.RouteReason != route.ReasonDeadlineDowngrade {
 		t.Fatalf("second request routed (%s, %s), want pre-flight (%s, %s)",
-			resp.Technique, resp.RouteReason, route.TechIDP, route.ReasonDeadlineDowngrade)
+			resp.Technique, resp.RouteReason, tech.IDP2, route.ReasonDeadlineDowngrade)
 	}
 }
 
@@ -312,7 +313,7 @@ func TestAutoMidFlightDemote(t *testing.T) {
 func TestAutoRegretPromote(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	for i := 0; i < 4; i++ {
-		s.Router().NoteRegret(route.TechGreedy, "chain", route.Band(10), 3.0)
+		s.Router().NoteRegret(tech.Greedy, "chain", route.Band(10), 3.0)
 	}
 	code, resp := postOptimize(t, ts.URL, OptimizeRequest{
 		Technique: "auto",

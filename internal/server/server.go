@@ -1,7 +1,7 @@
 // Package server exposes the optimizer as a service: an HTTP JSON API that
-// accepts SQL (or an explicit query-JSON shape), dispatches to any of the
-// repository's optimization techniques, and serves repeated query shapes
-// from a plan cache keyed by canonical fingerprint.
+// accepts SQL (or an explicit query-JSON shape), runs one of the tech
+// table's techniques (or lets the router pick one), and serves repeated
+// query shapes from a plan cache keyed by canonical fingerprint.
 //
 // The serving layer adds the production concerns the library deliberately
 // leaves out:
@@ -40,6 +40,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -56,6 +57,7 @@ import (
 	"sdpopt/internal/plancache"
 	"sdpopt/internal/query"
 	"sdpopt/internal/route"
+	"sdpopt/internal/tech"
 )
 
 // maxBodyBytes bounds /optimize request bodies; query descriptions are
@@ -100,7 +102,7 @@ type Options struct {
 	// detached from the request that happened to trigger it.
 	Timeout time.Duration
 	// Workers is the default enumeration worker count for the DP-substrate
-	// techniques (sdp, dp, dp/ld): 0 or 1 enumerates sequentially, >1 fans
+	// techniques (sdp, dp): 0 or 1 enumerates sequentially, >1 fans
 	// each level out over that many workers (dp.Options.Workers). Requests
 	// may override it via the workers field within [1, 2×GOMAXPROCS].
 	// Because parallel enumeration is plan-identical to sequential, this
@@ -234,7 +236,7 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Regret != nil {
 		ro := *opts.Regret
-		ro.Optimize = OptimizeTraced
+		ro.Optimize = tech.Run
 		if ro.Obs == nil {
 			ro.Obs = s.ob
 		}
@@ -295,7 +297,8 @@ type OptimizeRequest struct {
 	// Query is the explicit join-graph shape, for clients that already
 	// hold a structural representation.
 	Query *QuerySpec `json:"query,omitempty"`
-	// Technique selects the optimizer (see Techniques); empty means "sdp".
+	// Technique selects the optimizer: a tech table name, or "auto" to let
+	// the router pick (see RequestTechniques); empty means "sdp".
 	Technique string `json:"technique,omitempty"`
 	// BudgetMB overrides the server's memory-feasibility budget, in MB.
 	// Overriding takes the uncached path (no lookup, no fill): cached
@@ -310,7 +313,7 @@ type OptimizeRequest struct {
 	// short deadline never poisons the entry served to coalesced waiters.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Workers overrides the server's enumeration worker count for the
-	// DP-substrate techniques (sdp, dp, dp/ld). Must lie in
+	// DP-substrate techniques (sdp, dp). Must lie in
 	// [1, 2×GOMAXPROCS]; anything outside is rejected with 400 rather than
 	// silently clamped, so a misconfigured client learns about it. The
 	// override binds the uncached path only: a cache-filling compute is
@@ -324,6 +327,15 @@ type OptimizeRequest struct {
 	// Explain includes the full EXPLAIN rendering in the response.
 	Explain bool `json:"explain,omitempty"`
 }
+
+// requestTechniques lists what an /optimize request's "technique" field
+// accepts besides "" (which selects sdp): "auto", which asks the router to
+// pick per request (see internal/route), and every tech table entry.
+var requestTechniques = append([]string{"auto"}, tech.Names()...)
+
+// RequestTechniques lists what an /optimize request's "technique" field
+// accepts: "auto" plus tech.Names().
+func RequestTechniques() []string { return slices.Clone(requestTechniques) }
 
 // QuerySpec is the query-JSON shape: catalog relation indexes joined by
 // equi-join predicates over query-local indexes, plus optional filters and
@@ -400,7 +412,7 @@ type OptimizeResponse struct {
 // /debug/pprof/) when an observer is, and the /debug index of all of them.
 func (s *Server) Handler() http.Handler {
 	mux := obs.NewDebugMux()
-	mux.HandleFunc("/optimize", s.handleOptimize)
+	mux.HandleFunc("/optimize", s.recoverOptimize(s.handleOptimize))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/catalog", s.handleCatalog)
 	mux.Mount("/debug/requests", "flight recorder: recent and slow/error request traces", s.flight.RequestsHandler(s.registry()))
@@ -519,7 +531,36 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+// recoverOptimize turns a panic in the /optimize handler — an engine bug,
+// say — into a 500 instead of a dead process. If the request span the
+// handler stored in its last argument is still open, it is closed with the
+// panic as its error, which files the trace in the flight recorder's
+// notable ring.
+func (s *Server) recoverOptimize(h func(http.ResponseWriter, *http.Request, **span.Span)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var root *span.Span
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			msg := fmt.Sprintf("panic: %v", v)
+			if _, _, done := root.Trace().Status(); root != nil && !done {
+				root.SetError(msg)
+				s.flight.Finish(root, http.StatusInternalServerError)
+			}
+			s.failf(w, r, http.StatusInternalServerError, "%s", msg)
+		}()
+		h(w, r, &root)
+	}
+}
+
+// handleOptimize serves POST /optimize; it stores the request span it opens
+// in *opened for recoverOptimize.
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened **span.Span) {
 	started := time.Now()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -533,7 +574,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.failf(w, r, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if !KnownRequestTechnique(req.Technique) {
+	if req.Technique != "" && !slices.Contains(requestTechniques, req.Technique) {
 		s.failf(w, r, http.StatusBadRequest, "unknown technique %q (valid: %v)", req.Technique, RequestTechniques())
 		return
 	}
@@ -552,6 +593,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// trace ID; our ID (theirs or a fresh one) is echoed back either way so
 	// the client can fish the trace out of /debug/flight.json later.
 	root := span.FromTraceparent(r.Header.Get("traceparent"), "request")
+	*opened = root
 	w.Header().Set("traceparent", root.Trace().Traceparent())
 	s.flight.Start(root)
 
@@ -621,7 +663,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	topo := q.Shape()
 	technique := req.Technique
 	if technique == "" {
-		technique = "sdp"
+		technique = tech.SDP
 	}
 	routeReason := route.ReasonExplicit
 	var reserve time.Duration
@@ -674,7 +716,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			// and greedy answered instead. The inflated lower-bound
 			// observation ratchets the engine's latency EWMA up so
 			// repeated demotions turn into pre-flight downgrades.
-			technique, routeReason = route.TechGreedy, demoted
+			technique, routeReason = tech.Greedy, demoted
 			resp.Technique = technique
 			s.router.Observe(routedTech, topo, route.Band(rels), timeout-reserve, true)
 			if c := s.ob.Counter(obs.MRouteFallbacks); c != nil {
@@ -812,7 +854,7 @@ func (s *Server) run(ctx context.Context, technique string, q *query.Query, budg
 		workers = req.Workers
 	}
 	if s.cache == nil || req.NoCache || budget != s.budget {
-		p, st, err := OptimizeTraced(ctx, technique, q, budget, workers, s.ob)
+		p, st, err := tech.Run(ctx, technique, q, tech.Options{Budget: budget, Workers: workers, Obs: s.ob})
 		return p, st, "uncached", err
 	}
 	cn := q.Canon()
@@ -825,7 +867,7 @@ func (s *Server) run(ctx context.Context, technique string, q *query.Query, budg
 		defer cancel()
 		// Shared compute, server-default workers: the request's override is
 		// a latency preference, and worker count cannot change the plan.
-		p, st, err := OptimizeTraced(cctx, technique, q, s.budget, s.workers, s.ob)
+		p, st, err := tech.Run(cctx, technique, q, tech.Options{Budget: s.budget, Workers: s.workers, Obs: s.ob})
 		if err != nil {
 			return nil, st, err
 		}
@@ -851,7 +893,7 @@ func (s *Server) run(ctx context.Context, technique string, q *query.Query, budg
 // later arrivals, and its result is discarded through the buffered channel.
 func (s *Server) runRouted(ctx context.Context, technique string, q *query.Query, budget int64, req *OptimizeRequest, reserve time.Duration) (*plan.Plan, dp.Stats, string, error, string) {
 	dl, ok := ctx.Deadline()
-	if !ok || reserve <= 0 || technique == route.TechGreedy {
+	if !ok || reserve <= 0 || technique == tech.Greedy {
 		// Nothing to fall back to (greedy is the floor) or no deadline to
 		// guard: run directly.
 		p, st, src, err := s.run(ctx, technique, q, budget, req)
@@ -861,20 +903,30 @@ func (s *Server) runRouted(ctx context.Context, technique string, q *query.Query
 	engineCtx, cancel := context.WithDeadline(ctx, dl.Add(-reserve))
 	defer cancel()
 	type result struct {
-		p   *plan.Plan
-		st  dp.Stats
-		src string
-		err error
+		p        *plan.Plan
+		st       dp.Stats
+		src      string
+		err      error
+		panicked any
 	}
 	ch := make(chan result, 1)
 	go func() {
-		p, st, src, err := s.run(engineCtx, technique, q, budget, req)
-		ch <- result{p, st, src, err}
+		var res result
+		// Hand a panic to the request goroutine's recoverOptimize; one in
+		// abandoned work is dropped with its result.
+		defer func() {
+			res.panicked = recover()
+			ch <- res
+		}()
+		res.p, res.st, res.src, res.err = s.run(engineCtx, technique, q, budget, req)
 	}()
 
 	demote := ""
 	select {
 	case res := <-ch:
+		if res.panicked != nil {
+			panic(res.panicked)
+		}
 		switch {
 		case errors.Is(res.err, dp.ErrCanceled) && ctx.Err() == nil:
 			// The slice expired, not the request: fall through to greedy.
@@ -895,7 +947,7 @@ func (s *Server) runRouted(ctx context.Context, technique string, q *query.Query
 		demote = route.ReasonDeadlineDemote
 	}
 
-	p, st, src, err := s.run(ctx, route.TechGreedy, q, budget, req)
+	p, st, src, err := s.run(ctx, tech.Greedy, q, budget, req)
 	return p, st, src, err, demote
 }
 

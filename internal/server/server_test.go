@@ -18,8 +18,10 @@ import (
 
 	"sdpopt/internal/obs"
 	"sdpopt/internal/obs/regret"
+	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plancache"
 	"sdpopt/internal/quality"
+	"sdpopt/internal/tech"
 	"sdpopt/internal/workload"
 )
 
@@ -404,15 +406,64 @@ func TestSlowHeaderClientIsDropped(t *testing.T) {
 	}
 }
 
-// TestAllTechniques smoke-tests every dispatch arm over HTTP.
+// TestAllTechniques smoke-tests every tech table entry over HTTP.
 func TestAllTechniques(t *testing.T) {
 	cache := plancache.New(plancache.Options{})
 	_, ts := newTestServer(t, Options{Cache: cache})
-	for _, tech := range Techniques() {
-		code, resp := postOptimize(t, ts.URL, OptimizeRequest{SQL: testSQL, Technique: tech})
+	for _, name := range tech.Names() {
+		code, resp := postOptimize(t, ts.URL, OptimizeRequest{SQL: testSQL, Technique: name})
 		if code != http.StatusOK || resp.Cost <= 0 {
-			t.Errorf("technique %q: code %d, %+v", tech, code, resp)
+			t.Errorf("technique %q: code %d, %+v", name, code, resp)
 		}
+	}
+}
+
+// TestRetiredTechniquesRejected: the comparison-only engines are harness
+// rows, not served techniques. Naming one gets a 400 whose error lists
+// exactly the served set.
+func TestRetiredTechniquesRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	want := fmt.Sprintf("(valid: %v)", append([]string{"auto"}, tech.Names()...))
+	for _, name := range []string{"genetic", "ii", "sa", "idp", "dp/ld"} {
+		t.Run(name, func(t *testing.T) {
+			code, resp := postOptimize(t, ts.URL, OptimizeRequest{SQL: testSQL, Technique: name})
+			if code != http.StatusBadRequest {
+				t.Fatalf("code %d, want 400", code)
+			}
+			if !strings.HasSuffix(resp.Error, want) {
+				t.Errorf("error %q does not end in %q", resp.Error, want)
+			}
+		})
+	}
+}
+
+// TestPanicAnswers500AndServerStaysUp drives the /optimize recover wrapper
+// with a handler that panics after opening its request span: the client gets
+// a 500, the trace is closed with the panic as its error, the 500 is
+// counted, and the next real request is served normally.
+func TestPanicAnswers500AndServerStaysUp(t *testing.T) {
+	ob := obs.New()
+	s, ts := newTestServer(t, Options{Obs: ob})
+	h := s.recoverOptimize(func(w http.ResponseWriter, r *http.Request, opened **span.Span) {
+		root := span.New("request")
+		*opened = root
+		s.flight.Start(root)
+		panic("engine bug")
+	})
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodPost, "/optimize", nil))
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "panic: engine bug") {
+		t.Fatalf("panic answered %d %q, want 500 naming the panic", rec.Code, rec.Body.String())
+	}
+	d := s.Flight().Snapshot()
+	if len(d.Active) != 0 || len(d.Notable) != 1 || d.Notable[0].Code != 500 || d.Notable[0].Error != "panic: engine bug" {
+		t.Errorf("flight recorder after panic: active %d, notable %+v", len(d.Active), d.Notable)
+	}
+	if c := ob.Counter(obs.Label(obs.MServerRequests, "route", "/optimize", "code", "500")); c.Value() != 1 {
+		t.Errorf("500 counter = %d, want 1", c.Value())
+	}
+	if code, resp := postOptimize(t, ts.URL, OptimizeRequest{SQL: testSQL}); code != http.StatusOK {
+		t.Fatalf("request after the panic: code %d, %+v", code, resp)
 	}
 }
 

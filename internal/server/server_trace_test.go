@@ -16,6 +16,7 @@ import (
 	"sdpopt/internal/obs"
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plancache"
+	"sdpopt/internal/tech"
 	"sdpopt/internal/workload"
 )
 
@@ -339,7 +340,7 @@ func TestOptimizeReportsEnumerator(t *testing.T) {
 		rec := span.NewRecorder(span.RecorderOptions{SlowThreshold: time.Hour})
 		root := span.New("request")
 		rec.Start(root)
-		_, st, err := OptimizeTraced(span.NewContext(context.Background(), root), tc.technique, q, 0, tc.workers, obs.New(sink))
+		_, st, err := tech.Run(span.NewContext(context.Background(), root), tc.technique, q, tech.Options{Workers: tc.workers, Obs: obs.New(sink)})
 		if err != nil {
 			t.Fatalf("%s w=%d: %v", tc.technique, tc.workers, err)
 		}

@@ -2,11 +2,24 @@ package sdpopt_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"sdpopt"
+	"sdpopt/internal/tech"
 )
+
+// TestTechniquesAreTheTable: the facade's served set is the tech table, and
+// the server's request set is that plus "auto".
+func TestTechniquesAreTheTable(t *testing.T) {
+	if got, want := sdpopt.Techniques(), tech.Names(); !slices.Equal(got, want) {
+		t.Errorf("Techniques() = %v, want %v", got, want)
+	}
+	if got, want := sdpopt.RequestTechniques(), append([]string{"auto"}, tech.Names()...); !slices.Equal(got, want) {
+		t.Errorf("RequestTechniques() = %v, want %v", got, want)
+	}
+}
 
 func TestEndToEndPublicAPI(t *testing.T) {
 	cat := sdpopt.PaperSchema()

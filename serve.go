@@ -17,6 +17,7 @@ import (
 	"sdpopt/internal/plancache"
 	"sdpopt/internal/route"
 	"sdpopt/internal/server"
+	"sdpopt/internal/tech"
 )
 
 // Plan cache and serving types.
@@ -105,9 +106,11 @@ func NewPlanCache(opts PlanCacheOptions) *PlanCache { return plancache.New(opts)
 // mount Server.Handler in an existing mux.
 func NewServer(opts ServerOptions) (*Server, error) { return server.New(opts) }
 
-// Techniques lists the technique names OptimizeCached and the server's
-// /optimize endpoint accept ("" selects "sdp").
-func Techniques() []string { return server.Techniques() }
+// Techniques lists the served techniques, strongest first: "dp", "sdp",
+// "idp2" and "greedy". OptimizeCached and the server's /optimize endpoint
+// accept exactly these ("" selects "sdp"). The comparison-only engines
+// (IDP1, left-deep DP, II, SA, GEQO) have their own Optimize* functions.
+func Techniques() []string { return tech.Names() }
 
 // ReadFlightDump parses a /debug/flight.json document, e.g. one saved with
 // curl while debugging a slow request. Render each trace with
@@ -140,7 +143,7 @@ func BuildFeedbackProfile(observations []FeedbackObservation) *FeedbackProfile {
 }
 
 // RequestTechniques lists the values the server's /optimize "technique"
-// field accepts: every Techniques entry plus "auto" (route per request).
+// field accepts: "auto" (route per request) plus every Techniques entry.
 func RequestTechniques() []string { return server.RequestTechniques() }
 
 // CanonicalQuery returns q's canonical encoding: a stable string
@@ -162,10 +165,10 @@ func CatalogFingerprint(c *Catalog) string { return c.Fingerprint() }
 // the statistics' basic invariants.
 func ReadCatalogJSON(r io.Reader) (*Catalog, error) { return catalog.ReadJSON(r) }
 
-// OptimizeCached optimizes q with the named technique (see Techniques)
-// through the cache: a repeated fingerprint is served without
-// re-enumeration, and concurrent misses on one fingerprint run exactly one
-// optimization. The boolean reports whether the result came from cache.
+// OptimizeCached optimizes q with one of the served techniques (see
+// Techniques; "" selects "sdp") through the cache: a repeated fingerprint
+// is served without re-enumeration, and concurrent misses on one
+// fingerprint run exactly one optimization. The boolean reports whether the result came from cache.
 // Budget 0 selects DefaultBudget; ctx cancellation aborts an actual
 // optimization with ErrCanceled but never invalidates cached entries.
 //
@@ -182,7 +185,7 @@ func OptimizeCached(ctx context.Context, pc *PlanCache, q *Query, technique stri
 		budget = DefaultBudget
 	}
 	if technique == "" {
-		technique = "sdp"
+		technique = tech.SDP
 	}
 	cn := q.Canon()
 	key := PlanCacheKey{
@@ -191,7 +194,7 @@ func OptimizeCached(ctx context.Context, pc *PlanCache, q *Query, technique stri
 		CatalogVersion: q.Cat.Fingerprint(),
 	}
 	p, st, src, err := pc.Do(key, func() (*Plan, Stats, error) {
-		p, st, err := server.Optimize(ctx, technique, q, budget, 0, nil)
+		p, st, err := tech.Run(ctx, technique, q, tech.Options{Budget: budget})
 		if err != nil {
 			return nil, st, err
 		}
