@@ -3,11 +3,11 @@ package parse
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer output.
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -19,6 +19,7 @@ const (
 	tokLt
 	tokStar
 	tokSemi
+	numTokenKinds
 )
 
 func (k tokenKind) String() string {
@@ -45,71 +46,81 @@ func (k tokenKind) String() string {
 	return "token"
 }
 
+// token is a span of the source: src[pos:end].
 type token struct {
-	kind tokenKind
-	text string
-	pos  int
+	kind     tokenKind
+	pos, end int32
 }
 
 // lexer splits SQL text into tokens. Keywords are returned as identifiers;
 // the parser matches them case-insensitively.
 type lexer struct {
 	src  string
-	pos  int
 	toks []token
+	// count tallies the tokens of each kind, so the parser can size its
+	// lists before filling them.
+	count [numTokenKinds]int
 }
 
+// The dialect is ASCII: only ASCII bytes are classified, and any other
+// byte starts a character the lexer rejects.
+func isDigit(c byte) bool  { return '0' <= c && c <= '9' }
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' }
+
 func lex(src string) (*lexer, error) {
-	l := &lexer{src: src}
-	for l.pos < len(src) {
-		c := src[l.pos]
+	// Every token but the final EOF spans at least one byte.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)+1)}
+	for pos := 0; pos < len(src); {
+		c := src[pos]
+		start := pos
+		kind := tokEOF
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case c == ',':
-			l.emit(tokComma, ",")
-		case c == '.':
-			l.emit(tokDot, ".")
-		case c == '=':
-			l.emit(tokEq, "=")
-		case c == '<':
-			l.emit(tokLt, "<")
-		case c == '*':
-			l.emit(tokStar, "*")
-		case c == ';':
-			l.emit(tokSemi, ";")
-		case c == '-' && l.pos+1 < len(src) && src[l.pos+1] == '-':
+			pos++
+			continue
+		case c == '-' && pos+1 < len(src) && src[pos+1] == '-':
 			// Line comment.
-			for l.pos < len(src) && src[l.pos] != '\n' {
-				l.pos++
+			for pos < len(src) && src[pos] != '\n' {
+				pos++
 			}
-		case unicode.IsDigit(rune(c)):
-			start := l.pos
-			for l.pos < len(src) && unicode.IsDigit(rune(src[l.pos])) {
-				l.pos++
+			continue
+		case c == ',':
+			kind, pos = tokComma, pos+1
+		case c == '.':
+			kind, pos = tokDot, pos+1
+		case c == '=':
+			kind, pos = tokEq, pos+1
+		case c == '<':
+			kind, pos = tokLt, pos+1
+		case c == '*':
+			kind, pos = tokStar, pos+1
+		case c == ';':
+			kind, pos = tokSemi, pos+1
+		case isDigit(c):
+			for pos < len(src) && isDigit(src[pos]) {
+				pos++
 			}
-			l.toks = append(l.toks, token{tokNumber, src[start:l.pos], start})
-		case unicode.IsLetter(rune(c)) || c == '_':
-			start := l.pos
-			for l.pos < len(src) && (unicode.IsLetter(rune(src[l.pos])) || unicode.IsDigit(rune(src[l.pos])) || src[l.pos] == '_') {
-				l.pos++
+			kind = tokNumber
+		case isLetter(c):
+			for pos < len(src) && (isLetter(src[pos]) || isDigit(src[pos])) {
+				pos++
 			}
-			l.toks = append(l.toks, token{tokIdent, src[start:l.pos], start})
+			kind = tokIdent
 		default:
-			return nil, fmt.Errorf("parse: unexpected character %q at %s", c, lineCol(src, l.pos))
+			// A byte past ASCII is reported as the whole character it
+			// starts, at its own position.
+			r, _ := utf8.DecodeRuneInString(src[pos:])
+			return nil, fmt.Errorf("parse: unexpected character %q at %s", r, lineCol(src, pos))
 		}
+		l.toks = append(l.toks, token{kind, int32(start), int32(pos)})
+		l.count[kind]++
 	}
-	l.toks = append(l.toks, token{tokEOF, "", len(src)})
+	l.toks = append(l.toks, token{tokEOF, int32(len(src)), int32(len(src))})
 	return l, nil
 }
 
-func (l *lexer) emit(kind tokenKind, text string) {
-	l.toks = append(l.toks, token{kind, text, l.pos})
-	l.pos += len(text)
-}
-
-// isKeyword matches an identifier token against a keyword,
+// isKeyword matches an identifier token of src against a keyword,
 // case-insensitively.
-func isKeyword(t token, kw string) bool {
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+func isKeyword(src string, t token, kw string) bool {
+	return t.kind == tokIdent && strings.EqualFold(src[t.pos:t.end], kw)
 }

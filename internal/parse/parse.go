@@ -31,7 +31,7 @@ func SQL(cat *catalog.Catalog, src string) (*query.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{cat: cat, src: src, toks: l.toks}
+	p := &parser{cat: cat, src: src, lex: l}
 	q, err := p.query()
 	if err != nil {
 		return nil, err
@@ -40,23 +40,30 @@ func SQL(cat *catalog.Catalog, src string) (*query.Query, error) {
 }
 
 type parser struct {
-	cat  *catalog.Catalog
-	src  string
-	toks []token
-	i    int
+	cat *catalog.Catalog
+	src string
+	lex *lexer
+	i   int
 
-	// aliases maps alias name (lowercased) to query-local relation index.
-	aliases map[string]int
+	// aliases[i] names query-local relation i; lookups are
+	// case-insensitive.
+	aliases []string
 	rels    []int
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
+func (p *parser) peek() token { return p.lex.toks[p.i] }
+
+// text returns the source text of a token.
+func (p *parser) text(t token) string { return p.src[t.pos:t.end] }
+
+// atKeyword matches the next token against a keyword.
+func (p *parser) atKeyword(kw string) bool { return isKeyword(p.src, p.peek(), kw) }
 
 // at renders a token offset as "line:col" for error messages.
-func (p *parser) at(off int) string { return lineCol(p.src, off) }
+func (p *parser) at(off int32) string { return lineCol(p.src, int(off)) }
 
 func (p *parser) next() token {
-	t := p.toks[p.i]
+	t := p.lex.toks[p.i]
 	if t.kind != tokEOF {
 		p.i++
 	}
@@ -66,15 +73,15 @@ func (p *parser) next() token {
 func (p *parser) expect(kind tokenKind) (token, error) {
 	t := p.next()
 	if t.kind != kind {
-		return t, fmt.Errorf("parse: expected %v at %s, got %v %q", kind, p.at(t.pos), t.kind, t.text)
+		return t, fmt.Errorf("parse: expected %v at %s, got %v %q", kind, p.at(t.pos), t.kind, p.text(t))
 	}
 	return t, nil
 }
 
 func (p *parser) expectKeyword(kw string) error {
 	t := p.next()
-	if !isKeyword(t, kw) {
-		return fmt.Errorf("parse: expected %q at %s, got %q", kw, p.at(t.pos), t.text)
+	if !isKeyword(p.src, t, kw) {
+		return fmt.Errorf("parse: expected %q at %s, got %q", kw, p.at(t.pos), p.text(t))
 	}
 	return nil
 }
@@ -94,7 +101,7 @@ func (p *parser) query() (*query.Query, error) {
 	}
 	var preds []query.Pred
 	var filters []query.Filter
-	if isKeyword(p.peek(), "WHERE") {
+	if p.atKeyword("WHERE") {
 		p.next()
 		var err error
 		preds, filters, err = p.condList()
@@ -103,7 +110,7 @@ func (p *parser) query() (*query.Query, error) {
 		}
 	}
 	var orderBy *query.OrderSpec
-	if isKeyword(p.peek(), "ORDER") {
+	if p.atKeyword("ORDER") {
 		p.next()
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
@@ -118,38 +125,50 @@ func (p *parser) query() (*query.Query, error) {
 		p.next()
 	}
 	if t := p.peek(); t.kind != tokEOF {
-		return nil, fmt.Errorf("parse: trailing input at %s: %q", p.at(t.pos), t.text)
+		return nil, fmt.Errorf("parse: trailing input at %s: %q", p.at(t.pos), p.text(t))
 	}
 	return query.NewFiltered(p.cat, p.rels, preds, filters, orderBy)
 }
 
 func (p *parser) fromList() error {
-	p.aliases = map[string]int{}
+	// Commas appear only between FROM items in this dialect.
+	n := p.lex.count[tokComma] + 1
+	p.aliases = make([]string, 0, n)
+	p.rels = make([]int, 0, n)
 	for {
 		name, err := p.expect(tokIdent)
 		if err != nil {
 			return err
 		}
-		relIdx, err := p.lookupRelation(name.text)
+		relIdx, err := p.lookupRelation(p.text(name))
 		if err != nil {
 			return fmt.Errorf("%w (at %s)", err, p.at(name.pos))
 		}
-		alias := name.text
+		alias := p.text(name)
 		// Optional alias: an identifier that is not a clause keyword.
-		if t := p.peek(); t.kind == tokIdent && !isKeyword(t, "WHERE") && !isKeyword(t, "ORDER") {
-			alias = p.next().text
+		if t := p.peek(); t.kind == tokIdent && !p.atKeyword("WHERE") && !p.atKeyword("ORDER") {
+			alias = p.text(p.next())
 		}
-		key := strings.ToLower(alias)
-		if _, dup := p.aliases[key]; dup {
+		if _, dup := p.alias(alias); dup {
 			return fmt.Errorf("parse: duplicate alias %q at %s", alias, p.at(name.pos))
 		}
-		p.aliases[key] = len(p.rels)
+		p.aliases = append(p.aliases, alias)
 		p.rels = append(p.rels, relIdx)
 		if p.peek().kind != tokComma {
 			return nil
 		}
 		p.next()
 	}
+}
+
+// alias resolves an alias to its query-local relation index.
+func (p *parser) alias(name string) (int, bool) {
+	for i, a := range p.aliases {
+		if strings.EqualFold(a, name) {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 func (p *parser) lookupRelation(name string) (int, error) {
@@ -162,8 +181,9 @@ func (p *parser) lookupRelation(name string) (int, error) {
 }
 
 func (p *parser) condList() ([]query.Pred, []query.Filter, error) {
-	var preds []query.Pred
-	var filters []query.Filter
+	// Every '=' is a join predicate and every '<' a filter.
+	preds := make([]query.Pred, 0, p.lex.count[tokEq])
+	filters := make([]query.Filter, 0, p.lex.count[tokLt])
 	for {
 		lrel, lcol, err := p.colRef()
 		if err != nil {
@@ -182,15 +202,15 @@ func (p *parser) condList() ([]query.Pred, []query.Filter, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			bound, err := strconv.ParseInt(num.text, 10, 64)
+			bound, err := strconv.ParseInt(p.text(num), 10, 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("parse: bad bound %q at %s", num.text, p.at(num.pos))
+				return nil, nil, fmt.Errorf("parse: bad bound %q at %s", p.text(num), p.at(num.pos))
 			}
 			filters = append(filters, query.Filter{Rel: lrel, Col: lcol, Bound: bound})
 		default:
-			return nil, nil, fmt.Errorf("parse: expected '=' or '<' at %s, got %q", p.at(op.pos), op.text)
+			return nil, nil, fmt.Errorf("parse: expected '=' or '<' at %s, got %q", p.at(op.pos), p.text(op))
 		}
-		if !isKeyword(p.peek(), "AND") {
+		if !p.atKeyword("AND") {
 			return preds, filters, nil
 		}
 		p.next()
@@ -203,9 +223,9 @@ func (p *parser) colRef() (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	rel, ok := p.aliases[strings.ToLower(alias.text)]
+	rel, ok := p.alias(p.text(alias))
 	if !ok {
-		return 0, 0, fmt.Errorf("parse: unknown alias %q at %s", alias.text, p.at(alias.pos))
+		return 0, 0, fmt.Errorf("parse: unknown alias %q at %s", p.text(alias), p.at(alias.pos))
 	}
 	if _, err := p.expect(tokDot); err != nil {
 		return 0, 0, err
@@ -216,10 +236,10 @@ func (p *parser) colRef() (int, int, error) {
 	}
 	cols := p.cat.Relation(p.rels[rel]).Cols
 	for c := range cols {
-		if strings.EqualFold(cols[c].Name, colTok.text) {
+		if strings.EqualFold(cols[c].Name, p.text(colTok)) {
 			return rel, c, nil
 		}
 	}
 	return 0, 0, fmt.Errorf("parse: relation %s has no column %q (at %s)",
-		p.cat.Relation(p.rels[rel]).Name, colTok.text, p.at(colTok.pos))
+		p.cat.Relation(p.rels[rel]).Name, p.text(colTok), p.at(colTok.pos))
 }

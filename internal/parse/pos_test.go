@@ -54,3 +54,32 @@ func TestErrorPositions(t *testing.T) {
 		}
 	}
 }
+
+// TestLexRejectsNonASCII: the lexer classifies ASCII bytes only and reports
+// any other character whole, at the position of its first byte. Reading
+// single UTF-8 bytes as Latin-1 once swallowed the first byte of "é" into
+// an identifier and reported the second as '©' one column late.
+func TestLexRejectsNonASCII(t *testing.T) {
+	cat := workload.PaperSchema()
+	cases := []struct {
+		sql, want string
+	}{
+		{"SELECT * FROM R1 é", `unexpected character 'é' at 1:18`},
+		{"SELECT *\u00a0FROM R1", `unexpected character '\u00a0' at 1:9`},
+		{"SELECT * FROM R1 a, R2 日本", `unexpected character '日' at 1:24`},
+		{"SELECT * FROM R1 À", `unexpected character 'À' at 1:18`},
+		{"SELECT *\nFROM R1 a\nWHERE a.c0 < 3 ∧ a.c1 < 4", `unexpected character '∧' at 3:16`},
+		{"SELECT * FROM R1 \xe9", `unexpected character '�' at 1:18`},
+		{"SELECT * FROM R1 a WHERE a.c0 ? 3", `unexpected character '?' at 1:31`},
+	}
+	for _, c := range cases {
+		_, err := SQL(cat, c.sql)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: error %v, want it to contain %s", c.sql, err, c.want)
+		}
+	}
+	// Non-ASCII text inside a comment is never lexed.
+	if _, err := SQL(cat, "SELECT * FROM R1 -- é日本\n"); err != nil {
+		t.Errorf("comment with non-ASCII text: %v", err)
+	}
+}

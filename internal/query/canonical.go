@@ -1,11 +1,12 @@
 package query
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Canonical returns a stable canonical encoding of the query's semantics.
@@ -46,6 +47,9 @@ func (q *Query) Canonical() string {
 type Canon struct {
 	// Encoding is the canonical encoding (see Canonical).
 	Encoding string
+	// Fingerprint is the fixed-width digest of Encoding (see
+	// Query.Fingerprint), computed once with the frame.
+	Fingerprint string
 	// RelTo maps a query-local relation index to its canonical position;
 	// RelFrom is the inverse (RelFrom[RelTo[i]] == i).
 	RelTo, RelFrom []int
@@ -71,10 +75,9 @@ func (q *Query) Canon() *Canon {
 // Fingerprint returns a fixed-width hex digest of Canonical() — the
 // plan-cache key component identifying the query (see internal/plancache
 // for the full key composition: fingerprint × technique × catalog version).
-func (q *Query) Fingerprint() string {
-	sum := sha256.Sum256([]byte(q.Canonical()))
-	return hex.EncodeToString(sum[:16])
-}
+// It is digested once with the canonical frame, so every caller on a
+// request's path shares one hash.
+func (q *Query) Fingerprint() string { return q.Canon().Fingerprint }
 
 // searchBudget caps the number of complete orderings the canonical search
 // may encode. Tie groups only survive refinement when relations share every
@@ -90,125 +93,241 @@ func (q *Query) Fingerprint() string {
 // Truncation is reported via Canon().Truncated so servers can count it.
 const searchBudget = 4096
 
-// canonEdge is one closed join predicate viewed from relation "from":
-// from.myCol joins to.otherCol.
-type canonEdge struct {
-	myCol, otherCol, to int
+// span is one rendering in the canonicalizer's arena: arena[off:end].
+type span struct{ off, end int32 }
+
+// classSpan is an equivalence class's rendering under the current leaf's
+// relabeling.
+type classSpan struct {
+	span
+	id int32
 }
 
+// canonFilter is one normalized filter: the minimum bound on a column,
+// kept only when it selects fewer than all rows.
+type canonFilter struct {
+	rel, col int
+	bound    int64
+}
+
+// The canonicalizer renders every signature — refinement colors, class
+// member lists, filters, the encoding itself — with strconv into one reused
+// byte arena and ranks by sorting spans of it. Ranks and orderings still
+// compare rendered bytes, not the numbers behind them: that byte order is
+// what every recorded encoding, and so every cached fingerprint, was built
+// from.
 type canonicalizer struct {
-	q     *Query
-	n     int
-	edges [][]canonEdge
-	// filters is the normalized filter set: per relation, the minimum bound
-	// per column, with no-op bounds (≥ domain size) removed.
-	filters []map[int]int64
+	q *Query
+	n int
+	// filters is the normalized filter set, sorted by (rel, col).
+	filters []canonFilter
+
+	arena   []byte
+	parts   []span      // the pieces of the signature being rendered
+	sigs    []span      // one refinement signature per relation
+	order   []int32     // sort scratch over sigs
+	classes []classSpan // class renderings of the current leaf
+	seen    []bool      // distinct-color scratch; colors stay below 2n
+	inv     []int       // relabeling of the current leaf
+	enc     []byte      // encoding of the current leaf
+	placed  []bool      // relations on the search prefix
+	// levels holds two color buffers per search depth (index 0 is the
+	// initial refinement, d+1 a branch at prefix length d), allocated when
+	// the search first branches there.
+	levels [][]int
 
 	budget    int
-	best      string
-	bestPerm  []int // bestPerm[canonical position] = query-local index
+	best      []byte
 	bestSet   bool
 	truncated bool
+	// out is the result. Its four relabelings share one allocation; the
+	// best leaf writes RelFrom and EqFrom into it directly, and run fills
+	// in the rest.
+	out *Canon
 }
 
 func newCanonicalizer(q *Query) *canonicalizer {
 	n := len(q.Rels)
 	c := &canonicalizer{q: q, n: n, budget: searchBudget}
-	c.edges = make([][]canonEdge, n)
-	for _, p := range q.Preds {
-		c.edges[p.LeftRel] = append(c.edges[p.LeftRel], canonEdge{p.LeftCol, p.RightCol, p.RightRel})
-		c.edges[p.RightRel] = append(c.edges[p.RightRel], canonEdge{p.RightCol, p.LeftCol, p.LeftRel})
-	}
-	c.filters = make([]map[int]int64, n)
 	for _, f := range q.Filters {
-		ndv := q.Relation(f.Rel).Cols[f.Col].NDV
-		if float64(f.Bound) >= ndv {
+		if float64(f.Bound) >= q.Relation(f.Rel).Cols[f.Col].NDV {
 			continue // column values live in [0, NDV): the filter is a no-op
 		}
-		if c.filters[f.Rel] == nil {
-			c.filters[f.Rel] = map[int]int64{}
-		}
-		if cur, ok := c.filters[f.Rel][f.Col]; !ok || f.Bound < cur {
-			c.filters[f.Rel][f.Col] = f.Bound
-		}
+		c.filters = append(c.filters, canonFilter{f.Rel, f.Col, f.Bound})
 	}
+	slices.SortFunc(c.filters, func(a, b canonFilter) int {
+		return cmp.Or(cmp.Compare(a.rel, b.rel), cmp.Compare(a.col, b.col), cmp.Compare(a.bound, b.bound))
+	})
+	// The first of each (rel, col) run carries the minimum bound.
+	c.filters = slices.CompactFunc(c.filters, func(a, b canonFilter) bool { return a.rel == b.rel && a.col == b.col })
+
+	items := 2*len(q.Preds) + len(q.eqMembers) + len(c.filters)
+	c.arena = make([]byte, 0, 24*items+8*n)
+	c.parts = make([]span, 0, max(len(q.Preds), len(q.eqMembers), len(c.filters)))
+	c.sigs = make([]span, n)
+	c.order = make([]int32, n)
+	c.classes = make([]classSpan, 0, q.numEq)
+	c.seen = make([]bool, 2*n)
+	c.inv = make([]int, n)
+	c.enc = make([]byte, 0, 4*n+6*len(q.eqMembers)+12*len(c.filters)+16)
+	c.placed = make([]bool, n)
+	c.levels = make([][]int, n+1)
+	e := q.numEq
+	ints := make([]int, 2*n+2*e)
+	c.out = &Canon{RelTo: ints[:n:n], RelFrom: ints[n : 2*n : 2*n], EqTo: ints[2*n : 2*n+e : 2*n+e], EqFrom: ints[2*n+e:]}
 	return c
 }
 
 func (c *canonicalizer) run() *Canon {
-	colors := c.refine(c.initialColors())
-	c.search(colors, make([]int, 0, c.n))
-	cn := &Canon{Encoding: c.best, RelFrom: c.bestPerm, Truncated: c.truncated}
-	cn.RelTo = make([]int, c.n)
+	a, b := c.level(0)
+	c.search(c.refine(c.initialColors(a), b), make([]int, 0, c.n))
+	var digest [32]byte
+	sum := sha256.Sum256(c.best)
+	hex.Encode(digest[:], sum[:16])
+	cn := c.out
+	cn.Encoding, cn.Fingerprint, cn.Truncated = string(c.best), string(digest[:]), c.truncated
 	for canonIdx, local := range cn.RelFrom {
 		cn.RelTo[local] = canonIdx
 	}
 	// Equivalence classes rank by their rendering under the winning
-	// relabeling — exactly the strings the encoding's J: section sorts, so
-	// equivalent spellings that share an Encoding agree on the ranks.
-	// Distinct classes have disjoint member sets, hence distinct strings.
-	strs := make([]string, c.q.numEq)
-	for id := range strs {
-		strs[id] = c.classString(id, cn.RelTo)
-	}
-	sorted := append([]string(nil), strs...)
-	sort.Strings(sorted)
-	rank := make(map[string]int, len(sorted))
-	for i, s := range sorted {
-		rank[s] = i
-	}
-	cn.EqTo = make([]int, c.q.numEq)
-	cn.EqFrom = make([]int, c.q.numEq)
-	for id, s := range strs {
-		cn.EqTo[id] = rank[s]
-		cn.EqFrom[rank[s]] = id
+	// relabeling — exactly the order the encoding's J: section sorts them
+	// in, so equivalent spellings that share an Encoding agree on the ranks.
+	// Distinct classes have disjoint member sets, hence distinct renderings.
+	for rank, id := range cn.EqFrom {
+		cn.EqTo[id] = rank
 	}
 	return cn
+}
+
+// level returns search depth d's two color buffers.
+func (c *canonicalizer) level(d int) (a, b []int) {
+	if c.levels[d] == nil {
+		c.levels[d] = make([]int, 2*c.n)
+	}
+	l := c.levels[d]
+	return l[:c.n:c.n], l[c.n:]
+}
+
+// compare orders two renderings bytewise, as Go orders strings.
+func (c *canonicalizer) compare(a, b span) int {
+	return bytes.Compare(c.arena[a.off:a.end], c.arena[b.off:b.end])
+}
+
+// mark ends the rendering that began at arena offset off.
+func (c *canonicalizer) mark(off int) span { return span{int32(off), int32(len(c.arena))} }
+
+func (c *canonicalizer) appendInt(x int) { c.arena = strconv.AppendInt(c.arena, int64(x), 10) }
+
+// appendSorted sorts the renderings and appends them to the arena joined by
+// sep.
+func (c *canonicalizer) appendSorted(spans []span, sep byte) {
+	slices.SortFunc(spans, c.compare)
+	for k, sp := range spans {
+		if k > 0 {
+			c.arena = append(c.arena, sep)
+		}
+		c.arena = append(c.arena, c.arena[sp.off:sp.end]...)
+	}
+}
+
+// rank writes into out each relation's signature rank among the sorted
+// distinct signatures — a permutation-invariant relabeling — and returns
+// the number of distinct signatures.
+func (c *canonicalizer) rank(out []int) int {
+	for i := range c.order {
+		c.order[i] = int32(i)
+	}
+	slices.SortFunc(c.order, func(a, b int32) int { return c.compare(c.sigs[a], c.sigs[b]) })
+	r := -1
+	for k, i := range c.order {
+		if k == 0 || c.compare(c.sigs[c.order[k-1]], c.sigs[i]) != 0 {
+			r++
+		}
+		out[i] = r
+	}
+	return r + 1
+}
+
+func (c *canonicalizer) countDistinct(colors []int) int {
+	clear(c.seen)
+	d := 0
+	for _, x := range colors {
+		if !c.seen[x] {
+			c.seen[x] = true
+			d++
+		}
+	}
+	return d
 }
 
 // initialColors seeds the refinement with every relation-local semantic
 // feature: the catalog relation behind the alias, its normalized filters,
 // and — only for an ORDER BY on a non-join column, where the relation
-// identity matters — the requested order.
-func (c *canonicalizer) initialColors() []int {
-	sigs := make([]string, c.n)
+// identity matters — the requested order. It writes the colors into out.
+func (c *canonicalizer) initialColors(out []int) []int {
+	c.arena = c.arena[:0]
+	fs := c.filters
 	for i := 0; i < c.n; i++ {
-		var fs []string
-		for col, bound := range c.filters[i] {
-			fs = append(fs, fmt.Sprintf("%d<%d", col, bound))
+		c.parts = c.parts[:0]
+		for ; len(fs) > 0 && fs[0].rel == i; fs = fs[1:] {
+			off := len(c.arena)
+			c.appendInt(fs[0].col)
+			c.arena = append(c.arena, '<')
+			c.arena = strconv.AppendInt(c.arena, fs[0].bound, 10)
+			c.parts = append(c.parts, c.mark(off))
 		}
-		sort.Strings(fs)
-		ob := ""
+		off := len(c.arena)
+		c.arena = append(c.arena, 'r')
+		c.appendInt(c.q.Rels[i])
+		c.arena = append(c.arena, '|')
+		c.appendSorted(c.parts, ',')
 		if o := c.q.OrderBy; o != nil && o.Rel == i && c.q.OrderEqClass() < 0 {
-			ob = fmt.Sprintf("|o%d", o.Col)
+			c.arena = append(c.arena, "|o"...)
+			c.appendInt(o.Col)
 		}
-		sigs[i] = fmt.Sprintf("r%d|%s%s", c.q.Rels[i], strings.Join(fs, ","), ob)
+		c.sigs[i] = c.mark(off)
 	}
-	return rankStrings(sigs)
+	c.rank(out)
+	return out
 }
 
 // refine runs Weisfeiler-Leman color refinement to a fixed point: each
 // round extends a relation's color with the sorted multiset of its join
 // edges (column pair plus neighbor color) and re-ranks. Ranks are assigned
 // by sorted signature, so they are invariant under input permutation.
-func (c *canonicalizer) refine(colors []int) []int {
-	distinct := countDistinct(colors)
+// Rounds alternate between colors and spare; the fixed point is returned in
+// one of them.
+func (c *canonicalizer) refine(colors, spare []int) []int {
+	distinct := c.countDistinct(colors)
 	for {
-		sigs := make([]string, c.n)
+		c.arena = c.arena[:0]
 		for i := 0; i < c.n; i++ {
-			parts := make([]string, len(c.edges[i]))
-			for k, e := range c.edges[i] {
-				parts[k] = fmt.Sprintf("%d.%d.%d", e.myCol, e.otherCol, colors[e.to])
+			c.parts = c.parts[:0]
+			for _, pi := range c.q.predsOf(i) {
+				p := &c.q.Preds[pi]
+				my, other, to := p.LeftCol, p.RightCol, p.RightRel
+				if p.RightRel == i {
+					my, other, to = p.RightCol, p.LeftCol, p.LeftRel
+				}
+				off := len(c.arena)
+				c.appendInt(my)
+				c.arena = append(c.arena, '.')
+				c.appendInt(other)
+				c.arena = append(c.arena, '.')
+				c.appendInt(colors[to])
+				c.parts = append(c.parts, c.mark(off))
 			}
-			sort.Strings(parts)
-			sigs[i] = fmt.Sprintf("%d|%s", colors[i], strings.Join(parts, ","))
+			off := len(c.arena)
+			c.appendInt(colors[i])
+			c.arena = append(c.arena, '|')
+			c.appendSorted(c.parts, ',')
+			c.sigs[i] = c.mark(off)
 		}
-		next := rankStrings(sigs)
-		nd := countDistinct(next)
+		nd := c.rank(spare)
 		if nd == distinct {
-			return next
+			return spare
 		}
-		colors, distinct = next, nd
+		colors, spare, distinct = spare, colors, nd
 	}
 }
 
@@ -218,136 +337,137 @@ func (c *canonicalizer) refine(colors []int) []int {
 // lexicographically smallest complete encoding wins.
 func (c *canonicalizer) search(colors []int, prefix []int) {
 	if len(prefix) == c.n {
-		enc := c.encode(prefix)
-		if !c.bestSet || enc < c.best {
-			c.best, c.bestSet = enc, true
-			c.bestPerm = append([]int(nil), prefix...)
-		}
+		c.leaf(prefix)
 		c.budget--
 		return
 	}
-	placed := make(map[int]bool, len(prefix))
-	for _, i := range prefix {
-		placed[i] = true
-	}
-	minColor, cands := -1, []int(nil)
+	minColor, first, ties := -1, -1, 0
 	for i := 0; i < c.n; i++ {
-		if placed[i] {
+		if c.placed[i] {
 			continue
 		}
 		switch {
 		case minColor < 0 || colors[i] < minColor:
-			minColor, cands = colors[i], []int{i}
+			minColor, first, ties = colors[i], i, 1
 		case colors[i] == minColor:
-			cands = append(cands, i)
+			ties++
 		}
 	}
-	if len(cands) == 1 {
-		c.search(colors, append(prefix, cands[0]))
+	if ties == 1 {
+		c.placed[first] = true
+		c.search(colors, append(prefix, first))
+		c.placed[first] = false
 		return
 	}
-	for _, pick := range cands {
+	next, spare := c.level(len(prefix) + 1)
+	for pick := first; pick < c.n; pick++ {
+		if c.placed[pick] || colors[pick] != minColor {
+			continue
+		}
 		if c.bestSet && c.budget <= 0 {
 			c.truncated = true
 			return
 		}
-		next := make([]int, c.n)
 		copy(next, colors)
 		// A fresh color above every rank individualizes the pick; refinement
 		// then propagates the distinction through its neighborhood.
 		next[pick] = c.n + len(prefix)
-		c.search(c.refine(next), append(prefix, pick))
+		c.placed[pick] = true
+		c.search(c.refine(next, spare), append(prefix, pick))
+		c.placed[pick] = false
+	}
+}
+
+// leaf encodes one complete ordering and keeps it if it is the smallest
+// so far.
+func (c *canonicalizer) leaf(perm []int) {
+	c.encode(perm)
+	if c.bestSet && bytes.Compare(c.enc, c.best) >= 0 {
+		return
+	}
+	c.best, c.enc, c.bestSet = c.enc, c.best[:0], true
+	copy(c.out.RelFrom, perm)
+	for rank, cl := range c.classes {
+		c.out.EqFrom[rank] = int(cl.id)
 	}
 }
 
 // encode renders the full semantic encoding under the given relation
-// ordering: perm[new] = old query-local index.
-func (c *canonicalizer) encode(perm []int) string {
-	inv := make([]int, c.n)
+// ordering (perm[new] = old query-local index) into c.enc, leaving the
+// classes sorted by rendering in c.classes.
+func (c *canonicalizer) encode(perm []int) {
 	for newIdx, old := range perm {
-		inv[old] = newIdx
+		c.inv[old] = newIdx
 	}
-	var sb strings.Builder
-	sb.WriteString("q1|R:")
-	for newIdx, old := range perm {
-		if newIdx > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%d", c.q.Rels[old])
-	}
+	c.arena = c.arena[:0]
 	// Join structure: the equivalence classes of the implied-edge closure,
 	// each a sorted member list of relabeled (relation, column) references.
-	classes := c.classStrings(inv)
-	sb.WriteString("|J:")
-	sb.WriteString(strings.Join(classes, ";"))
-	// Normalized filters.
-	var fs []string
-	for old, m := range c.filters {
-		for col, bound := range m {
-			fs = append(fs, fmt.Sprintf("%d.%d<%d", inv[old], col, bound))
+	c.classes = c.classes[:0]
+	for k := 0; k < c.q.numEq; k++ {
+		c.parts = c.parts[:0]
+		for _, m := range c.q.eqMembers[c.q.eqStart[k]:c.q.eqStart[k+1]] {
+			off := len(c.arena)
+			c.appendInt(c.inv[m.rel])
+			c.arena = append(c.arena, '.')
+			c.appendInt(int(m.col))
+			c.parts = append(c.parts, c.mark(off))
 		}
+		off := len(c.arena)
+		c.appendSorted(c.parts, ',')
+		c.classes = append(c.classes, classSpan{c.mark(off), int32(k)})
 	}
-	sort.Strings(fs)
-	sb.WriteString("|F:")
-	sb.WriteString(strings.Join(fs, ";"))
-	sb.WriteString("|O:")
+	var orderClass span
+	oe := c.q.OrderEqClass()
+	if oe >= 0 {
+		orderClass = c.classes[oe].span
+	}
+	slices.SortFunc(c.classes, func(a, b classSpan) int { return c.compare(a.span, b.span) })
+	// Normalized filters.
+	c.parts = c.parts[:0]
+	for _, f := range c.filters {
+		off := len(c.arena)
+		c.appendInt(c.inv[f.rel])
+		c.arena = append(c.arena, '.')
+		c.appendInt(f.col)
+		c.arena = append(c.arena, '<')
+		c.arena = strconv.AppendInt(c.arena, f.bound, 10)
+		c.parts = append(c.parts, c.mark(off))
+	}
+	slices.SortFunc(c.parts, c.compare)
+
+	e := append(c.enc[:0], "q1|R:"...)
+	for newIdx, old := range perm {
+		if newIdx > 0 {
+			e = append(e, ',')
+		}
+		e = strconv.AppendInt(e, int64(c.q.Rels[old]), 10)
+	}
+	e = append(e, "|J:"...)
+	for k, cl := range c.classes {
+		if k > 0 {
+			e = append(e, ';')
+		}
+		e = append(e, c.arena[cl.off:cl.end]...)
+	}
+	e = append(e, "|F:"...)
+	for k, sp := range c.parts {
+		if k > 0 {
+			e = append(e, ';')
+		}
+		e = append(e, c.arena[sp.off:sp.end]...)
+	}
+	e = append(e, "|O:"...)
 	switch o := c.q.OrderBy; {
 	case o == nil:
-		sb.WriteByte('-')
-	case c.q.OrderEqClass() >= 0:
+		e = append(e, '-')
+	case oe >= 0:
 		// Ordering on a join column: any member of the class delivers the
 		// same output order, so the class itself is the canonical target.
-		sb.WriteString(c.classString(c.q.OrderEqClass(), inv))
+		e = append(e, c.arena[orderClass.off:orderClass.end]...)
 	default:
-		fmt.Fprintf(&sb, "%d.%d", inv[o.Rel], o.Col)
+		e = strconv.AppendInt(e, int64(c.inv[o.Rel]), 10)
+		e = append(e, '.')
+		e = strconv.AppendInt(e, int64(o.Col), 10)
 	}
-	return sb.String()
-}
-
-// classStrings renders every join-column equivalence class under the
-// relabeling, sorted.
-func (c *canonicalizer) classStrings(inv []int) []string {
-	out := make([]string, 0, c.q.numEq)
-	for id := 0; id < c.q.numEq; id++ {
-		out = append(out, c.classString(id, inv))
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (c *canonicalizer) classString(id int, inv []int) string {
-	var ms []string
-	for ref, cls := range c.q.eqClass {
-		if cls == id {
-			ms = append(ms, fmt.Sprintf("%d.%d", inv[ref.rel], ref.col))
-		}
-	}
-	sort.Strings(ms)
-	return strings.Join(ms, ",")
-}
-
-// rankStrings maps each signature to the rank of its value among the
-// sorted distinct signatures — a permutation-invariant relabeling.
-func rankStrings(sigs []string) []int {
-	uniq := append([]string(nil), sigs...)
-	sort.Strings(uniq)
-	rank := make(map[string]int, len(uniq))
-	for _, s := range uniq {
-		if _, ok := rank[s]; !ok {
-			rank[s] = len(rank)
-		}
-	}
-	out := make([]int, len(sigs))
-	for i, s := range sigs {
-		out[i] = rank[s]
-	}
-	return out
-}
-
-func countDistinct(colors []int) int {
-	seen := map[int]bool{}
-	for _, c := range colors {
-		seen[c] = true
-	}
-	return len(seen)
+	c.enc = e
 }

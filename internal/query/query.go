@@ -9,6 +9,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -57,11 +58,24 @@ type Query struct {
 	// OrderBy, if non-nil, requests sorted output.
 	OrderBy *OrderSpec
 
-	adj     []bits.Set // adjacency bitset per query-local relation
-	eqClass map[colRef]int
-	numEq   int
-	// predsBetween[i] lists predicate indexes incident to relation i.
-	predsByRel [][]int
+	adj []bits.Set // adjacency bitset per query-local relation
+	// colBase[i] is relation i's first dense column id: (rel, col) is
+	// colBase[rel]+col, so ids ascend in (rel, col) order. colBase has one
+	// entry past the last relation, holding the total column count.
+	colBase []int32
+	// eqOf maps a dense column id to its equivalence class id, or -1 for a
+	// column in no join predicate.
+	eqOf  []int32
+	numEq int
+	// eqMembers lists every class's member columns in (rel, col) order,
+	// class by class: class k's members are
+	// eqMembers[eqStart[k]:eqStart[k+1]].
+	eqMembers []colRef
+	eqStart   []int32
+	// byRel lists the predicate indexes incident to each relation, in
+	// predicate order: relation i's are byRel[byRelStart[i]:byRelStart[i+1]].
+	byRel      []int
+	byRelStart []int32
 
 	// canon memoizes the canonical frame (see Canon); queries are
 	// immutable after construction, so it is computed at most once.
@@ -69,7 +83,7 @@ type Query struct {
 	canon     *Canon
 }
 
-type colRef struct{ rel, col int }
+type colRef struct{ rel, col int32 }
 
 // New validates and finalizes a filter-free query: it checks indexes,
 // computes the implied-edge closure, builds adjacency, and verifies the
@@ -96,6 +110,7 @@ func NewFiltered(cat *catalog.Catalog, rels []int, preds []Pred, filters []Filte
 		}
 	}
 	q := &Query{Cat: cat, Rels: append([]int(nil), rels...), OrderBy: orderBy}
+	q.Preds = make([]Pred, 0, len(preds))
 	for _, p := range preds {
 		if err := q.checkPred(p); err != nil {
 			return nil, err
@@ -112,6 +127,9 @@ func NewFiltered(cat *catalog.Catalog, rels []int, preds []Pred, filters []Filte
 		if orderBy.Col < 0 || orderBy.Col >= len(cat.Relation(rels[orderBy.Rel]).Cols) {
 			return nil, fmt.Errorf("query: ORDER BY column %d out of range", orderBy.Col)
 		}
+	}
+	if len(filters) > 0 {
+		q.Filters = make([]Filter, 0, len(filters))
 	}
 	for _, f := range filters {
 		if f.Rel < 0 || f.Rel >= len(rels) {
@@ -150,109 +168,159 @@ func (q *Query) checkPred(p Pred) error {
 // columns. Columns connected by predicates form equivalence classes; every
 // pair of class members in distinct relations becomes a join edge. Edges not
 // present in the original predicate list are appended as Implied.
+//
+// Columns are addressed by dense id (see colBase), so the union-find, the
+// class ids and the member lists are slices rather than maps. Class ids
+// are assigned in order of each class's smallest member, and implied edges
+// are appended class by class, members in (rel, col) order.
 func (q *Query) closeImpliedEdges() {
-	// Union-find over column references.
-	parent := map[colRef]colRef{}
-	var find func(colRef) colRef
-	find = func(x colRef) colRef {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
+	n := len(q.Rels)
+	q.colBase = make([]int32, n+1)
+	for i, r := range q.Rels {
+		q.colBase[i+1] = q.colBase[i] + int32(len(q.Cat.Relation(r).Cols))
+	}
+	// Union-find in eqOf: -1 is a column in no predicate, otherwise a parent
+	// id. Linking the larger root under the smaller keeps every parent below
+	// its child, so each root is its class's smallest member.
+	eq := make([]int32, q.colBase[n])
+	for i := range eq {
+		eq[i] = -1
+	}
+	find := func(x int32) int32 {
+		if eq[x] < 0 {
+			eq[x] = x
 		}
-		root := find(p)
-		parent[x] = root
+		root := x
+		for eq[root] != root {
+			root = eq[root]
+		}
+		for eq[x] != root {
+			eq[x], x = root, eq[x]
+		}
 		return root
 	}
-	union := func(a, b colRef) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
 	for _, p := range q.Preds {
-		union(colRef{p.LeftRel, p.LeftCol}, colRef{p.RightRel, p.RightCol})
-	}
-	// Group members per class root, deterministically ordered.
-	members := map[colRef][]colRef{}
-	var refs []colRef
-	for x := range parent {
-		refs = append(refs, x)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].rel != refs[j].rel {
-			return refs[i].rel < refs[j].rel
-		}
-		return refs[i].col < refs[j].col
-	})
-	for _, x := range refs {
-		r := find(x)
-		members[r] = append(members[r], x)
-	}
-	// Existing edges (per relation pair per class) so we don't duplicate.
-	type edgeKey struct {
-		a, b colRef
-	}
-	have := map[edgeKey]bool{}
-	norm := func(a, b colRef) edgeKey {
-		if b.rel < a.rel || (b.rel == a.rel && b.col < a.col) {
+		a, b := find(q.colID(p.LeftRel, p.LeftCol)), find(q.colID(p.RightRel, p.RightCol))
+		if a > b {
 			a, b = b, a
 		}
-		return edgeKey{a, b}
+		eq[b] = a
 	}
-	for _, p := range q.Preds {
-		have[norm(colRef{p.LeftRel, p.LeftCol}, colRef{p.RightRel, p.RightCol})] = true
-	}
-	// Assign equivalence class ids and add missing edges.
-	q.eqClass = map[colRef]int{}
-	var roots []colRef
-	for r := range members {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		a, b := members[roots[i]][0], members[roots[j]][0]
-		if a.rel != b.rel {
-			return a.rel < b.rel
+	// Ascending ids see each root before its members, and every parent is
+	// already rewritten to its class id when its child is reached.
+	members := 0
+	for x, p := range eq {
+		switch {
+		case p < 0:
+			continue
+		case p == int32(x):
+			eq[x] = int32(q.numEq)
+			q.numEq++
+		default:
+			eq[x] = eq[p]
 		}
-		return a.col < b.col
-	})
-	for id, r := range roots {
-		ms := members[r]
-		for _, m := range ms {
-			q.eqClass[m] = id
+		members++
+	}
+	q.eqOf = eq
+	// Member lists by counting sort: eqStart[k] starts as the end of class
+	// k and counts down to its start while ids are placed in descending
+	// order, which leaves each class's members in (rel, col) order.
+	q.eqStart = make([]int32, q.numEq+1)
+	for _, k := range eq {
+		if k >= 0 {
+			q.eqStart[k]++
+		}
+	}
+	for k := 1; k <= q.numEq; k++ {
+		q.eqStart[k] += q.eqStart[k-1]
+	}
+	q.eqMembers = make([]colRef, members)
+	rel := int32(n - 1)
+	for x := int32(len(eq) - 1); x >= 0; x-- {
+		k := eq[x]
+		if k < 0 {
+			continue
+		}
+		for x < q.colBase[rel] {
+			rel--
+		}
+		q.eqStart[k]--
+		q.eqMembers[q.eqStart[k]] = colRef{rel, x - q.colBase[rel]}
+	}
+	// A class of two members is exactly the predicate that formed it; only
+	// larger classes can imply edges, and only those need the user's edges
+	// (as sorted dense-id pairs) to skip the ones already written.
+	var have []uint64
+	user := len(q.Preds)
+	for k := 0; k < q.numEq; k++ {
+		ms := q.eqMembers[q.eqStart[k]:q.eqStart[k+1]]
+		if len(ms) < 3 {
+			continue
+		}
+		if have == nil {
+			have = make([]uint64, 0, user)
+			for _, p := range q.Preds[:user] {
+				have = append(have, edgeKey(q.colID(p.LeftRel, p.LeftCol), q.colID(p.RightRel, p.RightCol)))
+			}
+			slices.Sort(have)
 		}
 		for i := 0; i < len(ms); i++ {
 			for j := i + 1; j < len(ms); j++ {
 				if ms[i].rel == ms[j].rel {
 					continue
 				}
-				k := norm(ms[i], ms[j])
-				if have[k] {
+				a, b := q.colBase[ms[i].rel]+ms[i].col, q.colBase[ms[j].rel]+ms[j].col
+				if _, found := slices.BinarySearch(have, edgeKey(a, b)); found {
 					continue
 				}
-				have[k] = true
 				q.Preds = append(q.Preds, Pred{
-					LeftRel: ms[i].rel, LeftCol: ms[i].col,
-					RightRel: ms[j].rel, RightCol: ms[j].col,
+					LeftRel: int(ms[i].rel), LeftCol: int(ms[i].col),
+					RightRel: int(ms[j].rel), RightCol: int(ms[j].col),
 					Implied: true,
 				})
 			}
 		}
 	}
-	q.numEq = len(roots)
+}
+
+// colID returns the dense id of query-local column (rel, col).
+func (q *Query) colID(rel, col int) int32 { return q.colBase[rel] + int32(col) }
+
+// edgeKey packs an unordered pair of dense column ids.
+func edgeKey(a, b int32) uint64 {
+	if b < a {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
 }
 
 func (q *Query) buildIndexes() {
 	n := len(q.Rels)
 	q.adj = make([]bits.Set, n)
-	q.predsByRel = make([][]int, n)
-	for i, p := range q.Preds {
+	q.byRelStart = make([]int32, n+1)
+	for _, p := range q.Preds {
 		q.adj[p.LeftRel] = q.adj[p.LeftRel].Add(p.RightRel)
 		q.adj[p.RightRel] = q.adj[p.RightRel].Add(p.LeftRel)
-		q.predsByRel[p.LeftRel] = append(q.predsByRel[p.LeftRel], i)
-		q.predsByRel[p.RightRel] = append(q.predsByRel[p.RightRel], i)
+		q.byRelStart[p.LeftRel]++
+		q.byRelStart[p.RightRel]++
+	}
+	for i := 1; i <= n; i++ {
+		q.byRelStart[i] += q.byRelStart[i-1]
+	}
+	// Counting down from each relation's end while placing predicates in
+	// descending order leaves every list ascending (see eqStart).
+	q.byRel = make([]int, 2*len(q.Preds))
+	for i := len(q.Preds) - 1; i >= 0; i-- {
+		p := &q.Preds[i]
+		q.byRelStart[p.LeftRel]--
+		q.byRel[q.byRelStart[p.LeftRel]] = i
+		q.byRelStart[p.RightRel]--
+		q.byRel[q.byRelStart[p.RightRel]] = i
 	}
 }
+
+// predsOf returns the indexes of the predicates incident to relation i.
+func (q *Query) predsOf(i int) []int { return q.byRel[q.byRelStart[i]:q.byRelStart[i+1]] }
 
 func (q *Query) connected() bool {
 	if len(q.Rels) == 1 {
@@ -346,7 +414,7 @@ func (q *Query) AppendPredsBetween(dst []int, a, b bits.Set) []int {
 		if !ok {
 			break
 		}
-		for _, pi := range q.predsByRel[i] {
+		for _, pi := range q.predsOf(i) {
 			p := q.Preds[pi]
 			if (a.Has(p.LeftRel) && b.Has(p.RightRel)) || (a.Has(p.RightRel) && b.Has(p.LeftRel)) {
 				dst = append(dst, pi)
@@ -392,11 +460,7 @@ func (q *Query) AppendPredsWithin(dst []int, s bits.Set) []int {
 // interesting orders: a plan sorted on any member column of a class can feed
 // a merge join on any predicate of that class.
 func (q *Query) EqClass(rel, col int) int {
-	id, ok := q.eqClass[colRef{rel, col}]
-	if !ok {
-		return -1
-	}
-	return id
+	return int(q.eqOf[q.colID(rel, col)])
 }
 
 // NumEqClasses returns the number of join-column equivalence classes.

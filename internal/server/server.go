@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -567,22 +568,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 		s.failf(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.failf(w, r, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Technique != "" && !slices.Contains(requestTechniques, req.Technique) {
-		s.failf(w, r, http.StatusBadRequest, "unknown technique %q (valid: %v)", req.Technique, RequestTechniques())
-		return
-	}
-	if max := maxWorkers(); req.Workers != 0 && (req.Workers < 1 || req.Workers > max) {
-		s.failf(w, r, http.StatusBadRequest, "workers %d outside [1, %d] (2×GOMAXPROCS)", req.Workers, max)
-		return
-	}
-	q, err := s.buildQuery(&req)
+	req, q, err := s.decodeOptimize(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.failf(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -700,7 +686,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 	}
 	resp := &OptimizeResponse{
 		Technique:      technique,
-		Fingerprint:    q.Fingerprint(),
+		Fingerprint:    cn.Fingerprint,
 		CatalogVersion: s.catVersion,
 		Source:         "uncached",
 	}
@@ -710,7 +696,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 	var stats dp.Stats
 	var src string
 	if req.Technique == "auto" {
-		best, stats, src, err, demoted = s.runRouted(ctx, technique, q, budget, &req, reserve)
+		best, stats, src, err, demoted = s.runRouted(ctx, technique, q, budget, req, reserve)
 		if demoted != "" {
 			// The chosen engine's slice expired (or it aborted on budget)
 			// and greedy answered instead. The inflated lower-bound
@@ -724,7 +710,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 			}
 		}
 	} else {
-		best, stats, src, err = s.run(ctx, technique, q, budget, &req)
+		best, stats, src, err = s.run(ctx, technique, q, budget, req)
 	}
 	resp.Source = src
 	resp.RouteReason = routeReason
@@ -858,7 +844,7 @@ func (s *Server) run(ctx context.Context, technique string, q *query.Query, budg
 		return p, st, "uncached", err
 	}
 	cn := q.Canon()
-	key := plancache.Key{Fingerprint: q.Fingerprint(), Technique: technique, CatalogVersion: s.catVersion}
+	key := plancache.Key{Fingerprint: cn.Fingerprint, Technique: technique, CatalogVersion: s.catVersion}
 	p, st, src, err := s.cache.DoCtx(ctx, key, func() (*plan.Plan, dp.Stats, error) {
 		// WithoutCancel detaches the compute from the request's deadline but
 		// keeps context values, so the request span still reaches the
@@ -949,6 +935,28 @@ func (s *Server) runRouted(ctx context.Context, technique string, q *query.Query
 
 	p, st, src, err := s.run(ctx, tech.Greedy, q, budget, req)
 	return p, st, src, err, demote
+}
+
+// decodeOptimize reads an /optimize body into the request and the query it
+// describes. Every error it returns is the client's, answered with a 400.
+func (s *Server) decodeOptimize(body io.Reader) (*OptimizeRequest, *query.Query, error) {
+	var req OptimizeRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, nil, fmt.Errorf("bad request body: %v", err)
+	}
+	if req.Technique != "" && !slices.Contains(requestTechniques, req.Technique) {
+		return nil, nil, fmt.Errorf("unknown technique %q (valid: %v)", req.Technique, RequestTechniques())
+	}
+	if max := maxWorkers(); req.Workers != 0 && (req.Workers < 1 || req.Workers > max) {
+		return nil, nil, fmt.Errorf("workers %d outside [1, %d] (2×GOMAXPROCS)", req.Workers, max)
+	}
+	q, err := s.buildQuery(&req)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &req, q, nil
 }
 
 // buildQuery materializes the request's query from SQL or the explicit

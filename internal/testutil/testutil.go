@@ -7,6 +7,7 @@ import (
 
 	"sdpopt/internal/catalog"
 	"sdpopt/internal/query"
+	"sdpopt/internal/workload"
 )
 
 // Catalog returns a deterministic synthetic catalog with n relations and 24
@@ -56,4 +57,29 @@ func MustQuery(cat *catalog.Catalog, n int, edges []query.Edge, orderBy *query.O
 		panic(err)
 	}
 	return q
+}
+
+// WarmHitMix returns the query population of the benchmark's warm-hit
+// workload: 16 instances each of Star-7, Star-12, Chain-20 and
+// Star-Chain-15 over the paper schema, generated from the same seeds, so a
+// package-level benchmark over it measures the per-request key derivation
+// that workload exercises.
+func WarmHitMix() []*query.Query {
+	const populationSeed = 20070415
+	mix := []struct {
+		topo workload.Topology
+		rels int
+	}{{workload.Star, 7}, {workload.Star, 12}, {workload.Chain, 20}, {workload.StarChain, 15}}
+	cat := workload.PaperSchema()
+	var out []*query.Query
+	for mi, m := range mix {
+		qs, err := workload.Instances(workload.Spec{
+			Cat: cat, Topology: m.topo, NumRelations: m.rels, Seed: populationSeed + int64(mi)*101,
+		}, 16)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, qs...)
+	}
+	return out
 }
