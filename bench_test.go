@@ -271,9 +271,8 @@ func BenchmarkCostModel(b *testing.B) {
 // and the default DPccp csg-cmp enumeration. Each sub-bench reports how
 // many candidate pairs one optimization considers; CI runs the trio as a
 // regression guard on the counts, which repeat exactly (pairs/op per
-// enumerator, and allocs/op at most 130 000 — the join kernel builds only
-// the candidates the memo admits), and prints the wall times without gating
-// on them.
+// enumerator, and allocs/op at most 36 000 — memo classes build only the
+// plans something reads), and prints the wall times without gating on them.
 func BenchmarkEnumerationOnly(b *testing.B) {
 	qs, err := workload.Instances(workload.Spec{
 		Cat: workload.PaperSchema(), Topology: workload.Star, NumRelations: 12, Seed: 9,

@@ -14,6 +14,14 @@ func (c *Catalog) WriteJSON(w io.Writer) error {
 	return enc.Encode(c)
 }
 
+// Bounds ReadJSON puts on a loaded catalog's physical statistics, far beyond
+// any real table (PostgreSQL caps a field at 1 GB) and low enough that the
+// cost model's products of cardinalities and widths stay finite.
+const (
+	MaxRows        = 1e15
+	MaxColumnWidth = 1 << 30
+)
+
 // ReadJSON loads a catalog previously written by WriteJSON, validating
 // the statistics' basic invariants.
 func ReadJSON(r io.Reader) (*Catalog, error) {
@@ -26,8 +34,8 @@ func ReadJSON(r io.Reader) (*Catalog, error) {
 	}
 	for i := range c.Rels {
 		rel := &c.Rels[i]
-		if rel.Rows < 1 {
-			return nil, fmt.Errorf("catalog: relation %q has %g rows", rel.Name, rel.Rows)
+		if rel.Rows < 1 || rel.Rows > MaxRows {
+			return nil, fmt.Errorf("catalog: relation %q has %g rows, want [1, %g]", rel.Name, rel.Rows, MaxRows)
 		}
 		if len(rel.Cols) == 0 {
 			return nil, fmt.Errorf("catalog: relation %q has no columns", rel.Name)
@@ -54,8 +62,8 @@ func ReadJSON(r io.Reader) (*Catalog, error) {
 					return nil, fmt.Errorf("catalog: column %s.%s negative skew", rel.Name, col.Name)
 				}
 			}
-			if col.Width < 1 {
-				return nil, fmt.Errorf("catalog: column %s.%s width %d", rel.Name, col.Name, col.Width)
+			if col.Width < 1 || col.Width > MaxColumnWidth {
+				return nil, fmt.Errorf("catalog: column %s.%s width %d out of [1, %d]", rel.Name, col.Name, col.Width, MaxColumnWidth)
 			}
 			// ZipfS is a data-generation property, not a statistic, so it is
 			// legal on stats-lost columns too; rand.Zipf requires s > 1.

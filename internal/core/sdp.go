@@ -401,7 +401,7 @@ func (s *sdp) pruneLocal(level int, m *memo.Memo, created []*memo.Class) {
 		if !any {
 			best := part[0]
 			for _, c := range part[1:] {
-				if c.Best.Cost < best.Best.Cost {
+				if c.BestCost() < best.BestCost() {
 					best = c
 				}
 			}

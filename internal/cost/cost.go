@@ -366,25 +366,13 @@ func (m *Model) indexScanNode(i, orderClass int) *plan.Plan {
 // exceeds work_mem.
 func (m *Model) SortPlan(p *plan.Plan, orderClass int) *plan.Plan {
 	m.PlansCosted++
-	return m.sortNode(p, orderClass, m.Width(p.Rels))
+	s := sortOver(p, orderClass, p.Cost+m.sortCost(p.Rows, m.Width(p.Rels)))
+	return &s
 }
 
-// sortedCost is the total cost of p under an explicit sort, given p's tuple
-// width. Merge-join costing calls it without building the Sort node;
-// sortNode calls it with the same arguments, so the two agree bit for bit.
-func (m *Model) sortedCost(p *plan.Plan, width int) float64 {
-	return p.Cost + m.sortCost(p.Rows, width)
-}
-
-// sortNode builds the Sort node over p without counting it as a plan costed
-// — SortPlan counts, and a merge-join candidate counted its sorts when it
-// was costed.
-func (m *Model) sortNode(p *plan.Plan, orderClass, width int) *plan.Plan {
-	return &plan.Plan{
-		Op: plan.Sort, Rels: p.Rels, Left: p,
-		Cost: m.sortedCost(p, width),
-		Rows: p.Rows, Order: orderClass,
-	}
+// sortOver returns the Sort node over p of the given total cost.
+func sortOver(p *plan.Plan, orderClass int, cost float64) plan.Plan {
+	return plan.Plan{Op: plan.Sort, Rels: p.Rels, Left: p, Cost: cost, Rows: p.Rows, Order: orderClass}
 }
 
 func (m *Model) sortCost(rows float64, width int) float64 {
@@ -425,6 +413,11 @@ type JoinInputs struct {
 type JoinCand struct {
 	Outer, Inner *plan.Plan
 	Rows, Cost   float64
+	// OuterCost and InnerCost are, for a merge join, what each input costs as
+	// the join reads it: the input's own cost, or, where the input is not
+	// ordered on the merge class, that of the Sort node BuildJoin puts over
+	// it. Zero for the other operators.
+	OuterCost, InnerCost float64
 	// Order is the output order class: the merge class for a merge join, the
 	// outer's order for an indexed nested loop, plan.NoOrder otherwise.
 	Order int
@@ -462,7 +455,7 @@ func (m *Model) JoinPlans(in JoinInputs) []*plan.Plan {
 // AppendJoinPlans is JoinPlans appending into a caller-owned slice: it costs
 // the candidates (AppendJoinCands) and builds every one of them (BuildJoin),
 // in candidate order. Callers that keep only some of the candidates — the
-// enumerators — cost first and build the ones they keep.
+// enumerators — cost first and build only the ones something reads.
 func (m *Model) AppendJoinPlans(dst []*plan.Plan, in JoinInputs) []*plan.Plan {
 	var buf [8]JoinCand
 	for _, c := range m.AppendJoinCands(buf[:0], in) {
@@ -484,27 +477,86 @@ func (m *Model) AppendJoinCands(dst []JoinCand, in JoinInputs) []JoinCand {
 
 // BuildJoin materializes a costed candidate as the plan tree JoinPlans
 // returns for it: the join node over its inputs, with a Sort node over each
-// merge input not already ordered on the merge class, and the model's
-// per-relation IndexScan node (derive) as an indexed nested loop's inner —
-// one node shared by every plan that probes that relation, as subplans are
-// shared already. A Sort node's cost is a pure function of its input, so it
-// is recomputed here rather than carried in the candidate; PlansCosted is not
-// touched — costing counted them.
+// merge input not already ordered on the merge class (its cost carried in
+// the candidate), and the model's per-relation IndexScan node (derive) as an
+// indexed nested loop's inner — one node shared by every plan that probes
+// that relation, as subplans are shared already. PlansCosted is not touched —
+// costing counted them.
 func (m *Model) BuildJoin(c JoinCand) *plan.Plan {
+	var t joinTree
+	m.layout(&c, &t)
+	n := new(plan.Plan)
+	*n = t.join
+	if t.sortOuter {
+		s := t.outer
+		n.Left = &s
+	}
+	if t.sortInner {
+		s := t.inner
+		n.Right = &s
+	}
+	return n
+}
+
+// CompareJoins is plan.Compare over two join trees, each given as a built
+// plan or, where that is nil, as the candidate BuildJoin would build it from.
+// A candidate's tree is laid out on the stack, so comparing allocates
+// nothing: it is how a memo breaks a cost tie between candidates it has not
+// built, and ties are common — a merge join costs the same in both
+// orientations. Each side is linked up inline: stored through a helper's
+// pointer, the nodes' addresses would escape to the heap.
+func (m *Model) CompareJoins(a *plan.Plan, ac *JoinCand, b *plan.Plan, bc *JoinCand) int {
+	if a == nil {
+		var t joinTree
+		m.layout(ac, &t)
+		if t.sortOuter {
+			t.join.Left = &t.outer
+		}
+		if t.sortInner {
+			t.join.Right = &t.inner
+		}
+		a = &t.join
+	}
+	if b == nil {
+		var t joinTree
+		m.layout(bc, &t)
+		if t.sortOuter {
+			t.join.Left = &t.outer
+		}
+		if t.sortInner {
+			t.join.Right = &t.inner
+		}
+		b = &t.join
+	}
+	return plan.Compare(a, b)
+}
+
+// joinTree is a candidate's tree as node values: the join node, whose
+// children are its inputs as given (an indexed nested loop's inner already
+// the shared IndexScan node), and the Sort nodes a merge join puts over an
+// input not ordered on the merge class, which the caller links in.
+type joinTree struct {
+	join, outer, inner   plan.Plan
+	sortOuter, sortInner bool
+}
+
+// layout is the one definition of the tree a candidate builds into: it
+// fills t, a zero joinTree.
+func (m *Model) layout(c *JoinCand, t *joinTree) {
 	o, i := c.Outer, c.Inner
 	switch c.Op {
 	case plan.MergeJoin:
-		if o.Order != c.Order {
-			o = m.sortNode(o, c.Order, m.Width(o.Rels))
+		if t.sortOuter = o.Order != c.Order; t.sortOuter {
+			t.outer = sortOver(o, c.Order, c.OuterCost)
 		}
-		if i.Order != c.Order {
-			i = m.sortNode(i, c.Order, m.Width(i.Rels))
+		if t.sortInner = i.Order != c.Order; t.sortInner {
+			t.inner = sortOver(i, c.Order, c.InnerCost)
 		}
 	case plan.IndexNestLoop:
 		// The inner scan plan is replaced by the index scan the loop repeats.
 		i = m.relIdxScan[i.Rel]
 	}
-	return &plan.Plan{
+	t.join = plan.Plan{
 		Op: c.Op, Rels: c.Outer.Rels.Union(c.Inner.Rels), Left: o, Right: i,
 		Cost: c.Cost, Rows: c.Rows, Order: c.Order,
 	}
@@ -800,5 +852,5 @@ func (pc *PairCoster) mergeJoin(t *pairTerms, o, i *plan.Plan, ec int) JoinCand 
 		iCost += t.iSort
 	}
 	c := oCost + iCost + t.cmp + pc.outCPU
-	return JoinCand{Op: plan.MergeJoin, Outer: o, Inner: i, Rows: pc.rows, Cost: c, Order: ec}
+	return JoinCand{Op: plan.MergeJoin, Outer: o, Inner: i, Rows: pc.rows, Cost: c, OuterCost: oCost, InnerCost: iCost, Order: ec}
 }

@@ -33,13 +33,15 @@
 // plan.Compare's total order, so the chosen plan, its cost,
 // Stats.PlansCosted and the per-level class sets are identical to the
 // sequential run's on every query — property-tested across the workload
-// corpus. The only sanctioned divergences are transient:
-// Stats.Memo.PeakSimBytes may be lower (the staged merge never replays
-// dominated paths the sequential run briefly retained) and abort points
-// under budget/cancellation land mid-level rather than mid-pair. Workers
-// track a shared atomic estimate of the level's simulated memory and stop
-// as soon as it crosses the budget, without waiting for the barrier;
-// cancellation is polled per task.
+// corpus. Simulated memory charges every retained path, built or still a
+// candidate (memo classes build their candidates on first read), so when
+// plans are built never moves it. The only sanctioned divergences are
+// transient: Stats.Memo.PeakSimBytes may be lower (the staged merge never
+// replays dominated paths the sequential run briefly retained) and abort
+// points under budget/cancellation land mid-level rather than mid-pair.
+// Workers track a shared atomic estimate of the level's simulated memory
+// and stop as soon as it crosses the budget, without waiting for the
+// barrier; cancellation is polled per task.
 package dp
 
 import (
@@ -307,8 +309,10 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 	}
 	// Installed before any class exists so every creation site — the level-1
 	// seed, joinDirect, the parallel drain, IDP's compound leaves — caches
-	// its neighborhood for the adjacency-indexed walk.
+	// its neighborhood for the adjacency-indexed walk and builds its retained
+	// candidates with the engine's model.
 	e.Memo.Nbrs = q.Neighbors
+	e.Memo.Model = model
 	e.Memo.Observe(ob)
 	var covered bits.Set
 	for _, l := range leaves {
@@ -696,8 +700,8 @@ func (s *staging) join(sc *scratch, q *query.Query, a, b *memo.Class) error {
 			return err
 		}
 	}
-	return sc.joinPair(q, a, b, st.Rows, st.Admits, func(p *plan.Plan) error {
-		if d := st.Offer(p); d != 0 {
+	return sc.joinPair(q, a, b, st.Rows, st.Admits, func(c cost.JoinCand) error {
+		if d := st.Offer(c, sc.model); d != 0 {
 			return s.charge(int64(d) * memo.SimPathBytes)
 		}
 		return nil
@@ -710,6 +714,13 @@ func (s *staging) join(sc *scratch, q *query.Query, a, b *memo.Class) error {
 func (e *Engine) runLevelPool(k int, tasks []task) ([]*memo.Class, []workerStat, error) {
 	m := e.Memo
 	e.cTasks.Add(int64(len(tasks)))
+	// Workers read the classes below k concurrently, so they must find them
+	// built: build the previous level's survivors here, on the engine's
+	// goroutine, as its first read (the levels below it were built before
+	// their own successors ran).
+	for _, c := range m.Level(k - 1) {
+		e.sc.pathBufA = c.AppendPaths(e.sc.pathBufA[:0])
+	}
 
 	stage := &staging{table: memo.NewSharded(), budget: m.Budget}
 	stage.simEst.Store(m.Stats.SimBytes)
@@ -774,7 +785,8 @@ func (e *Engine) runLevelPool(k int, tasks []task) ([]*memo.Class, []workerStat,
 
 	// Drain in canonical set order. NewClass + the staged winners reproduce
 	// the sequential end-of-level class state and simulated-memory charge,
-	// so the memo's own budget accounting fires just as it would have.
+	// so the memo's own budget accounting fires just as it would have. The
+	// winners move over unbuilt: the hook may yet prune their class.
 	var created []*memo.Class
 	for _, st := range stage.table.Drain() {
 		cls, err := m.NewClass(st.Set, k, st.Rows, st.Sel)
@@ -782,10 +794,8 @@ func (e *Engine) runLevelPool(k int, tasks []task) ([]*memo.Class, []workerStat,
 			return created, wstats, err
 		}
 		created = append(created, cls)
-		for _, p := range st.Plans() {
-			if _, err := m.AddPlan(cls, p); err != nil {
-				return created, wstats, err
-			}
+		if err := m.AddStaged(cls, st); err != nil {
+			return created, wstats, err
 		}
 	}
 	if sawBudget {
@@ -931,8 +941,8 @@ func (sc *scratch) joinDirect(q *query.Query, m *memo.Memo, a, b *memo.Class, le
 			return nil, false, err
 		}
 	}
-	err := sc.joinPair(q, a, b, cls.Rows, cls.Admits, func(p *plan.Plan) error {
-		_, err := m.AddPlan(cls, p)
+	err := sc.joinPair(q, a, b, cls.Rows, cls.Admits, func(c cost.JoinCand) error {
+		_, err := m.AddCand(cls, c)
 		return err
 	})
 	return cls, isNew, err
@@ -961,24 +971,25 @@ func (j *Joiner) Join(a, b *memo.Class, level int) (*memo.Class, bool, error) {
 
 // joinPair is the join kernel: for every physical join of classes a and b —
 // path × path × direction × operator — into a target class of the given row
-// count it runs begin pair → cost → admit → build → offer. Everything
-// constant per class pair is read once here: the spanning predicates, both
-// path lists, both tuple widths, and — inside the coster this begins — every
-// term of the operators' cost formulas except the two input costs (see
-// cost.PairCoster). The coster then costs each candidate as a value
-// (cost.JoinCand: a few additions, no allocation); admits asks the target
-// class whether a candidate of that cost and order could be retained
-// (pathSet.Admits); only then is the plan tree built and handed to sink, the
-// class's dominance rule, stopping at sink's first error. Nearly every
-// candidate loses on cost alone (paths retained per plan costed ≈ 0.006 on
-// the cold-enum benchmark workload), so nearly none is built. Cost ties are
-// admitted, so the structural tie-break still runs on the built tree and the
+// count it runs begin pair → cost → admit → offer. Everything constant per
+// class pair is read once here: the spanning predicates, both path lists,
+// both tuple widths, and — inside the coster this begins — every term of the
+// operators' cost formulas except the two input costs (see cost.PairCoster).
+// The coster then costs each candidate as a value (cost.JoinCand: a few
+// additions, no allocation); admits asks the target class whether a
+// candidate of that cost and order could be retained (pathSet.Admits); only
+// then is the candidate handed to sink — the class's dominance rule, which
+// retains it as the value — stopping at sink's first error. Nothing is built
+// here: a retained candidate becomes a plan tree when its class is first
+// read (a and b's paths, read above, are built by that read), so candidates
+// a cheaper one displaces before then, and classes SDP prunes, are never
+// built. Cost ties are admitted and broken structurally on the trees, so the
 // retained plans are what offering every candidate would retain; a candidate
-// that is not admitted would have changed nothing, so budget accounting
-// fires at the same candidate as well. The loop order pa × pb × {ab, ba} and
-// the candidate order within an orientation are part of that contract. The
+// that is not admitted would have changed nothing, so budget accounting fires
+// at the same candidate as well. The loop order pa × pb × {ab, ba} and the
+// candidate order within an orientation are part of that contract. The
 // buffers and the coster live in the scratch and are reused across pairs.
-func (sc *scratch) joinPair(q *query.Query, a, b *memo.Class, rows float64, admits func(cost float64, order int) bool, sink func(*plan.Plan) error) error {
+func (sc *scratch) joinPair(q *query.Query, a, b *memo.Class, rows float64, admits func(cost float64, order int) bool, sink func(cost.JoinCand) error) error {
 	sc.predBuf = q.AppendPredsBetween(sc.predBuf[:0], a.Set, b.Set)
 	sc.pathBufA = a.AppendPaths(sc.pathBufA[:0])
 	sc.pathBufB = b.AppendPaths(sc.pathBufB[:0])
@@ -998,14 +1009,14 @@ func (sc *scratch) joinPair(q *query.Query, a, b *memo.Class, rows float64, admi
 
 // joinOriented is joinPair's inner step for one path pair in one orientation
 // (swapped: the outer is b's path).
-func (sc *scratch) joinOriented(o, i *plan.Plan, swapped bool, admits func(cost float64, order int) bool, sink func(*plan.Plan) error) error {
+func (sc *scratch) joinOriented(o, i *plan.Plan, swapped bool, admits func(cost float64, order int) bool, sink func(cost.JoinCand) error) error {
 	sc.candBuf = sc.coster.AppendCands(sc.candBuf[:0], o, i, swapped)
 	for k := range sc.candBuf {
 		c := &sc.candBuf[k]
 		if !admits(c.Cost, c.Order) {
 			continue
 		}
-		if err := sink(sc.model.BuildJoin(*c)); err != nil {
+		if err := sink(*c); err != nil {
 			return err
 		}
 	}
@@ -1019,10 +1030,13 @@ func (sc *scratch) joinOriented(o, i *plan.Plan, swapped bool, admits func(cost 
 func (e *Engine) Finalize() (*plan.Plan, error) {
 	full := bits.Full(e.Q.NumRelations())
 	cls := e.Memo.Get(full)
-	if cls == nil || cls.Best == nil {
+	var best *plan.Plan
+	if cls != nil {
+		best = cls.Best()
+	}
+	if best == nil {
 		return nil, fmt.Errorf("dp: no plan for the full relation set (enumeration incomplete)")
 	}
-	best := cls.Best
 	if e.Q.OrderBy == nil {
 		return best, nil
 	}

@@ -177,7 +177,7 @@ func TestCCPPartialRunResume(t *testing.T) {
 // and offer interleave on the class's mutex — and requires the same retained
 // plans, the same retained-path charge (the memo's PathsRetained against the
 // staging estimate's path bytes) and the same plans costed: admission decides
-// what is built, never what is costed or kept.
+// what is offered, never what is costed or kept.
 func TestJoinKernelSinksAgree(t *testing.T) {
 	const n, workers = 6, 4
 	q := testutil.MustQuery(testutil.Catalog(n), n, query.CycleEdges(n), &query.OrderSpec{Rel: 0, Col: 0})
@@ -202,6 +202,11 @@ func TestJoinKernelSinksAgree(t *testing.T) {
 	}
 	if len(pairs) < 2*workers {
 		t.Fatalf("only %d pairs join into the top class; the staged run would not contend", len(pairs))
+	}
+	// Workers read only built classes, as at a parallel level's barrier.
+	for _, p := range pairs {
+		p.a.Paths()
+		p.b.Paths()
 	}
 
 	// Staged first: the direct run below adds the top class to the memo.
@@ -259,7 +264,17 @@ func TestJoinKernelSinksAgree(t *testing.T) {
 	if stagedDelta != directDelta {
 		t.Errorf("retained-path delta: staged %d, direct %d", stagedDelta, directDelta)
 	}
-	want, got := cls.Paths(), drained[0].Plans()
+	// The staged winners, replayed into a fresh class as the drain does.
+	m := memo.New(0)
+	m.Model = e.Model
+	replay, err := m.NewClass(cls.Set, n, cls.Rows, cls.Sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddStaged(replay, drained[0]); err != nil {
+		t.Fatal(err)
+	}
+	want, got := cls.Paths(), replay.Paths()
 	if len(want) < 2 {
 		t.Fatalf("the top class retained %d paths; the fixture should keep an ordered one too", len(want))
 	}

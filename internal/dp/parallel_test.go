@@ -134,7 +134,7 @@ func TestHookParity(t *testing.T) {
 			if level >= 2 && level < q.NumRelations()-2 && len(created) > 1 {
 				worst := created[0]
 				for _, c := range created[1:] {
-					if c.Best.Cost > worst.Best.Cost {
+					if c.BestCost() > worst.BestCost() {
 						worst = c
 					}
 				}

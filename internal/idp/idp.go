@@ -58,7 +58,7 @@ func (e Eval) String() string {
 func (e Eval) score(c *memo.Class) float64 {
 	switch e {
 	case MinCost:
-		return c.Best.Cost
+		return c.BestCost()
 	case MinSel:
 		return c.Sel
 	default:
@@ -246,7 +246,7 @@ func selectSubplan(q *query.Query, model *cost.Model, m *memo.Memo, leaves []dp.
 // function of the grown composite, using the cheapest physical join. This
 // is the IDP paper's "ballooning to complete plans".
 func balloon(q *query.Query, model *cost.Model, c *memo.Class, leaves []dp.Leaf, eval Eval) *plan.Plan {
-	cur := c.Best
+	cur := c.Best()
 	covered := c.Set
 	for {
 		remaining := false

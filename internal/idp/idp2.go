@@ -171,6 +171,7 @@ func replanSubtree(q *query.Query, model *cost.Model, ob *obs.Observer, root, su
 // with no level loop and no filtering.
 func dpOverSubset(q *query.Query, model *cost.Model, ob *obs.Observer, set bits.Set, budget int64) (*plan.Plan, memo.Stats, error) {
 	m := memo.New(budget)
+	m.Model = model
 	m.Observe(ob)
 	rels := set.Slice()
 	for _, r := range rels {
@@ -208,11 +209,14 @@ func dpOverSubset(q *query.Query, model *cost.Model, ob *obs.Observer, set bits.
 	if err != nil {
 		return nil, m.Stats, err
 	}
-	cls := m.Get(set)
-	if cls == nil || cls.Best == nil {
+	var best *plan.Plan
+	if cls := m.Get(set); cls != nil {
+		best = cls.Best()
+	}
+	if best == nil {
 		return nil, m.Stats, fmt.Errorf("idp: subtree relations %v are not connected", set)
 	}
-	return cls.Best, m.Stats, nil
+	return best, m.Stats, nil
 }
 
 // rebuildWith returns root with the subtree sub replaced by repl,

@@ -15,8 +15,10 @@ package memo
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sdpopt/internal/bits"
+	"sdpopt/internal/cost"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/plan"
 )
@@ -25,6 +27,12 @@ import (
 // budget — the analogue of the paper's algorithms running out of physical
 // memory (the "*" entries in its tables).
 var ErrBudget = errors.New("memo: simulated memory budget exceeded")
+
+// ErrReadOffer is returned for an offer to a class that has already been
+// read. The engine reads a class only once it is complete — at the DPsize
+// level barrier, and in DPccp's emission order — so this fails only if that
+// invariant breaks; it is what makes building on first read safe.
+var ErrReadOffer = errors.New("memo: offer to a class that has already been read")
 
 // Simulated per-object footprints, loosely calibrated to PostgreSQL 8.1's
 // RelOptInfo and Path allocations so that exhaustive DP on a 16-relation
@@ -55,8 +63,8 @@ type Class struct {
 	// Rows and Sel are the JCR's shared cardinality and selectivity
 	// features; every plan of the class produces the same output.
 	Rows, Sel float64
-	// pathSet holds the retained plans: Best, the cheapest plan for the
-	// class, plus the cheapest plan per interesting order.
+	// pathSet holds the retained paths: the cheapest for the class, plus the
+	// cheapest per interesting order.
 	pathSet
 	// Nbrs caches the join-graph neighborhood of Set (the memo's Nbrs
 	// callback, evaluated once at class creation), so the enumerator's
@@ -64,8 +72,11 @@ type Class struct {
 	// of a per-pair Neighbors recomputation.
 	Nbrs bits.Set
 
-	seq  int
-	dead bool
+	// model builds the class's retained join candidates on first read (the
+	// memo's Model at creation).
+	model *cost.Model
+	seq   int
+	dead  bool
 }
 
 // Seq returns the class's creation index within its level, counting pruned
@@ -78,153 +89,278 @@ func (c *Class) Seq() int { return c.seq }
 // the alive bitmap instead, and out-of-band consumers check this.
 func (c *Class) Alive() bool { return !c.dead }
 
-// FeatureVector returns the [R,C,S] vector used by SDP's skyline pruning.
+// FeatureVector returns the [R,C,S] vector used by SDP's skyline pruning. It
+// reads costs only, so it builds nothing.
 func (c *Class) FeatureVector() FV {
-	return FV{Rows: c.Rows, Cost: c.Best.Cost, Sel: c.Sel}
+	return FV{Rows: c.Rows, Cost: c.BestCost(), Sel: c.Sel}
 }
 
-// OrderedPlan pairs an order equivalence class with the cheapest retained
-// plan delivering that order.
-type OrderedPlan struct {
-	Order int
-	Plan  *plan.Plan
+// BestCost returns the cost of the cheapest retained path (+Inf when none is
+// retained) without building it.
+func (c *Class) BestCost() float64 {
+	if c.best.id == 0 {
+		return math.Inf(1)
+	}
+	return c.best.cost()
+}
+
+// Best returns the cheapest retained plan, or nil, building it if it is
+// still a candidate. Like every read that returns a tree, it closes the class
+// to further offers.
+func (c *Class) Best() *plan.Plan {
+	c.markRead()
+	if c.best.id == 0 {
+		return nil
+	}
+	return c.built(&c.best, c.model)
+}
+
+// OrderedPlan returns the cheapest retained plan delivering the given order
+// equivalence class, if any, building it if it is still a candidate. It
+// closes the class to further offers.
+func (c *Class) OrderedPlan(order int) (*plan.Plan, bool) {
+	c.markRead()
+	x := c.orderedPath(order)
+	if x == nil {
+		return nil, false
+	}
+	return c.built(x, c.model), true
+}
+
+// Paths returns the distinct retained plans: Best plus every ordered plan
+// that is not Best itself.
+func (c *Class) Paths() []*plan.Plan {
+	return c.AppendPaths(make([]*plan.Plan, 0, 1+len(c.ordered)))
+}
+
+// AppendPaths appends the distinct retained plans to dst in Paths order —
+// Best first, then ordered plans by ascending order class — building every
+// one still held as a candidate, and closes the class to further offers. The
+// enumeration hot path passes a reused scratch slice (dst[:0]) so the
+// per-pair path lookup stops allocating once the scratch has grown.
+func (c *Class) AppendPaths(dst []*plan.Plan) []*plan.Plan {
+	return c.appendPaths(dst, c.model)
+}
+
+// path is one retained path: a built plan, or a costed join candidate that is
+// built (cost.Model.BuildJoin) the first time a reader needs the tree. id
+// names the offer that produced it, counting from 1 within the path set, so
+// Best and an ordered slot holding one offer count as one retained path and
+// build into one node; 0 marks an empty slot.
+type path struct {
+	plan *plan.Plan
+	cand cost.JoinCand
+	id   uint32
+}
+
+func (p *path) cost() float64 {
+	if p.plan != nil {
+		return p.plan.Cost
+	}
+	return p.cand.Cost
+}
+
+func (p *path) order() int {
+	if p.plan != nil {
+		return p.plan.Order
+	}
+	return p.cand.Order
 }
 
 // pathSet is the retained-path set of one class under PostgreSQL's add_path
 // dominance rule restricted to the (cost, order) criteria this model
-// tracks: the cheapest plan, plus the cheapest plan per interesting order.
+// tracks: the cheapest path, plus the cheapest path per interesting order.
 // Class and Staged both hold one, so the sequential memo and the parallel
 // staging table retain by the same rule — offer — by construction.
+//
+// Retention decides on (cost, order) alone, so a join candidate is retained
+// as the value the kernel costed and built only when read: nearly every
+// retained candidate is displaced by a cheaper one before its class is
+// complete, or pruned with its class by SDP, and those are never built.
 type pathSet struct {
-	// Best is the cheapest plan offered so far.
-	Best *plan.Plan
-	// ordered holds the cheapest plan per order equivalence class, sorted
-	// by ascending order id. A class retains very few ordered plans (one
+	// best is the cheapest path offered so far.
+	best path
+	// ordered holds the cheapest path per order equivalence class, sorted
+	// by ascending order id. A class retains very few ordered paths (one
 	// per interesting order of its join columns), and offer re-counts
 	// retained paths on every candidate, so this is a small sorted slice
 	// rather than a map: slice scans cost a few compares where map
 	// iteration — with its per-iteration random seeding — dominated CPU
 	// profiles of enumeration-bound runs.
-	ordered []OrderedPlan
+	ordered []path
+	// lastID is the id of the latest offer.
+	lastID uint32
+	// read is set by the first read that returns a tree; offers after it
+	// fail (Memo.AddPlan, Memo.AddCand).
+	read bool
 }
 
-// offer retains p if it improves the cheapest plan or the cheapest plan for
+// offer retains p if it improves the cheapest path or the cheapest path for
 // its output order, and returns the change in the retained-path count (it
 // can be negative when a new best displaces an ordered path it also covers)
 // and whether p was retained. Cost ties break on plan.Compare's canonical
-// structural order, so the retained plans are a function of the candidate
-// set alone, not of arrival order — the determinism contract that lets
-// parallel workers offer in any interleaving.
-func (ps *pathSet) offer(p *plan.Plan) (delta int, kept bool) {
+// structural order of the trees the paths are or would become, so the
+// retained paths are a function of the candidate set alone, not of arrival
+// order: the determinism contract that lets parallel workers offer in any
+// interleaving. m lays candidates out for the tie-break and may be nil when
+// every path is built.
+func (ps *pathSet) offer(p path, m *cost.Model) (delta int, kept bool) {
 	before := ps.numPaths()
-	if ps.Best == nil || better(p, ps.Best) {
-		ps.Best = p
+	ps.lastID++
+	p.id = ps.lastID
+	prevBest := ps.best.id
+	beatsBest := prevBest == 0 || ps.better(&p, &ps.best, m)
+	if beatsBest {
+		ps.best = p
 		kept = true
 	}
-	if p.Order != plan.NoOrder {
-		if cur, ok := ps.OrderedPlan(p.Order); !ok || better(p, cur) {
-			ps.ordered = orderedPut(ps.ordered, p.Order, p)
+	if o := p.order(); o != plan.NoOrder {
+		cur := ps.orderedPath(o)
+		// The ordered slot often holds the previous best itself: the
+		// comparison above already decided it.
+		if cur == nil || (cur.id == prevBest && beatsBest) || (cur.id != prevBest && ps.better(&p, cur, m)) {
+			ps.orderedPut(p)
 			kept = true
 		}
 	}
-	// A new Best may dominate previously retained ordered paths that cost
-	// more but deliver an order Best also delivers.
-	if kept && ps.Best.Order != plan.NoOrder {
-		if cur, ok := ps.OrderedPlan(ps.Best.Order); !ok || better(ps.Best, cur) {
-			ps.ordered = orderedPut(ps.ordered, ps.Best.Order, ps.Best)
+	// A new best may dominate previously retained ordered paths that cost
+	// more but deliver an order best also delivers.
+	if o := ps.best.order(); kept && o != plan.NoOrder {
+		if cur := ps.orderedPath(o); cur == nil || ps.better(&ps.best, cur, m) {
+			ps.orderedPut(ps.best)
 		}
 	}
 	return ps.numPaths() - before, kept
 }
 
+// better reports whether x precedes y in plan.Compare's order: by cost, and
+// on a cost tie by the structure of the trees the two paths are or would
+// become, compared without building them (cost.Model.CompareJoins). One offer
+// is never better than itself.
+func (ps *pathSet) better(x, y *path, m *cost.Model) bool {
+	if cx, cy := x.cost(), y.cost(); cx != cy {
+		return cx < cy
+	}
+	if x.id == y.id {
+		return false
+	}
+	return m.CompareJoins(x.plan, &x.cand, y.plan, &y.cand) < 0
+}
+
+// built returns x's tree, building a candidate with m and storing the tree in
+// every slot holding the same offer.
+func (ps *pathSet) built(x *path, m *cost.Model) *plan.Plan {
+	if x.plan != nil {
+		return x.plan
+	}
+	p := m.BuildJoin(x.cand)
+	x.plan = p
+	if ps.best.id == x.id {
+		ps.best.plan = p
+	}
+	for i := range ps.ordered {
+		if ps.ordered[i].id == x.id {
+			ps.ordered[i].plan = p
+		}
+	}
+	return p
+}
+
 // Admits reports whether offer could retain a candidate of the given cost
 // and output order. It is false only when offer would certainly drop the
 // candidate — it costs more than Best and, if ordered, more than the retained
-// plan of its order — so a caller holding a costed but unbuilt candidate can
-// skip building it: offering it would keep nothing and return delta 0. Cost
-// ties are admitted, because offer breaks them with plan.Compare on the built
-// tree. Retained costs only ever fall, so a false answer stays false.
+// path of its order — so a caller holding a costed candidate can skip
+// offering it: offering it would keep nothing and return delta 0. Cost ties
+// are admitted, because offer breaks them with plan.Compare on the trees.
+// Retained costs only ever fall, so a false answer stays false. Admits reads
+// costs only and builds nothing.
 func (ps *pathSet) Admits(cost float64, order int) bool {
-	if ps.Best == nil || cost <= ps.Best.Cost {
+	if ps.best.id == 0 || cost <= ps.best.cost() {
 		return true
 	}
 	if order == plan.NoOrder {
 		return false
 	}
-	cur, ok := ps.OrderedPlan(order)
-	return !ok || cost <= cur.Cost
+	cur := ps.orderedPath(order)
+	return cur == nil || cost <= cur.cost()
 }
 
-// OrderedPlan returns the cheapest retained plan delivering the given
-// order equivalence class, if any.
-func (ps *pathSet) OrderedPlan(order int) (*plan.Plan, bool) {
+// orderedPath returns the retained path of the given order equivalence
+// class, or nil.
+func (ps *pathSet) orderedPath(order int) *path {
 	for i := range ps.ordered {
-		if ps.ordered[i].Order == order {
-			return ps.ordered[i].Plan, true
+		o := ps.ordered[i].order()
+		if o == order {
+			return &ps.ordered[i]
 		}
-		if ps.ordered[i].Order > order {
+		if o > order {
 			break
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// orderedPut inserts or replaces the plan for an order id, keeping the
-// slice sorted by ascending order.
-func orderedPut(s []OrderedPlan, order int, p *plan.Plan) []OrderedPlan {
+// orderedPut inserts or replaces the path for p's order, keeping the slice
+// sorted by ascending order.
+func (ps *pathSet) orderedPut(p path) {
+	s, order := ps.ordered, p.order()
 	i := 0
 	for ; i < len(s); i++ {
-		if s[i].Order == order {
-			s[i].Plan = p
-			return s
+		o := s[i].order()
+		if o == order {
+			s[i] = p
+			return
 		}
-		if s[i].Order > order {
+		if o > order {
 			break
 		}
 	}
 	if s == nil {
-		// Sized once: a class retains a handful of ordered plans, and growing
+		// Sized once: a class retains a handful of ordered paths, and growing
 		// from nil by append reallocates at 1, 2 and 4.
-		s = make([]OrderedPlan, 0, 4)
+		s = make([]path, 0, 4)
 	}
-	s = append(s, OrderedPlan{})
+	s = append(s, path{})
 	copy(s[i+1:], s[i:])
-	s[i] = OrderedPlan{Order: order, Plan: p}
-	return s
+	s[i] = p
+	ps.ordered = s
 }
 
-// numPaths counts the distinct retained plans — Best plus every ordered
-// plan that is not Best itself — the count simulated memory is charged on.
+// numPaths counts the distinct retained paths — best plus every ordered
+// path that is not best itself — the count simulated memory is charged on.
 func (ps *pathSet) numPaths() int {
 	n := 0
-	if ps.Best != nil {
+	if ps.best.id != 0 {
 		n = 1
 	}
 	for i := range ps.ordered {
-		if ps.ordered[i].Plan != ps.Best {
+		if ps.ordered[i].id != ps.best.id {
 			n++
 		}
 	}
 	return n
 }
 
-// Paths returns the distinct retained plans: Best plus every ordered plan
-// that is not Best itself.
-func (ps *pathSet) Paths() []*plan.Plan {
-	return ps.AppendPaths(make([]*plan.Plan, 0, 1+len(ps.ordered)))
+// markRead closes the set to offers. It writes only the first time, so the
+// parallel workers reading the levels below theirs, all built and read
+// before the workers started, share a set without a race.
+func (ps *pathSet) markRead() {
+	if !ps.read {
+		ps.read = true
+	}
 }
 
-// AppendPaths appends the distinct retained plans to dst in Paths order:
-// Best first, then ordered plans by ascending order class. The enumeration
-// hot path passes a reused scratch slice (dst[:0]) so the per-pair path
-// lookup stops allocating once the scratch has grown.
-func (ps *pathSet) AppendPaths(dst []*plan.Plan) []*plan.Plan {
-	if ps.Best != nil {
-		dst = append(dst, ps.Best)
+// appendPaths appends the distinct retained paths' trees to dst, best first,
+// then ordered paths by ascending order class, building candidates with m,
+// and marks the set read.
+func (ps *pathSet) appendPaths(dst []*plan.Plan, m *cost.Model) []*plan.Plan {
+	ps.markRead()
+	if ps.best.id != 0 {
+		dst = append(dst, ps.built(&ps.best, m))
 	}
 	for i := range ps.ordered {
-		if p := ps.ordered[i].Plan; p != ps.Best {
-			dst = append(dst, p)
+		if x := &ps.ordered[i]; x.id != ps.best.id {
+			dst = append(dst, ps.built(x, m))
 		}
 	}
 	return dst
@@ -262,6 +398,11 @@ type Memo struct {
 	// Nbrs, when set (the DP engine installs the query's Neighbors before
 	// seeding level 1), computes the neighborhood cached on each new class.
 	Nbrs func(bits.Set) bits.Set
+	// Model builds the join candidates new classes retain, each on its
+	// class's first read; the DP engine and IDP2 install their cost model
+	// before creating any class. A class created without one accepts built
+	// plans only.
+	Model *cost.Model
 	// Budget is the simulated-memory feasibility limit in bytes; 0 means
 	// unlimited.
 	Budget int64
@@ -313,7 +454,7 @@ func (m *Memo) NewClass(set bits.Set, level int, rows, sel float64) (*Class, err
 	if existing := m.classes[set]; existing != nil && !existing.dead {
 		return nil, fmt.Errorf("memo: class %v already exists", set)
 	}
-	c := &Class{Set: set, Level: level, Rows: rows, Sel: sel}
+	c := &Class{Set: set, Level: level, Rows: rows, Sel: sel, model: m.Model}
 	if m.Nbrs != nil {
 		c.Nbrs = m.Nbrs(set)
 	}
@@ -339,7 +480,44 @@ func (m *Memo) NewClass(set bits.Set, level int, rows, sel float64) (*Class, err
 // charges the retained-path change to the simulated-memory budget. It
 // reports whether p was retained.
 func (m *Memo) AddPlan(c *Class, p *plan.Plan) (bool, error) {
-	d, kept := c.offer(p)
+	return m.add(c, path{plan: p})
+}
+
+// AddCand is AddPlan for a costed join candidate: the class retains it by
+// its cost and order, and builds it only when first read.
+func (m *Memo) AddCand(c *Class, jc cost.JoinCand) (bool, error) {
+	if c.model == nil {
+		return false, fmt.Errorf("memo: class %v has no cost model to build candidates", c.Set)
+	}
+	return m.add(c, path{cand: jc})
+}
+
+// AddStaged offers a staged class's retained paths to c in Paths order,
+// candidates still unbuilt — the replay that reproduces the staged winners
+// in the memo at a parallel level's barrier.
+func (m *Memo) AddStaged(c *Class, st *Staged) error {
+	ps := &st.paths
+	if ps.best.id != 0 {
+		if _, err := m.add(c, ps.best); err != nil {
+			return err
+		}
+	}
+	for _, p := range ps.ordered {
+		if p.id == ps.best.id {
+			continue
+		}
+		if _, err := m.add(c, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *Memo) add(c *Class, p path) (bool, error) {
+	if c.read {
+		return false, fmt.Errorf("%w: %v", ErrReadOffer, c.Set)
+	}
+	d, kept := c.offer(p, c.model)
 	if d != 0 {
 		m.Stats.PathsRetained += int64(d)
 		if err := m.addSim(int64(d) * SimPathBytes); err != nil {
@@ -347,17 +525,6 @@ func (m *Memo) AddPlan(c *Class, p *plan.Plan) (bool, error) {
 		}
 	}
 	return kept, nil
-}
-
-// better is plan.Less with the cost comparison inlined: it runs once per
-// candidate plan on the enumeration hot path, where cost ties are rare
-// enough that the structural tie-break (plan.Compare's canonical order —
-// the determinism contract) stays off the fast path.
-func better(p, cur *plan.Plan) bool {
-	if p.Cost != cur.Cost {
-		return p.Cost < cur.Cost
-	}
-	return plan.Less(p, cur)
 }
 
 // Remove prunes class c from the memo, releasing its simulated memory (the

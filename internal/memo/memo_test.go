@@ -12,10 +12,13 @@ func mkPlan(set bits.Set, cost float64, order int) *plan.Plan {
 	return &plan.Plan{Op: plan.HashJoin, Rels: set, Cost: cost, Rows: 10, Order: order}
 }
 
-// mustOrdered returns the retained plan for an order class, or nil.
+// mustOrdered returns the retained plan for an order class, or nil, without
+// reading the class (which would close it to further offers).
 func mustOrdered(c *Class, order int) *plan.Plan {
-	p, _ := c.OrderedPlan(order)
-	return p
+	if x := c.orderedPath(order); x != nil {
+		return x.plan
+	}
+	return nil
 }
 
 func TestNewClassAndGet(t *testing.T) {
@@ -63,7 +66,7 @@ func TestAddPlanKeepsBestAndOrdered(t *testing.T) {
 	}
 	// A cheaper plan replaces Best.
 	cheap := mkPlan(s, 50, plan.NoOrder)
-	if kept, _ = m.AddPlan(c, cheap); !kept || c.Best != cheap {
+	if kept, _ = m.AddPlan(c, cheap); !kept || c.best.plan != cheap {
 		t.Fatal("cheaper plan did not become Best")
 	}
 	// A costlier unordered plan is discarded.
@@ -75,20 +78,19 @@ func TestAddPlanKeepsBestAndOrdered(t *testing.T) {
 	if kept, _ = m.AddPlan(c, ord); !kept {
 		t.Fatal("ordered plan was not kept")
 	}
-	if c.Best != cheap {
+	if c.best.plan != cheap {
 		t.Fatal("ordered plan displaced Best")
 	}
-	paths := c.Paths()
-	if len(paths) != 2 {
-		t.Fatalf("Paths = %d, want 2", len(paths))
+	if n := c.numPaths(); n != 2 {
+		t.Fatalf("%d paths retained, want 2", n)
 	}
 	// A cheaper plan with the same order replaces the ordered slot.
 	ord2 := mkPlan(s, 60, 3)
 	if kept, _ = m.AddPlan(c, ord2); !kept || mustOrdered(c, 3) != ord2 {
 		t.Fatal("cheaper ordered plan did not replace slot")
 	}
-	if len(c.Paths()) != 2 {
-		t.Fatalf("Paths after replacement = %d, want 2", len(c.Paths()))
+	if n := c.numPaths(); n != 2 {
+		t.Fatalf("%d paths retained after replacement, want 2", n)
 	}
 }
 
@@ -101,11 +103,11 @@ func TestAddPlanOrderedBestDedup(t *testing.T) {
 	if _, err := m.AddPlan(c, p); err != nil {
 		t.Fatal(err)
 	}
-	if c.Best != p || mustOrdered(c, 2) != p {
+	if c.best.plan != p || mustOrdered(c, 2) != p {
 		t.Fatal("plan should be both Best and ordered")
 	}
-	if got := len(c.Paths()); got != 1 {
-		t.Fatalf("Paths = %d, want 1", got)
+	if got := c.numPaths(); got != 1 {
+		t.Fatalf("%d paths retained, want 1", got)
 	}
 	if m.Stats.PathsRetained != 1 {
 		t.Fatalf("PathsRetained = %d, want 1", m.Stats.PathsRetained)
@@ -115,7 +117,7 @@ func TestAddPlanOrderedBestDedup(t *testing.T) {
 	if _, err := m.AddPlan(c, p2); err != nil {
 		t.Fatal(err)
 	}
-	if c.Best != p2 || mustOrdered(c, 2) != p2 || len(c.Paths()) != 1 {
+	if c.best.plan != p2 || mustOrdered(c, 2) != p2 || c.numPaths() != 1 {
 		t.Fatal("cheaper ordered plan should supersede both slots")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 
 	"sdpopt/internal/bits"
-	"sdpopt/internal/plan"
+	"sdpopt/internal/cost"
 )
 
 // numShards is the stripe count of the Sharded staging table. 64 stripes
@@ -90,32 +90,32 @@ func (s *Sharded) lock(sh *mapShard) {
 	}
 }
 
-// Offer folds candidate p into the staged class under the same dominance
-// rule as Memo.AddPlan (pathSet.offer) and returns the retained-path delta
-// for the caller's running simulated-memory estimate. Safe for concurrent
-// use.
-func (st *Staged) Offer(p *plan.Plan) int {
+// Offer folds join candidate c into the staged class under the same
+// dominance rule as Memo.AddCand (pathSet.offer), unbuilt, and returns the
+// retained-path delta for the caller's running simulated-memory estimate. m
+// is the caller's cost model, which lays out the trees a cost tie compares.
+// Safe for concurrent use.
+func (st *Staged) Offer(c cost.JoinCand, m *cost.Model) int {
+	return st.offer(path{cand: c}, m)
+}
+
+func (st *Staged) offer(p path, m *cost.Model) int {
 	st.mu.Lock()
-	d, _ := st.paths.offer(p)
+	d, _ := st.paths.offer(p, m)
 	st.mu.Unlock()
 	return d
 }
 
 // Admits is pathSet.Admits under the class mutex. Staged costs only fall, so
 // a false answer is still true after the mutex is released and the caller may
-// drop the candidate; a true answer may be stale, which only costs a build
-// that Offer then rejects. Safe for concurrent use.
+// drop the candidate; a true answer may be stale, which only costs an offer
+// that is then rejected. Safe for concurrent use.
 func (st *Staged) Admits(cost float64, order int) bool {
 	st.mu.Lock()
 	ok := st.paths.Admits(cost, order)
 	st.mu.Unlock()
 	return ok
 }
-
-// Plans returns the staged winners — the best plan first, then the ordered
-// plans in ascending order id. Offering this sequence to a fresh Memo class
-// reproduces exactly the class state a sequential run ends a level with. Call only from the drained (single-threaded) side of the barrier.
-func (st *Staged) Plans() []*plan.Plan { return st.paths.Paths() }
 
 // Drain returns every staged class in canonical set order. Call only after
 // all workers have stopped publishing (the level barrier).

@@ -29,8 +29,8 @@ func TestShardedGetCreatesOnce(t *testing.T) {
 
 // TestShardedOfferMatchesAddPlan replays the same candidate stream into a
 // staged class and a real memo class: the dominance rule must retain
-// identical winners, and Plans() must hand them over in an order a fresh
-// AddPlan sequence reproduces exactly.
+// identical winners, and AddStaged must replay them into a fresh class
+// reproducing that state exactly.
 func TestShardedOfferMatchesAddPlan(t *testing.T) {
 	set := bits.Of(0, 1, 2)
 	candidates := []*plan.Plan{
@@ -53,22 +53,22 @@ func TestShardedOfferMatchesAddPlan(t *testing.T) {
 	s := NewSharded()
 	st, _ := s.Get(set, func() (float64, float64) { return 10, 1 })
 	for _, p := range candidates {
-		st.Offer(p)
+		st.offer(path{plan: p}, nil)
 	}
 
 	want := cls.Paths()
-	got := st.Plans()
-	if len(got) != len(want) {
-		t.Fatalf("Plans len = %d, want %d (%v vs %v)", len(got), len(want), got, want)
+	if got := st.paths.appendPaths(nil, nil); len(got) != len(want) {
+		t.Fatalf("staged %d paths, want %d (%v vs %v)", len(got), len(want), got, want)
 	}
 	// Replaying the staged winners into a fresh class must land in the
 	// identical state — that replay is exactly what the drain does.
 	m2 := New(0)
 	cls2, _ := m2.NewClass(set, 3, 10, 1)
-	for _, p := range got {
-		if _, err := m2.AddPlan(cls2, p); err != nil {
-			t.Fatalf("replay AddPlan: %v", err)
-		}
+	if err := m2.AddStaged(cls2, st); err != nil {
+		t.Fatalf("AddStaged: %v", err)
+	}
+	if m2.Stats.PathsRetained != m.Stats.PathsRetained {
+		t.Fatalf("replay retained %d paths, want %d", m2.Stats.PathsRetained, m.Stats.PathsRetained)
 	}
 	replayed := cls2.Paths()
 	for i := range want {
@@ -83,18 +83,18 @@ func TestShardedOfferDelta(t *testing.T) {
 	set := bits.Of(1, 2)
 	st, _ := s.Get(set, func() (float64, float64) { return 10, 1 })
 
-	if d := st.Offer(mkPlan(set, 100, plan.NoOrder)); d != 1 {
+	if d := st.offer(path{plan: mkPlan(set, 100, plan.NoOrder)}, nil); d != 1 {
 		t.Fatalf("first offer delta = %d, want 1", d)
 	}
-	if d := st.Offer(mkPlan(set, 110, 2)); d != 1 {
+	if d := st.offer(path{plan: mkPlan(set, 110, 2)}, nil); d != 1 {
 		t.Fatalf("ordered offer delta = %d, want 1", d)
 	}
-	if d := st.Offer(mkPlan(set, 120, plan.NoOrder)); d != 0 {
+	if d := st.offer(path{plan: mkPlan(set, 120, plan.NoOrder)}, nil); d != 0 {
 		t.Fatalf("dominated offer delta = %d, want 0", d)
 	}
 	// A new best carrying order 2 displaces the separate ordered path:
 	// paths go from {best, ordered} to {best covering both} — delta -1.
-	if d := st.Offer(mkPlan(set, 50, 2)); d != -1 {
+	if d := st.offer(path{plan: mkPlan(set, 50, 2)}, nil); d != -1 {
 		t.Fatalf("covering best delta = %d, want -1", d)
 	}
 }
@@ -104,7 +104,7 @@ func TestShardedDrainCanonicalOrder(t *testing.T) {
 	sets := []bits.Set{bits.Of(5, 6), bits.Of(0, 1), bits.Of(2, 9), bits.Of(3, 4)}
 	for _, set := range sets {
 		st, _ := s.Get(set, func() (float64, float64) { return 1, 1 })
-		st.Offer(mkPlan(set, 10, plan.NoOrder))
+		st.offer(path{plan: mkPlan(set, 10, plan.NoOrder)}, nil)
 	}
 	drained := s.Drain()
 	if len(drained) != len(sets) {
@@ -132,13 +132,13 @@ func TestShardedConcurrentOffers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				st, _ := s.Get(hot, func() (float64, float64) { return 10, 1 })
-				st.Offer(mkPlan(hot, float64(1000-w*perWorker-i), plan.NoOrder))
+				st.offer(path{plan: mkPlan(hot, float64(1000-w*perWorker-i), plan.NoOrder)}, nil)
 				// Two-bit sets (k%28, k/28) are pairwise distinct across
 				// all 800 k values and stay within the 64-bit Set.
 				k := w*perWorker + i
 				cold := bits.Of(2+k%28, 31+k/28)
 				cst, _ := s.Get(cold, func() (float64, float64) { return 1, 1 })
-				cst.Offer(mkPlan(cold, 5, plan.NoOrder))
+				cst.offer(path{plan: mkPlan(cold, 5, plan.NoOrder)}, nil)
 			}
 		}(w)
 	}
@@ -153,7 +153,7 @@ func TestShardedConcurrentOffers(t *testing.T) {
 		t.Fatal("hot set recreated after the fact")
 	}
 	// Global minimum cost offered: 1000 - 7*100 - 99 = 201.
-	if best := st.Plans()[0]; best.Cost != 201 {
-		t.Fatalf("hot best cost = %v, want 201", best.Cost)
+	if best := st.paths.best.cost(); best != 201 {
+		t.Fatalf("hot best cost = %v, want 201", best)
 	}
 }
