@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -396,5 +397,60 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 	empty := NewLedger(LedgerOptions{})
 	if err := json.NewEncoder(&buf).Encode(empty.Snapshot(nil)); err != nil {
 		t.Fatalf("empty snapshot not encodable: %v", err)
+	}
+}
+
+// TestSamplerRelabelsCachedFrame: a serve from the plan cache hands the
+// sampler the plan in the query's canonical frame together with that frame.
+// The job must relabel it before executing, so the observations it records
+// are exactly those of the requester-frame plan.
+func TestSamplerRelabelsCachedFrame(t *testing.T) {
+	cat := tinyCatalog(4)
+	base := tinyQuery(t, cat, 4, query.ChainEdges(4))
+	// base canonicalizes to the identity frame; the same chain spelled
+	// back to front does not.
+	rev := func(i int) int { return len(base.Rels) - 1 - i }
+	rels := make([]int, len(base.Rels))
+	for i, r := range base.Rels {
+		rels[rev(i)] = r
+	}
+	var preds []query.Pred
+	for _, pr := range base.Preds {
+		if !pr.Implied {
+			preds = append(preds, query.Pred{LeftRel: rev(pr.LeftRel), LeftCol: pr.LeftCol, RightRel: rev(pr.RightRel), RightCol: pr.RightCol})
+		}
+	}
+	q, err := query.New(cat, rels, preds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn := q.Canon()
+	if slices.Equal(cn.RelTo, []int{0, 1, 2, 3}) {
+		t.Fatalf("respelled chain has the identity frame %v; the test needs a relabeling", cn.RelTo)
+	}
+	p, _, err := dp.Optimize(q, dp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := func(sm Sample) string {
+		t.Helper()
+		var buf bytes.Buffer
+		s, err := NewSampler(SamplerOptions{Ledger: NewLedger(LedgerOptions{}), Corpus: NewCorpusWriter(&buf), Rate: 1}, "v1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Observe(sm)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		return buf.String()
+	}
+	local := sample(Sample{Query: q, Plan: p, Technique: "dp", TraceID: "t1"})
+	cached := sample(Sample{Query: q, Plan: p.Remap(cn.RelTo, cn.EqTo), Frame: cn, Technique: "dp", TraceID: "t1"})
+	if local == "" || cached != local {
+		t.Fatalf("canonical-frame sample recorded\n%s\nwant the requester-frame plan's\n%s", cached, local)
 	}
 }

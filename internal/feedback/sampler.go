@@ -66,8 +66,12 @@ func (o SamplerOptions) withDefaults() SamplerOptions {
 type Sample struct {
 	// Query is the served query.
 	Query *query.Query
-	// Plan is the served plan, in Query's frame.
-	Plan *plan.Plan
+	// Plan is the served plan as the server holds it: in Frame, the
+	// query's canonical frame, when the plan came from the plan cache, or
+	// in Query's own frame when Frame is nil. Only a sampled job relabels
+	// it, off the serving path.
+	Plan  *plan.Plan
+	Frame *query.Canon
 	// Technique produced the plan.
 	Technique string
 	// TraceID links observations back to the serving trace.
@@ -94,6 +98,7 @@ type Sampler struct {
 type sampleJob struct {
 	q       *query.Query
 	p       *plan.Plan
+	frame   *query.Canon
 	tech    string
 	traceID string
 }
@@ -143,7 +148,7 @@ func (s *Sampler) Observe(sm Sample) {
 	s.sampled.Add(1)
 	s.opts.Obs.Counter(obs.MFeedbackSampled).Add(1)
 
-	j := sampleJob{q: sm.Query, p: sm.Plan, tech: sm.Technique, traceID: sm.TraceID}
+	j := sampleJob{q: sm.Query, p: sm.Plan, frame: sm.Frame, tech: sm.Technique, traceID: sm.TraceID}
 	switch s.lane.Offer(sm.Query.Fingerprint(), s.catVersion, j) {
 	case lane.Deduped:
 		s.opts.Obs.Counter(obs.Label(obs.MFeedbackSkipped, "cause", "dedup")).Add(1)
@@ -156,12 +161,16 @@ func (s *Sampler) Observe(sm Sample) {
 // and corpus. Detached from the serving request entirely.
 func (s *Sampler) runJob(j sampleJob) error {
 	started := time.Now()
+	p := j.p
+	if j.frame != nil {
+		p = p.Remap(j.frame.RelFrom, j.frame.EqFrom)
+	}
 	db, err := exec.Generate(j.q, dataSeed, s.opts.MaxRows)
 	if err == nil {
 		var actuals map[*plan.Plan]int
-		_, actuals, err = db.RunActuals(j.p)
+		_, actuals, err = db.RunActuals(p)
 		if err == nil {
-			observations := PlanObservations(j.q, j.p, actuals, j.tech, j.traceID)
+			observations := PlanObservations(j.q, p, actuals, j.tech, j.traceID)
 			s.opts.Ledger.Record(observations...)
 			s.opts.Corpus.Append(observations...)
 		}

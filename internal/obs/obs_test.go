@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -107,6 +108,42 @@ func TestLabel(t *testing.T) {
 	}
 	if got := Label("m", "a", "1", "b", "2"); got != `m{a="1",b="2"}` {
 		t.Fatalf("Label() = %q", got)
+	}
+}
+
+// TestLabelMatchesFmt pins Label to the fmt rendering it replaced,
+// name{k1=%q,k2=%q}, over values that exercise every quoting path, and checks
+// that a label set longer than the stack buffer renders the same way.
+func TestLabelMatchesFmt(t *testing.T) {
+	fmtLabel := func(name string, kv ...string) string {
+		var sb strings.Builder
+		sb.WriteString(name)
+		sb.WriteByte('{')
+		for i := 0; i+1 < len(kv); i += 2 {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "%s=%q", kv[i], kv[i+1])
+		}
+		sb.WriteByte('}')
+		return sb.String()
+	}
+	long := strings.Repeat("x", 200)
+	for _, kv := range [][]string{
+		{"route", "/optimize", "code", "200"},
+		{"v", `say "hi"`},
+		{"v", `back\slash`},
+		{"v", "line\nbreak\ttab"},
+		{"v", "naïve ⋈ 連接"},
+		{"v", "\x00\x7f\xff invalid utf-8"},
+		{"v", ""},
+		{"a", "", "b", ""},
+		{"odd", "pair", "dangling"},
+		{"v", long, "w", long},
+	} {
+		if got, want := Label("m", kv...), fmtLabel("m", kv...); got != want {
+			t.Errorf("Label(m, %q) = %s, want %s", kv, got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -255,22 +256,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Label formats a metric name with label pairs in Prometheus exposition
 // syntax, e.g. Label("sdpopt_technique_seconds", "tech", "SDP") →
 // `sdpopt_technique_seconds{tech="SDP"}`. The labeled string is itself the
-// registry key, so labeled series are independent metrics.
+// registry key, so labeled series are independent metrics. Values are
+// quoted with strconv.AppendQuote, byte for byte the fmt %q form, into a
+// stack buffer: the key string is the one allocation of a request-path call.
 func Label(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
 	}
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
+	var buf [128]byte
+	b := append(buf[:0], name...)
+	b = append(b, '{')
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", kv[i], kv[i+1])
+		b = append(b, kv[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, kv[i+1])
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	b = append(b, '}')
+	return string(b)
 }
 
 // splitLabeled separates a registry key into its base name and the label

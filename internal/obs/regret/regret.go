@@ -148,8 +148,11 @@ type Sample struct {
 	Query *query.Query
 	// Technique is the technique that produced the served plan.
 	Technique string
-	// Plan is the served plan, in Query's frame.
-	Plan *plan.Plan
+	// PlanCost and PlanShape are the served plan's cost and its rendered
+	// join shape (plan.Shape over Query's relation names) — all the shadow
+	// reads of it, and what the serve already computed for its response.
+	PlanCost  float64
+	PlanShape string
 	// Source is the plan-cache source label ("hit", "dedup", "miss",
 	// "uncached"); "hit" selects HitSampleRate.
 	Source string
@@ -257,7 +260,7 @@ func (s *Shadow) Reference(n int) string {
 // without blocking (dropped, and counted, when the queue is full). Nil-safe;
 // never blocks serving.
 func (s *Shadow) Observe(sm Sample) {
-	if s == nil || sm.Query == nil || sm.Plan == nil {
+	if s == nil || sm.Query == nil {
 		return
 	}
 	s.observed.Add(1)
@@ -278,13 +281,11 @@ func (s *Shadow) Observe(sm Sample) {
 		source:      sm.Source,
 		routeReason: sm.RouteReason,
 		traceID:     sm.TraceID,
-		servedCost:  sm.Plan.Cost,
-		servedShape: sm.Plan.Shape(func(i int) string {
-			return sm.Query.Relation(i).Name
-		}),
-		shape: sm.Query.Shape(),
-		band:  Band(n),
-		rels:  n,
+		servedCost:  sm.PlanCost,
+		servedShape: sm.PlanShape,
+		shape:       sm.Query.Shape(),
+		band:        Band(n),
+		rels:        n,
 	}
 	switch s.lane.Offer(sm.Query.Fingerprint(), s.catVersion, j) {
 	case lane.Deduped:

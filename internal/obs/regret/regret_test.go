@@ -83,7 +83,7 @@ func TestShadowMeasuresRegret(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.Observe(Sample{Query: q, Technique: "greedy", Plan: scanPlan(100), Source: "miss", TraceID: "t1"})
+	s.Observe(Sample{Query: q, Technique: "greedy", PlanCost: 100, PlanShape: "R1", Source: "miss", TraceID: "t1"})
 	drain(t, s)
 
 	d := s.Snapshot()
@@ -145,14 +145,14 @@ func TestShadowSamplingRates(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 10; i++ {
-		s.Observe(Sample{Query: q, Technique: "sdp", Plan: scanPlan(10), Source: "miss"})
+		s.Observe(Sample{Query: q, Technique: "sdp", PlanCost: 10, PlanShape: "R1", Source: "miss"})
 	}
 	if got := s.sampled.Load(); got != 5 {
 		t.Errorf("computed sampled = %d, want 5 of 10 at rate 0.5", got)
 	}
 	before := s.sampled.Load()
 	for i := 0; i < 4; i++ {
-		s.Observe(Sample{Query: q, Technique: "sdp", Plan: scanPlan(10), Source: "hit"})
+		s.Observe(Sample{Query: q, Technique: "sdp", PlanCost: 10, PlanShape: "R1", Source: "hit"})
 	}
 	if got := s.sampled.Load() - before; got != 4 {
 		t.Errorf("hit sampled = %d, want 4 of 4 at rate 1", got)
@@ -171,9 +171,9 @@ func TestShadowDedup(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 3; i++ {
-		s.Observe(Sample{Query: q, Technique: "sdp", Plan: scanPlan(10), Source: "miss"})
+		s.Observe(Sample{Query: q, Technique: "sdp", PlanCost: 10, PlanShape: "R1", Source: "miss"})
 	}
-	s.Observe(Sample{Query: other, Technique: "sdp", Plan: scanPlan(10), Source: "miss"})
+	s.Observe(Sample{Query: other, Technique: "sdp", PlanCost: 10, PlanShape: "R1", Source: "miss"})
 	drain(t, s)
 
 	d := s.Snapshot()
@@ -199,7 +199,7 @@ func TestShadowQueueOverflowDrops(t *testing.T) {
 
 	// First job occupies the worker, second fills the queue, the rest drop.
 	for _, q := range queries {
-		s.Observe(Sample{Query: q, Technique: "sdp", Plan: scanPlan(10), Source: "miss"})
+		s.Observe(Sample{Query: q, Technique: "sdp", PlanCost: 10, PlanShape: "R1", Source: "miss"})
 	}
 	for started.Load() == 0 {
 		time.Sleep(time.Millisecond)
@@ -238,9 +238,9 @@ func TestShadowPinsWorstRegret(t *testing.T) {
 	defer s.Close()
 
 	// Ratio 1.5: below the pin threshold, not pinned.
-	s.Observe(Sample{Query: chainQuery(t, cat, 3), Technique: "greedy", Plan: scanPlan(15), Source: "miss"})
+	s.Observe(Sample{Query: chainQuery(t, cat, 3), Technique: "greedy", PlanCost: 15, PlanShape: "R1", Source: "miss"})
 	// Ratio 3: pinned.
-	s.Observe(Sample{Query: chainQuery(t, cat, 4), Technique: "greedy", Plan: scanPlan(30), Source: "miss", TraceID: "serveid"})
+	s.Observe(Sample{Query: chainQuery(t, cat, 4), Technique: "greedy", PlanCost: 30, PlanShape: "R1", Source: "miss", TraceID: "serveid"})
 	drain(t, s)
 
 	if got := s.pinned.Load(); got != 1 {
@@ -286,12 +286,12 @@ func TestShadowWindowRolls(t *testing.T) {
 	// 6 samples at ratio 2, then 4 at ratio 1: the window of 4 retains
 	// only the ratio-1 tail while lifetime counts all 10.
 	for i := 0; i < 6; i++ {
-		s.Observe(Sample{Query: q, Technique: "idp2", Plan: scanPlan(200), Source: "miss"})
+		s.Observe(Sample{Query: q, Technique: "idp2", PlanCost: 200, PlanShape: "R1", Source: "miss"})
 		drain(t, s)
 	}
 	cost.Store(200)
 	for i := 0; i < 4; i++ {
-		s.Observe(Sample{Query: q, Technique: "idp2", Plan: scanPlan(200), Source: "miss"})
+		s.Observe(Sample{Query: q, Technique: "idp2", PlanCost: 200, PlanShape: "R1", Source: "miss"})
 		drain(t, s)
 	}
 
@@ -323,7 +323,7 @@ func TestShadowFailuresCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Observe(Sample{Query: chainQuery(t, cat, 3), Technique: "sdp", Plan: scanPlan(10), Source: "miss"})
+	s.Observe(Sample{Query: chainQuery(t, cat, 3), Technique: "sdp", PlanCost: 10, PlanShape: "R1", Source: "miss"})
 	drain(t, s)
 	d := s.Snapshot()
 	if d.Counts.Failures != 1 || d.Counts.Completed != 1 || len(d.Keys) != 0 {
@@ -352,7 +352,7 @@ func TestShadowContainsPanic(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 2; i++ {
-		s.Observe(Sample{Query: chainQuery(t, cat, 3), Technique: "greedy", Plan: scanPlan(100), Source: "miss"})
+		s.Observe(Sample{Query: chainQuery(t, cat, 3), Technique: "greedy", PlanCost: 100, PlanShape: "R1", Source: "miss"})
 	}
 	drain(t, s)
 	d := s.Snapshot()
@@ -371,7 +371,7 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Observe(Sample{Query: chainQuery(t, cat, 4), Technique: "greedy", Plan: scanPlan(500), Source: "miss"})
+	s.Observe(Sample{Query: chainQuery(t, cat, 4), Technique: "greedy", PlanCost: 500, PlanShape: "R1", Source: "miss"})
 	drain(t, s)
 
 	d := s.Snapshot()

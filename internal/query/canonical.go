@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"slices"
 	"strconv"
+	"sync"
 )
 
 // Canonical returns a stable canonical encoding of the query's semantics.
@@ -131,9 +132,10 @@ type canonicalizer struct {
 	inv     []int       // relabeling of the current leaf
 	enc     []byte      // encoding of the current leaf
 	placed  []bool      // relations on the search prefix
+	prefix  []int       // the search prefix, grown in place
 	// levels holds two color buffers per search depth (index 0 is the
-	// initial refinement, d+1 a branch at prefix length d), allocated when
-	// the search first branches there.
+	// initial refinement, d+1 a branch at prefix length d), sized when the
+	// search first branches there.
 	levels [][]int
 
 	budget    int
@@ -146,9 +148,25 @@ type canonicalizer struct {
 	out *Canon
 }
 
+// canonScratch recycles canonicalizers: every buffer a search works in
+// outlives the query that grew it, so a request pays only for its result —
+// the Canon, its relabelings, Encoding and Fingerprint.
+var canonScratch = sync.Pool{New: func() any { return new(canonicalizer) }}
+
+// resize returns s with length n, reusing its backing array when it is large
+// enough. The contents are unspecified: every caller writes before it reads.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 func newCanonicalizer(q *Query) *canonicalizer {
 	n := len(q.Rels)
-	c := &canonicalizer{q: q, n: n, budget: searchBudget}
+	c := canonScratch.Get().(*canonicalizer)
+	c.q, c.n, c.budget, c.bestSet, c.truncated = q, n, searchBudget, false, false
+	c.filters = c.filters[:0]
 	for _, f := range q.Filters {
 		if float64(f.Bound) >= q.Relation(f.Rel).Cols[f.Col].NDV {
 			continue // column values live in [0, NDV): the filter is a no-op
@@ -162,25 +180,33 @@ func newCanonicalizer(q *Query) *canonicalizer {
 	c.filters = slices.CompactFunc(c.filters, func(a, b canonFilter) bool { return a.rel == b.rel && a.col == b.col })
 
 	items := 2*len(q.Preds) + len(q.eqMembers) + len(c.filters)
-	c.arena = make([]byte, 0, 24*items+8*n)
-	c.parts = make([]span, 0, max(len(q.Preds), len(q.eqMembers), len(c.filters)))
-	c.sigs = make([]span, n)
-	c.order = make([]int32, n)
-	c.classes = make([]classSpan, 0, q.numEq)
-	c.seen = make([]bool, 2*n)
-	c.inv = make([]int, n)
-	c.enc = make([]byte, 0, 4*n+6*len(q.eqMembers)+12*len(c.filters)+16)
-	c.placed = make([]bool, n)
-	c.levels = make([][]int, n+1)
+	c.arena = slices.Grow(c.arena[:0], 24*items+8*n)
+	c.parts = slices.Grow(c.parts[:0], max(len(q.Preds), len(q.eqMembers), len(c.filters)))
+	c.sigs = resize(c.sigs, n)
+	c.order = resize(c.order, n)
+	c.classes = slices.Grow(c.classes[:0], q.numEq)
+	c.seen = resize(c.seen, 2*n)
+	c.inv = resize(c.inv, n)
+	c.enc = slices.Grow(c.enc[:0], 4*n+6*len(q.eqMembers)+12*len(c.filters)+16)
+	c.placed = resize(c.placed, n)
+	clear(c.placed)
+	c.prefix = slices.Grow(c.prefix[:0], n)
+	// Deeper levels keep their buffers from earlier queries; level resizes
+	// one when the search first branches there.
+	if len(c.levels) < n+1 {
+		c.levels = append(c.levels, make([][]int, n+1-len(c.levels))...)
+	}
 	e := q.numEq
 	ints := make([]int, 2*n+2*e)
 	c.out = &Canon{RelTo: ints[:n:n], RelFrom: ints[n : 2*n : 2*n], EqTo: ints[2*n : 2*n+e : 2*n+e], EqFrom: ints[2*n+e:]}
 	return c
 }
 
+// run searches for the canonical frame and returns the canonicalizer to the
+// pool; c must not be used afterwards.
 func (c *canonicalizer) run() *Canon {
 	a, b := c.level(0)
-	c.search(c.refine(c.initialColors(a), b), make([]int, 0, c.n))
+	c.search(c.refine(c.initialColors(a), b), c.prefix)
 	var digest [32]byte
 	sum := sha256.Sum256(c.best)
 	hex.Encode(digest[:], sum[:16])
@@ -196,15 +222,15 @@ func (c *canonicalizer) run() *Canon {
 	for rank, id := range cn.EqFrom {
 		cn.EqTo[id] = rank
 	}
+	c.q, c.out = nil, nil
+	canonScratch.Put(c)
 	return cn
 }
 
 // level returns search depth d's two color buffers.
 func (c *canonicalizer) level(d int) (a, b []int) {
-	if c.levels[d] == nil {
-		c.levels[d] = make([]int, 2*c.n)
-	}
-	l := c.levels[d]
+	l := resize(c.levels[d], 2*c.n)
+	c.levels[d] = l
 	return l[:c.n:c.n], l[c.n:]
 }
 

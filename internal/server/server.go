@@ -19,9 +19,9 @@
 //   - caching — results are keyed by fingerprint × technique × catalog
 //     version (see internal/plancache), so only the first arrival of a
 //     query shape pays for enumeration; plans are stored in the canonical
-//     query frame and relabeled into each requester's relation numbering,
+//     query frame and read through each requester's canonical relabeling,
 //     so a hit from an equivalently-shaped but differently-ordered spelling
-//     still names the right relations;
+//     still names the right relations without copying the cached tree;
 //   - observability — requests, sheds, in-flight and queue gauges, and a
 //     latency histogram split by cache source flow through internal/obs and
 //     are exposed on the same listener at /metrics. Every request also
@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"runtime"
@@ -534,12 +535,14 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 
 // recoverOptimize turns a panic in the /optimize handler — an engine bug,
 // say — into a 500 instead of a dead process. If the request span the
-// handler stored in its last argument is still open, it is closed with the
-// panic as its error, which files the trace in the flight recorder's
-// notable ring.
-func (s *Server) recoverOptimize(h func(http.ResponseWriter, *http.Request, **span.Span)) http.HandlerFunc {
+// handler stored in its writer is still open, it is closed with the panic as
+// its error, which files the trace in the flight recorder's notable ring. A
+// panic after the response has started — in the shadow or sampler offer
+// that follows the flush — is only logged: the client already holds its
+// answer, and a second document would corrupt it.
+func (s *Server) recoverOptimize(h func(*optimizeWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var root *span.Span
+		ow := &optimizeWriter{ResponseWriter: w}
 		defer func() {
 			v := recover()
 			if v == nil {
@@ -549,26 +552,61 @@ func (s *Server) recoverOptimize(h func(http.ResponseWriter, *http.Request, **sp
 				panic(v)
 			}
 			msg := fmt.Sprintf("panic: %v", v)
-			if _, _, done := root.Trace().Status(); root != nil && !done {
-				root.SetError(msg)
-				s.flight.Finish(root, http.StatusInternalServerError)
+			if ow.written {
+				log.Printf("server: %s %s after the response was written: %s", r.Method, r.URL.Path, msg)
+				return
+			}
+			if root := ow.root; root != nil {
+				if _, _, done := root.Trace().Status(); !done {
+					root.SetError(msg)
+					s.flight.Finish(root, http.StatusInternalServerError)
+				}
 			}
 			s.failf(w, r, http.StatusInternalServerError, "%s", msg)
 		}()
-		h(w, r, &root)
+		h(ow, r)
+	}
+}
+
+// optimizeWriter is the ResponseWriter of one /optimize request, shared
+// with recoverOptimize: it carries the request span the handler opened and
+// records whether the response has started.
+type optimizeWriter struct {
+	http.ResponseWriter
+	root    *span.Span
+	written bool
+}
+
+func (w *optimizeWriter) WriteHeader(code int) {
+	w.written = true
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *optimizeWriter) Write(b []byte) (int, error) {
+	w.written = true
+	return w.ResponseWriter.Write(b)
+}
+
+// Flush flushes the underlying writer when it supports flushing.
+func (w *optimizeWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
 	}
 }
 
 // handleOptimize serves POST /optimize; it stores the request span it opens
-// in *opened for recoverOptimize.
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened **span.Span) {
+// in w for recoverOptimize.
+func (s *Server) handleOptimize(w *optimizeWriter, r *http.Request) {
 	started := time.Now()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		s.failf(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	req, q, err := s.decodeOptimize(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	// The underlying writer: MaxBytesReader tells it to close the
+	// connection after an oversized body, through an interface the
+	// wrapper does not carry.
+	req, q, err := s.decodeOptimize(http.MaxBytesReader(w.ResponseWriter, r.Body, maxBodyBytes))
 	if err != nil {
 		s.failf(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -579,7 +617,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 	// trace ID; our ID (theirs or a fresh one) is echoed back either way so
 	// the client can fish the trace out of /debug/flight.json later.
 	root := span.FromTraceparent(r.Header.Get("traceparent"), "request")
-	*opened = root
+	w.root = root
 	w.Header().Set("traceparent", root.Trace().Traceparent())
 	s.flight.Start(root)
 
@@ -693,10 +731,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 
 	var demoted string
 	var best *plan.Plan
+	var frame *query.Canon
 	var stats dp.Stats
 	var src string
 	if req.Technique == "auto" {
-		best, stats, src, err, demoted = s.runRouted(ctx, technique, q, budget, req, reserve)
+		best, frame, stats, src, err, demoted = s.runRouted(ctx, technique, q, budget, req, reserve)
 		if demoted != "" {
 			// The chosen engine's slice expired (or it aborted on budget)
 			// and greedy answered instead. The inflated lower-bound
@@ -710,7 +749,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 			}
 		}
 	} else {
-		best, stats, src, err = s.run(ctx, technique, q, budget, req)
+		best, frame, stats, src, err = s.run(ctx, technique, q, budget, req)
 	}
 	resp.Source = src
 	resp.RouteReason = routeReason
@@ -729,14 +768,18 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 	switch {
 	case err == nil:
 		resp.Cached = src == plancache.Hit.String() || src == plancache.Dedup.String()
+		// Cost and Shape are read from the plan as run returned it, in its
+		// frame: relabeling never changes the tree's structure, its costs or
+		// the catalog relation at a leaf. EXPLAIN prints order classes,
+		// which are frame-local, so it alone needs the requester's tree.
 		resp.Cost = best.Cost
-		name := func(i int) string { return q.Relation(i).Name }
-		resp.Shape = best.Shape(name)
+		resp.Shape = best.Shape(leafNames(q, frame))
 		if req.Explain {
-			resp.Explain = best.Explain(name)
+			resp.Explain = inFrame(best, frame).Explain(leafNames(q, nil))
 		}
-		for i := range q.Rels {
-			resp.Rels = append(resp.Rels, name(i))
+		resp.Rels = make([]string, len(q.Rels))
+		for i := range resp.Rels {
+			resp.Rels[i] = q.Relation(i).Name
 		}
 	case errors.Is(err, memo.ErrBudget):
 		// The paper's infeasible outcome: a valid measurement, not a
@@ -784,24 +827,25 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, opened *
 	// explicit flush is what actually puts the response on the wire before
 	// any shadow cost is paid. Failed or infeasible optimizations have no
 	// plan to measure.
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+	w.Flush()
 	if err == nil {
 		s.shadow.Observe(regret.Sample{
 			Query:       q,
 			Technique:   technique,
-			Plan:        best,
+			PlanCost:    resp.Cost,
+			PlanShape:   resp.Shape,
 			Source:      src,
 			TraceID:     root.TraceID(),
 			RouteReason: routeReason,
 		})
 		// Same contract as the shadow: the exec sampler sees every
 		// successful serve after the response is on the wire, and decides
-		// internally (rate gate, eligibility, dedup) whether to execute.
+		// internally (rate gate, eligibility, dedup) whether to execute. It
+		// takes the plan in its cached frame and relabels only what it runs.
 		s.sampler.Observe(feedback.Sample{
 			Query:     q,
 			Plan:      best,
+			Frame:     frame,
 			Technique: technique,
 			TraceID:   root.TraceID(),
 		})
@@ -817,8 +861,8 @@ func (s *Server) observeQueueWait(d time.Duration, traceID string) {
 	}
 }
 
-// run executes (or serves from cache) one optimization, returning the
-// cache-source label.
+// run executes (or serves from cache) one optimization, returning the plan,
+// the frame it is expressed in (see below) and the cache-source label.
 //
 // The uncached path (no cache configured, no_cache set, or a budget_mb
 // override) runs under the request's own deadline and budget. The cached
@@ -832,16 +876,18 @@ func (s *Server) observeQueueWait(d time.Duration, traceID string) {
 // from a semantically equivalent but differently-ordered spelling, whose
 // query-local relation indexes and order-class ids mean different relations
 // than the requester's. Each compute relabels its plan into the canonical
-// frame before the cache stores it, and every result is relabeled back into
-// the requesting query's frame before rendering.
-func (s *Server) run(ctx context.Context, technique string, q *query.Query, budget int64, req *OptimizeRequest) (*plan.Plan, dp.Stats, string, error) {
+// frame before the cache stores it. The cached path returns the stored plan
+// itself with the requester's canonical frame, whose RelFrom and EqFrom
+// translate it; the uncached path returns a nil frame, meaning the plan is
+// in q's own. A hit thus copies no tree: see leafNames and inFrame.
+func (s *Server) run(ctx context.Context, technique string, q *query.Query, budget int64, req *OptimizeRequest) (*plan.Plan, *query.Canon, dp.Stats, string, error) {
 	workers := s.workers
 	if req.Workers != 0 {
 		workers = req.Workers
 	}
 	if s.cache == nil || req.NoCache || budget != s.budget {
 		p, st, err := tech.Run(ctx, technique, q, tech.Options{Budget: budget, Workers: workers, Obs: s.ob})
-		return p, st, "uncached", err
+		return p, nil, st, "uncached", err
 	}
 	cn := q.Canon()
 	key := plancache.Key{Fingerprint: cn.Fingerprint, Technique: technique, CatalogVersion: s.catVersion}
@@ -860,9 +906,27 @@ func (s *Server) run(ctx context.Context, technique string, q *query.Query, budg
 		return p.Remap(cn.RelTo, cn.EqTo), st, nil
 	})
 	if err != nil {
-		return nil, st, src.String(), err
+		return nil, nil, st, src.String(), err
 	}
-	return p.Remap(cn.RelFrom, cn.EqFrom), st, src.String(), nil
+	return p, cn, st, src.String(), nil
+}
+
+// leafNames names the leaves of a plan in frame for the requester q: leaf c
+// is q's relation frame.RelFrom[c], or q's relation c when frame is nil.
+func leafNames(q *query.Query, frame *query.Canon) func(int) string {
+	if frame == nil {
+		return func(i int) string { return q.Relation(i).Name }
+	}
+	return func(c int) string { return q.Relation(frame.RelFrom[c]).Name }
+}
+
+// inFrame returns p relabeled out of frame into its requester's own, or p
+// itself when frame is nil.
+func inFrame(p *plan.Plan, frame *query.Canon) *plan.Plan {
+	if frame == nil {
+		return p
+	}
+	return p.Remap(frame.RelFrom, frame.EqFrom)
 }
 
 // runRouted executes a router-chosen technique with the mid-flight fallback
@@ -877,19 +941,21 @@ func (s *Server) run(ctx context.Context, technique string, q *query.Query, budg
 // server-wide timeout. On demotion that work is abandoned, not canceled —
 // it keeps running (bounded by the server timeout), fills the cache for
 // later arrivals, and its result is discarded through the buffered channel.
-func (s *Server) runRouted(ctx context.Context, technique string, q *query.Query, budget int64, req *OptimizeRequest, reserve time.Duration) (*plan.Plan, dp.Stats, string, error, string) {
+// The plan and its frame are run's.
+func (s *Server) runRouted(ctx context.Context, technique string, q *query.Query, budget int64, req *OptimizeRequest, reserve time.Duration) (*plan.Plan, *query.Canon, dp.Stats, string, error, string) {
 	dl, ok := ctx.Deadline()
 	if !ok || reserve <= 0 || technique == tech.Greedy {
 		// Nothing to fall back to (greedy is the floor) or no deadline to
 		// guard: run directly.
-		p, st, src, err := s.run(ctx, technique, q, budget, req)
-		return p, st, src, err, ""
+		p, cn, st, src, err := s.run(ctx, technique, q, budget, req)
+		return p, cn, st, src, err, ""
 	}
 
 	engineCtx, cancel := context.WithDeadline(ctx, dl.Add(-reserve))
 	defer cancel()
 	type result struct {
 		p        *plan.Plan
+		cn       *query.Canon
 		st       dp.Stats
 		src      string
 		err      error
@@ -904,7 +970,7 @@ func (s *Server) runRouted(ctx context.Context, technique string, q *query.Query
 			res.panicked = recover()
 			ch <- res
 		}()
-		res.p, res.st, res.src, res.err = s.run(engineCtx, technique, q, budget, req)
+		res.p, res.cn, res.st, res.src, res.err = s.run(engineCtx, technique, q, budget, req)
 	}()
 
 	demote := ""
@@ -923,18 +989,18 @@ func (s *Server) runRouted(ctx context.Context, technique string, q *query.Query
 			// engine's feasibility verdict.
 			demote = route.ReasonBudgetDemote
 		default:
-			return res.p, res.st, res.src, res.err, ""
+			return res.p, res.cn, res.st, res.src, res.err, ""
 		}
 	case <-engineCtx.Done():
 		if ctx.Err() != nil {
 			// The request itself is dead; nothing to salvage.
-			return nil, dp.Stats{}, "uncached", dp.CtxErr(ctx), ""
+			return nil, nil, dp.Stats{}, "uncached", dp.CtxErr(ctx), ""
 		}
 		demote = route.ReasonDeadlineDemote
 	}
 
-	p, st, src, err := s.run(ctx, tech.Greedy, q, budget, req)
-	return p, st, src, err, demote
+	p, cn, st, src, err := s.run(ctx, tech.Greedy, q, budget, req)
+	return p, cn, st, src, err, demote
 }
 
 // decodeOptimize reads an /optimize body into the request and the query it
@@ -1006,7 +1072,5 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, code int, v a
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -444,9 +444,9 @@ func TestRetiredTechniquesRejected(t *testing.T) {
 func TestPanicAnswers500AndServerStaysUp(t *testing.T) {
 	ob := obs.New()
 	s, ts := newTestServer(t, Options{Obs: ob})
-	h := s.recoverOptimize(func(w http.ResponseWriter, r *http.Request, opened **span.Span) {
+	h := s.recoverOptimize(func(w *optimizeWriter, r *http.Request) {
 		root := span.New("request")
-		*opened = root
+		w.root = root
 		s.flight.Start(root)
 		panic("engine bug")
 	})
@@ -464,6 +464,41 @@ func TestPanicAnswers500AndServerStaysUp(t *testing.T) {
 	}
 	if code, resp := postOptimize(t, ts.URL, OptimizeRequest{SQL: testSQL}); code != http.StatusOK {
 		t.Fatalf("request after the panic: code %d, %+v", code, resp)
+	}
+}
+
+// TestPanicAfterResponseWritesNothingMore drives the recover wrapper with a
+// handler that answers 200, flushes and then panics, as a shadow or sampler
+// offer after the flush would: the client must get exactly the one JSON
+// document already written, and no 500 is counted for a request answered
+// 200.
+func TestPanicAfterResponseWritesNothingMore(t *testing.T) {
+	ob := obs.New()
+	s, _ := newTestServer(t, Options{Obs: ob})
+	h := s.recoverOptimize(func(w *optimizeWriter, r *http.Request) {
+		root := span.New("request")
+		w.root = root
+		s.flight.Start(root)
+		s.flight.Finish(root, http.StatusOK)
+		s.writeJSON(w, r, http.StatusOK, map[string]bool{"ok": true})
+		w.Flush()
+		panic("after response")
+	})
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodPost, "/optimize", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want the 200 already written", rec.Code)
+	}
+	dec := json.NewDecoder(rec.Body)
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil || doc["ok"] != true {
+		t.Fatalf("first document %v (err %v), want {\"ok\":true}", doc, err)
+	}
+	if rest, _ := io.ReadAll(dec.Buffered()); strings.TrimSpace(string(rest)) != "" || rec.Body.Len() != 0 {
+		t.Fatalf("body carries more after the response: %q%q", rest, rec.Body.String())
+	}
+	if c := ob.Counter(obs.Label(obs.MServerRequests, "route", "/optimize", "code", "500")); c.Value() != 0 {
+		t.Errorf("500 counter = %d, want 0", c.Value())
 	}
 }
 
