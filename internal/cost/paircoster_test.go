@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"sdpopt/internal/bits"
@@ -107,7 +108,7 @@ func TestPairCosterReuseMatchesFresh(t *testing.T) {
 						o, i = pb, pa
 					}
 					reused.PlansCosted, fresh.PlansCosted = 0, 0
-					got := pc.AppendCands(nil, o, i, swapped)
+					got := pc.AppendCands(nil, o, i, swapped, &Bar{})
 					want := fresh.AppendJoinCands(nil, JoinInputs{Outer: o, Inner: i, Preds: preds, Rows: rows})
 					if reused.PlansCosted != fresh.PlansCosted {
 						t.Errorf("%v × %v swapped=%v: reused coster counted %d plans, fresh %d",
@@ -127,5 +128,154 @@ func TestPairCosterReuseMatchesFresh(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refBar is the admission rule of a memo class holding paths of these costs,
+// written out independently of Bar: a class holding nothing keeps anything;
+// otherwise it keeps a candidate no dearer than its cheapest path or, if the
+// candidate is ordered, no dearer than its path of that order or of an order
+// it holds no path of.
+type refBar struct {
+	held    bool
+	best    float64
+	ordered map[int]float64
+}
+
+func (r *refBar) admits(c float64, order int) bool {
+	if !r.held || c <= r.best {
+		return true
+	}
+	if order == plan.NoOrder {
+		return false
+	}
+	oc, ok := r.ordered[order]
+	return !ok || c <= oc
+}
+
+// randomBar draws a class's bar around the candidates of a pair: open one
+// time in eight, otherwise a best cost and a path for some of the orders the
+// candidates deliver (and one they do not), each cost either one of the
+// candidates' own — so ties are common — or one scaled from it.
+func randomBar(rng *rand.Rand, cands []JoinCand) (*Bar, *refBar) {
+	b, r := &Bar{}, &refBar{ordered: map[int]float64{}}
+	if rng.Intn(8) == 0 || len(cands) == 0 {
+		return b, r
+	}
+	pick := func() float64 {
+		c := cands[rng.Intn(len(cands))].Cost
+		switch rng.Intn(3) {
+		case 0:
+			return c
+		case 1:
+			return c * (0.5 + rng.Float64())
+		}
+		return math.Nextafter(c, math.Inf(-1+2*rng.Intn(2)))
+	}
+	r.held, r.best = true, pick()
+	b.Reset(r.best)
+	orders := map[int]bool{99: true}
+	for _, c := range cands {
+		if c.Order != plan.NoOrder {
+			orders[c.Order] = true
+		}
+	}
+	for o := 0; o <= 99; o++ {
+		if orders[o] && rng.Intn(3) > 0 {
+			r.ordered[o] = math.Max(r.best, pick()) // an ordered path never undercuts Best
+			b.Ordered(o, r.ordered[o])
+		}
+	}
+	return b, r
+}
+
+// sameCand compares two candidates bit for bit.
+func sameCand(g, w JoinCand) bool {
+	return g.Op == w.Op && g.Order == w.Order && g.Outer == w.Outer && g.Inner == w.Inner &&
+		math.Float64bits(g.Cost) == math.Float64bits(w.Cost) &&
+		math.Float64bits(g.Rows) == math.Float64bits(w.Rows) &&
+		math.Float64bits(g.OuterCost) == math.Float64bits(w.OuterCost) &&
+		math.Float64bits(g.InnerCost) == math.Float64bits(w.InnerCost)
+}
+
+// TestAppendCandsGate is the gated kernel's contract, over the join golden's
+// inputs in both orientations and random bars:
+//
+//   - under an open bar, AppendCands returns every candidate, in operator
+//     order, each the one the single-operator constructors (Recost's path)
+//     cost and build, and advances PlansCosted as far as they do together;
+//   - under any bar it returns exactly the subsequence of those candidates
+//     the class's admission rule keeps (refBar), bit for bit, and advances
+//     PlansCosted by the same amount as under the open bar.
+func TestAppendCandsGate(t *testing.T) {
+	q := fixtureQuery(t, &query.OrderSpec{Rel: 1, Col: 1})
+	m := NewModel(q, DefaultParams())
+	ref := NewModel(q, DefaultParams())
+	rng := rand.New(rand.NewSource(1))
+	var pc PairCoster
+	var open Bar
+	rejected := 0
+	for n, in := range joinCases(t, m) {
+		pc.Begin(m, in.Preds, in.Rows, m.Width(in.Outer.Rels), m.Width(in.Inner.Rels))
+		for _, swapped := range []bool{false, true} {
+			o, i := in.Outer, in.Inner
+			if swapped {
+				o, i = i, o
+			}
+			before := m.PlansCosted
+			all := pc.AppendCands(nil, o, i, swapped, &open)
+			costed := m.PlansCosted - before
+
+			// The open bar against the single-operator constructors.
+			refIn := JoinInputs{Outer: o, Inner: i, Preds: in.Preds, Rows: in.Rows}
+			refBefore := ref.PlansCosted
+			var want []*plan.Plan
+			want = append(want, ref.nestLoop(refIn))
+			if p := ref.indexNestLoop(refIn); p != nil {
+				want = append(want, p)
+			}
+			want = append(want, ref.hashJoin(refIn))
+			for _, ec := range pc.mergeClasses {
+				want = append(want, ref.mergeJoin(refIn, ec))
+			}
+			if got := ref.PlansCosted - refBefore; got != costed {
+				t.Fatalf("case %d swapped=%v: open bar counted %d plans, the constructors %d", n, swapped, costed, got)
+			}
+			if len(all) != len(want) {
+				t.Fatalf("case %d swapped=%v: open bar returned %d candidates, the constructors %d", n, swapped, len(all), len(want))
+			}
+			for k, c := range all {
+				if p := m.BuildJoin(c); planSig(p) != planSig(want[k]) {
+					t.Fatalf("case %d swapped=%v candidate %d: built %s, constructor %s", n, swapped, k, planSig(p), planSig(want[k]))
+				}
+			}
+
+			for range 8 {
+				bar, rb := randomBar(rng, all)
+				before := m.PlansCosted
+				got := pc.AppendCands(nil, o, i, swapped, bar)
+				if d := m.PlansCosted - before; d != costed {
+					t.Fatalf("case %d swapped=%v: gated run counted %d plans, open %d", n, swapped, d, costed)
+				}
+				var keep []JoinCand
+				for _, c := range all {
+					if rb.admits(c.Cost, c.Order) {
+						keep = append(keep, c)
+					}
+				}
+				rejected += len(all) - len(keep)
+				if len(got) != len(keep) {
+					t.Fatalf("case %d swapped=%v: gated run returned %d candidates, the rule keeps %d", n, swapped, len(got), len(keep))
+				}
+				for k := range got {
+					if !sameCand(got[k], keep[k]) {
+						t.Fatalf("case %d swapped=%v candidate %d: gated %+v, want %+v", n, swapped, k, got[k], keep[k])
+					}
+				}
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no bar rejected a candidate; the gate is untested")
 	}
 }

@@ -43,14 +43,25 @@ func candStream(t *testing.T, rng *rand.Rand, n int) (*cost.Model, []cost.JoinCa
 	return m, out
 }
 
+// admits snapshots ps's admission bar and tests a candidate against it.
+func admits(ps *pathSet, c float64, order int) bool {
+	var b cost.Bar
+	ps.Bar(&b)
+	return b.Admits(c, order)
+}
+
 // TestAdmitThenOfferMatchesOfferAll is the contract the join kernel's
-// cost → admit → offer loop rests on, for both kinds of input:
+// cost → gate → offer loop rests on, for both kinds of input:
 //
-//   - built plans: skipping every candidate the path set does not admit
-//     leaves exactly the state offering every candidate leaves — the same
-//     Best and the same ordered plans, pointer for pointer, and the same
-//     summed retained-path delta — and a candidate that is not admitted
+//   - built plans: skipping every candidate the path set's bar does not
+//     admit leaves exactly the state offering every candidate leaves — the
+//     same Best and the same ordered plans, pointer for pointer, and the
+//     same summed retained-path delta — and a candidate that is not admitted
 //     would have been dropped by offer with delta 0;
+//   - a stale bar: gating with a bar snapshotted again only after some of
+//     the offers it retained — never after a rejected one — retains the
+//     same paths at every step, since it admits a superset of what the
+//     current bar admits and offer drops the extra candidates with delta 0;
 //   - unbuilt candidates: offering the admitted stream to a class as values
 //     (Memo.AddCand) and reading the class afterwards gives trees plan.Compare
 //     finds equal to those of offering the built plans, with the same path
@@ -59,9 +70,10 @@ func candStream(t *testing.T, rng *rand.Rand, n int) (*cost.Model, []cost.JoinCa
 //
 // Best is checked against the plan.Compare minimum of the stream throughout.
 // A last case offers candidates without cost ties and reads the class by cost
-// only — FeatureVector, BestCost, Admits — which must build nothing and leave
+// only — FeatureVector, BestCost, Bar — which must build nothing and leave
 // the class open; the first tree read closes it.
 func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
+	totalStaleExtra := 0 // candidates admitted only by the stale bar
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		model, cands := candStream(t, rng, 60)
@@ -71,12 +83,17 @@ func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var all, admitted pathSet
-		var allDelta, admittedDelta, skipped int
+		var all, admitted, stale pathSet
+		var staleBar cost.Bar // stale's bar, snapshotted after half its retentions
+		var allDelta, admittedDelta, staleDelta, skipped, staleExtra int
 		var least *plan.Plan // the plan.Compare minimum offered so far
 		for n, c := range cands {
 			p := model.BuildJoin(c)
-			admits := all.Admits(p.Cost, p.Order)
+			admit := admits(&all, p.Cost, p.Order)
+			staleAdmit := staleBar.Admits(p.Cost, p.Order)
+			if admit && !staleAdmit {
+				t.Fatalf("seed %d step %d: the current bar admits, the stale one does not", seed, n)
+			}
 			d, kept := all.offer(path{plan: p}, nil)
 			allDelta += d
 			if least == nil || plan.Less(p, least) {
@@ -85,13 +102,26 @@ func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 			if plan.Compare(all.best.plan, least) != 0 {
 				t.Fatalf("seed %d step %d: Best is not the least plan offered under plan.Compare", seed, n)
 			}
-			if !admits && (kept || d != 0) {
+			if !admit && (kept || d != 0) {
 				t.Fatalf("seed %d step %d: not admitted, but offer kept=%v delta=%d", seed, n, kept, d)
 			}
-			if admitted.Admits(p.Cost, p.Order) != admits || lazy.Admits(c.Cost, c.Order) != admits {
+			if admits(&admitted, p.Cost, p.Order) != admit || admits(&lazy.pathSet, c.Cost, c.Order) != admit {
 				t.Fatalf("seed %d step %d: the sets disagree on admission", seed, n)
 			}
-			if admits {
+			if staleAdmit {
+				d, kept := stale.offer(path{plan: p}, nil)
+				staleDelta += d
+				if !admit {
+					staleExtra++
+					if kept || d != 0 {
+						t.Fatalf("seed %d step %d: admitted only by the stale bar, but offer kept=%v delta=%d", seed, n, kept, d)
+					}
+				}
+				if kept && rng.Intn(2) == 0 {
+					stale.Bar(&staleBar)
+				}
+			}
+			if admit {
 				d, _ := admitted.offer(path{plan: p}, nil)
 				admittedDelta += d
 				before := lazyMemo.Stats.PathsRetained
@@ -104,28 +134,29 @@ func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 			} else {
 				skipped++
 			}
-			if all.best.plan != admitted.best.plan {
+			if all.best.plan != admitted.best.plan || all.best.plan != stale.best.plan {
 				t.Fatalf("seed %d step %d: Best diverged", seed, n)
 			}
 			if lazy.BestCost() != admitted.best.cost() {
 				t.Fatalf("seed %d step %d: lazy Best costs %v, built %v", seed, n, lazy.BestCost(), admitted.best.cost())
 			}
-			if len(all.ordered) != len(admitted.ordered) || len(lazy.ordered) != len(admitted.ordered) {
-				t.Fatalf("seed %d step %d: %d / %d / %d ordered paths", seed, n, len(all.ordered), len(admitted.ordered), len(lazy.ordered))
+			if len(all.ordered) != len(admitted.ordered) || len(lazy.ordered) != len(admitted.ordered) || len(stale.ordered) != len(all.ordered) {
+				t.Fatalf("seed %d step %d: %d / %d / %d / %d ordered paths", seed, n, len(all.ordered), len(admitted.ordered), len(lazy.ordered), len(stale.ordered))
 			}
 			for i := range all.ordered {
-				if all.ordered[i].plan != admitted.ordered[i].plan {
+				if all.ordered[i].plan != admitted.ordered[i].plan || all.ordered[i].plan != stale.ordered[i].plan {
 					t.Fatalf("seed %d step %d: ordered[%d] diverged", seed, n, i)
 				}
 			}
 		}
-		if allDelta != admittedDelta || allDelta != all.numPaths() || int(lazyMemo.Stats.PathsRetained) != allDelta {
-			t.Fatalf("seed %d: path delta %d offering all, %d after admission, %d offering candidates, %d paths retained",
-				seed, allDelta, admittedDelta, lazyMemo.Stats.PathsRetained, all.numPaths())
+		if allDelta != admittedDelta || allDelta != staleDelta || allDelta != all.numPaths() || int(lazyMemo.Stats.PathsRetained) != allDelta {
+			t.Fatalf("seed %d: path delta %d offering all, %d after admission, %d after stale admission, %d offering candidates, %d paths retained",
+				seed, allDelta, admittedDelta, staleDelta, lazyMemo.Stats.PathsRetained, all.numPaths())
 		}
 		if skipped == 0 {
 			t.Fatalf("seed %d: admission never said no; the stream tests nothing", seed)
 		}
+		totalStaleExtra += staleExtra
 		want, got := admitted.appendPaths(nil, nil), lazy.Paths()
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d trees read from the candidates, %d from the plans", seed, len(got), len(want))
@@ -135,6 +166,10 @@ func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 				t.Fatalf("seed %d: path %d built into %+v, the plan offered was %+v", seed, i, got[i], want[i])
 			}
 		}
+	}
+
+	if totalStaleExtra == 0 {
+		t.Fatal("the stale bar never admitted more than the current one; the stale stream tests nothing")
 	}
 
 	// Cost-only reads build nothing and leave the class open.
@@ -153,7 +188,9 @@ func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 		}
 		_ = c.FeatureVector()
 		_ = c.BestCost()
-		_ = c.Admits(jc.Cost, jc.Order)
+		var b cost.Bar
+		c.Bar(&b)
+		_ = b.Admits(jc.Cost, jc.Order)
 	}
 	unbuilt := func() int {
 		n := 0
@@ -184,13 +221,13 @@ func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 	}
 }
 
-// TestAdmitsTiesAndOrders spells out the boundary cases: ties are admitted,
-// an ordered candidate is admitted on either criterion, and an unordered one
-// only against Best.
+// TestAdmitsTiesAndOrders spells out the boundary cases of a path set's bar:
+// ties are admitted, an ordered candidate is admitted on either criterion,
+// and an unordered one only against Best.
 func TestAdmitsTiesAndOrders(t *testing.T) {
 	set := bits.Of(0, 1)
 	var ps pathSet
-	if !ps.Admits(1e9, plan.NoOrder) {
+	if !admits(&ps, 1e9, plan.NoOrder) {
 		t.Error("empty set must admit anything")
 	}
 	ps.offer(path{plan: mkPlan(set, 10, plan.NoOrder)}, nil)
@@ -209,7 +246,7 @@ func TestAdmitsTiesAndOrders(t *testing.T) {
 		{1e9, 2, true}, // first plan of its order
 		{11, 1, true},
 	} {
-		if got := ps.Admits(c.cost, c.order); got != c.want {
+		if got := admits(&ps, c.cost, c.order); got != c.want {
 			t.Errorf("Admits(%v, %d) = %v, want %v", c.cost, c.order, got, c.want)
 		}
 	}

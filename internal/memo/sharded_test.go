@@ -53,7 +53,7 @@ func TestShardedOfferMatchesAddPlan(t *testing.T) {
 	s := NewSharded()
 	st, _ := s.Get(set, func() (float64, float64) { return 10, 1 })
 	for _, p := range candidates {
-		st.offer(path{plan: p}, nil)
+		st.offer(path{plan: p}, nil, nil)
 	}
 
 	want := cls.Paths()
@@ -83,18 +83,18 @@ func TestShardedOfferDelta(t *testing.T) {
 	set := bits.Of(1, 2)
 	st, _ := s.Get(set, func() (float64, float64) { return 10, 1 })
 
-	if d := st.offer(path{plan: mkPlan(set, 100, plan.NoOrder)}, nil); d != 1 {
+	if d := st.offer(path{plan: mkPlan(set, 100, plan.NoOrder)}, nil, nil); d != 1 {
 		t.Fatalf("first offer delta = %d, want 1", d)
 	}
-	if d := st.offer(path{plan: mkPlan(set, 110, 2)}, nil); d != 1 {
+	if d := st.offer(path{plan: mkPlan(set, 110, 2)}, nil, nil); d != 1 {
 		t.Fatalf("ordered offer delta = %d, want 1", d)
 	}
-	if d := st.offer(path{plan: mkPlan(set, 120, plan.NoOrder)}, nil); d != 0 {
+	if d := st.offer(path{plan: mkPlan(set, 120, plan.NoOrder)}, nil, nil); d != 0 {
 		t.Fatalf("dominated offer delta = %d, want 0", d)
 	}
 	// A new best carrying order 2 displaces the separate ordered path:
 	// paths go from {best, ordered} to {best covering both} — delta -1.
-	if d := st.offer(path{plan: mkPlan(set, 50, 2)}, nil); d != -1 {
+	if d := st.offer(path{plan: mkPlan(set, 50, 2)}, nil, nil); d != -1 {
 		t.Fatalf("covering best delta = %d, want -1", d)
 	}
 }
@@ -104,7 +104,7 @@ func TestShardedDrainCanonicalOrder(t *testing.T) {
 	sets := []bits.Set{bits.Of(5, 6), bits.Of(0, 1), bits.Of(2, 9), bits.Of(3, 4)}
 	for _, set := range sets {
 		st, _ := s.Get(set, func() (float64, float64) { return 1, 1 })
-		st.offer(path{plan: mkPlan(set, 10, plan.NoOrder)}, nil)
+		st.offer(path{plan: mkPlan(set, 10, plan.NoOrder)}, nil, nil)
 	}
 	drained := s.Drain()
 	if len(drained) != len(sets) {
@@ -132,13 +132,13 @@ func TestShardedConcurrentOffers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				st, _ := s.Get(hot, func() (float64, float64) { return 10, 1 })
-				st.offer(path{plan: mkPlan(hot, float64(1000-w*perWorker-i), plan.NoOrder)}, nil)
+				st.offer(path{plan: mkPlan(hot, float64(1000-w*perWorker-i), plan.NoOrder)}, nil, nil)
 				// Two-bit sets (k%28, k/28) are pairwise distinct across
 				// all 800 k values and stay within the 64-bit Set.
 				k := w*perWorker + i
 				cold := bits.Of(2+k%28, 31+k/28)
 				cst, _ := s.Get(cold, func() (float64, float64) { return 1, 1 })
-				cst.offer(path{plan: mkPlan(cold, 5, plan.NoOrder)}, nil)
+				cst.offer(path{plan: mkPlan(cold, 5, plan.NoOrder)}, nil, nil)
 			}
 		}(w)
 	}
