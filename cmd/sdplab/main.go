@@ -74,8 +74,8 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   sdplab list
   sdplab run -exp <id|all> [-instances N] [-seed S] [-budget MB] [-skewed] [-parallel P]
-             [-workers W] [-trace FILE.jsonl] [-metrics ADDR]
-  sdplab serve [-addr ADDR] [-catalog FILE.json] [-skewed] [-workers W] [-cache N] [-shards N]
+             [-trace FILE.jsonl] [-metrics ADDR]
+  sdplab serve [-addr ADDR] [-catalog FILE.json] [-skewed] [-cache N] [-shards N]
              [-max-concurrent N] [-queue N] [-budget MB] [-timeout D] [-trace FILE.jsonl]
              [-flight-slow-ms MS] [-flight-recent N] [-flight-notable N]
              [-shadow-rate F] [-shadow-hit-rate F] [-shadow-workers N] [-shadow-queue N]
@@ -88,9 +88,7 @@ func usage(w io.Writer) {
              [-healths 1,0.5] [-mode relation|predicate|both] [-topologies chain-8,star-9]
              [-exec=false] [-feedback corpus.jsonl] [-json FILE] [-check]
 
--parallel runs P optimizations concurrently (harness throughput); -workers
-splits each optimization's enumeration across W cores (plan-identical,
-latency only).`)
+-parallel runs P optimizations concurrently (harness throughput).`)
 }
 
 // newFlagSet is a flag set that reports to stderr and returns parse errors
@@ -178,7 +176,6 @@ func runCmd(args []string, stdout, stderr io.Writer) error {
 	budgetMB := fs.Int64("budget", 0, "memory budget in MB (0 = the paper's 1024)")
 	skewed := fs.Bool("skewed", false, "use the exponentially-skewed schema")
 	parallel := fs.Int("parallel", 1, "concurrent optimizations (keep 1 for timing-faithful overhead tables)")
-	workers := fs.Int("workers", 1, "enumeration workers per optimization (>1 = parallel enumeration; plan-identical)")
 	tracePath := fs.String("trace", "", "stream optimizer events to this JSONL file")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	if err := fs.Parse(args); err != nil {
@@ -192,12 +189,11 @@ func runCmd(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	cfg := sdpopt.ExperimentConfig{
-		Instances:   *instances,
-		Seed:        *seed,
-		Budget:      *budgetMB << 20,
-		Skewed:      *skewed,
-		Workers:     *parallel,
-		EnumWorkers: *workers,
+		Instances: *instances,
+		Seed:      *seed,
+		Budget:    *budgetMB << 20,
+		Skewed:    *skewed,
+		Workers:   *parallel,
 	}
 	ids := []string{*exp}
 	if *exp == "all" {

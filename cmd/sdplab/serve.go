@@ -23,7 +23,6 @@ func serveCmd(args []string, _, stderr io.Writer) error {
 	cacheEntries := fs.Int("cache", 1024, "plan-cache capacity in entries (0 disables caching)")
 	shards := fs.Int("shards", 0, "plan-cache shard count (0 = default 16)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "concurrent optimizations (0 = default 8)")
-	workers := fs.Int("workers", 0, "default enumeration workers per optimization (0/1 = sequential; requests may override within [1, 2×GOMAXPROCS])")
 	maxQueue := fs.Int("queue", 0, "admission queue depth before 429 shedding (0 = 2×max-concurrent)")
 	budgetMB := fs.Int64("budget", 0, "default memory budget in MB (0 = the paper's 1024)")
 	timeout := fs.Duration("timeout", 0, "per-optimization deadline cap (0 = 30s)")
@@ -134,7 +133,6 @@ func serveCmd(args []string, _, stderr io.Writer) error {
 		Obs:           ob,
 		MaxConcurrent: *maxConcurrent,
 		MaxQueue:      *maxQueue,
-		Workers:       *workers,
 		Budget:        *budgetMB << 20,
 		Timeout:       *timeout,
 		Regret:        shadow,

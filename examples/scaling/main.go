@@ -1,17 +1,13 @@
 // Scaling: walk the feasibility frontier. Stars grow one relation at a
 // time and each optimizer runs under the paper's 1 GB budget until it
 // becomes infeasible — reproducing the shape of Tables 2.1 and 3.3: DP
-// collapses first, IDP(7) later, while SDP keeps going. A second pass
-// shows the other scaling axis: the same enumeration split across cores
-// (Workers > 1), producing bit-for-bit identical plans.
+// collapses first, IDP(7) later, while SDP keeps going.
 package main
 
 import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
-	"runtime"
 	"time"
 
 	"sdpopt"
@@ -76,33 +72,4 @@ func main() {
 	}
 	fmt.Println("\n'*' marks the feasibility cliff under the 1 GB simulated-memory budget.")
 
-	// Core scaling: one 17-relation star, enumerated sequentially and at
-	// growing worker counts. The plans are identical
-	// by contract — only the wall time may move, and only when the runtime
-	// has cores to give (GOMAXPROCS below caps real parallelism).
-	fmt.Printf("\nParallel enumeration, Star-17 SDP (GOMAXPROCS=%d):\n", runtime.GOMAXPROCS(0))
-	qs, err := sdpopt.Instances(sdpopt.WorkloadSpec{
-		Cat: cat, Topology: sdpopt.Star, NumRelations: 17, Seed: 3,
-	}, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var baseCost float64
-	var baseTime time.Duration
-	for _, w := range []int{1, 2, 4, 8} {
-		opts := sdpopt.SDPOptions()
-		opts.Budget = sdpopt.DefaultBudget
-		opts.Workers = w
-		p, stats, err := sdpopt.OptimizeSDP(qs[0], opts)
-		if err != nil {
-			log.Fatalf("SDP with %d workers: %v", w, err)
-		}
-		if w == 1 {
-			baseCost, baseTime = p.Cost, stats.Elapsed
-		}
-		identical := math.Float64bits(p.Cost) == math.Float64bits(baseCost)
-		fmt.Printf("  workers=%d  %10s  speedup %.2fx  identical plan: %v\n",
-			w, stats.Elapsed.Round(time.Millisecond),
-			float64(baseTime)/float64(stats.Elapsed), identical)
-	}
 }

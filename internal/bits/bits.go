@@ -196,8 +196,8 @@ func (s Set) Max() int {
 
 // Less reports whether s precedes t in the canonical numeric order: the set
 // is read as one wide unsigned integer with word numWords-1 most significant.
-// This is the total order every deterministic drain/sort in the repo uses
-// (memo canonicalization, sharded staging drains); for sets within the first
+// This is the total order every deterministic sort in the repo uses (the
+// canonical class order level hooks observe); for sets within the first
 // 64 relations it coincides with the historical uint64 comparison.
 func (s Set) Less(t Set) bool {
 	for w := numWords - 1; w >= 0; w-- {
@@ -220,20 +220,6 @@ func (s Set) Compare(t Set) int {
 		}
 	}
 	return 0
-}
-
-// Hash mixes the set's words into a single 64-bit value with the high bits
-// well distributed (Fibonacci multiplicative hashing per word), so shard
-// selectors can take the top k bits directly. Equal sets hash equal; the
-// function is pure and stable within a build, which is all the deterministic
-// sharded-drain contract needs (shard assignment is never observable — every
-// drain sorts by Less).
-func (s Set) Hash() uint64 {
-	h := s[0] * 0x9E3779B97F4A7C15
-	h ^= (s[1] + 0x9E3779B97F4A7C15) * 0xC2B2AE3D27D4EB4F
-	h ^= h >> 29
-	h *= 0x9E3779B97F4A7C15
-	return h
 }
 
 // Each calls fn for every relation index in s, in increasing order.

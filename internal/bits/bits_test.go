@@ -209,18 +209,6 @@ func TestLessCompareOrder(t *testing.T) {
 	}
 }
 
-func TestHashEqualSetsEqualHash(t *testing.T) {
-	a := Of(0, 63, 64, 127)
-	b := Of(127, 64, 63, 0)
-	if a.Hash() != b.Hash() {
-		t.Fatal("equal sets hash differently")
-	}
-	// Word swap must not collide trivially: {0} vs {64} differ.
-	if Of(0).Hash() == Of(64).Hash() {
-		t.Fatal("word-swapped singletons collide")
-	}
-}
-
 func TestFromWords(t *testing.T) {
 	s := FromWords(1<<5|1<<63, 1<<0|1<<63)
 	if got, want := s, Of(5, 63, 64, 127); got != want {

@@ -25,7 +25,7 @@ import (
 // Like the Injector, all factors are resolved at construction from stable
 // catalog-level identities (relation names, sorted predicate labels), so an
 // EmpiricalEstimator is read-only afterwards and safe to share across
-// Model.Fork workers — and the same profile replays bit-identically into
+// concurrent optimizations — and the same profile replays bit-identically into
 // every query that touches the same objects.
 type EmpiricalEstimator struct {
 	base cost.Estimator

@@ -59,8 +59,8 @@ func ParseMode(s string) (Mode, error) {
 // to its base, which is what the CI reference assertion pins.
 //
 // All factors are precomputed at construction from (seed, stable key), so an
-// Injector is read-only afterwards and safe to share across Model.Fork
-// workers. Keys are catalog-level identities, not query-local indexes, so
+// Injector is read-only afterwards and safe to share across concurrent
+// optimizations. Keys are catalog-level identities, not query-local indexes, so
 // the lie is correlated across queries: the same base table or column
 // pairing is mis-estimated the same way everywhere, matching how real
 // statistics go stale.

@@ -23,7 +23,7 @@ type equivEntry struct {
 
 // equivCorpus mirrors the dp determinism corpus (every topology the
 // generator offers, plus ordered and filtered variants) but with one
-// instance per entry so the full naive×indexed×workers cross product stays
+// instance per entry so the full naive×indexed×dpccp cross product stays
 // quick under -race.
 func equivCorpus() []equivEntry {
 	cat := workload.PaperSchema()
@@ -97,10 +97,9 @@ func assertSameResult(t *testing.T, label string, pRef *plan.Plan, stRef dp.Stat
 	}
 }
 
-// TestDPEnumerationEquivalence runs exhaustive DP four ways — the naive
-// generate-and-filter reference loop, the adjacency-indexed walk, the
-// default DPccp csg-cmp enumeration, and the worker pool at 2/4/8 workers —
-// and requires identical results. It also pins the point of each
+// TestDPEnumerationEquivalence runs exhaustive DP three ways — the naive
+// generate-and-filter reference loop, the adjacency-indexed walk and the
+// default DPccp csg-cmp enumeration — and requires identical results. It also pins the point of each
 // enumerator: the indexed walk must consider no more candidate pairs than
 // the naive scan (and on every corpus entry strictly fewer — the filter was
 // doing real work), and DPccp must report considered == connected, its
@@ -140,13 +139,6 @@ func TestDPEnumerationEquivalence(t *testing.T) {
 				t.Errorf("ccp considered %d pairs but connected %d — the csg-cmp enumeration emitted a pair it had to filter",
 					stCcp.PairsConsidered, stCcp.PairsConnected)
 			}
-			for _, workers := range []int{2, 4, 8} {
-				pPar, stPar, err := dp.Optimize(q, dp.Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("w=%d: %v", workers, err)
-				}
-				assertSameResult(t, fmt.Sprintf("w=%d", workers), pNaive, stNaive, pPar, stPar)
-			}
 		})
 	}
 }
@@ -154,18 +146,14 @@ func TestDPEnumerationEquivalence(t *testing.T) {
 // TestDPccpEquivalenceWidths sweeps DPccp ≡ DPsize across every generator
 // topology at widths 2–15 (cycle and star-chain start at their structural
 // minimum of 3): identical optimal plan to the cost bit, identical memo
-// shape, identical connected-pair count, and the worker pool bit-for-bit
-// identical at 2/4/8 workers — the full proof obligation of making DPccp
-// the default. Three deliberate caps keep the sweep inside test time without
-// weakening the proof — at every capped width the work cut is join costing,
-// never enumeration coverage: the naive scan's per-level cross products are
-// quadratic in the class population, so it drops out above width 13 on the
-// dense hub topologies (the indexed walk — already proven ≡ naive — carries
-// the DPsize side there); the worker sweep stops at parMax because each
-// worker count is a full exhaustive optimization on the indexed walk the
-// ccp-vs-indexed leg already covers at every width (the pool's determinism
-// on the hub-heavy corpus is pinned by TestDPEnumerationEquivalence); and the
-// clique sweep stops at 9 because an exhaustive clique optimization joins
+// shape, identical connected-pair count — the full proof obligation of
+// making DPccp the default. Two deliberate caps keep the sweep inside test
+// time without weakening the proof — at every capped width the work cut is
+// join costing, never enumeration coverage: the naive scan's per-level cross
+// products are quadratic in the class population, so it drops out above
+// width 13 on the dense hub topologies (the indexed walk — already proven ≡
+// naive — carries the DPsize side there); and the clique sweep stops at 9
+// because an exhaustive clique optimization joins
 // Θ(3ⁿ) pairs in *every* enumerator — the joins, not the enumeration, are
 // the cost; pair-set equality for larger cliques is covered structurally
 // (and cheaply) in internal/ccp.
@@ -177,13 +165,12 @@ func TestDPccpEquivalenceWidths(t *testing.T) {
 		min      int
 		max      int
 		naiveMax int
-		parMax   int
 	}{
-		{"chain", workload.Chain, 2, 15, 15, 15},
-		{"cycle", workload.Cycle, 3, 15, 15, 15},
-		{"star", workload.Star, 2, 15, 13, 13},
-		{"starchain", workload.StarChain, 3, 15, 13, 13},
-		{"clique", workload.Clique, 2, 9, 9, 8},
+		{"chain", workload.Chain, 2, 15, 15},
+		{"cycle", workload.Cycle, 3, 15, 15},
+		{"star", workload.Star, 2, 15, 13},
+		{"starchain", workload.StarChain, 3, 15, 13},
+		{"clique", workload.Clique, 2, 9, 9},
 	}
 	for _, sw := range sweeps {
 		for n := sw.min; n <= sw.max; n++ {
@@ -215,15 +202,6 @@ func TestDPccpEquivalenceWidths(t *testing.T) {
 					}
 					assertSameResult(t, "ccp-vs-naive", pNaive, stNaive, pCcp, stCcp)
 				}
-				if n <= sw.parMax {
-					for _, workers := range []int{2, 4, 8} {
-						pPar, stPar, err := dp.Optimize(q, dp.Options{Workers: workers})
-						if err != nil {
-							t.Fatalf("w=%d: %v", workers, err)
-						}
-						assertSameResult(t, fmt.Sprintf("ccp-vs-w=%d", workers), pCcp, stCcp, pPar, stPar)
-					}
-				}
 			})
 		}
 	}
@@ -252,7 +230,7 @@ func TestDPccpStructuralInvariant(t *testing.T) {
 }
 
 // TestSDPEnumerationEquivalence runs SDP on the naive and the indexed
-// substrate, each sequentially and at 2/4/8 workers, and requires the chosen
+// substrate and requires the chosen
 // plan, the stats, and the rendered pruning trace to be byte-for-byte
 // identical. The trace is the strongest oracle available: it serializes
 // every level's PruneGroup/FreeGroup split, partition membership in order,
@@ -268,47 +246,33 @@ func TestSDPEnumerationEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("One: %v", err)
 			}
-			run := func(workers int, enum dp.EnumMode) (*plan.Plan, dp.Stats, string) {
+			run := func(enum dp.EnumMode) (*plan.Plan, dp.Stats, string) {
 				t.Helper()
 				opts := DefaultOptions()
-				opts.Workers = workers
 				opts.Enum = enum
 				var tr Trace
 				opts.Trace = &tr
 				p, st, err := Optimize(q, opts)
 				if err != nil {
-					t.Fatalf("SDP workers=%d enum=%v: %v", workers, enum, err)
+					t.Fatalf("SDP enum=%v: %v", enum, err)
 				}
 				want := "indexed"
 				if enum == dp.EnumNaive {
 					want = "naive"
 				}
 				if st.Enumerator != want {
-					t.Errorf("SDP workers=%d enum=%v reports enumerator %q, want %q", workers, enum, st.Enumerator, want)
+					t.Errorf("SDP enum=%v reports enumerator %q, want %q", enum, st.Enumerator, want)
 				}
 				return p, st, tr.String()
 			}
-			pNaive, stNaive, trNaive := run(0, dp.EnumNaive)
-			pIdx, stIdx, trIdx := run(0, dp.EnumDPccp) // default: the hook resolves it to indexed
+			pNaive, stNaive, trNaive := run(dp.EnumNaive)
+			pIdx, stIdx, trIdx := run(dp.EnumDPccp) // default: the hook resolves it to indexed
 			assertSameResult(t, "sdp-indexed", pNaive, stNaive, pIdx, stIdx)
 			if trNaive != trIdx {
 				t.Errorf("indexed SDP trace diverged from naive:\n--- naive ---\n%s--- indexed ---\n%s", trNaive, trIdx)
 			}
 			if stIdx.PairsConsidered > stNaive.PairsConsidered {
 				t.Errorf("indexed considered %d pairs, naive only %d", stIdx.PairsConsidered, stNaive.PairsConsidered)
-			}
-			for _, workers := range []int{2, 4, 8} {
-				for _, enum := range []dp.EnumMode{dp.EnumDPccp, dp.EnumNaive} {
-					pPar, stPar, trPar := run(workers, enum)
-					label := fmt.Sprintf("sdp-w=%d-%s", workers, stPar.Enumerator)
-					assertSameResult(t, label, pNaive, stNaive, pPar, stPar)
-					if trNaive != trPar {
-						t.Errorf("%s trace diverged from naive:\n--- naive ---\n%s--- got ---\n%s", label, trNaive, trPar)
-					}
-					if enum == dp.EnumNaive && stPar.PairsConsidered != stNaive.PairsConsidered {
-						t.Errorf("%s considered %d pairs, sequential naive %d", label, stPar.PairsConsidered, stNaive.PairsConsidered)
-					}
-				}
 			}
 		})
 	}

@@ -82,8 +82,7 @@ type Model struct {
 	// are pure functions of the set (SetRows is canonical by design), so
 	// memoization cannot change any estimate — it only removes the repeated
 	// per-member recomputation from the enumeration hot path, where Width
-	// runs several times per costed candidate. Lazily allocated; Fork drops
-	// them so each parallel worker builds its own (sharing would race).
+	// runs several times per costed candidate. Lazily allocated.
 	rowsMemo  map[bits.Set]float64
 	widthMemo map[bits.Set]int
 
@@ -151,32 +150,13 @@ func (m *Model) Estimator() Estimator { return m.est }
 // SetEstimator swaps the model's estimator and re-derives every memoized
 // estimate (relation rows, predicate selectivities, the SetRows memo) from
 // it. A nil est restores the default CatalogEstimator. Not safe to call
-// concurrently with costing; swap before optimizing or Fork a fresh model.
+// concurrently with costing; swap before optimizing.
 func (m *Model) SetEstimator(est Estimator) {
 	if est == nil {
 		est = NewCatalogEstimator(m.Q)
 	}
 	m.est = est
 	m.derive()
-}
-
-// Fork returns a copy of the model for one parallel enumeration worker: the
-// precomputed per-query statistics and the estimator are shared (both are
-// read-only after NewModelEst/SetEstimator — Estimator implementations are
-// required to be concurrency-safe pure functions, so sharing is race-free),
-// while PlansCosted restarts at zero so workers count without
-// synchronizing. The DP engine folds the forks' counts back into the
-// parent at each level barrier. Estimator-dependent memoized state (the
-// SetRows memo) is dropped, never shared, so a worker can never observe a
-// memo populated under a different estimator.
-func (m *Model) Fork() *Model {
-	cp := *m
-	cp.PlansCosted = 0
-	// Memo maps are per-fork: a struct copy would share the parent's maps
-	// across workers and race. Dropped here, rebuilt lazily on first use.
-	cp.rowsMemo = nil
-	cp.widthMemo = nil
-	return &cp
 }
 
 // FilterSel returns the active estimator's selectivity for local range
@@ -242,8 +222,8 @@ func (m *Model) JoinRows(a, b bits.Set, rowsA, rowsB float64) float64 {
 // different statistics than an exhaustive one.) The product is accumulated
 // in log space: a 45-relation JCR's raw row product can overflow float64.
 // SetRows results are memoized per set: the function is pure, so the cache
-// cannot perturb any estimate, and repeated lookups (IDP restarts, parallel
-// workers racing to stage the same class) skip the log-space recomputation.
+// cannot perturb any estimate, and repeated lookups (IDP restarts) skip the
+// log-space recomputation.
 func (m *Model) SetRows(s bits.Set) float64 {
 	if r, ok := m.rowsMemo[s]; ok {
 		return r

@@ -20,8 +20,7 @@ import (
 // SetEstimator) into flat arrays for the enumeration hot path, and calls
 // ColumnNDV/FilterSel on the cold paths that need them. Implementations
 // must be deterministic, pure functions of their construction inputs, and
-// safe for concurrent reads — Model.Fork shares the estimator across
-// parallel workers.
+// safe for concurrent reads — concurrent optimizations may share one.
 type Estimator interface {
 	// Name identifies the estimator in reports and metrics.
 	Name() string

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"sdpopt/internal/bits"
@@ -97,49 +96,6 @@ func TestSetEstimatorResetsMemo(t *testing.T) {
 	fm.SetEstimator(nil)
 	if back := indexNestLoopSig(fm); back != origINL {
 		t.Errorf("indexed nested loop after restoring default: %s, want %s", back, origINL)
-	}
-}
-
-// TestForkDropsEstimatorMemo proves a fork never inherits memoized state
-// computed under a previous estimator of the parent.
-func TestForkDropsEstimatorMemo(t *testing.T) {
-	q := chainQuery(t, 5)
-	m := NewModel(q, DefaultParams())
-	s := bits.Of(0, 1, 2, 3)
-	base := m.SetRows(s) // populate the parent memo under the default
-
-	m.SetEstimator(scaledEstimator{Estimator: NewCatalogEstimator(q), factor: 3})
-	f := m.Fork()
-	if got := f.SetRows(s); got == base {
-		t.Fatalf("fork served the parent's pre-swap memo entry %g", base)
-	}
-	if got, want := f.SetRows(s), m.SetRows(s); got != want {
-		t.Errorf("fork SetRows = %g, parent = %g; must agree bit-for-bit", got, want)
-	}
-
-	// What forks do share — the per-relation probe cost and index scan node —
-	// they only read: four forks costing and building the same indexed nested
-	// loop at once agree with the parent (and run clean under -race).
-	fq := fixtureQuery(t, nil)
-	fm := NewModelEst(fq, DefaultParams(), scaledEstimator{Estimator: NewCatalogEstimator(fq), factor: 3})
-	want := indexNestLoopSig(fm)
-	sigs := make([]string, 4)
-	var wg sync.WaitGroup
-	for w := range sigs {
-		fork := fm.Fork()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for n := 0; n < 50; n++ {
-				sigs[w] = indexNestLoopSig(fork)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, got := range sigs {
-		if got != want {
-			t.Errorf("fork %d: indexed nested loop %s, parent %s", w, got, want)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
 	"sdpopt/internal/testutil"
+	"sdpopt/internal/workload"
 )
 
 func chainQuery(t *testing.T, n int) *query.Query {
@@ -167,6 +169,38 @@ func TestBudgetAbort(t *testing.T) {
 	}
 	if stats.Memo.PeakSimBytes <= 64*1024 {
 		t.Errorf("peak %d should exceed the budget it tripped", stats.Memo.PeakSimBytes)
+	}
+}
+
+// TestSeedLevelBudgetAbort drives the abort into NewEngine's level-1
+// seeding, the path where the engine is returned alongside the error.
+func TestSeedLevelBudgetAbort(t *testing.T) {
+	cat := workload.PaperSchema()
+	q, err := workload.One(workload.Spec{Cat: cat, Topology: workload.Chain, NumRelations: 5, Seed: 1})
+	if err != nil {
+		t.Fatalf("One: %v", err)
+	}
+	_, st, err := Optimize(q, Options{Budget: 1})
+	if !errors.Is(err, memo.ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if st.Elapsed <= 0 {
+		t.Error("Elapsed not populated on seed-level abort")
+	}
+}
+
+// TestCancellation checks a pre-canceled context aborts promptly with
+// ErrCanceled.
+func TestCancellation(t *testing.T) {
+	cat := workload.PaperSchema()
+	q, err := workload.One(workload.Spec{Cat: cat, Topology: workload.Chain, NumRelations: 12, Seed: 9})
+	if err != nil {
+		t.Fatalf("One: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := Optimize(q, Options{Ctx: ctx}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 

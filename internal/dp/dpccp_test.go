@@ -1,10 +1,7 @@
 package dp
 
 import (
-	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sdpopt/internal/bits"
@@ -17,10 +14,10 @@ import (
 
 // sameRun asserts two runs explored the same search and chose the same plan:
 // cost to the bit, plans costed, memo shape, end-of-run simulated memory,
-// connected pairs. It is the engine's hard invariant across enumerators and
-// worker counts. (Peak simulated memory is deliberately excluded: a
-// sequential run can transiently retain paths a later candidate of the same
-// level displaces, while the staged merge replays only the winners.)
+// connected pairs. It is the engine's hard invariant across enumerators.
+// (Peak simulated memory is deliberately excluded: enumerators that offer
+// candidates in different orders transiently retain different paths before
+// a later candidate displaces them.)
 func sameRun(t *testing.T, label string, pA *plan.Plan, stA Stats, pB *plan.Plan, stB Stats) {
 	t.Helper()
 	if math.Float64bits(pA.Cost) != math.Float64bits(pB.Cost) {
@@ -85,8 +82,8 @@ func TestHookFallsBackToIndexed(t *testing.T) {
 
 // TestEnumeratorReported: the DPccp → indexed fallback is silent in the
 // results (all modes agree bit for bit), so Stats.Enumerator is the one place
-// it shows. A hook or Workers > 1 must report "indexed"; an explicit mode is
-// reported as asked.
+// it shows. A hook must report "indexed"; an explicit mode is reported as
+// asked.
 func TestEnumeratorReported(t *testing.T) {
 	q := starQuery(t, 6)
 	nop := func(int, *memo.Memo, []*memo.Class) error { return nil }
@@ -97,10 +94,7 @@ func TestEnumeratorReported(t *testing.T) {
 	}{
 		{"default", Options{}, "dpccp"},
 		{"hooked", Options{Hook: nop}, "indexed"},
-		{"workers-2", Options{Workers: 2}, "indexed"},
-		{"workers-1", Options{Workers: 1}, "dpccp"},
 		{"naive", Options{Enum: EnumNaive}, "naive"},
-		{"naive-workers-2", Options{Enum: EnumNaive, Workers: 2}, "naive"},
 	} {
 		_, st, err := Optimize(q, tc.opts)
 		if err != nil {
@@ -114,12 +108,10 @@ func TestEnumeratorReported(t *testing.T) {
 
 // TestCCPPartialRunResume: IDP drives the engine in blocks — Run(3) then
 // Run(n) must produce exactly the state of a single Run(n), whichever
-// enumerator finds the pairs and whichever sink takes the plans. The engine
-// tracks one resume cursor (done) instead of reading memo levels, so this
-// pins that a partial enumeration neither re-joins completed levels
-// (PlansCosted would inflate, and a staged drain would collide with the
-// classes already in the memo) nor skips pairs (the plan or memo shape would
-// diverge).
+// enumerator finds the pairs. The engine tracks one resume cursor (done)
+// instead of reading memo levels, so this pins that a partial enumeration
+// neither re-joins completed levels (PlansCosted would inflate) nor skips
+// pairs (the plan or memo shape would diverge).
 func TestCCPPartialRunResume(t *testing.T) {
 	for _, fix := range []struct {
 		name  string
@@ -132,159 +124,39 @@ func TestCCPPartialRunResume(t *testing.T) {
 		t.Run(fix.name, func(t *testing.T) {
 			q := testutil.MustQuery(testutil.Catalog(fix.n), fix.n, fix.edges, nil)
 			for _, enum := range []EnumMode{EnumDPccp, EnumIndexed, EnumNaive} {
-				for _, workers := range []int{1, 4} {
-					t.Run(fmt.Sprintf("%v-w%d", enum, workers), func(t *testing.T) {
-						run := func(levels ...int) (*plan.Plan, Stats) {
-							t.Helper()
-							e, err := NewEngine(q, BaseLeaves(q), Options{Enum: enum, Workers: workers})
-							if err != nil {
-								t.Fatal(err)
-							}
-							for _, lv := range levels {
-								if err := e.Run(lv); err != nil {
-									t.Fatalf("Run(%d): %v", lv, err)
-								}
-							}
-							p, err := e.Finalize()
-							if err != nil {
-								t.Fatalf("Finalize: %v", err)
-							}
-							return p, e.Stats()
+				t.Run(enum.String(), func(t *testing.T) {
+					run := func(levels ...int) (*plan.Plan, Stats) {
+						t.Helper()
+						e, err := NewEngine(q, BaseLeaves(q), Options{Enum: enum})
+						if err != nil {
+							t.Fatal(err)
 						}
-						pFull, stFull := run(fix.n)
-						pSplit, stSplit := run(3, fix.n)
-						sameRun(t, "split-vs-full", pFull, stFull, pSplit, stSplit)
-						if stSplit.PairsConsidered != stFull.PairsConsidered {
-							t.Errorf("split run considered %d pairs, full %d", stSplit.PairsConsidered, stFull.PairsConsidered)
+						for _, lv := range levels {
+							if err := e.Run(lv); err != nil {
+								t.Fatalf("Run(%d): %v", lv, err)
+							}
 						}
-						// A repeated partial bound is a no-op, not a re-enumeration.
-						pIdem, stIdem := run(3, 3, fix.n, fix.n)
-						sameRun(t, "idempotent-vs-full", pFull, stFull, pIdem, stIdem)
-						if stIdem.PairsConsidered != stFull.PairsConsidered {
-							t.Errorf("idempotent run considered %d pairs, full %d", stIdem.PairsConsidered, stFull.PairsConsidered)
+						p, err := e.Finalize()
+						if err != nil {
+							t.Fatalf("Finalize: %v", err)
 						}
-					})
-				}
+						return p, e.Stats()
+					}
+					pFull, stFull := run(fix.n)
+					pSplit, stSplit := run(3, fix.n)
+					sameRun(t, "split-vs-full", pFull, stFull, pSplit, stSplit)
+					if stSplit.PairsConsidered != stFull.PairsConsidered {
+						t.Errorf("split run considered %d pairs, full %d", stSplit.PairsConsidered, stFull.PairsConsidered)
+					}
+					// A repeated partial bound is a no-op, not a re-enumeration.
+					pIdem, stIdem := run(3, 3, fix.n, fix.n)
+					sameRun(t, "idempotent-vs-full", pFull, stFull, pIdem, stIdem)
+					if stIdem.PairsConsidered != stFull.PairsConsidered {
+						t.Errorf("idempotent run considered %d pairs, full %d", stIdem.PairsConsidered, stFull.PairsConsidered)
+					}
+				})
 			}
 		})
-	}
-}
-
-// TestJoinKernelSinksAgree runs every class pair that joins into the top
-// class of a 6-relation cycle through both sinks of the join kernel —
-// straight into a memo class, one pair after another, and into one staged
-// class from four workers at once, so under -race the staged admission test
-// and offer interleave on the class's mutex — and requires the same retained
-// plans, the same retained-path charge (the memo's PathsRetained against the
-// staging estimate's path bytes) and the same plans costed: admission decides
-// what is offered, never what is costed or kept.
-func TestJoinKernelSinksAgree(t *testing.T) {
-	const n, workers = 6, 4
-	q := testutil.MustQuery(testutil.Catalog(n), n, query.CycleEdges(n), &query.OrderSpec{Rel: 0, Col: 0})
-	e, err := NewEngine(q, BaseLeaves(q), Options{Enum: EnumIndexed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(n - 1); err != nil {
-		t.Fatal(err)
-	}
-	full := bits.Full(n)
-	type pair struct{ a, b *memo.Class }
-	var pairs []pair
-	for i := 1; i <= n/2; i++ {
-		for _, a := range e.Memo.Level(i) {
-			b := e.Memo.Get(full.Diff(a.Set))
-			if b == nil || !q.Connected(a.Set, b.Set) || (i == n-i && !a.Set.Less(b.Set)) {
-				continue
-			}
-			pairs = append(pairs, pair{a, b})
-		}
-	}
-	if len(pairs) < 2*workers {
-		t.Fatalf("only %d pairs join into the top class; the staged run would not contend", len(pairs))
-	}
-	// Workers read only built classes, as at a parallel level's barrier.
-	for _, p := range pairs {
-		p.a.Paths()
-		p.b.Paths()
-	}
-
-	// Staged first: the direct run below adds the top class to the memo.
-	stage := &staging{table: memo.NewSharded()}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	forks := make([]*cost.Model, workers)
-	errs := make([]error, workers)
-	for w := range forks {
-		forks[w] = e.Model.Fork()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := &scratch{model: forks[w]}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				if err := stage.join(sc, q, pairs[i].a, pairs[i].b); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var stagedCosted int64
-	for w := range forks {
-		if errs[w] != nil {
-			t.Fatalf("staged join: %v", errs[w])
-		}
-		stagedCosted += forks[w].PlansCosted
-	}
-
-	before, costedBefore := e.Memo.Stats.PathsRetained, e.Model.PlansCosted
-	var cls *memo.Class
-	for i, p := range pairs {
-		var isNew bool
-		cls, isNew, err = e.sc.joinDirect(q, e.Memo, p.a, p.b, n)
-		if err != nil || isNew != (i == 0) {
-			t.Fatalf("joinDirect pair %d: isNew=%v err=%v", i, isNew, err)
-		}
-	}
-	directDelta := e.Memo.Stats.PathsRetained - before
-	if directCosted := e.Model.PlansCosted - costedBefore; stagedCosted != directCosted {
-		t.Errorf("plans costed: staged %d, direct %d", stagedCosted, directCosted)
-	}
-
-	drained := stage.table.Drain()
-	if len(drained) != 1 || drained[0].Set != cls.Set {
-		t.Fatalf("staged %d classes, want one for %v", len(drained), cls.Set)
-	}
-	stagedDelta := (stage.simEst.Load() - memo.SimClassBytes) / memo.SimPathBytes
-	if stagedDelta != directDelta {
-		t.Errorf("retained-path delta: staged %d, direct %d", stagedDelta, directDelta)
-	}
-	// The staged winners, replayed into a fresh class as the drain does.
-	m := memo.New(0)
-	m.Model = e.Model
-	replay, err := m.NewClass(cls.Set, n, cls.Rows, cls.Sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddStaged(replay, drained[0]); err != nil {
-		t.Fatal(err)
-	}
-	want, got := cls.Paths(), replay.Paths()
-	if len(want) < 2 {
-		t.Fatalf("the top class retained %d paths; the fixture should keep an ordered one too", len(want))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("staged retained %d plans, direct %d", len(got), len(want))
-	}
-	for i := range want {
-		if plan.Compare(got[i], want[i]) != 0 || math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) {
-			t.Errorf("path %d: staged %+v, direct %+v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -14,12 +14,11 @@ import (
 	"sdpopt/internal/workload"
 )
 
-// TestInjectedEstimatorParity checks that parallel enumeration under a
-// non-default estimator is still bit-identical to the sequential engine.
-// Workers run on Model.Fork, which drops memoized rows rather than copying
-// them — this test (run under -race in CI) would catch a fork that leaked
-// memo state derived from a different estimator, or an estimator whose
-// answers aren't safe to read from several workers at once.
+// TestInjectedEstimatorParity checks that the three enumerators stay
+// bit-identical under a non-default estimator. They create classes and read
+// the model's memoized set rows and widths in different orders, so this
+// would catch memo state that depends on which set was estimated first, or
+// an estimator whose answers depend on the order it is asked in.
 func TestInjectedEstimatorParity(t *testing.T) {
 	cat := workload.PaperSchema()
 	specs := []workload.Spec{
@@ -38,35 +37,34 @@ func TestInjectedEstimatorParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewInjector: %v", err)
 				}
-				mSeq := cost.NewModelEst(q, cost.DefaultParams(), inj)
-				pSeq, stSeq, err := dp.Optimize(q, dp.Options{Model: mSeq})
-				if err != nil {
-					t.Fatalf("spec %d q%d band %g: sequential: %v", si, qi, band, err)
-				}
-				for _, workers := range []int{2, 4} {
-					mPar := cost.NewModelEst(q, cost.DefaultParams(), inj)
-					pPar, stPar, err := dp.Optimize(q, dp.Options{Workers: workers, Model: mPar})
+				run := func(enum dp.EnumMode) (*plan.Plan, dp.Stats) {
+					p, st, err := dp.Optimize(q, dp.Options{Enum: enum, Model: cost.NewModelEst(q, cost.DefaultParams(), inj)})
 					if err != nil {
-						t.Fatalf("spec %d q%d band %g w=%d: parallel: %v", si, qi, band, workers, err)
+						t.Fatalf("spec %d q%d band %g %v: %v", si, qi, band, enum, err)
 					}
-					label := fmt.Sprintf("spec %d q%d band %g w=%d", si, qi, band, workers)
-					if math.Float64bits(pSeq.Cost) != math.Float64bits(pPar.Cost) {
-						t.Errorf("%s: cost %v (seq) != %v (par)", label, pSeq.Cost, pPar.Cost)
+					return p, st
+				}
+				pRef, stRef := run(dp.EnumDPccp)
+				for _, enum := range []dp.EnumMode{dp.EnumIndexed, dp.EnumNaive} {
+					p, st := run(enum)
+					label := fmt.Sprintf("spec %d q%d band %g %v", si, qi, band, enum)
+					if math.Float64bits(pRef.Cost) != math.Float64bits(p.Cost) {
+						t.Errorf("%s: cost %v, dpccp %v", label, p.Cost, pRef.Cost)
 					}
-					if plan.Compare(pSeq, pPar) != 0 {
-						t.Errorf("%s: plan shape diverged", label)
+					if plan.Compare(pRef, p) != 0 {
+						t.Errorf("%s: plan shape diverged from dpccp", label)
 					}
-					if stSeq.PlansCosted != stPar.PlansCosted {
-						t.Errorf("%s: PlansCosted %d (seq) != %d (par)", label, stSeq.PlansCosted, stPar.PlansCosted)
+					if stRef.PlansCosted != st.PlansCosted {
+						t.Errorf("%s: PlansCosted %d, dpccp %d", label, st.PlansCosted, stRef.PlansCosted)
 					}
-					if stSeq.Memo.ClassesCreated != stPar.Memo.ClassesCreated {
-						t.Errorf("%s: ClassesCreated %d (seq) != %d (par)", label, stSeq.Memo.ClassesCreated, stPar.Memo.ClassesCreated)
+					if stRef.Memo.ClassesCreated != st.Memo.ClassesCreated {
+						t.Errorf("%s: ClassesCreated %d, dpccp %d", label, st.Memo.ClassesCreated, stRef.Memo.ClassesCreated)
 					}
-					if stSeq.Memo.PathsRetained != stPar.Memo.PathsRetained {
-						t.Errorf("%s: PathsRetained %d (seq) != %d (par)", label, stSeq.Memo.PathsRetained, stPar.Memo.PathsRetained)
+					if stRef.Memo.PathsRetained != st.Memo.PathsRetained {
+						t.Errorf("%s: PathsRetained %d, dpccp %d", label, st.Memo.PathsRetained, stRef.Memo.PathsRetained)
 					}
-					if stSeq.Memo.SimBytes != stPar.Memo.SimBytes {
-						t.Errorf("%s: SimBytes %d (seq) != %d (par)", label, stSeq.Memo.SimBytes, stPar.Memo.SimBytes)
+					if stRef.Memo.SimBytes != st.Memo.SimBytes {
+						t.Errorf("%s: SimBytes %d, dpccp %d", label, st.Memo.SimBytes, stRef.Memo.SimBytes)
 					}
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sdpopt/internal/memo"
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/workload"
 )
@@ -22,12 +23,14 @@ func countSpans(s span.SpanJSON, name string) int {
 	return n
 }
 
-// TestTracingDeterminism re-runs the determinism property with a request
-// span installed: spans observe, they never order, so parallel enumeration
-// at 2/4/8 workers must stay bit-for-bit identical to the sequential run
-// with tracing enabled. Run under -race in CI.
+// TestTracingDeterminism: spans observe, they never order, so a run with a
+// request span installed must stay bit-for-bit identical to the untraced
+// run, for the DPccp enumerator (which replays its level spans at run end)
+// and for the hooked indexed walk (which closes each level at its barrier),
+// and must attach one level span per level, the seed level included.
 func TestTracingDeterminism(t *testing.T) {
 	cat := workload.PaperSchema()
+	nop := func(int, *memo.Memo, []*memo.Class) error { return nil }
 	for _, spec := range []workload.Spec{
 		{Cat: cat, Topology: workload.Star, NumRelations: 10, Seed: 42},
 		{Cat: cat, Topology: workload.Chain, NumRelations: 15, Seed: 7},
@@ -37,39 +40,28 @@ func TestTracingDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("One: %v", err)
 		}
-		// Sequential baseline, itself traced.
-		seqRoot := span.New("request")
-		pSeq, stSeq, err := Optimize(q, Options{Ctx: span.NewContext(context.Background(), seqRoot)})
-		if err != nil {
-			t.Fatalf("sequential: %v", err)
-		}
-		for _, workers := range []int{2, 4, 8} {
+		for _, hook := range []LevelHook{nil, nop} {
+			label := fmt.Sprintf("%v hooked=%v", spec.Topology, hook != nil)
+			pPlain, stPlain, err := Optimize(q, Options{Hook: hook})
+			if err != nil {
+				t.Fatalf("%s: untraced: %v", label, err)
+			}
 			rec := span.NewRecorder(span.RecorderOptions{SlowThreshold: time.Hour})
 			root := span.New("request")
 			rec.Start(root)
-			pPar, stPar, err := Optimize(q, Options{
-				Workers: workers,
-				Ctx:     span.NewContext(context.Background(), root),
-			})
+			pTraced, stTraced, err := Optimize(q, Options{Hook: hook, Ctx: span.NewContext(context.Background(), root)})
 			if err != nil {
-				t.Fatalf("w=%d: parallel: %v", workers, err)
+				t.Fatalf("%s: traced: %v", label, err)
 			}
-			sameRun(t, fmt.Sprintf("%v w=%d traced", spec.Topology, workers), pSeq, stSeq, pPar, stPar)
+			sameRun(t, label, pPlain, stPlain, pTraced, stTraced)
+			if stTraced.Memo.PeakSimBytes != stPlain.Memo.PeakSimBytes {
+				t.Errorf("%s: PeakSimBytes %d traced, %d untraced", label, stTraced.Memo.PeakSimBytes, stPlain.Memo.PeakSimBytes)
+			}
 
 			rec.Finish(root, 200)
 			d := rec.Snapshot()
-			tree := *d.Recent[0].Root
-			levels := countSpans(tree, "level")
-			if levels == 0 {
-				t.Fatalf("w=%d: no level spans", workers)
-			}
-			// Every barrier round attaches one worker span per worker, in
-			// fixed worker order. The seed level (level 1) is built inline
-			// and has no worker round.
-			wspans := countSpans(tree, "pardp.worker")
-			if want := (levels - 1) * workers; wspans != want {
-				t.Errorf("w=%d: %d pardp.worker spans across %d levels, want %d",
-					workers, wspans, levels, want)
+			if got, want := countSpans(*d.Recent[0].Root, "level"), q.NumRelations(); got != want {
+				t.Errorf("%s: %d level spans, want %d", label, got, want)
 			}
 		}
 	}

@@ -64,25 +64,23 @@ func trajectoryCorpus() []trajectoryCase {
 }
 
 // trajectoryRunners are the four techniques, each reporting to ob so a budget
-// abort's level can be read off its budget.abort event. workers is the
-// enumeration worker count; parallel marks the runners that honor it.
+// abort's level can be read off its budget.abort event.
 var trajectoryRunners = []struct {
-	name     string
-	parallel bool
-	run      func(q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error)
+	name string
+	run  func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error)
 }{
-	{"DP", true, func(q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
-		return tech.Run(context.Background(), tech.DP, q, tech.Options{Budget: budget, Workers: workers, Obs: ob})
+	{"DP", func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+		return tech.Run(context.Background(), tech.DP, q, tech.Options{Budget: budget, Obs: ob})
 	}},
-	{"SDP", true, func(q *query.Query, budget int64, workers int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
-		return tech.Run(context.Background(), tech.SDP, q, tech.Options{Budget: budget, Workers: workers, Obs: ob})
+	{"SDP", func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+		return tech.Run(context.Background(), tech.SDP, q, tech.Options{Budget: budget, Obs: ob})
 	}},
-	{"IDP(4)", false, func(q *query.Query, budget int64, _ int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+	{"IDP(4)", func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
 		opts := idp.DefaultOptions()
 		opts.K, opts.Budget, opts.Obs = 4, budget, ob
 		return idp.Optimize(q, opts)
 	}},
-	{"IDP2", false, func(q *query.Query, budget int64, _ int, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+	{"IDP2", func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
 		return tech.Run(context.Background(), tech.IDP2, q, tech.Options{Budget: budget, Obs: ob})
 	}},
 }
@@ -106,9 +104,8 @@ func planDigest(p *plan.Plan) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// collectTrajectory runs the corpus at the given enumeration worker count and
-// renders one line per run. Above one worker only the parallel runners run.
-func collectTrajectory(t *testing.T, workers int) []string {
+// collectTrajectory runs the corpus and renders one line per run.
+func collectTrajectory(t *testing.T) []string {
 	var out []string
 	for _, c := range trajectoryCorpus() {
 		qs, err := workload.Instances(c.spec, c.instances)
@@ -117,11 +114,11 @@ func collectTrajectory(t *testing.T, workers int) []string {
 		}
 		for i, q := range qs {
 			for _, r := range trajectoryRunners {
-				if len(c.techs) > 0 && !contains(c.techs, r.name) || workers > 1 && !r.parallel {
+				if len(c.techs) > 0 && !contains(c.techs, r.name) {
 					continue
 				}
 				sink := &obs.MemSink{}
-				p, st, err := r.run(q, memo.DefaultBudget, workers, obs.New(sink))
+				p, st, err := r.run(q, memo.DefaultBudget, obs.New(sink))
 				line := fmt.Sprintf("%s#%d %s", c.name, i, r.name)
 				switch {
 				case err == nil:
@@ -155,26 +152,9 @@ func contains(ss []string, s string) bool {
 }
 
 // TestMemoTrajectoryGolden compares the corpus's runs line by line against
-// testdata/trajectory.golden, and DP's and SDP's completed runs at two
-// enumeration workers line by line against their sequential runs: the staged
-// parallel path must make every retention decision the sequential one makes.
-// A budget abort is exempt — a parallel run stops mid-level, not mid-pair
-// (see package dp).
+// testdata/trajectory.golden.
 func TestMemoTrajectoryGolden(t *testing.T) {
-	got := collectTrajectory(t, 1)
-	run := func(line string) string { // "<case>#<instance> <technique>"
-		f := strings.Fields(line)
-		return f[0] + " " + f[1]
-	}
-	seq := map[string]string{}
-	for _, line := range got {
-		seq[run(line)] = line
-	}
-	for _, line := range collectTrajectory(t, 2) {
-		if want := seq[run(line)]; line != want && !strings.Contains(want, " abort=") {
-			t.Errorf("Workers 2:\n got %s\nwant %s", line, want)
-		}
-	}
+	got := collectTrajectory(t)
 	if *updateTrajectory {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

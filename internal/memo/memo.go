@@ -108,7 +108,7 @@ func (c *Class) BestCost() float64 {
 // still a candidate. Like every read that returns a tree, it closes the class
 // to further offers.
 func (c *Class) Best() *plan.Plan {
-	c.markRead()
+	c.read = true
 	if c.best.id == 0 {
 		return nil
 	}
@@ -119,7 +119,7 @@ func (c *Class) Best() *plan.Plan {
 // equivalence class, if any, building it if it is still a candidate. It
 // closes the class to further offers.
 func (c *Class) OrderedPlan(order int) (*plan.Plan, bool) {
-	c.markRead()
+	c.read = true
 	x := c.orderedPath(order)
 	if x == nil {
 		return nil, false
@@ -170,8 +170,6 @@ func (p *path) order() int {
 // pathSet is the retained-path set of one class under PostgreSQL's add_path
 // dominance rule restricted to the (cost, order) criteria this model
 // tracks: the cheapest path, plus the cheapest path per interesting order.
-// Class and Staged both hold one, so the sequential memo and the parallel
-// staging table retain by the same rule — offer — by construction.
 //
 // Retention decides on (cost, order) alone, so a join candidate is retained
 // as the value the kernel costed and built only when read: nearly every
@@ -201,8 +199,8 @@ type pathSet struct {
 // and whether p was retained. Cost ties break on plan.Compare's canonical
 // structural order of the trees the paths are or would become, so the
 // retained paths are a function of the candidate set alone, not of arrival
-// order: the determinism contract that lets parallel workers offer in any
-// interleaving. m lays candidates out for the tie-break and may be nil when
+// order: the determinism contract that lets the enumerators, which offer in
+// different orders, retain the same paths. m lays candidates out for the tie-break and may be nil when
 // every path is built.
 func (ps *pathSet) offer(p path, m *cost.Model) (delta int, kept bool) {
 	before := ps.numPaths()
@@ -352,20 +350,11 @@ func (ps *pathSet) numPaths() int {
 	return n
 }
 
-// markRead closes the set to offers. It writes only the first time, so the
-// parallel workers reading the levels below theirs, all built and read
-// before the workers started, share a set without a race.
-func (ps *pathSet) markRead() {
-	if !ps.read {
-		ps.read = true
-	}
-}
-
 // appendPaths appends the distinct retained paths' trees to dst, best first,
 // then ordered paths by ascending order class, building candidates with m,
 // and marks the set read.
 func (ps *pathSet) appendPaths(dst []*plan.Plan, m *cost.Model) []*plan.Plan {
-	ps.markRead()
+	ps.read = true
 	if ps.best.id != 0 {
 		dst = append(dst, ps.built(&ps.best, m))
 	}
@@ -501,27 +490,6 @@ func (m *Memo) AddCand(c *Class, jc cost.JoinCand) (bool, error) {
 		return false, fmt.Errorf("memo: class %v has no cost model to build candidates", c.Set)
 	}
 	return m.add(c, path{cand: jc})
-}
-
-// AddStaged offers a staged class's retained paths to c in Paths order,
-// candidates still unbuilt — the replay that reproduces the staged winners
-// in the memo at a parallel level's barrier.
-func (m *Memo) AddStaged(c *Class, st *Staged) error {
-	ps := &st.paths
-	if ps.best.id != 0 {
-		if _, err := m.add(c, ps.best); err != nil {
-			return err
-		}
-	}
-	for _, p := range ps.ordered {
-		if p.id == ps.best.id {
-			continue
-		}
-		if _, err := m.add(c, p); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (m *Memo) add(c *Class, p path) (bool, error) {

@@ -19,9 +19,8 @@ import (
 //	candidates = connected &^ overlapped & alive
 //
 // Levels below the one being enumerated are frozen (classes are only
-// created at the current level, and pruning hooks run between levels), so
-// concurrent Gather calls from parallel workers read these bitmaps without
-// synchronization.
+// created at the current level, and pruning hooks run between levels), so a
+// level's walks all read the same bitmaps.
 type levelIndex struct {
 	byRel [][]uint64
 	alive []uint64
@@ -79,7 +78,7 @@ func (ix *levelIndex) orRel(dst []uint64, r int) {
 // plans, are bit-for-bit identical to the reference scan's.
 //
 // A Walker reuses its scratch across calls and is not safe for concurrent
-// use; a parallel level gives each worker its own.
+// use.
 type Walker struct {
 	conn []uint64
 	over []uint64

@@ -155,8 +155,7 @@ const (
 	// labeled tech=.
 	MOptimizeSeconds = "sdpopt_optimize_seconds"
 	// MLevelSeconds is the enumeration-level duration histogram, labeled
-	// level=, from the sequential and parallel engines alike — so their
-	// per-level profiles are directly comparable.
+	// level=.
 	MLevelSeconds = "sdpopt_level_seconds"
 	// MSkylineSurvivors counts PruneGroup JCRs surviving a skyline
 	// partition, labeled criterion= (RC, CS, RS, all).
@@ -173,20 +172,6 @@ const (
 	// MTechniqueSeconds is the harness per-instance optimization duration,
 	// labeled tech=.
 	MTechniqueSeconds = "sdpopt_technique_seconds"
-
-	// Parallel-enumeration metrics (internal/dp with Options.Workers > 1; the
-	// pardp prefix is the name of the package that used to hold that path,
-	// kept so dashboards survive).
-
-	// MParTasks counts work-queue tasks dispatched to parallel enumeration
-	// workers (one task = one left class of one level split).
-	MParTasks = "sdpopt_pardp_tasks_total"
-	// MParBarrierWait is the per-worker idle time at each level barrier:
-	// the last finisher's completion time minus this worker's.
-	MParBarrierWait = "sdpopt_pardp_barrier_wait_seconds"
-	// MParShardContended counts staging-table shard-lock acquisitions that
-	// had to wait behind another worker.
-	MParShardContended = "sdpopt_pardp_shard_contention_total"
 
 	// Plan-cache metrics (see internal/plancache).
 

@@ -1,14 +1,11 @@
 // Package span provides request-scoped hierarchical tracing for the
 // optimizer: one trace per optimize request, one span per stage (queue
-// wait, cache lookup, canonicalization, enumeration level, SDP partition,
-// parallel worker), carried through the engine via context.Context.
+// wait, cache lookup, canonicalization, enumeration level, SDP partition),
+// carried through the engine via context.Context.
 //
 // Spans observe, they never order: engines record what happened and when,
 // but no span operation synchronizes goroutines or influences which plan
-// is produced. The parallel enumeration engine's determinism contract
-// (bit-for-bit identical plans at any worker count) must hold with tracing
-// on, so worker spans are attached at the level barrier in fixed worker
-// order rather than as workers finish.
+// is produced.
 //
 // Like the rest of the obs layer, every method is a no-op on a nil
 // receiver: FromContext returns nil when no span was installed, and the

@@ -95,13 +95,8 @@ type TechSummary struct {
 }
 
 // LevelSummary aggregates one enumeration level across all traced runs.
-// Sequential and parallel spans of the same level aggregate separately
-// (keyed by Workers), so a trace mixing both engines stays comparable.
 type LevelSummary struct {
-	Level int
-	// Workers is the enumeration worker count the spans ran with (1 for
-	// the sequential engine, which emits no workers attribute).
-	Workers     int
+	Level       int
 	Spans       int
 	Total       time.Duration
 	Classes     int64
@@ -146,7 +141,7 @@ type TraceSummary struct {
 func Summarize(records []Record) *TraceSummary {
 	s := &TraceSummary{Events: len(records)}
 	techs := map[string]*TechSummary{}
-	levels := map[[2]int]*LevelSummary{}
+	levels := map[int]*LevelSummary{}
 	crits := map[string]*CriterionSummary{}
 	techOf := func(name string) *TechSummary {
 		t := techs[name]
@@ -172,15 +167,10 @@ func Summarize(records []Record) *TraceSummary {
 			}
 		case EvLevel:
 			lv := int(r.Num("level"))
-			w := int(r.Num("workers"))
-			if w == 0 {
-				w = 1
-			}
-			key := [2]int{lv, w}
-			l := levels[key]
+			l := levels[lv]
 			if l == nil {
-				l = &LevelSummary{Level: lv, Workers: w}
-				levels[key] = l
+				l = &LevelSummary{Level: lv}
+				levels[lv] = l
 			}
 			l.Spans++
 			l.Total += time.Duration(int64(r.Num("dur_ns")))
@@ -219,12 +209,7 @@ func Summarize(records []Record) *TraceSummary {
 	for _, l := range levels {
 		s.Levels = append(s.Levels, *l)
 	}
-	sort.Slice(s.Levels, func(i, j int) bool {
-		if s.Levels[i].Level != s.Levels[j].Level {
-			return s.Levels[i].Level < s.Levels[j].Level
-		}
-		return s.Levels[i].Workers < s.Levels[j].Workers
-	})
+	sort.Slice(s.Levels, func(i, j int) bool { return s.Levels[i].Level < s.Levels[j].Level })
 	for _, c := range []string{"RC", "CS", "RS", "all"} {
 		if cr := crits[c]; cr != nil {
 			s.Criteria = append(s.Criteria, *cr)
@@ -261,11 +246,11 @@ func (s *TraceSummary) Render(topLevels int) string {
 			byTime = byTime[:topLevels]
 		}
 		fmt.Fprintf(&sb, "\nTop %d levels by time\n", len(byTime))
-		fmt.Fprintf(&sb, "%6s %8s %6s %14s %14s %14s %14s %14s\n",
-			"Level", "Workers", "Spans", "TotalTime", "Classes", "PlansCosted", "PairsSeen", "PairsJoined")
+		fmt.Fprintf(&sb, "%6s %6s %14s %14s %14s %14s %14s\n",
+			"Level", "Spans", "TotalTime", "Classes", "PlansCosted", "PairsSeen", "PairsJoined")
 		for _, l := range byTime {
-			fmt.Fprintf(&sb, "%6d %8d %6d %14v %14d %14d %14d %14d\n",
-				l.Level, l.Workers, l.Spans, l.Total.Round(time.Microsecond), l.Classes, l.PlansCosted,
+			fmt.Fprintf(&sb, "%6d %6d %14v %14d %14d %14d %14d\n",
+				l.Level, l.Spans, l.Total.Round(time.Microsecond), l.Classes, l.PlansCosted,
 				l.PairsConsidered, l.PairsConnected)
 		}
 	}

@@ -18,7 +18,7 @@ func FuzzOptimizeBody(f *testing.F) {
 	}
 	seeds := []string{
 		`{"sql":"` + testSQL + `"}`,
-		`{"sql":"SELECT * FROM R1 a, R2 b WHERE a.c1 = b.c1","technique":"dp","workers":1}`,
+		`{"sql":"SELECT * FROM R1 a, R2 b WHERE a.c1 = b.c1","technique":"dp"}`,
 		`{"query":{"rels":[0,1,2],"preds":[{"left_rel":0,"left_col":1,"right_rel":1,"right_col":1},{"left_rel":1,"left_col":2,"right_rel":2,"right_col":2}],"filters":[{"rel":2,"col":3,"bound":100}],"order_by":{"rel":0,"col":1}},"technique":"auto"}`,
 		`{"query":{"rels":[0,0],"preds":[{"left_rel":0,"left_col":0,"right_rel":1,"right_col":0}]}}`,
 		`{"query":{"rels":[0,1]}}`,

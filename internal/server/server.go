@@ -41,7 +41,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -103,14 +102,6 @@ type Options struct {
 	// compute is shared property and always runs under the full Timeout,
 	// detached from the request that happened to trigger it.
 	Timeout time.Duration
-	// Workers is the default enumeration worker count for the DP-substrate
-	// techniques (sdp, dp): 0 or 1 enumerates sequentially, >1 fans
-	// each level out over that many workers (dp.Options.Workers). Requests
-	// may override it via the workers field within [1, 2×GOMAXPROCS].
-	// Because parallel enumeration is plan-identical to sequential, this
-	// knob never changes what is computed or cached — only the latency of a
-	// miss.
-	Workers int
 	// Flight sizes the flight recorder (ring capacities and slow-trace
 	// pinning threshold); the zero value gives the span-package defaults
 	// (64 recent + 64 notable, 1s). The recorder is always on — span
@@ -172,7 +163,9 @@ type Server struct {
 	budget     int64
 	timeout    time.Duration
 	maxQueue   int
-	workers    int
+	// runEngine runs one optimization by technique name: tech.Run, set by
+	// New. A test may install an engine whose timing it controls.
+	runEngine func(ctx context.Context, name string, q *query.Query, o tech.Options) (*plan.Plan, dp.Stats, error)
 
 	flight  *span.Recorder
 	shadow  *regret.Shadow
@@ -212,9 +205,6 @@ func New(opts Options) (*Server, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
 	}
-	if max := maxWorkers(); opts.Workers < 0 || opts.Workers > max {
-		return nil, fmt.Errorf("server: Options.Workers %d outside [0, %d]", opts.Workers, max)
-	}
 	s := &Server{
 		cat:        opts.Cat,
 		catVersion: opts.Cat.Fingerprint(),
@@ -223,7 +213,7 @@ func New(opts Options) (*Server, error) {
 		budget:     opts.Budget,
 		timeout:    opts.Timeout,
 		maxQueue:   opts.MaxQueue,
-		workers:    opts.Workers,
+		runEngine:  tech.Run,
 		flight:     span.NewRecorder(opts.Flight),
 		router:     route.New(opts.Route),
 		sem:        make(chan struct{}, opts.MaxConcurrent),
@@ -314,15 +304,6 @@ type OptimizeRequest struct {
 	// compute, which runs under the server-wide timeout — one caller's
 	// short deadline never poisons the entry served to coalesced waiters.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Workers overrides the server's enumeration worker count for the
-	// DP-substrate techniques (sdp, dp). Must lie in
-	// [1, 2×GOMAXPROCS]; anything outside is rejected with 400 rather than
-	// silently clamped, so a misconfigured client learns about it. The
-	// override binds the uncached path only: a cache-filling compute is
-	// shared property and always runs with the server's default workers —
-	// harmless, since parallel enumeration is plan-identical and the worker
-	// count can never change what gets cached.
-	Workers int `json:"workers,omitempty"`
 	// NoCache bypasses the plan cache for this request (no lookup, no
 	// fill).
 	NoCache bool `json:"no_cache,omitempty"`
@@ -881,12 +862,8 @@ func (s *Server) observeQueueWait(d time.Duration, traceID string) {
 // translate it; the uncached path returns a nil frame, meaning the plan is
 // in q's own. A hit thus copies no tree: see leafNames and inFrame.
 func (s *Server) run(ctx context.Context, technique string, q *query.Query, budget int64, req *OptimizeRequest) (*plan.Plan, *query.Canon, dp.Stats, string, error) {
-	workers := s.workers
-	if req.Workers != 0 {
-		workers = req.Workers
-	}
 	if s.cache == nil || req.NoCache || budget != s.budget {
-		p, st, err := tech.Run(ctx, technique, q, tech.Options{Budget: budget, Workers: workers, Obs: s.ob})
+		p, st, err := s.runEngine(ctx, technique, q, tech.Options{Budget: budget, Obs: s.ob})
 		return p, nil, st, "uncached", err
 	}
 	cn := q.Canon()
@@ -897,9 +874,7 @@ func (s *Server) run(ctx context.Context, technique string, q *query.Query, budg
 		// engines and the trace shows the enumeration it happened to fund.
 		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.timeout)
 		defer cancel()
-		// Shared compute, server-default workers: the request's override is
-		// a latency preference, and worker count cannot change the plan.
-		p, st, err := tech.Run(cctx, technique, q, tech.Options{Budget: s.budget, Workers: s.workers, Obs: s.ob})
+		p, st, err := s.runEngine(cctx, technique, q, tech.Options{Budget: s.budget, Obs: s.ob})
 		if err != nil {
 			return nil, st, err
 		}
@@ -1015,9 +990,6 @@ func (s *Server) decodeOptimize(body io.Reader) (*OptimizeRequest, *query.Query,
 	if req.Technique != "" && !slices.Contains(requestTechniques, req.Technique) {
 		return nil, nil, fmt.Errorf("unknown technique %q (valid: %v)", req.Technique, RequestTechniques())
 	}
-	if max := maxWorkers(); req.Workers != 0 && (req.Workers < 1 || req.Workers > max) {
-		return nil, nil, fmt.Errorf("workers %d outside [1, %d] (2×GOMAXPROCS)", req.Workers, max)
-	}
 	q, err := s.buildQuery(&req)
 	if err != nil {
 		return nil, nil, err
@@ -1055,12 +1027,6 @@ func (s *Server) buildQuery(req *OptimizeRequest) (*query.Query, error) {
 // statusClientGone is 499, nginx's "client closed request" — the client
 // disconnected while queued, so no response will be read anyway.
 const statusClientGone = 499
-
-// maxWorkers is the upper bound on per-request (and server-default)
-// enumeration workers: 2×GOMAXPROCS. Beyond the core count extra workers
-// only add scheduling overhead; the small headroom accommodates callers
-// tuned for a differently-sized deploy host.
-func maxWorkers() int { return 2 * runtime.GOMAXPROCS(0) }
 
 func (s *Server) failf(w http.ResponseWriter, r *http.Request, code int, format string, args ...any) {
 	s.writeJSON(w, r, code, map[string]any{"error": fmt.Sprintf(format, args...)})

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -607,39 +606,26 @@ func TestBudgetOverrideBypassesCache(t *testing.T) {
 	}
 }
 
-func TestWorkersField(t *testing.T) {
+// TestRetiredWorkersFieldRejected: parallel enumeration is gone, and with it
+// the request's workers field. A client that still sends it gets a 400 that
+// names the field, not a silently ignored knob.
+func TestRetiredWorkersFieldRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	max := 2 * runtime.GOMAXPROCS(0)
-
-	// Valid: identical result to the sequential default, by the parallel
-	// engine's determinism contract.
-	_, seq := postOptimize(t, ts.URL, OptimizeRequest{SQL: testSQL, Technique: "dp"})
-	code, par := postOptimize(t, ts.URL, OptimizeRequest{SQL: testSQL, Technique: "dp", Workers: max})
-	if code != http.StatusOK {
-		t.Fatalf("workers=%d: code %d, error %q", max, code, par.Error)
+	body, _ := json.Marshal(map[string]any{"sql": testSQL, "technique": "dp", "workers": 2})
+	resp, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if par.Cost != seq.Cost || par.Shape != seq.Shape {
-		t.Errorf("parallel result diverged: cost %g/%q vs %g/%q", par.Cost, par.Shape, seq.Cost, seq.Shape)
+	defer resp.Body.Close()
+	var out OptimizeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("bad response body: %v", err)
 	}
-	if par.Stats.PlansCosted != seq.Stats.PlansCosted {
-		t.Errorf("plans costed diverged: %d vs %d", par.Stats.PlansCosted, seq.Stats.PlansCosted)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("code %d, want 400 (%+v)", resp.StatusCode, out)
 	}
-
-	// Out of range: 400, not a silent clamp.
-	for _, workers := range []int{-1, max + 1} {
-		code, resp := postOptimize(t, ts.URL, OptimizeRequest{SQL: testSQL, Workers: workers})
-		if code != http.StatusBadRequest {
-			t.Errorf("workers=%d: code %d, want 400 (%+v)", workers, code, resp)
-		} else if !strings.Contains(resp.Error, "workers") {
-			t.Errorf("workers=%d: error %q does not mention workers", workers, resp.Error)
-		}
-	}
-}
-
-func TestServerWorkersOptionValidated(t *testing.T) {
-	_, err := New(Options{Cat: workload.PaperSchema(), Workers: 2*runtime.GOMAXPROCS(0) + 1})
-	if err == nil {
-		t.Fatal("New accepted an out-of-range Workers default")
+	if !strings.Contains(out.Error, `"workers"`) {
+		t.Errorf("error %q does not name the workers field", out.Error)
 	}
 }
 

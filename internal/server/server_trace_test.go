@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -318,9 +317,9 @@ func TestFlightUnderLoad(t *testing.T) {
 
 // TestOptimizeReportsEnumerator pins where the engine's silent DPccp →
 // indexed fallback becomes visible: the "optimize" span's enum attribute and
-// the optimize.end event's. SDP's hook and Workers > 1 both resolve to the
-// indexed walk, unhooked sequential DP stays on DPccp, and a technique
-// without a DP substrate reports nothing.
+// the optimize.end event's. SDP's hook resolves to the indexed walk,
+// unhooked DP stays on DPccp, and a technique without a DP substrate
+// reports nothing.
 func TestOptimizeReportsEnumerator(t *testing.T) {
 	q, err := workload.One(workload.Spec{Cat: workload.PaperSchema(), Topology: workload.Star, NumRelations: 6, Seed: 5})
 	if err != nil {
@@ -328,24 +327,22 @@ func TestOptimizeReportsEnumerator(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		technique string
-		workers   int
 		want      any
 	}{
-		{"sdp", 0, "indexed"},
-		{"dp", 0, "dpccp"},
-		{"dp", 2, "indexed"},
-		{"greedy", 0, nil},
+		{"sdp", "indexed"},
+		{"dp", "dpccp"},
+		{"greedy", nil},
 	} {
 		sink := &obs.MemSink{}
 		rec := span.NewRecorder(span.RecorderOptions{SlowThreshold: time.Hour})
 		root := span.New("request")
 		rec.Start(root)
-		_, st, err := tech.Run(span.NewContext(context.Background(), root), tc.technique, q, tech.Options{Workers: tc.workers, Obs: obs.New(sink)})
+		_, st, err := tech.Run(span.NewContext(context.Background(), root), tc.technique, q, tech.Options{Obs: obs.New(sink)})
 		if err != nil {
-			t.Fatalf("%s w=%d: %v", tc.technique, tc.workers, err)
+			t.Fatalf("%s: %v", tc.technique, err)
 		}
 		rec.Finish(root, 200)
-		label := fmt.Sprintf("%s/w%d", tc.technique, tc.workers)
+		label := tc.technique
 		if tc.want != nil && st.Enumerator != tc.want {
 			t.Errorf("%s: Stats.Enumerator = %q, want %v", label, st.Enumerator, tc.want)
 		}

@@ -36,14 +36,11 @@ const (
 
 // Options is what a caller may set on any table entry. Each entry passes
 // every field its engine supports: greedy has no memory budget (its state is
-// linear in the query) and no enumeration workers, and IDP2 has no workers.
+// linear in the query).
 type Options struct {
 	// Budget is the simulated-memory feasibility limit in bytes
 	// (0 = unlimited); exceeding it aborts with memo.ErrBudget.
 	Budget int64
-	// Workers is the enumeration worker count of the DP-substrate entries
-	// (see dp.Options.Workers); results are identical at any count.
-	Workers int
 	// Obs receives metrics and trace events; nil falls back to the process
 	// default observer.
 	Obs *obs.Observer
@@ -60,11 +57,11 @@ type entry struct {
 
 var table = []entry{
 	{DP, func(ctx context.Context, q *query.Query, o Options) (*plan.Plan, dp.Stats, error) {
-		return dp.Optimize(q, dp.Options{Budget: o.Budget, Ctx: ctx, Workers: o.Workers, Obs: o.Obs, Model: o.Model})
+		return dp.Optimize(q, dp.Options{Budget: o.Budget, Ctx: ctx, Obs: o.Obs, Model: o.Model})
 	}},
 	{SDP, func(ctx context.Context, q *query.Query, o Options) (*plan.Plan, dp.Stats, error) {
 		opts := core.DefaultOptions()
-		opts.Budget, opts.Ctx, opts.Workers, opts.Obs, opts.Model = o.Budget, ctx, o.Workers, o.Obs, o.Model
+		opts.Budget, opts.Ctx, opts.Obs, opts.Model = o.Budget, ctx, o.Obs, o.Model
 		return core.Optimize(q, opts)
 	}},
 	{IDP2, func(ctx context.Context, q *query.Query, o Options) (*plan.Plan, dp.Stats, error) {
@@ -110,7 +107,6 @@ func Run(ctx context.Context, name string, q *query.Query, o Options) (*plan.Pla
 	}
 	os := sp.Child("optimize")
 	os.SetAttr("tech", name)
-	os.SetAttr("workers", o.Workers)
 	p, st, err := e.run(span.NewContext(ctx, os), q, o)
 	os.SetAttr("dur_ns", st.Elapsed.Nanoseconds())
 	os.SetAttr("plans_costed", st.PlansCosted)

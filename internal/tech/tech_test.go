@@ -3,18 +3,25 @@ package tech
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"sdpopt/internal/bits"
 	"sdpopt/internal/cost"
 	"sdpopt/internal/plan"
+	"sdpopt/internal/query"
 	"sdpopt/internal/workload"
 )
 
-// TestPlanInvariants holds every table entry to three checks on generated
-// queries of four topologies: the tree is structurally valid, every relation
-// is exactly one leaf, and re-costing the tree from scratch reproduces its
-// cost bit for bit.
+// TestPlanInvariants holds every table entry to four checks: the tree is
+// structurally valid, every relation is exactly one leaf, every join's inputs
+// share a predicate (no cartesian product on a connected query graph), and
+// re-costing the tree from scratch reproduces its cost bit for bit. The
+// queries are the generator's four topologies, and random connected join
+// graphs — a random spanning tree plus random extra edges, over random
+// relations and join columns of the paper schema, as FuzzCanonSpelling
+// generates them — at 2 to 14 relations, with and without an ORDER BY.
 func TestPlanInvariants(t *testing.T) {
 	cat := workload.PaperSchema()
 	for _, name := range Names() {
@@ -28,26 +35,83 @@ func TestPlanInvariants(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				p, _, err := Run(context.Background(), name, q, Options{})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if err := p.Validate(); err != nil {
-					t.Errorf("%s: %v", label, err)
-				}
-				leaves := make([]int, q.NumRelations())
-				countLeaves(p, leaves)
-				for rel, n := range leaves {
-					if n != 1 {
-						t.Errorf("%s: relation %d is %d leaves, want 1", label, rel, n)
-					}
-				}
-				if rc := cost.NewModel(q, cost.DefaultParams()).Recost(p); rc.Cost != p.Cost {
-					t.Errorf("%s: recost %v != plan cost %v", label, rc.Cost, p.Cost)
-				}
+				checkPlan(t, label, name, q)
 			}
 		}
 	}
+	const ncols = 4
+	for size := 2; size <= 14; size++ {
+		for _, ordered := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(100*size) + 7))
+			rels := make([]int, size)
+			for i := range rels {
+				rels[i] = rng.Intn(cat.NumRelations())
+			}
+			var preds []query.Pred
+			for i := 1; i < size; i++ {
+				preds = append(preds, query.Pred{LeftRel: i, LeftCol: rng.Intn(ncols), RightRel: rng.Intn(i), RightCol: rng.Intn(ncols)})
+			}
+			for k := rng.Intn(size); k > 0; k-- {
+				if a, b := rng.Intn(size), rng.Intn(size); a != b {
+					preds = append(preds, query.Pred{LeftRel: a, LeftCol: rng.Intn(ncols), RightRel: b, RightCol: rng.Intn(ncols)})
+				}
+			}
+			var ob *query.OrderSpec
+			if ordered {
+				ob = &query.OrderSpec{Rel: rng.Intn(size), Col: rng.Intn(ncols)}
+			}
+			q, err := query.NewFiltered(cat, rels, preds, nil, ob)
+			if err != nil {
+				t.Fatalf("size %d: generated query rejected: %v", size, err)
+			}
+			for _, name := range Names() {
+				checkPlan(t, fmt.Sprintf("%s/random-%d/ordered=%v", name, size, ordered), name, q)
+			}
+		}
+	}
+}
+
+// checkPlan optimizes q with the named technique and checks the plan
+// invariants TestPlanInvariants lists.
+func checkPlan(t *testing.T, label, name string, q *query.Query) {
+	t.Helper()
+	p, _, err := Run(context.Background(), name, q, Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Errorf("%s: %v", label, err)
+	}
+	leaves := make([]int, q.NumRelations())
+	countLeaves(p, leaves)
+	for rel, n := range leaves {
+		if n != 1 {
+			t.Errorf("%s: relation %d is %d leaves, want 1", label, rel, n)
+		}
+	}
+	if q.ConnectedSet(bits.Full(q.NumRelations())) {
+		if j := crossJoin(q, p); j != nil {
+			t.Errorf("%s: join of %v and %v shares no predicate", label, j.Left.Rels, j.Right.Rels)
+		}
+	}
+	if rc := cost.NewModel(q, cost.DefaultParams()).Recost(p); rc.Cost != p.Cost {
+		t.Errorf("%s: recost %v != plan cost %v", label, rc.Cost, p.Cost)
+	}
+}
+
+// crossJoin returns a join node of p whose two inputs share no predicate of
+// q, or nil.
+func crossJoin(q *query.Query, p *plan.Plan) *plan.Plan {
+	if p == nil {
+		return nil
+	}
+	if p.Op.IsJoin() && !q.Connected(p.Left.Rels, p.Right.Rels) {
+		return p
+	}
+	if j := crossJoin(q, p.Left); j != nil {
+		return j
+	}
+	return crossJoin(q, p.Right)
 }
 
 func countLeaves(p *plan.Plan, leaves []int) {

@@ -163,10 +163,10 @@ type DPOptions struct {
 	// budget's ErrBudget — a deadline is a serving concern, a budget a
 	// feasibility measurement).
 	Ctx context.Context
-	// Workers is the enumeration worker count: 0 or 1 enumerates
-	// sequentially, >1 fans each DP level out over that many workers. The
-	// result — plan, cost, plans costed, classes created — is bit-for-bit
-	// identical either way; only wall time changes.
+	// Workers is ignored: enumeration is sequential.
+	//
+	// Deprecated: parallel enumeration was removed; the field stays only so
+	// existing callers compile, and will be deleted.
 	Workers int
 	// Obs receives metrics and trace events; nil falls back to the
 	// process-wide default observer (see SetDefaultObserver).
@@ -177,7 +177,7 @@ type DPOptions struct {
 // the paper's DP baseline. It fails with ErrBudget beyond the feasibility
 // cliff (a ~17-relation star under the default 1 GB budget).
 func OptimizeDP(q *Query, opts DPOptions) (*Plan, Stats, error) {
-	return dp.Optimize(q, dp.Options{Budget: opts.Budget, Ctx: opts.Ctx, Workers: opts.Workers, Obs: opts.Obs})
+	return dp.Optimize(q, dp.Options{Budget: opts.Budget, Ctx: opts.Ctx, Obs: opts.Obs})
 }
 
 // IDPOptions configures Iterative Dynamic Programming.
