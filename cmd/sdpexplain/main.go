@@ -8,10 +8,11 @@
 //	sdpexplain -topology star -rels 20 -ordered        # DP will report *
 //	sdpexplain -sql 'SELECT * FROM R20 f, R3 d WHERE f.c1 = d.c2'
 //	sdpexplain -topology star -rels 8 -dot | dot -Tsvg > plans.svg
-//	sdpexplain -topology star -rels 12 -levels         # per-level trace table
+//	sdpexplain -topology star -rels 12 -levels         # per-level table
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,7 +31,7 @@ func main() {
 	budgetMB := flag.Int64("budget", 1024, "memory budget in MB")
 	skewed := flag.Bool("skewed", false, "use the skewed schema")
 	dot := flag.Bool("dot", false, "emit Graphviz DOT (join graph + each plan) instead of text")
-	levels := flag.Bool("levels", false, "print a per-level enumeration trace table for each technique")
+	levels := flag.Bool("levels", false, "print a per-level enumeration table for each technique")
 	sqlText := flag.String("sql", "", "optimize this SQL text instead of a generated query")
 	flag.Parse()
 
@@ -77,40 +78,45 @@ func run(topoName string, rels int, seed int64, ordered bool, budget int64, skew
 		fmt.Println()
 	}
 
-	var sink *sdpopt.TraceMemSink
-	if levels {
-		sink = &sdpopt.TraceMemSink{}
-		sdpopt.SetDefaultObserver(sdpopt.NewObserver(sink))
-		defer sdpopt.SetDefaultObserver(nil)
-	}
-
 	type alg struct {
 		name string
-		run  func() (*sdpopt.Plan, sdpopt.Stats, error)
+		run  func(ctx context.Context) (*sdpopt.Plan, sdpopt.Stats, error)
 	}
-	idp7 := sdpopt.IDPDefaults()
-	idp7.Budget = budget
-	idp4 := idp7
-	idp4.K = 4
-	sdpOpts := sdpopt.SDPOptions()
-	sdpOpts.Budget = budget
 	algs := []alg{
-		{"DP", func() (*sdpopt.Plan, sdpopt.Stats, error) {
-			return sdpopt.OptimizeDP(q, sdpopt.DPOptions{Budget: budget})
+		{"DP", func(ctx context.Context) (*sdpopt.Plan, sdpopt.Stats, error) {
+			return sdpopt.OptimizeDP(q, sdpopt.DPOptions{Budget: budget, Ctx: ctx})
 		}},
-		{"IDP(7)", func() (*sdpopt.Plan, sdpopt.Stats, error) { return sdpopt.OptimizeIDP(q, idp7) }},
-		{"IDP(4)", func() (*sdpopt.Plan, sdpopt.Stats, error) { return sdpopt.OptimizeIDP(q, idp4) }},
-		{"SDP", func() (*sdpopt.Plan, sdpopt.Stats, error) { return sdpopt.OptimizeSDP(q, sdpOpts) }},
+		{"IDP(7)", func(ctx context.Context) (*sdpopt.Plan, sdpopt.Stats, error) {
+			opts := sdpopt.IDPDefaults()
+			opts.Budget, opts.Ctx = budget, ctx
+			return sdpopt.OptimizeIDP(q, opts)
+		}},
+		{"IDP(4)", func(ctx context.Context) (*sdpopt.Plan, sdpopt.Stats, error) {
+			opts := sdpopt.IDPDefaults()
+			opts.K, opts.Budget, opts.Ctx = 4, budget, ctx
+			return sdpopt.OptimizeIDP(q, opts)
+		}},
+		{"SDP", func(ctx context.Context) (*sdpopt.Plan, sdpopt.Stats, error) {
+			opts := sdpopt.SDPOptions()
+			opts.Budget, opts.Ctx = budget, ctx
+			return sdpopt.OptimizeSDP(q, opts)
+		}},
 	}
 	var refCost float64
-	seen := 0
 	for _, a := range algs {
-		p, stats, err := a.run()
+		var p *sdpopt.Plan
+		var stats sdpopt.Stats
+		var err error
+		run := func(ctx context.Context) { p, stats, err = a.run(ctx) }
+		var tr sdpopt.FlightTrace
+		if levels {
+			tr = sdpopt.TraceRun(context.Background(), a.name, run)
+		} else {
+			run(context.Background())
+		}
 		fmt.Printf("=== %s ===\n", a.name)
-		if sink != nil {
-			events := sink.Events()
-			printLevels(events[seen:])
-			seen = len(events)
+		if levels {
+			printLevels(tr)
 		}
 		if errors.Is(err, sdpopt.ErrBudget) {
 			fmt.Printf("* infeasible: exceeds the %d MB budget (peak %.1f MB)\n\n", budget>>20, stats.Memo.PeakMB())
@@ -135,12 +141,22 @@ func run(topoName string, rels int, seed int64, ordered bool, budget int64, skew
 	return nil
 }
 
-// printLevels renders one technique's per-level enumeration trace. IDP
-// traces show each restart's levels in sequence.
-func printLevels(events []sdpopt.TraceEvent) {
+// printLevels renders one technique's per-level enumeration table from the
+// "level" spans of its run. Pruned is the level's "sdp.level" span's count
+// (SDP only) and Alive the running sum of created minus pruned since the
+// engine's level 1; IDP tables show each restart's levels in sequence.
+func printLevels(tr sdpopt.FlightTrace) {
 	printed := false
-	for _, e := range events {
-		if e.Type != sdpopt.EvLevel {
+	pruned := map[int64]int64{}
+	var alive int64
+	for i := range tr.Root.Children {
+		sp := &tr.Root.Children[i]
+		switch sp.Name {
+		case "sdp.level":
+			pruned[sp.Int("level")] = sp.Int("pruned")
+			continue
+		case "level":
+		default:
 			continue
 		}
 		if !printed {
@@ -148,27 +164,18 @@ func printLevels(events []sdpopt.TraceEvent) {
 			fmt.Printf("%6s %9s %9s %12s %9s %8s %12s\n",
 				"Level", "Created", "Pruned", "PlansCosted", "Alive", "SimMB", "Time")
 		}
+		level, created := sp.Int("level"), sp.Int("classes_created")
+		if level == 1 {
+			alive = 0 // a new engine: IDP restarts on its committed leaves
+		}
+		alive += created - pruned[level]
 		fmt.Printf("%6d %9d %9d %12d %9d %8.1f %12v\n",
-			attrInt(e.Attrs, "level"), attrInt(e.Attrs, "classes_created"),
-			attrInt(e.Attrs, "classes_pruned"), attrInt(e.Attrs, "plans_costed"),
-			attrInt(e.Attrs, "classes_alive"),
-			float64(attrInt(e.Attrs, "sim_bytes"))/(1<<20),
-			time.Duration(attrInt(e.Attrs, "dur_ns")).Round(time.Microsecond))
+			level, created, pruned[level], sp.Int("plans_costed"), alive,
+			float64(sp.Int("sim_bytes"))/(1<<20),
+			time.Duration(sp.DurNS).Round(time.Microsecond))
+		delete(pruned, level)
 	}
 	if printed {
 		fmt.Println()
 	}
-}
-
-// attrInt reads a numeric event attribute of either integer width.
-func attrInt(attrs map[string]any, key string) int64 {
-	switch v := attrs[key].(type) {
-	case int:
-		return int64(v)
-	case int64:
-		return v
-	case float64:
-		return int64(v)
-	}
-	return 0
 }

@@ -11,9 +11,9 @@ import (
 
 // inspectCmd renders a flight-recorder dump — the /debug/flight.json
 // document saved while debugging a slow or failed request — as the span
-// trees the server shows at /debug/requests, followed by the same
-// per-level and per-partition aggregate tables sdptrace prints for JSONL
-// traces.
+// trees the server shows at /debug/requests, followed by aggregate tables
+// over those trees: effort per technique, levels by time, and skyline
+// pruning efficacy.
 func inspectCmd(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("inspect", stderr)
 	top := fs.Int("top", 5, "levels to list in the per-level table")
@@ -59,12 +59,6 @@ func inspectCmd(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// The span trees double as an event stream: the same Summarize that
-	// powers sdptrace aggregates them into per-technique, per-level and
-	// per-partition tables.
-	filtered := &sdpopt.FlightDump{Active: traces}
-	if sum := sdpopt.SummarizeTrace(filtered.Records()); sum != nil {
-		fmt.Fprint(stdout, sum.Render(*top))
-	}
+	fmt.Fprint(stdout, sdpopt.SummarizeTrace(traces).Render(*top))
 	return nil
 }

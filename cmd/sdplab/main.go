@@ -5,7 +5,7 @@
 //	sdplab list                          # show every experiment id
 //	sdplab run -exp tab1.1               # reproduce Table 1.1
 //	sdplab run -exp all -instances 100   # full paper-scale reproduction
-//	sdplab run -exp tab3.3 -trace out.jsonl -metrics :8080
+//	sdplab run -exp tab3.3 -metrics :8080
 //	sdplab serve -addr :8080             # the optimizer as an HTTP service
 //	sdplab inspect flight.json           # render a /debug/flight.json dump
 //	sdplab regret regret.json            # render a /debug/regret.json dump
@@ -14,9 +14,8 @@
 //
 // Flags tune the sample size (-instances), the RNG seed (-seed), the
 // simulated memory budget in MB (-budget), and the skewed-schema variant
-// (-skewed). -trace streams optimizer events to a JSONL file (summarize
-// with sdptrace); -metrics serves Prometheus /metrics, expvar and pprof
-// for the lifetime of the run. Throughput, latency and per-layer numbers
+// (-skewed). -metrics serves Prometheus /metrics, expvar and pprof for the
+// lifetime of the run. Throughput, latency and per-layer numbers
 // are not measured here: that is benchmark/ (see BENCHMARK.json).
 package main
 
@@ -74,9 +73,9 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   sdplab list
   sdplab run -exp <id|all> [-instances N] [-seed S] [-budget MB] [-skewed] [-parallel P]
-             [-trace FILE.jsonl] [-metrics ADDR]
+             [-metrics ADDR]
   sdplab serve [-addr ADDR] [-catalog FILE.json] [-skewed] [-cache N] [-shards N]
-             [-max-concurrent N] [-queue N] [-budget MB] [-timeout D] [-trace FILE.jsonl]
+             [-max-concurrent N] [-queue N] [-budget MB] [-timeout D]
              [-flight-slow-ms MS] [-flight-recent N] [-flight-notable N]
              [-shadow-rate F] [-shadow-hit-rate F] [-shadow-workers N] [-shadow-queue N]
              [-shadow-dp-rels N] [-shadow-dedup D] [-shadow-pin-ratio F]
@@ -140,32 +139,20 @@ func listCmd(_ []string, stdout, _ io.Writer) error {
 	return nil
 }
 
-// enableObservability installs the process-wide observer from the -trace
-// and -metrics flags. It returns a flush function for the trace sink.
-func enableObservability(tracePath, metricsAddr string, stderr io.Writer) (func() error, error) {
-	flush := func() error { return nil }
-	if tracePath == "" && metricsAddr == "" {
-		return flush, nil
+// enableMetrics installs the process-wide observer and serves its registry
+// on metricsAddr; an empty address leaves telemetry off.
+func enableMetrics(metricsAddr string, stderr io.Writer) error {
+	if metricsAddr == "" {
+		return nil
 	}
-	var sinks []sdpopt.TraceSink
-	if tracePath != "" {
-		sink, err := sdpopt.OpenTraceJSONL(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		sinks = append(sinks, sink)
-		flush = sink.Close
-	}
-	ob := sdpopt.NewObserver(sinks...)
+	ob := sdpopt.NewObserver()
 	sdpopt.SetDefaultObserver(ob)
-	if metricsAddr != "" {
-		addr, err := ob.Registry.Serve(metricsAddr)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(stderr, "[metrics, expvar and pprof on http://%s]\n", addr)
+	addr, err := ob.Registry.Serve(metricsAddr)
+	if err != nil {
+		return err
 	}
-	return flush, nil
+	fmt.Fprintf(stderr, "[metrics, expvar and pprof on http://%s]\n", addr)
+	return nil
 }
 
 func runCmd(args []string, stdout, stderr io.Writer) error {
@@ -176,7 +163,6 @@ func runCmd(args []string, stdout, stderr io.Writer) error {
 	budgetMB := fs.Int64("budget", 0, "memory budget in MB (0 = the paper's 1024)")
 	skewed := fs.Bool("skewed", false, "use the exponentially-skewed schema")
 	parallel := fs.Int("parallel", 1, "concurrent optimizations (keep 1 for timing-faithful overhead tables)")
-	tracePath := fs.String("trace", "", "stream optimizer events to this JSONL file")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -184,8 +170,7 @@ func runCmd(args []string, stdout, stderr io.Writer) error {
 	if *exp == "" {
 		return fmt.Errorf("missing -exp (try 'sdplab list')")
 	}
-	flush, err := enableObservability(*tracePath, *metricsAddr, stderr)
-	if err != nil {
+	if err := enableMetrics(*metricsAddr, stderr); err != nil {
 		return err
 	}
 	cfg := sdpopt.ExperimentConfig{
@@ -206,17 +191,10 @@ func runCmd(args []string, stdout, stderr io.Writer) error {
 		start := time.Now()
 		out, err := sdpopt.RunExperiment(id, cfg)
 		if err != nil {
-			flush()
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Fprintln(stdout, out)
 		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	if *tracePath != "" {
-		fmt.Fprintf(stderr, "[trace written to %s; summarize with: sdptrace %s]\n", *tracePath, *tracePath)
 	}
 	return nil
 }

@@ -2,29 +2,43 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"sdpopt"
 	"sdpopt/internal/harness"
 )
 
-// table22 is `sdplab run -exp tab2.2` without its "[… completed in …]" line:
-// the worked example is a function of the paper schema alone.
-const table22 = `Table 2.2: Multi-way Skyline Pruning (level-3 PruneGroup partition on root hub 1)
-JCR                             [Rows, Cost, Sel]  RC CS RS  verdict
-{1,2,3}        [         100,        25.91, 2.96e-05]   Y  Y  -  survives
-{1,2,4}        [         100,        30.46, 1.97e-05]   -  Y  -  survives
-{1,3,4}        [         100,        32.49, 1.31e-05]   Y  Y  -  survives
-{1,2,5}        [         100,        36.77, 1.32e-05]   -  -  -  pruned
-{1,3,5}        [         100,        38.80, 8.78e-06]   Y  Y  -  survives
-{1,4,5}        [         100,        43.36, 5.85e-06]   -  Y  Y  survives
-{1,5,6}        [         140,        65.55, 3.65e-06]   -  Y  Y  survives
-
-
-`
+// flightAfterSDP serves one SDP request for a star-8 query in process and
+// returns the server's /debug/flight.json document.
+func flightAfterSDP(t *testing.T) string {
+	t.Helper()
+	srv, err := sdpopt.NewServer(sdpopt.ServerOptions{Cat: sdpopt.PaperSchema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := sdpopt.Instances(sdpopt.WorkloadSpec{Cat: sdpopt.PaperSchema(), Topology: sdpopt.Star, NumRelations: 8, Seed: 42}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(map[string]string{"sql": qs[0].SQL(), "technique": "sdp"})
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body)))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("optimize: %d %s", rr.Code, rr.Body)
+	}
+	dump, err := json.Marshal(srv.Flight().Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(dump)
+}
 
 var completedLine = regexp.MustCompile(`(?m)^\[\S+ completed in [^\]]*\]\n`)
 
@@ -33,6 +47,19 @@ func TestRun(t *testing.T) {
 	for _, e := range harness.Registry {
 		ids = append(ids, e.ID)
 	}
+	// `run -exp tab2.2` prints the harness's own rendering of the worked
+	// example — a function of the paper schema alone, pinned by the
+	// experiments golden — then a blank line once the "[… completed in …]"
+	// line is dropped.
+	tab22, err := harness.Lookup("tab2.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table22, err := tab22.Run(harness.Config{Seed: 42, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table22 += "\n\n"
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -46,6 +73,8 @@ func TestRun(t *testing.T) {
 		{name: "run without -exp", args: []string{"run"}, code: 1, errHas: "missing -exp"},
 		{name: "run unknown id", args: []string{"run", "-exp", "tab9.9"}, code: 1, errHas: `unknown experiment "tab9.9"`},
 		{name: "run tab2.2", args: []string{"run", "-exp", "tab2.2"}, stdout: table22},
+		{name: "run trace is gone", args: []string{"run", "-exp", "tab2.2", "-trace", "x"}, code: 1, errHas: "-trace"},
+		{name: "serve trace is gone", args: []string{"serve", "-trace", "x"}, code: 1, errHas: "-trace"},
 		{name: "serve negative shadow size", args: []string{"serve", "-shadow-workers", "-1"}, code: 1, errHas: "shadow sizes must be non-negative"},
 		{name: "serve shadow flag without rate", args: []string{"serve", "-shadow-hit-rate", "0.5"}, code: 1, errHas: "require -shadow-rate > 0"},
 		{name: "bench is gone", args: []string{"bench"}, code: 2, errHas: "usage:"},
@@ -54,6 +83,8 @@ func TestRun(t *testing.T) {
 		{name: "regret malformed", args: []string{"regret", "-"}, stdin: "{not json", code: 1, errHas: "regret: decoding dump"},
 		{name: "feedback malformed", args: []string{"feedback", "-"}, stdin: "{not json", code: 1, errHas: "feedback: decoding dump"},
 		{name: "inspect malformed", args: []string{"inspect", "-"}, stdin: "{not json", code: 1, errHas: "decoding flight dump"},
+		{name: "inspect summary", args: []string{"inspect", "-summary", "-"}, stdin: flightAfterSDP(t),
+			outHas: []string{"Effort per technique", "levels by time", "Skyline pruning efficacy"}},
 		{name: "regret without argument", args: []string{"regret"}, code: 1, errHas: "usage: sdplab regret <regret.json | ->"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,7 +26,6 @@ func serveCmd(args []string, _, stderr io.Writer) error {
 	maxQueue := fs.Int("queue", 0, "admission queue depth before 429 shedding (0 = 2×max-concurrent)")
 	budgetMB := fs.Int64("budget", 0, "default memory budget in MB (0 = the paper's 1024)")
 	timeout := fs.Duration("timeout", 0, "per-optimization deadline cap (0 = 30s)")
-	tracePath := fs.String("trace", "", "stream optimizer events to this JSONL file")
 	flightSlowMS := fs.Int64("flight-slow-ms", 0, "flight-recorder slow-trace pinning threshold in ms (0 = default 1000)")
 	flightRecent := fs.Int("flight-recent", 0, "flight-recorder recent-trace ring size (0 = default 64)")
 	flightNotable := fs.Int("flight-notable", 0, "flight-recorder slow/error/pinned-trace ring size (0 = default 64)")
@@ -84,17 +83,7 @@ func serveCmd(args []string, _, stderr io.Writer) error {
 		cat = sdpopt.SkewedSchema()
 	}
 
-	var sinks []sdpopt.TraceSink
-	flush := func() error { return nil }
-	if *tracePath != "" {
-		sink, err := sdpopt.OpenTraceJSONL(*tracePath)
-		if err != nil {
-			return err
-		}
-		sinks = append(sinks, sink)
-		flush = sink.Close
-	}
-	ob := sdpopt.NewObserver(sinks...)
+	ob := sdpopt.NewObserver()
 	sdpopt.SetDefaultObserver(ob)
 
 	var cache *sdpopt.PlanCache
@@ -165,7 +154,6 @@ func serveCmd(args []string, _, stderr io.Writer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		flush()
 		return err
 	}
 	if cache != nil {
@@ -173,5 +161,5 @@ func serveCmd(args []string, _, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "sdplab serve: cache %d entries, %d hits, %d misses, %d dedups (%.0f%% hit rate)\n",
 			ct.Entries, ct.Hits, ct.Misses, ct.Dedups, 100*ct.HitRate())
 	}
-	return flush()
+	return nil
 }

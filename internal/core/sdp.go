@@ -126,12 +126,11 @@ type Options struct {
 	// Model supplies costing; if nil a fresh default model is created.
 	Model *cost.Model
 	// Trace, if non-nil, records per-level pruning decisions (the
-	// walkthrough of the paper's Figure 2.2). It is populated by consuming
-	// the obs event stream: every pruning decision is emitted as an
-	// "sdp.level" event whose payload a trace sink folds into this struct.
+	// walkthrough of the paper's Figure 2.2). The pruning hook appends one
+	// LevelTrace per pruning level; with Trace nil none is built.
 	Trace *Trace
-	// Obs receives metrics and trace events; nil falls back to the process
-	// default observer.
+	// Obs receives metrics; nil falls back to the process default
+	// observer.
 	Obs *obs.Observer
 	// Enum is passed through to the DP substrate (see dp.EnumMode). SDP's
 	// hook makes the default resolve to the indexed walk; the equivalence
@@ -146,24 +145,12 @@ func DefaultOptions() Options {
 	return Options{Partitioning: RootHub, Skyline: Option2, Scope: Local}
 }
 
-// Trace records what SDP pruned at each level. It is a thin consumer of
-// the obs event stream: an internal sink appends one LevelTrace per
-// "sdp.level" event, so the same decisions feed JSONL traces, metrics and
-// this in-process walkthrough without divergence.
+// Trace records what SDP pruned at each level: one LevelTrace per level at
+// which the hook pruned, filled by the hook from the same decisions that
+// feed the skyline metrics and the "sdp.level" spans.
 type Trace struct {
 	Levels []LevelTrace
 }
-
-// traceSink folds sdp.level event payloads into a Trace.
-type traceSink struct{ t *Trace }
-
-func (s *traceSink) Emit(e obs.Event) {
-	if lt, ok := e.Payload.(*LevelTrace); ok && lt != nil {
-		s.t.Levels = append(s.t.Levels, *lt)
-	}
-}
-
-func (s *traceSink) Close() error { return nil }
 
 // LevelTrace is one level's pruning record.
 type LevelTrace struct {
@@ -188,14 +175,8 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 		model = cost.NewModel(q, cost.DefaultParams())
 	}
 	ob := obs.Or(opts.Obs)
-	if opts.Trace != nil {
-		// The legacy SDPTrace rides the event stream: attach a sink that
-		// folds sdp.level payloads back into the caller's Trace.
-		ob = ob.WithSinks(&traceSink{t: opts.Trace})
-	}
 	started := time.Now()
 	s := newSDP(q, opts, ob)
-	done := dp.ObserveRun(ob, "SDP", q)
 	// SDP is the DP substrate with s.hook at every level barrier.
 	e, err := dp.NewEngine(q, dp.BaseLeaves(q), dp.Options{
 		Budget: opts.Budget,
@@ -218,7 +199,7 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 		st = e.Stats()
 	}
 	st.Elapsed = time.Since(started)
-	done(st, p, err)
+	dp.ObserveRun(ob, "SDP", st)
 	return p, st, err
 }
 
@@ -298,7 +279,7 @@ func (s *sdp) pruneGlobal(level int, m *memo.Memo, created []*memo.Class) {
 		m.Remove(c)
 	}
 	s.spanLevel(len(created), 0, nSurv, nPruned)
-	s.emitLevel(tr, len(created), 0)
+	s.recordLevel(tr)
 }
 
 // pruneLocal applies the paper's SDP pruning: split into PruneGroup and
@@ -413,7 +394,7 @@ func (s *sdp) pruneLocal(level int, m *memo.Memo, created []*memo.Class) {
 		m.Remove(c)
 	}
 	s.spanLevel(len(pruneGroup), len(freeGroup), nSurv, nPruned)
-	s.emitLevel(tr, len(pruneGroup), len(freeGroup))
+	s.recordLevel(tr)
 }
 
 // spanLevel closes the open "sdp.level" span's summary attributes.
@@ -536,9 +517,9 @@ func (s *sdp) observedMask(level int, label string, classes []*memo.Class) []boo
 }
 
 // reportMask reports one partition's mask: candidate/survivor counters (per
-// RC/CS/RS criterion under Option 2), an "sdp.partition" event, and — when
-// the run carries a request span — an "sdp.partition" child span under the
-// current sdp.level span, timed by the mask computation itself.
+// RC/CS/RS criterion under Option 2) and — when the run carries a request
+// span — an "sdp.partition" child span under the current sdp.level span,
+// timed by the mask computation itself.
 func (s *sdp) reportMask(level int, label string, size int, mask []bool, pairMasks [][]bool, start time.Time, d time.Duration) {
 	if s.ob == nil && s.cur == nil {
 		return
@@ -564,27 +545,11 @@ func (s *sdp) reportMask(level int, label string, size int, mask []bool, pairMas
 	}
 	s.cCand.Add(int64(size))
 	s.cSurvAll.Add(int64(surv))
-	var attrs map[string]any
-	if s.ob.Tracing() {
-		attrs = map[string]any{
-			"tech":      "SDP",
-			"level":     level,
-			"label":     label,
-			"size":      size,
-			"survivors": surv,
-		}
-	}
 	for i, c := range []*obs.Counter{s.cSurvRC, s.cSurvCS, s.cSurvRS} {
 		if pairCounts == nil {
 			break
 		}
 		c.Add(int64(pairCounts[i]))
-		if attrs != nil {
-			attrs[strings.ToLower(skyline.RCSNames[i])] = pairCounts[i]
-		}
-	}
-	if attrs != nil {
-		s.ob.Emit(obs.EvSDPPartition, attrs)
 	}
 }
 
@@ -634,10 +599,10 @@ func countTrue(mask []bool) int {
 	return n
 }
 
-// levelTrace starts the per-level pruning record carried as the sdp.level
-// event payload — built only when a trace consumer is listening.
+// levelTrace starts the per-level pruning record — built only when the
+// caller asked for a Trace.
 func (s *sdp) levelTrace(level int) *LevelTrace {
-	if !s.ob.Tracing() {
+	if s.opts.Trace == nil {
 		return nil
 	}
 	return &LevelTrace{
@@ -647,21 +612,13 @@ func (s *sdp) levelTrace(level int) *LevelTrace {
 	}
 }
 
-// emitLevel closes one pruning level: the "sdp.level" event carries summary
-// counts for serialized consumers and the full LevelTrace as the in-process
-// payload the legacy SDPTrace is built from.
-func (s *sdp) emitLevel(tr *LevelTrace, pruneGroup, freeGroup int) {
+// recordLevel appends one level's finished pruning record to the caller's
+// Trace (no-op when none was asked for).
+func (s *sdp) recordLevel(tr *LevelTrace) {
 	if tr == nil {
 		return
 	}
-	s.ob.EmitPayload(obs.EvSDPLevel, map[string]any{
-		"tech":        "SDP",
-		"level":       tr.Level,
-		"prune_group": pruneGroup,
-		"free_group":  freeGroup,
-		"survivors":   len(tr.Survivors),
-		"pruned":      len(tr.Pruned),
-	}, tr)
+	s.opts.Trace.Levels = append(s.opts.Trace.Levels, *tr)
 }
 
 func setsOf(classes []*memo.Class) []bits.Set {

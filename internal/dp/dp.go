@@ -461,26 +461,26 @@ func (e *Engine) runLevel(k int) ([]*memo.Class, error) {
 	return created, nil
 }
 
-// observeLevel closes one enumeration level's span: the level-duration
-// histogram, the plans-costed counter, a "level" event with the level's
-// creation, pruning and costing counts, and — when the run carries a
-// request span — a completed "level" child span with the same attributes.
-// A budget abort additionally bumps the abort counter and emits
-// "budget.abort". No-op when telemetry and tracing are both off.
+// observeLevel closes one enumeration level: the level-duration histogram,
+// the plans-costed and pair counters, and — when the run carries a request
+// span — a completed "level" child span with the level's creation, costing
+// and memory counts. A budget abort additionally bumps the abort counter;
+// the level span carries the error. No-op when telemetry and tracing are
+// both off.
 func (e *Engine) observeLevel(k int, started time.Time, prevCosted, prevCons, prevConn int64, created int, err error) {
 	if e.ob == nil && e.sp == nil {
 		return
 	}
 	e.emitLevel(k, started, time.Since(started),
 		e.Model.PlansCosted-prevCosted, e.sc.pairsCons-prevCons, e.sc.pairsConn-prevConn,
-		created, err)
+		created, e.Memo.Stats.SimBytes, err)
 }
 
-// emitLevel is observeLevel's emission body, taking the level's duration and
-// counter deltas directly — the DPccp path accumulates per-level deltas out
-// of emission order and replays them through here at run end. Call only when
-// e.ob or e.sp is non-nil.
-func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pairsCons, pairsConn int64, created int, err error) {
+// emitLevel is observeLevel's emission body, taking the level's duration,
+// counter deltas and simulated memory at the level's end directly — the
+// DPccp path accumulates per-level deltas out of emission order and replays
+// them through here at run end. Call only when e.ob or e.sp is non-nil.
+func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pairsCons, pairsConn int64, created int, simBytes int64, err error) {
 	if e.sp != nil {
 		lv := e.sp.ChildAt("level", started, d)
 		lv.SetAttr("tech", e.label)
@@ -489,7 +489,7 @@ func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pa
 		lv.SetAttr("plans_costed", costed)
 		lv.SetAttr("pairs_considered", pairsCons)
 		lv.SetAttr("pairs_connected", pairsConn)
-		lv.SetAttr("sim_bytes", e.Memo.Stats.SimBytes)
+		lv.SetAttr("sim_bytes", simBytes)
 		if err != nil {
 			lv.SetError(err.Error())
 		}
@@ -497,40 +497,13 @@ func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pa
 	if e.ob == nil {
 		return
 	}
-	// Labeled per level so level profiles line up in sdptrace and on
-	// /metrics.
+	// Labeled per level so level profiles line up on /metrics.
 	e.ob.Histogram(obs.Label(obs.MLevelSeconds, "level", strconv.Itoa(k))).Observe(d)
 	e.cPlans.Add(costed)
 	e.cPairsCons.Add(pairsCons)
 	e.cPairsConn.Add(pairsConn)
-	if e.ob.Tracing() {
-		attrs := map[string]any{
-			"tech":             e.label,
-			"level":            k,
-			"dur_ns":           int64(d),
-			"classes_created":  created,
-			"classes_pruned":   created - e.Memo.LevelAlive(k),
-			"plans_costed":     costed,
-			"pairs_considered": pairsCons,
-			"pairs_connected":  pairsConn,
-			"classes_alive":    e.Memo.Stats.ClassesAlive,
-			"sim_bytes":        e.Memo.Stats.SimBytes,
-		}
-		if err != nil {
-			attrs["err"] = err.Error()
-		}
-		e.ob.Emit(obs.EvLevel, attrs)
-	}
 	if errors.Is(err, memo.ErrBudget) {
 		e.ob.Counter(obs.MBudgetAborts).Add(1)
-		if e.ob.Tracing() {
-			e.ob.Emit(obs.EvBudgetAbort, map[string]any{
-				"tech":      e.label,
-				"level":     k,
-				"sim_bytes": e.Memo.Stats.SimBytes,
-				"budget":    e.Memo.Budget,
-			})
-		}
 	}
 }
 
@@ -589,17 +562,22 @@ func (e *Engine) ccpGraph() (adj []bits.Set, rels func(bits.Set) bits.Set) {
 // level by level; instead the pair callback accumulates each level's deltas
 // and the run replays them through emitLevel in ascending order at the end,
 // producing the same one-observation-per-level stream the level-synchronous
-// enumerators emit.
+// enumerators emit. A pair at level k changes only a level-k class, so the
+// simulated memory after level k is the run's starting memory plus the
+// deltas of levels up to k — what the level-synchronous walk reads off the
+// memo at the barrier.
 func (e *Engine) runCCP(toLevel int) error {
 	minLevel := e.done
 	if toLevel <= minLevel {
 		return nil
 	}
 	runStart := time.Now()
+	simBytes := e.Memo.Stats.SimBytes
 	adj, rels := e.ccpGraph()
 	timed := e.ob != nil || e.sp != nil
 	durs := make([]time.Duration, toLevel+1)
 	costed := make([]int64, toLevel+1)
+	simDelta := make([]int64, toLevel+1)
 	pairs := make([]int64, toLevel+1)
 	created := make([]int, toLevel+1)
 	abortLevel := 0
@@ -617,14 +595,16 @@ func (e *Engine) runCCP(toLevel int) error {
 			e.sc.pairsConn++
 			pairs[lvl]++
 			var t0 time.Time
+			var sb int64
 			if timed {
-				t0 = time.Now()
+				t0, sb = time.Now(), e.Memo.Stats.SimBytes
 			}
 			pc := e.Model.PlansCosted
 			_, isNew, jerr := e.sc.joinDirect(e.Q, e.Memo, a, b, lvl)
 			costed[lvl] += e.Model.PlansCosted - pc
 			if timed {
 				durs[lvl] += time.Since(t0)
+				simDelta[lvl] += e.Memo.Stats.SimBytes - sb
 			}
 			if isNew {
 				created[lvl]++
@@ -645,7 +625,8 @@ func (e *Engine) runCCP(toLevel int) error {
 			if k == abortLevel {
 				lerr = err
 			}
-			e.emitLevel(k, lvStart, durs[k], costed[k], pairs[k], pairs[k], created[k], lerr)
+			simBytes += simDelta[k]
+			e.emitLevel(k, lvStart, durs[k], costed[k], pairs[k], pairs[k], created[k], simBytes, lerr)
 			lvStart = lvStart.Add(durs[k])
 		}
 	}
@@ -794,46 +775,16 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// ObserveRun opens an optimization span for the named technique: it emits
-// "optimize.start" and returns a closure that, given the run's outcome,
-// emits "optimize.end" and records the per-technique duration histogram and
-// completion counter. DP, IDP and SDP all report through this single path,
-// which is what makes their effort comparable. The closure is a no-op when
-// telemetry is off.
-func ObserveRun(ob *obs.Observer, tech string, q *query.Query) func(Stats, *plan.Plan, error) {
+// ObserveRun records one finished optimization of the named technique: the
+// per-technique duration histogram and completion counter. DP, IDP, SDP and
+// GOO all report through this single path, which is what makes their effort
+// comparable. No-op when telemetry is off.
+func ObserveRun(ob *obs.Observer, tech string, st Stats) {
 	if ob == nil {
-		return func(Stats, *plan.Plan, error) {}
+		return
 	}
-	if ob.Tracing() {
-		ob.Emit(obs.EvOptimizeStart, map[string]any{"tech": tech, "rels": q.NumRelations()})
-	}
-	return func(st Stats, p *plan.Plan, err error) {
-		ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", tech)).Observe(st.Elapsed)
-		ob.Counter(obs.Label(obs.MOptimizations, "tech", tech)).Add(1)
-		if !ob.Tracing() {
-			return
-		}
-		attrs := map[string]any{
-			"tech":             tech,
-			"rels":             q.NumRelations(),
-			"dur_ns":           int64(st.Elapsed),
-			"plans_costed":     st.PlansCosted,
-			"pairs_considered": st.PairsConsidered,
-			"pairs_connected":  st.PairsConnected,
-			"classes_created":  st.Memo.ClassesCreated,
-			"peak_sim_bytes":   st.Memo.PeakSimBytes,
-		}
-		if st.Enumerator != "" {
-			attrs["enum"] = st.Enumerator
-		}
-		if p != nil {
-			attrs["cost"] = p.Cost
-		}
-		if err != nil {
-			attrs["err"] = err.Error()
-		}
-		ob.Emit(obs.EvOptimizeEnd, attrs)
-	}
+	ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", tech)).Observe(st.Elapsed)
+	ob.Counter(obs.Label(obs.MOptimizations, "tech", tech)).Add(1)
 }
 
 // Optimize runs exhaustive DP over the query's base relations and returns
@@ -850,7 +801,6 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, Stats, error) {
 		}
 		opts.Label = label
 	}
-	done := ObserveRun(obs.Or(opts.Obs), label, q)
 	p, st, err := func() (*plan.Plan, Stats, error) {
 		e, err := NewEngine(q, BaseLeaves(q), opts)
 		if err != nil {
@@ -865,6 +815,6 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, Stats, error) {
 		p, err := e.Finalize()
 		return p, e.Stats(), err
 	}()
-	done(st, p, err)
+	ObserveRun(obs.Or(opts.Obs), label, st)
 	return p, st, err
 }

@@ -1,12 +1,14 @@
 package dp
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"testing"
 
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
+	"sdpopt/internal/obs/span"
 )
 
 func TestElapsedOnBudgetAbort(t *testing.T) {
@@ -33,11 +35,29 @@ func TestElapsedOnSeedLevelAbort(t *testing.T) {
 	}
 }
 
+// tracedRoot returns a fresh root span and a context carrying it.
+func tracedRoot() (*span.Span, context.Context) {
+	root := span.New("run")
+	return root, span.NewContext(context.Background(), root)
+}
+
+// levelSpans returns the finished trace's "level" spans, in recorded order.
+func levelSpans(root *span.Span) []span.SpanJSON {
+	root.Finish()
+	var out []span.SpanJSON
+	for _, c := range root.Trace().Snapshot().Root.Children {
+		if c.Name == "level" {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func TestObserveRunMetricsAndEvents(t *testing.T) {
-	sink := &obs.MemSink{}
-	ob := obs.New(sink)
+	ob := obs.New()
+	root, ctx := tracedRoot()
 	q := chainQuery(t, 5)
-	_, stats, err := Optimize(q, Options{Obs: ob})
+	_, stats, err := Optimize(q, Options{Obs: ob, Ctx: ctx})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -50,6 +70,9 @@ func TestObserveRunMetricsAndEvents(t *testing.T) {
 	if got := ob.Counter(obs.Label(obs.MOptimizations, "tech", "DP")).Value(); got != 1 {
 		t.Errorf("optimizations{tech=DP} = %d, want 1", got)
 	}
+	if n := ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", "DP")).Count(); n != 1 {
+		t.Errorf("optimize-seconds{tech=DP} observations = %d, want 1", n)
+	}
 	if got := ob.Gauge(obs.MMemoPeakSimBytes).Value(); got != stats.Memo.PeakSimBytes {
 		t.Errorf("peak gauge = %d, stats say %d", got, stats.Memo.PeakSimBytes)
 	}
@@ -60,43 +83,41 @@ func TestObserveRunMetricsAndEvents(t *testing.T) {
 			t.Errorf("histogram %s count = %d, want 1", name, n)
 		}
 	}
-	if n := len(sink.ByType(obs.EvOptimizeStart)); n != 1 {
-		t.Errorf("optimize.start events = %d, want 1", n)
-	}
-	ends := sink.ByType(obs.EvOptimizeEnd)
-	if len(ends) != 1 {
-		t.Fatalf("optimize.end events = %d, want 1", len(ends))
-	}
-	if tech := ends[0].Attrs["tech"]; tech != "DP" {
-		t.Errorf("optimize.end tech = %v, want DP", tech)
-	}
-	levels := sink.ByType(obs.EvLevel)
+	// One level span per level, in level order, labeled with the technique.
+	levels := levelSpans(root)
 	if len(levels) != 5 {
-		t.Fatalf("level events = %d, want 5", len(levels))
+		t.Fatalf("level spans = %d, want 5", len(levels))
 	}
-	for i, e := range levels {
-		if got := e.Attrs["level"]; got != i+1 {
-			t.Errorf("level event %d has level %v, want %d", i, got, i+1)
+	for i, lv := range levels {
+		if got := lv.Int("level"); got != int64(i+1) {
+			t.Errorf("level span %d has level %d, want %d", i, got, i+1)
+		}
+		if tech := lv.Attrs["tech"]; tech != "DP" {
+			t.Errorf("level span %d tech = %v, want DP", i, tech)
 		}
 	}
 }
 
+// TestBudgetAbortEvent checks a budget abort is counted once and lands on
+// exactly one level span — the aborting level's — as its error.
 func TestBudgetAbortEvent(t *testing.T) {
-	sink := &obs.MemSink{}
-	ob := obs.New(sink)
+	ob := obs.New()
+	root, ctx := tracedRoot()
 	q := starQuery(t, 8)
-	_, _, err := Optimize(q, Options{Budget: 64 * 1024, Obs: ob})
+	_, _, err := Optimize(q, Options{Budget: 64 * 1024, Obs: ob, Ctx: ctx})
 	if !errors.Is(err, memo.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 	if got := ob.Counter(obs.MBudgetAborts).Value(); got != 1 {
 		t.Errorf("budget-aborts counter = %d, want 1", got)
 	}
-	aborts := sink.ByType(obs.EvBudgetAbort)
-	if len(aborts) != 1 {
-		t.Fatalf("budget.abort events = %d, want 1", len(aborts))
+	var failed []span.SpanJSON
+	for _, lv := range levelSpans(root) {
+		if lv.Error != "" {
+			failed = append(failed, lv)
+		}
 	}
-	if got := aborts[0].Attrs["budget"]; got != int64(64*1024) {
-		t.Errorf("budget.abort budget attr = %v (%T), want 65536", got, got)
+	if len(failed) != 1 || failed[0].Error != err.Error() {
+		t.Fatalf("level spans with an error = %+v, want one carrying %q", failed, err)
 	}
 }

@@ -3,11 +3,13 @@ package dp
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs/span"
+	"sdpopt/internal/query"
 	"sdpopt/internal/workload"
 )
 
@@ -62,6 +64,38 @@ func TestTracingDeterminism(t *testing.T) {
 			d := rec.Snapshot()
 			if got, want := countSpans(*d.Recent[0].Root, "level"), q.NumRelations(); got != want {
 				t.Errorf("%s: %d level spans, want %d", label, got, want)
+			}
+		}
+	}
+}
+
+// TestLevelSpansMatchAcrossEnumerators: the DPccp enumerator replays its
+// level spans at run end, yet each must report what the level-synchronous
+// walk reads off the memo at that level's barrier — the classes created
+// and the simulated memory held once the level is done, not at run end.
+func TestLevelSpansMatchAcrossEnumerators(t *testing.T) {
+	cat := workload.PaperSchema()
+	type levelRow struct{ level, created, simBytes int64 }
+	rows := func(q *query.Query, enum EnumMode) []levelRow {
+		root, ctx := tracedRoot()
+		if _, _, err := Optimize(q, Options{Enum: enum, Ctx: ctx}); err != nil {
+			t.Fatalf("%v: %v", enum, err)
+		}
+		var out []levelRow
+		for _, c := range levelSpans(root) {
+			out = append(out, levelRow{c.Int("level"), c.Int("classes_created"), c.Int("sim_bytes")})
+		}
+		return out
+	}
+	for _, topo := range []workload.Topology{workload.Chain, workload.Star, workload.Cycle, workload.StarChain} {
+		for _, ordered := range []bool{false, true} {
+			q, err := workload.One(workload.Spec{Cat: cat, Topology: topo, NumRelations: 10, Ordered: ordered, Seed: 42})
+			if err != nil {
+				t.Fatalf("One: %v", err)
+			}
+			ccp, idx := rows(q, EnumDPccp), rows(q, EnumIndexed)
+			if len(ccp) != q.NumRelations() || !reflect.DeepEqual(ccp, idx) {
+				t.Errorf("%v ordered=%v: level spans (level, created, sim_bytes)\n dpccp   %v\n indexed %v", topo, ordered, ccp, idx)
 			}
 		}
 	}

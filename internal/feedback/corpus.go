@@ -14,7 +14,7 @@ import (
 
 // CorpusWriter persists observations as an append-only JSONL corpus — the
 // training data a learned estimator replays. One observation per line,
-// buffered; Flush on graceful shutdown, like the trace JSONL sink.
+// buffered; Flush on graceful shutdown.
 type CorpusWriter struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -99,8 +99,8 @@ func (cw *CorpusWriter) Close() error {
 }
 
 // ReadCorpusLenient decodes a JSONL corpus, skipping malformed lines instead
-// of aborting — à la obs.ReadTraceJSONLLenient, because the common corruption
-// for an append-only log is a tail cut off mid-write. Each skipped line
+// of aborting, because the common corruption for an append-only log is a
+// tail cut off mid-write. Each skipped line
 // produces one warning on warn (when non-nil); only a read error from r
 // itself is fatal.
 func ReadCorpusLenient(r io.Reader, warn io.Writer) (observations []Observation, skipped int, err error) {

@@ -163,8 +163,7 @@ type LedgerOptions struct {
 	// flagged stale (default 0.5, i.e. windowed geomean q-error ≥ 2 — the
 	// paper's Good/Acceptable boundary applied to estimates).
 	StaleScore float64
-	// Obs receives sdpopt_feedback_* metrics and EvFeedback trace events.
-	// Optional.
+	// Obs receives sdpopt_feedback_* metrics. Optional.
 	Obs *obs.Observer
 }
 
@@ -253,8 +252,8 @@ func NewLedger(opts LedgerOptions) *Ledger {
 	return l
 }
 
-// Record folds observations into the ledger and emits their metrics and
-// trace events. Nil-safe.
+// Record folds observations into the ledger and records their metrics.
+// Nil-safe.
 func (l *Ledger) Record(observations ...Observation) {
 	if l == nil {
 		return
@@ -285,20 +284,9 @@ func (l *Ledger) Record(observations ...Observation) {
 		l.mu.Unlock()
 
 		if ob := l.opts.Obs; ob != nil {
-			qe := o.QError()
 			ob.FloatHistogram(obs.Label(obs.MFeedbackQError, "kind", o.Kind), nil).
-				ObserveExemplar(qe, o.TraceID)
+				ObserveExemplar(o.QError(), o.TraceID)
 			ob.Counter(obs.Label(obs.MFeedbackObservations, "kind", o.Kind)).Add(1)
-			ob.Emit(obs.EvFeedback, map[string]any{
-				"object":   o.Object,
-				"kind":     o.Kind,
-				"est":      o.Est,
-				"actual":   o.Actual,
-				"qerr":     qe,
-				"tech":     o.Tech,
-				"rels":     o.Rels,
-				"trace_id": o.TraceID,
-			})
 		}
 	}
 }

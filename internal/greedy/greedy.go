@@ -30,16 +30,16 @@ type Options struct {
 	// Ctx carries cancellation and the active trace span; nil disables
 	// both. GOO polls it once per merge step.
 	Ctx context.Context
-	// Obs receives the optimize events and metrics every other engine
-	// emits; nil disables observation.
+	// Obs receives the optimize metrics every other engine records; nil
+	// disables observation.
 	Obs *obs.Observer
 }
 
 // Optimize runs Greedy Operator Ordering on q. It reports through the same
-// channels as the enumeration engines — Stats pairs counters, obs optimize
-// events under the "GOO" label, and a span child when opts.Ctx carries a
-// trace — so routed fast-path requests show up in traces and sdptrace
-// tables like any other serve.
+// channels as the enumeration engines — Stats pairs counters, optimize
+// metrics under the "GOO" label, and a span child when opts.Ctx carries a
+// trace — so routed fast-path requests show up in traces and trace
+// summaries like any other serve.
 func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 	model := opts.Model
 	if model == nil {
@@ -49,7 +49,6 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 	costedAtStart := model.PlansCosted
 	var pairsConsidered, pairsConnected int64
 
-	emit := dp.ObserveRun(obs.Or(opts.Obs), "GOO", q)
 	sp := span.FromContext(opts.Ctx).Child("goo.order")
 	done := func(p *plan.Plan, st dp.Stats, err error) (*plan.Plan, dp.Stats, error) {
 		sp.Add("pairs_considered", st.PairsConsidered)
@@ -60,7 +59,7 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 		} else {
 			sp.Finish()
 		}
-		emit(st, p, err)
+		dp.ObserveRun(obs.Or(opts.Obs), "GOO", st)
 		return p, st, err
 	}
 

@@ -201,40 +201,10 @@ func RunBatchWorkers(graph string, qs []*query.Query, techs []Technique, referen
 	// engine runs pick it up themselves through the same default.
 	ob := obs.Default()
 	ob.Counter(obs.MBatches).Add(1)
-	batchStart := time.Now()
-	if ob.Tracing() {
-		names := make([]string, len(techs))
-		for i, t := range techs {
-			names[i] = t.Name
-		}
-		ob.Emit(obs.EvBatchStart, map[string]any{
-			"graph":      graph,
-			"instances":  len(qs),
-			"techniques": strings.Join(names, ","),
-			"workers":    workers,
-		})
-	}
 	gQueue := ob.Gauge(obs.MQueueDepth)
 	techHists := make([]*obs.Histogram, len(techs))
 	for i, t := range techs {
 		techHists[i] = ob.Histogram(obs.Label(obs.MTechniqueSeconds, "tech", t.Name))
-	}
-	observeInstance := func(ti, qi int, stats dp.Stats, err error) {
-		techHists[ti].Observe(stats.Elapsed)
-		if !ob.Tracing() {
-			return
-		}
-		attrs := map[string]any{
-			"tech":         techs[ti].Name,
-			"graph":        graph,
-			"instance":     qi,
-			"dur_ns":       int64(stats.Elapsed),
-			"plans_costed": stats.PlansCosted,
-		}
-		if err != nil {
-			attrs["err"] = err.Error()
-		}
-		ob.Emit(obs.EvInstance, attrs)
 	}
 
 	type cell struct {
@@ -256,7 +226,7 @@ func RunBatchWorkers(graph string, qs []*query.Query, techs []Technique, referen
 		p, stats, err := techs[ti].Run(qs[0])
 		results[ti][0] = cell{p, stats}
 		ran[ti] = 1
-		observeInstance(ti, 0, stats, err)
+		techHists[ti].Observe(stats.Elapsed)
 		if err != nil {
 			if !errors.Is(err, memo.ErrBudget) {
 				return nil, fmt.Errorf("harness: %s on instance 0: %w", techs[ti].Name, err)
@@ -277,7 +247,7 @@ func RunBatchWorkers(graph string, qs []*query.Query, techs []Technique, referen
 			for j := range jobs {
 				gQueue.Add(-1)
 				p, stats, err := techs[j.ti].Run(qs[j.qi])
-				observeInstance(j.ti, j.qi, stats, err)
+				techHists[j.ti].Observe(stats.Elapsed)
 				mu.Lock()
 				results[j.ti][j.qi] = cell{p, stats}
 				if j.qi+1 > ran[j.ti] {
@@ -364,13 +334,6 @@ func RunBatchWorkers(graph string, qs []*query.Query, techs []Technique, referen
 			}
 		}
 		b.Outcomes = append(b.Outcomes, out)
-	}
-	if ob.Tracing() {
-		ob.Emit(obs.EvBatchEnd, map[string]any{
-			"graph":     graph,
-			"instances": len(qs),
-			"dur_ns":    time.Since(batchStart).Nanoseconds(),
-		})
 	}
 	return b, nil
 }

@@ -12,8 +12,7 @@ import (
 // jobs channel, the shared result matrix, and the registry's atomic
 // counters/gauges fed from every worker at once.
 func TestRunBatchWorkersRace(t *testing.T) {
-	sink := &obs.MemSink{}
-	ob := obs.New(sink)
+	ob := obs.New()
 	obs.SetDefault(ob)
 	defer obs.SetDefault(nil)
 
@@ -36,13 +35,8 @@ func TestRunBatchWorkersRace(t *testing.T) {
 		}
 	}
 
-	// All 3×6 instances must be observed, and the queue must drain.
-	if n := len(sink.ByType(obs.EvInstance)); n != 3*6 {
-		t.Errorf("instance events = %d, want 18", n)
-	}
-	if len(sink.ByType(obs.EvBatchStart)) != 1 || len(sink.ByType(obs.EvBatchEnd)) != 1 {
-		t.Error("batch start/end events missing")
-	}
+	// All 3×6 instances must be observed (the per-technique histograms
+	// below), and the queue must drain.
 	if d := ob.Gauge(obs.MQueueDepth).Value(); d != 0 {
 		t.Errorf("queue depth after batch = %d, want 0", d)
 	}

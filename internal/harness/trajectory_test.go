@@ -15,7 +15,7 @@ import (
 	"sdpopt/internal/dp"
 	"sdpopt/internal/idp"
 	"sdpopt/internal/memo"
-	"sdpopt/internal/obs"
+	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
 	"sdpopt/internal/tech"
@@ -63,26 +63,42 @@ func trajectoryCorpus() []trajectoryCase {
 	}...)
 }
 
-// trajectoryRunners are the four techniques, each reporting to ob so a budget
-// abort's level can be read off its budget.abort event.
+// trajectoryRunners are the four techniques, each run under a root span on
+// ctx so a budget abort's level can be read off the level span carrying the
+// error.
 var trajectoryRunners = []struct {
 	name string
-	run  func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error)
+	run  func(ctx context.Context, q *query.Query, budget int64) (*plan.Plan, dp.Stats, error)
 }{
-	{"DP", func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
-		return tech.Run(context.Background(), tech.DP, q, tech.Options{Budget: budget, Obs: ob})
+	{"DP", func(ctx context.Context, q *query.Query, budget int64) (*plan.Plan, dp.Stats, error) {
+		return tech.Run(ctx, tech.DP, q, tech.Options{Budget: budget})
 	}},
-	{"SDP", func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
-		return tech.Run(context.Background(), tech.SDP, q, tech.Options{Budget: budget, Obs: ob})
+	{"SDP", func(ctx context.Context, q *query.Query, budget int64) (*plan.Plan, dp.Stats, error) {
+		return tech.Run(ctx, tech.SDP, q, tech.Options{Budget: budget})
 	}},
-	{"IDP(4)", func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
+	{"IDP(4)", func(ctx context.Context, q *query.Query, budget int64) (*plan.Plan, dp.Stats, error) {
 		opts := idp.DefaultOptions()
-		opts.K, opts.Budget, opts.Obs = 4, budget, ob
+		opts.K, opts.Budget, opts.Ctx = 4, budget, ctx
 		return idp.Optimize(q, opts)
 	}},
-	{"IDP2", func(q *query.Query, budget int64, ob *obs.Observer) (*plan.Plan, dp.Stats, error) {
-		return tech.Run(context.Background(), tech.IDP2, q, tech.Options{Budget: budget, Obs: ob})
+	{"IDP2", func(ctx context.Context, q *query.Query, budget int64) (*plan.Plan, dp.Stats, error) {
+		return tech.Run(ctx, tech.IDP2, q, tech.Options{Budget: budget})
 	}},
+}
+
+// abortLevel returns the level of the last "level" span in the tree that
+// carries an error ("-" when none does).
+func abortLevel(s *span.SpanJSON) string {
+	level := "-"
+	if s.Name == "level" && s.Error != "" {
+		level = fmt.Sprint(s.Int("level"))
+	}
+	for i := range s.Children {
+		if l := abortLevel(&s.Children[i]); l != "-" {
+			level = l
+		}
+	}
+	return level
 }
 
 // planDigest hashes a plan tree canonically, costs and cardinalities as raw
@@ -117,18 +133,16 @@ func collectTrajectory(t *testing.T) []string {
 				if len(c.techs) > 0 && !contains(c.techs, r.name) {
 					continue
 				}
-				sink := &obs.MemSink{}
-				p, st, err := r.run(q, memo.DefaultBudget, obs.New(sink))
+				root := span.New("trajectory")
+				p, st, err := r.run(span.NewContext(context.Background(), root), q, memo.DefaultBudget)
+				root.Finish()
 				line := fmt.Sprintf("%s#%d %s", c.name, i, r.name)
 				switch {
 				case err == nil:
 					line += fmt.Sprintf(" cost=%016x plan=%s", math.Float64bits(p.Cost), planDigest(p))
 				case errors.Is(err, memo.ErrBudget):
-					level := "-"
-					if ev := sink.ByType(obs.EvBudgetAbort); len(ev) > 0 {
-						level = fmt.Sprint(ev[len(ev)-1].Attrs["level"])
-					}
-					line += " abort=" + level
+					tr := root.Trace().Snapshot()
+					line += " abort=" + abortLevel(tr.Root)
 				default:
 					t.Fatalf("%s: %v", line, err)
 				}

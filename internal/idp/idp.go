@@ -88,8 +88,8 @@ type Options struct {
 	Ctx context.Context
 	// Model supplies costing; if nil a fresh default model is created.
 	Model *cost.Model
-	// Obs selects the observer for metrics and trace events; nil falls back
-	// to the process-wide default (obs.Default), which is off by default.
+	// Obs selects the observer for metrics; nil falls back to the process-wide
+	// default (obs.Default), which is off by default.
 	Obs *obs.Observer
 }
 
@@ -112,30 +112,16 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 	ob := obs.Or(opts.Obs)
 	label := fmt.Sprintf("IDP(%d)", opts.K)
 	cIters := ob.Counter(obs.MIDPIterations)
-	done := dp.ObserveRun(ob, label, q)
 	p, st, err := func() (*plan.Plan, dp.Stats, error) {
 		started := time.Now()
 		costedAtStart := model.PlansCosted
 		leaves := dp.BaseLeaves(q)
 		var agg dp.Stats
 
-		for iter := 1; ; iter++ {
-			iterStart := time.Now()
+		for {
 			block := opts.K
 			if opts.Balanced {
 				block = balancedBlock(len(leaves), opts.K)
-			}
-			emitIter := func() {
-				cIters.Add(1)
-				if ob.Tracing() {
-					ob.Emit(obs.EvIDPIteration, map[string]any{
-						"tech":   label,
-						"iter":   iter,
-						"leaves": len(leaves),
-						"block":  block,
-						"dur_ns": time.Since(iterStart).Nanoseconds(),
-					})
-				}
 			}
 			e, err := dp.NewEngine(q, leaves, dp.Options{Budget: opts.Budget, Ctx: opts.Ctx, Model: model, Obs: ob, Label: label})
 			if err != nil {
@@ -152,33 +138,23 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 				}
 				p, err := e.Finalize()
 				accumulate(&agg, e.Stats())
-				emitIter()
+				cIters.Add(1)
 				return p, finish(agg, model, costedAtStart, started), err
 			}
 			if err := e.Run(block); err != nil {
 				accumulate(&agg, e.Stats())
 				return nil, finish(agg, model, costedAtStart, started), err
 			}
-			chosen, cands, short, err := selectSubplan(q, model, e.Memo, leaves, block, opts)
+			chosen, err := selectSubplan(q, model, e.Memo, leaves, block, opts)
 			accumulate(&agg, e.Stats())
 			if err != nil {
 				return nil, finish(agg, model, costedAtStart, started), err
 			}
-			emitIter()
-			if ob.Tracing() {
-				ob.Emit(obs.EvIDPCommit, map[string]any{
-					"tech":        label,
-					"iter":        iter,
-					"set":         chosen.Set.String(),
-					"set_size":    chosen.Set.Len(),
-					"candidates":  cands,
-					"shortlisted": short,
-				})
-			}
+			cIters.Add(1)
 			leaves = commit(leaves, chosen)
 		}
 	}()
-	done(st, p, err)
+	dp.ObserveRun(ob, label, st)
 	return p, st, err
 }
 
@@ -203,11 +179,11 @@ func balancedBlock(remaining, k int) int {
 // selectSubplan implements the hybrid evaluation: shortlist the top
 // BalloonFrac of size-block classes under opts.Eval, balloon each to a
 // complete plan greedily, and return the class whose completion is
-// cheapest, along with the candidate and shortlist sizes for reporting.
-func selectSubplan(q *query.Query, model *cost.Model, m *memo.Memo, leaves []dp.Leaf, block int, opts Options) (*memo.Class, int, int, error) {
+// cheapest.
+func selectSubplan(q *query.Query, model *cost.Model, m *memo.Memo, leaves []dp.Leaf, block int, opts Options) (*memo.Class, error) {
 	cands := m.Level(block)
 	if len(cands) == 0 {
-		return nil, 0, 0, fmt.Errorf("idp: no candidate subplans at level %d", block)
+		return nil, fmt.Errorf("idp: no candidate subplans at level %d", block)
 	}
 	// Canonical set order breaks score ties: Level returns classes in
 	// creation order, which depends on the enumeration strategy, and the
@@ -220,7 +196,7 @@ func selectSubplan(q *query.Query, model *cost.Model, m *memo.Memo, leaves []dp.
 		return cands[a].Set.Less(cands[b].Set)
 	})
 	if opts.BalloonFrac <= 0 {
-		return cands[0], len(cands), 1, nil
+		return cands[0], nil
 	}
 	short := int(math.Ceil(opts.BalloonFrac * float64(len(cands))))
 	if short < 1 {
@@ -238,7 +214,7 @@ func selectSubplan(q *query.Query, model *cost.Model, m *memo.Memo, leaves []dp.
 			best = c
 		}
 	}
-	return best, len(cands), short, nil
+	return best, nil
 }
 
 // balloon greedily extends class c's best plan to a complete plan: at each

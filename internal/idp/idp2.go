@@ -33,9 +33,8 @@ func Optimize2(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 	ob := obs.Or(opts.Obs)
 	label := fmt.Sprintf("IDP2(%d)", opts.K)
 	cIters := ob.Counter(obs.MIDPIterations)
-	done := dp.ObserveRun(ob, label, q)
 	p, st, err := optimize2(q, opts, model, ob, label, cIters)
-	done(st, p, err)
+	dp.ObserveRun(ob, label, st)
 	return p, st, err
 }
 
@@ -87,9 +86,8 @@ func optimize2(q *query.Query, opts Options, model *cost.Model, ob *obs.Observer
 	// maximal subtrees spanning ≤ K relations and re-plans the best
 	// improvement via exhaustive DP over the subtree's leaves.
 	improved := true
-	for iter := 1; improved; iter++ {
+	for improved {
 		improved = false
-		iterStart := time.Now()
 		for _, sub := range subtreesUpTo(current, opts.K) {
 			if err := dp.CtxErr(opts.Ctx); err != nil {
 				return nil, finish(agg, model, costedAtStart, started), err
@@ -106,14 +104,6 @@ func optimize2(q *query.Query, opts Options, model *cost.Model, ob *obs.Observer
 			}
 		}
 		cIters.Add(1)
-		if ob.Tracing() {
-			ob.Emit(obs.EvIDPIteration, map[string]any{
-				"tech":     label,
-				"iter":     iter,
-				"improved": improved,
-				"dur_ns":   time.Since(iterStart).Nanoseconds(),
-			})
-		}
 	}
 
 	// Final ORDER BY handling mirrors the engine's Finalize.

@@ -538,20 +538,6 @@ func (m *Memo) Level(k int) []*Class {
 	return out
 }
 
-// LevelAlive returns len(Level(k)) without building the slice.
-func (m *Memo) LevelAlive(k int) int {
-	if k < 0 || k >= len(m.byLevel) {
-		return 0
-	}
-	n := 0
-	for _, c := range m.byLevel[k] {
-		if !c.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // LevelSize returns the number of classes ever created at leaf level k,
 // pruned classes included — the exclusive upper bound on Class.Seq at that
 // level, which sizes the enumerator's visited-stamp arrays.

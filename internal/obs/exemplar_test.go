@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -84,47 +82,5 @@ func TestExemplarExposition(t *testing.T) {
 	}
 	if !strings.HasSuffix(strings.TrimSpace(om.String()), "# EOF") {
 		t.Error("OpenMetrics exposition missing # EOF")
-	}
-}
-
-// TestObserverFlush checks Flush pushes buffered JSONL events to disk
-// without closing the sink — the server's graceful-shutdown drain.
-func TestObserverFlush(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	sink, err := OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := New(sink)
-	o.Emit("test.event", map[string]any{"k": 1})
-
-	if err := o.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), "test.event") {
-		t.Fatalf("event not on disk after Flush: %q", raw)
-	}
-
-	// The sink stays usable after Flush.
-	o.Emit("test.second", nil)
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ = os.ReadFile(path)
-	if !strings.Contains(string(raw), "test.second") {
-		t.Fatal("post-Flush event lost")
-	}
-
-	// Nil-safety: a sink-less observer and a nil observer both flush clean.
-	if err := New().Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var nilO *Observer
-	if err := nilO.Flush(); err != nil {
-		t.Fatal(err)
 	}
 }

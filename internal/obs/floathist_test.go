@@ -220,35 +220,3 @@ func TestGaugeFuncAndBuildInfo(t *testing.T) {
 	var nilR *Registry
 	nilR.GaugeFunc("x", func() int64 { return 1 })
 }
-
-func TestReadJSONLLenient(t *testing.T) {
-	in := strings.Join([]string{
-		`{"ev":"a"}`,
-		`{"ev":"b"`, // truncated mid-write
-		``,
-		`not json at all`,
-		`{"ev":"c"}`,
-	}, "\n")
-	var warn bytes.Buffer
-	recs, skipped, err := ReadJSONLLenient(strings.NewReader(in), &warn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || skipped != 2 {
-		t.Fatalf("recs=%d skipped=%d, want 2/2", len(recs), skipped)
-	}
-	if recs[0].Ev() != "a" || recs[1].Ev() != "c" {
-		t.Fatalf("records = %v", recs)
-	}
-	if !strings.Contains(warn.String(), "line 2") || !strings.Contains(warn.String(), "line 4") {
-		t.Fatalf("warnings = %q", warn.String())
-	}
-	// Strict reader still aborts on the same input.
-	if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
-		t.Fatal("strict ReadJSONL accepted corrupt input")
-	}
-	// Nil warn writer is fine.
-	if _, n, err := ReadJSONLLenient(strings.NewReader(in), nil); err != nil || n != 2 {
-		t.Fatalf("nil-warn path: n=%d err=%v", n, err)
-	}
-}

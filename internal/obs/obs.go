@@ -1,15 +1,14 @@
-// Package obs is the optimizer's observability layer: an atomic-counter
-// metrics Registry (counters, gauges, duration histograms) plus a span-style
-// Tracer emitting structured events to pluggable sinks (JSONL files for
-// offline analysis, in-memory buffers for tests and CLI trace tables).
+// Package obs is the optimizer's metrics layer: an atomic-counter metrics
+// Registry (counters, gauges, duration and float histograms) that aggregates
+// across runs. Its per-request counterpart is package obs/span, whose span
+// trees carry the same numbers for one request or one run.
 //
 // Every number the paper's tables report — plans costed, memo memory,
-// optimization time, pruning counts — flows through this package, so
-// DP, IDP and SDP are measured uniformly. The design constraint is that
+// optimization time, pruning counts — flows through these two, so DP, IDP
+// and SDP are measured uniformly. The design constraint is that
 // observability must cost nothing when off: all types are nil-safe, and the
-// disabled path through an Observer, metric handle, or Tracer is a single
-// nil-check. Engine layers resolve their metric handles once per run, never
-// per event.
+// disabled path through an Observer or metric handle is a single nil-check.
+// Engine layers resolve their metric handles once per run, never per pair.
 //
 // The package depends only on the standard library and is imported by every
 // engine layer (memo, dp, core, idp, harness) and the CLIs.
@@ -17,16 +16,15 @@ package obs
 
 import "sync/atomic"
 
-// Observer bundles a metrics registry and a tracer. Engine options carry an
-// optional *Observer; a nil observer (the default) disables all telemetry.
+// Observer carries a metrics registry. Engine options carry an optional
+// *Observer; a nil observer (the default) disables all metrics.
 type Observer struct {
 	Registry *Registry
-	Tracer   *Tracer
 }
 
-// New returns an observer over a fresh registry and the given sinks.
-func New(sinks ...Sink) *Observer {
-	return &Observer{Registry: NewRegistry(), Tracer: NewTracer(sinks...)}
+// New returns an observer over a fresh registry.
+func New() *Observer {
+	return &Observer{Registry: NewRegistry()}
 }
 
 // Counter resolves a counter from the observer's registry. Nil-safe.
@@ -52,51 +50,6 @@ func (o *Observer) Histogram(name string) *Histogram {
 		return nil
 	}
 	return o.Registry.Histogram(name)
-}
-
-// Emit sends one trace event. Nil-safe.
-func (o *Observer) Emit(typ string, attrs map[string]any) {
-	if o == nil {
-		return
-	}
-	o.Tracer.Emit(typ, attrs)
-}
-
-// EmitPayload is Emit with an in-process payload. Nil-safe.
-func (o *Observer) EmitPayload(typ string, attrs map[string]any, payload any) {
-	if o == nil {
-		return
-	}
-	o.Tracer.EmitPayload(typ, attrs, payload)
-}
-
-// Tracing reports whether events would actually be recorded — engine layers
-// use it to skip building attribute maps on the disabled path.
-func (o *Observer) Tracing() bool { return o != nil && o.Tracer != nil }
-
-// Flush forces buffered sink writes (JSONL files) to their destination
-// without closing the sinks — the graceful-shutdown path, where the process
-// keeps serving until the listener drains but no event may be lost.
-// Nil-safe.
-func (o *Observer) Flush() error {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer.Flush()
-}
-
-// WithSinks returns an observer that shares o's registry but additionally
-// delivers events to the given sinks. Works on a nil receiver (yielding an
-// observer with only the new sinks).
-func (o *Observer) WithSinks(sinks ...Sink) *Observer {
-	if o == nil {
-		return &Observer{Registry: nil, Tracer: NewTracer(sinks...)}
-	}
-	all := sinks
-	if o.Tracer != nil {
-		all = append(append([]Sink{}, o.Tracer.sinks...), sinks...)
-	}
-	return &Observer{Registry: o.Registry, Tracer: NewTracer(all...)}
 }
 
 // defaultObs is the process-wide observer, nil until a CLI enables

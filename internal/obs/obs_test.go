@@ -12,27 +12,18 @@ import (
 )
 
 func TestNilSafety(t *testing.T) {
-	// Every operation on a nil observer, registry, tracer, or metric handle
-	// must be a no-op — this is the disabled path the engines ride.
+	// Every operation on a nil observer, registry, or metric handle must be
+	// a no-op — this is the disabled path the engines ride.
 	var o *Observer
 	o.Counter("x").Add(1)
 	o.Gauge("y").Set(5)
 	o.Gauge("y").SetMax(9)
 	o.Histogram("z").Observe(time.Second)
-	o.Emit(EvLevel, map[string]any{"level": 2})
-	if o.Tracing() {
-		t.Fatal("nil observer reports tracing enabled")
-	}
 	var r *Registry
 	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
 		t.Fatal("nil registry handed out a live handle")
 	}
 	if err := r.WritePrometheus(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var tr *Tracer
-	tr.Emit("x", nil)
-	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,103 +138,6 @@ func TestLabelMatchesFmt(t *testing.T) {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	tr := NewTracer(sink)
-	tr.Emit(EvLevel, map[string]any{"level": 3, "classes_created": 12, "tech": "DP"})
-	tr.EmitPayload(EvSDPLevel, map[string]any{"level": 3, "pruned": 4}, struct{ x int }{1})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
-	}
-	if recs[0].Ev() != EvLevel || recs[0].Num("classes_created") != 12 || recs[0].Str("tech") != "DP" {
-		t.Fatalf("bad first record: %v", recs[0])
-	}
-	// The payload must stay in-process, never serialized.
-	if _, ok := recs[1]["Payload"]; ok {
-		t.Fatal("payload leaked into JSONL")
-	}
-	if recs[1].Num("pruned") != 4 {
-		t.Fatalf("bad second record: %v", recs[1])
-	}
-}
-
-func TestMemSinkAndWithSinks(t *testing.T) {
-	base := New()
-	mem := &MemSink{}
-	o := base.WithSinks(mem)
-	if o.Registry != base.Registry {
-		t.Fatal("WithSinks must share the registry")
-	}
-	o.Emit(EvOptimizeStart, map[string]any{"tech": "SDP"})
-	o.Emit(EvOptimizeEnd, map[string]any{"tech": "SDP"})
-	if got := len(mem.ByType(EvOptimizeEnd)); got != 1 {
-		t.Fatalf("mem sink saw %d optimize.end events, want 1", got)
-	}
-	// Nil base: events still flow to the extra sink.
-	var nilObs *Observer
-	mem2 := &MemSink{}
-	o2 := nilObs.WithSinks(mem2)
-	o2.Emit(EvLevel, nil)
-	if len(mem2.Events()) != 1 {
-		t.Fatal("WithSinks on nil observer dropped the event")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	tr := NewTracer(sink)
-	tr.Emit(EvOptimizeEnd, map[string]any{
-		"tech": "SDP", "dur_ns": int64(2e6), "plans_costed": 100,
-		"classes_created": 20, "peak_sim_bytes": 1 << 20})
-	tr.Emit(EvOptimizeEnd, map[string]any{
-		"tech": "DP", "dur_ns": int64(5e6), "plans_costed": 900,
-		"classes_created": 80, "peak_sim_bytes": 2 << 20, "err": "memo: simulated memory budget exceeded"})
-	tr.Emit(EvLevel, map[string]any{"tech": "SDP", "level": 2, "dur_ns": int64(1e6), "classes_created": 8, "plans_costed": 40})
-	tr.Emit(EvLevel, map[string]any{"tech": "SDP", "level": 3, "dur_ns": int64(3e6), "classes_created": 12, "plans_costed": 60})
-	tr.Emit(EvSDPPartition, map[string]any{"level": 3, "label": "hub:1", "size": 10, "survivors": 6, "rc": 4, "cs": 3, "rs": 5})
-	tr.Emit(EvSDPLevel, map[string]any{"level": 3, "pruned": 4})
-	tr.Close()
-	recs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarize(recs)
-	if len(s.Techniques) != 2 {
-		t.Fatalf("techniques = %d, want 2", len(s.Techniques))
-	}
-	dp := s.Techniques[0]
-	if dp.Tech != "DP" || dp.Aborts != 1 || dp.PlansCosted != 900 {
-		t.Fatalf("bad DP summary: %+v", dp)
-	}
-	if len(s.Levels) != 2 || s.Levels[1].Level != 3 || s.Levels[1].Classes != 12 {
-		t.Fatalf("bad level summary: %+v", s.Levels)
-	}
-	var rc *CriterionSummary
-	for i := range s.Criteria {
-		if s.Criteria[i].Criterion == "RC" {
-			rc = &s.Criteria[i]
-		}
-	}
-	if rc == nil || rc.Candidates != 10 || rc.Survivors != 4 {
-		t.Fatalf("bad RC criterion: %+v", s.Criteria)
-	}
-	out := s.Render(5)
-	for _, want := range []string{"Effort per technique", "Top 2 levels by time", "Skyline pruning efficacy", "RC"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestHTTPEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sdpopt_plans_costed_total").Add(5)
@@ -278,8 +172,6 @@ func TestHTTPEndpoints(t *testing.T) {
 // -race this proves the registry is safe under concurrent engine runs.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
-	mem := &MemSink{}
-	tr := NewTracer(mem)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -290,16 +182,12 @@ func TestRegistryRace(t *testing.T) {
 				r.Gauge(MMemoAlive).Add(1)
 				r.Gauge(MMemoPeakSimBytes).SetMax(int64(j))
 				r.Histogram(MLevelSeconds).Observe(time.Duration(j))
-				tr.Emit(EvLevel, map[string]any{"level": j % 10})
 			}
 		}()
 	}
 	wg.Wait()
 	if got := r.Counter(MPlansCosted).Value(); got != 4000 {
 		t.Fatalf("counter = %d, want 4000", got)
-	}
-	if got := len(mem.Events()); got != 4000 {
-		t.Fatalf("events = %d, want 4000", got)
 	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {

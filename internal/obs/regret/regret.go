@@ -42,8 +42,8 @@ type OptimizeFunc func(ctx context.Context, technique string, q *query.Query, o 
 type Options struct {
 	// Optimize runs the shadow re-optimizations. Required.
 	Optimize OptimizeFunc
-	// Obs receives regret metrics (ratio histograms, sample/drop counters)
-	// and EvRegret trace events. Optional.
+	// Obs receives regret metrics (ratio histograms, sample/drop counters).
+	// Optional.
 	Obs *obs.Observer
 	// Flight, when set, receives the worst-regret shadow traces: a shadow
 	// run whose ratio reaches PinRatio is pinned into the recorder's
@@ -372,17 +372,6 @@ func (s *Shadow) runJob(j *job) error {
 		s.opts.Obs.FloatHistogram(obs.Label(obs.MRegretRatio, "tech", j.tech, "shape", j.shape), nil).
 			ObserveExemplar(ratio, j.traceID)
 		s.opts.Obs.Counter(obs.Label(obs.MRegretSamples, "tech", j.tech)).Add(1)
-		s.opts.Obs.Emit(obs.EvRegret, map[string]any{
-			"tech":        j.tech,
-			"ref":         j.ref,
-			"shape":       j.shape,
-			"rels":        j.rels,
-			"ratio":       ratio,
-			"served_cost": j.servedCost,
-			"ref_cost":    refPlan.Cost,
-			"trace_id":    j.traceID,
-			"dur_ns":      dur.Nanoseconds(),
-		})
 	}
 	return nil
 }

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"sdpopt/internal/obs"
 )
 
 // FlightDump is the /debug/flight.json document: one recorder snapshot
@@ -85,63 +83,6 @@ func (d *FlightDump) Traces() []TraceJSON {
 	out = append(out, d.Notable...)
 	out = append(out, d.Recent...)
 	return out
-}
-
-// Records converts the dump's span trees into the flat obs.Record stream
-// obs.Summarize consumes, so one flight dump feeds the same per-level and
-// per-partition tables sdptrace prints for JSONL traces. Span names map to
-// event types directly except "optimize", whose completion corresponds to
-// the optimize.end event.
-func (d *FlightDump) Records() []obs.Record {
-	var out []obs.Record
-	for _, t := range d.Traces() {
-		if t.Root != nil {
-			spanRecords(*t.Root, &out)
-		}
-	}
-	return out
-}
-
-func spanRecords(s SpanJSON, out *[]obs.Record) {
-	ev := s.Name
-	if ev == "optimize" {
-		ev = obs.EvOptimizeEnd
-	}
-	r := obs.Record{"ev": ev, "dur_ns": float64(s.DurNS)}
-	for k, v := range s.Attrs {
-		r[k] = coerce(v)
-	}
-	for k, v := range s.Counters {
-		r[k] = float64(v)
-	}
-	if s.Error != "" {
-		r["err"] = s.Error
-	}
-	*out = append(*out, r)
-	for _, c := range s.Children {
-		spanRecords(c, out)
-	}
-}
-
-// coerce normalizes numeric attr values to float64, matching what a JSON
-// round-trip produces, so Record.Num works on in-process dumps too.
-func coerce(v any) any {
-	switch n := v.(type) {
-	case int:
-		return float64(n)
-	case int32:
-		return float64(n)
-	case int64:
-		return float64(n)
-	case uint64:
-		return float64(n)
-	case float32:
-		return float64(n)
-	case time.Duration:
-		return float64(n)
-	default:
-		return v
-	}
 }
 
 // Render formats the trace as an indented span tree with durations,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -210,6 +211,13 @@ func (r *Recorder) Snapshot() *FlightDump {
 		d.Recent = append(d.Recent, traceJSON(t, now, r.opts.SlowThreshold))
 	}
 	return d
+}
+
+// Snapshot returns the trace in its flight-dump form as of now, for a
+// trace kept outside any Recorder (e.g. one CLI run). It is never marked
+// slow: the slow threshold is a Recorder setting.
+func (t *Trace) Snapshot() TraceJSON {
+	return traceJSON(t, time.Now(), math.MaxInt64)
 }
 
 func traceJSON(t *Trace, now time.Time, slowAt time.Duration) TraceJSON {

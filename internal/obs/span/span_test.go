@@ -162,8 +162,8 @@ func TestSpanTreeSnapshot(t *testing.T) {
 }
 
 // TestDumpRecordsSummarize checks the flight dump survives a JSON round
-// trip and feeds obs.Summarize the same attr names the JSONL trace path
-// uses.
+// trip and that Summarize reads the same numbers from the decoded span
+// trees (attrs as float64) as from in-process ones (attrs as Go integers).
 func TestDumpRecordsSummarize(t *testing.T) {
 	rec := span.NewRecorder(span.RecorderOptions{})
 	root := span.New("request")
@@ -175,11 +175,12 @@ func TestDumpRecordsSummarize(t *testing.T) {
 	lv.SetAttr("tech", "sdp")
 	lv.SetAttr("level", 2)
 	lv.SetAttr("plans_costed", int64(60))
-	lv.SetAttr("classes_created", int64(3))
+	lv.SetAttr("classes_created", 3)
 	o.Finish()
 	rec.Finish(root, 200)
 
-	raw, err := json.Marshal(rec.Snapshot())
+	live := rec.Snapshot()
+	raw, err := json.Marshal(live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,23 +191,17 @@ func TestDumpRecordsSummarize(t *testing.T) {
 	if got := len(d.Traces()); got != 1 {
 		t.Fatalf("Traces() = %d, want 1", got)
 	}
-	recs := d.Records()
-	var evs []string
-	for _, r := range recs {
-		evs = append(evs, r.Ev())
-	}
-	joined := strings.Join(evs, " ")
-	// The "optimize" span maps to the optimize.end event; level passes
-	// through.
-	if !strings.Contains(joined, "optimize.end") || !strings.Contains(joined, "level") {
-		t.Fatalf("Records events = %v", evs)
-	}
-	for _, r := range recs {
-		if r.Ev() != "level" {
-			continue
+	for name, dump := range map[string]*span.FlightDump{"live": live, "decoded": d} {
+		s := span.Summarize(dump.Traces())
+		if s.Spans != 3 {
+			t.Errorf("%s: spans = %d, want 3", name, s.Spans)
 		}
-		if n := r.Num("plans_costed"); n != 60 {
-			t.Fatalf("level plans_costed = %v, want 60 (numeric attrs must coerce to float64)", n)
+		if len(s.Techniques) != 1 || s.Techniques[0].Tech != "sdp" || s.Techniques[0].PlansCosted != 100 {
+			t.Errorf("%s: techniques = %+v", name, s.Techniques)
+		}
+		if len(s.Levels) != 1 || s.Levels[0].Level != 2 || s.Levels[0].PlansCosted != 60 ||
+			s.Levels[0].Classes != 3 || s.Levels[0].Total != 2*time.Millisecond {
+			t.Errorf("%s: levels = %+v", name, s.Levels)
 		}
 	}
 }

@@ -460,9 +460,8 @@ func (s *Server) Start(addr string) (string, error) {
 
 // Shutdown gracefully stops a Started server: the listener closes
 // immediately, in-flight requests run to completion or until ctx expires.
-// Buffered trace sinks are then drained, so the final events of requests
-// completing during the grace period reach their JSONL files rather than
-// dying in a bufio buffer.
+// The off-path layers then close, the feedback corpus last, so observations
+// of requests completing during the grace period reach the corpus file.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	if s.httpSrv != nil {
@@ -477,9 +476,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.sampler.Close()
 	if cerr := s.corpus.Close(); err == nil {
 		err = cerr
-	}
-	if ferr := s.ob.Flush(); err == nil {
-		err = ferr
 	}
 	return err
 }

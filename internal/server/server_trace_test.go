@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -215,48 +213,6 @@ func TestErrorTracePinned(t *testing.T) {
 	}
 }
 
-// TestShutdownFlushesTraceSink is the graceful-shutdown drain check: the
-// final events of a request served just before Shutdown must reach the
-// JSONL file through the sink's buffer without an explicit Close.
-func TestShutdownFlushesTraceSink(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	sink, err := obs.OpenJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob := obs.New(sink)
-	s, err := New(Options{Cat: workload.PaperSchema(), Obs: ob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := json.Marshal(OptimizeRequest{SQL: testSQL})
-	resp, err := http.Post("http://"+addr+"/optimize", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("optimize: %d", resp.StatusCode)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), obs.EvOptimizeEnd) {
-		t.Fatalf("optimize.end not flushed to %s on shutdown (%d bytes present)", path, len(raw))
-	}
-}
-
 // TestFlightUnderLoad races concurrent /optimize traffic against
 // /debug/flight.json reads; meaningful under -race.
 func TestFlightUnderLoad(t *testing.T) {
@@ -316,8 +272,8 @@ func TestFlightUnderLoad(t *testing.T) {
 }
 
 // TestOptimizeReportsEnumerator pins where the engine's silent DPccp →
-// indexed fallback becomes visible: the "optimize" span's enum attribute and
-// the optimize.end event's. SDP's hook resolves to the indexed walk,
+// indexed fallback becomes visible: the "optimize" span's enum attribute.
+// SDP's hook resolves to the indexed walk,
 // unhooked DP stays on DPccp, and a technique without a DP substrate
 // reports nothing.
 func TestOptimizeReportsEnumerator(t *testing.T) {
@@ -333,11 +289,10 @@ func TestOptimizeReportsEnumerator(t *testing.T) {
 		{"dp", "dpccp"},
 		{"greedy", nil},
 	} {
-		sink := &obs.MemSink{}
 		rec := span.NewRecorder(span.RecorderOptions{SlowThreshold: time.Hour})
 		root := span.New("request")
 		rec.Start(root)
-		_, st, err := tech.Run(span.NewContext(context.Background(), root), tc.technique, q, tech.Options{Obs: obs.New(sink)})
+		_, st, err := tech.Run(span.NewContext(context.Background(), root), tc.technique, q, tech.Options{Obs: obs.New()})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.technique, err)
 		}
@@ -352,13 +307,6 @@ func TestOptimizeReportsEnumerator(t *testing.T) {
 		}
 		if got := opt[0].Attrs["enum"]; got != tc.want {
 			t.Errorf("%s: optimize span enum = %v, want %v", label, got, tc.want)
-		}
-		ends := sink.ByType(obs.EvOptimizeEnd)
-		if len(ends) != 1 {
-			t.Fatalf("%s: %d optimize.end events", label, len(ends))
-		}
-		if got := ends[0].Attrs["enum"]; got != tc.want {
-			t.Errorf("%s: optimize.end enum = %v, want %v", label, got, tc.want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"sdpopt/internal/bits"
 	"sdpopt/internal/cost"
+	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
 	"sdpopt/internal/workload"
@@ -134,5 +135,55 @@ func TestRunUnknownTechnique(t *testing.T) {
 	_, _, err = Run(context.Background(), "genetic", q, Options{})
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(Names())) {
 		t.Errorf("unknown technique error %v does not list %v", err, Names())
+	}
+}
+
+// TestLevelSpansSumToRun: the per-level telemetry is complete — for DP and
+// SDP run under a root span, the "level" spans' classes_created add up to
+// the run's Stats.Memo.ClassesCreated and their plans_costed to
+// Stats.PlansCosted. The one plan costed outside every level is ORDER BY
+// enforcement: Finalize costs at most one sort, so an ordered run may
+// exceed its levels' sum by that one plan and an unordered one by none.
+func TestLevelSpansSumToRun(t *testing.T) {
+	cat := workload.PaperSchema()
+	for _, name := range []string{DP, SDP} {
+		for _, topo := range []workload.Topology{workload.Chain, workload.Star, workload.Cycle, workload.StarChain} {
+			for _, ordered := range []bool{false, true} {
+				label := fmt.Sprintf("%s %v ordered=%v", name, topo, ordered)
+				q, err := workload.One(workload.Spec{Cat: cat, Topology: topo, NumRelations: 10, Ordered: ordered, Seed: 42})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				root := span.New("run")
+				_, st, err := Run(span.NewContext(context.Background(), root), name, q, Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				root.Finish()
+				var created, costed int64
+				var walk func(s *span.SpanJSON)
+				walk = func(s *span.SpanJSON) {
+					if s.Name == "level" {
+						created += s.Int("classes_created")
+						costed += s.Int("plans_costed")
+					}
+					for i := range s.Children {
+						walk(&s.Children[i])
+					}
+				}
+				walk(root.Trace().Snapshot().Root)
+				if created != st.Memo.ClassesCreated {
+					t.Errorf("%s: level spans created %d classes, stats say %d", label, created, st.Memo.ClassesCreated)
+				}
+				sortCost := int64(0)
+				if ordered {
+					sortCost = 1
+				}
+				if d := st.PlansCosted - costed; d < 0 || d > sortCost {
+					t.Errorf("%s: stats costed %d plans, level spans %d: %d outside the levels, want at most %d",
+						label, st.PlansCosted, costed, d, sortCost)
+				}
+			}
+		}
 	}
 }

@@ -19,7 +19,6 @@ package sdpopt
 
 import (
 	"context"
-	"io"
 
 	"sdpopt/internal/catalog"
 	"sdpopt/internal/ce"
@@ -168,8 +167,8 @@ type DPOptions struct {
 	// Deprecated: parallel enumeration was removed; the field stays only so
 	// existing callers compile, and will be deleted.
 	Workers int
-	// Obs receives metrics and trace events; nil falls back to the
-	// process-wide default observer (see SetDefaultObserver).
+	// Obs receives metrics; nil falls back to the process-wide default
+	// observer (see SetDefaultObserver).
 	Obs *Observer
 }
 
@@ -367,48 +366,19 @@ func EnumerateInstances(spec WorkloadSpec, limit int) ([]*Query, error) {
 	return workload.Enumerate(spec, limit)
 }
 
-// Observability. An Observer bundles a metrics registry with an event
-// tracer; every optimizer layer reports through it when one is installed
-// (telemetry is off — and free — by default).
+// Observability. An Observer carries a metrics registry every optimizer
+// layer reports to when one is installed (telemetry is off — and free — by
+// default). Per-run detail lives in span trees instead: see TraceRun.
 type (
-	// Observer bundles a metrics registry and an event tracer.
+	// Observer carries a metrics registry.
 	Observer = obs.Observer
 	// MetricsRegistry holds atomic counters, gauges and duration
 	// histograms, and renders Prometheus text exposition.
 	MetricsRegistry = obs.Registry
-	// TraceEvent is one structured optimizer event.
-	TraceEvent = obs.Event
-	// TraceSink receives trace events.
-	TraceSink = obs.Sink
-	// TraceMemSink buffers events in memory (tests, CLI tables).
-	TraceMemSink = obs.MemSink
-	// TraceJSONLSink appends events to a JSONL stream.
-	TraceJSONLSink = obs.JSONLSink
-	// TraceRecord is one decoded JSONL trace line.
-	TraceRecord = obs.Record
-	// TraceSummary aggregates a trace: effort per technique, time per
-	// level, pruning efficacy per skyline criterion.
-	TraceSummary = obs.TraceSummary
 )
 
-// Trace event types.
-const (
-	EvOptimizeStart = obs.EvOptimizeStart
-	EvOptimizeEnd   = obs.EvOptimizeEnd
-	EvLevel         = obs.EvLevel
-	EvBudgetAbort   = obs.EvBudgetAbort
-	EvSDPLevel      = obs.EvSDPLevel
-	EvSDPPartition  = obs.EvSDPPartition
-	EvIDPIteration  = obs.EvIDPIteration
-	EvIDPCommit     = obs.EvIDPCommit
-	EvBatchStart    = obs.EvBatchStart
-	EvBatchEnd      = obs.EvBatchEnd
-	EvInstance      = obs.EvInstance
-)
-
-// NewObserver returns an observer over a fresh metrics registry delivering
-// events to the given sinks (none = metrics only).
-func NewObserver(sinks ...TraceSink) *Observer { return obs.New(sinks...) }
+// NewObserver returns an observer over a fresh metrics registry.
+func NewObserver() *Observer { return obs.New() }
 
 // SetDefaultObserver installs the process-wide observer every optimization
 // without an explicit one reports to (nil disables telemetry, the default).
@@ -416,24 +386,6 @@ func SetDefaultObserver(o *Observer) { obs.SetDefault(o) }
 
 // DefaultObserver returns the process-wide observer, or nil.
 func DefaultObserver() *Observer { return obs.Default() }
-
-// OpenTraceJSONL opens (creating or truncating) a JSONL trace sink at path.
-func OpenTraceJSONL(path string) (*TraceJSONLSink, error) { return obs.OpenJSONL(path) }
-
-// ReadTraceJSONL decodes a JSONL trace stream written by a TraceJSONLSink.
-func ReadTraceJSONL(r io.Reader) ([]TraceRecord, error) { return obs.ReadJSONL(r) }
-
-// ReadTraceJSONLLenient decodes a JSONL trace stream, skipping malformed
-// lines — a warning per skipped line goes to warn (discarded when nil) —
-// instead of aborting on the first one, and returns how many were skipped.
-// Traces cut off mid-line by a crash or a concurrent writer stay readable.
-func ReadTraceJSONLLenient(r io.Reader, warn io.Writer) ([]TraceRecord, int, error) {
-	return obs.ReadJSONLLenient(r, warn)
-}
-
-// SummarizeTrace aggregates decoded trace records; render the result with
-// TraceSummary.Render.
-func SummarizeTrace(records []TraceRecord) *TraceSummary { return obs.Summarize(records) }
 
 // Cardinality-error robustness (see internal/ce): optimize under a lying
 // estimator, re-cost under truth, report ρ-under-error per technique.

@@ -50,6 +50,9 @@ type (
 	FlightDump = span.FlightDump
 	// FlightTrace is one trace within a FlightDump.
 	FlightTrace = span.TraceJSON
+	// TraceSummary aggregates span trees: effort per technique, time per
+	// level, pruning efficacy per skyline criterion.
+	TraceSummary = span.TraceSummary
 	// RegretOptions configures the server's shadow regret layer: sampling
 	// rates, the reference-technique DP cutover, worker pool and queue
 	// sizes, dedup interval, window sizes, and the flight-recorder pin
@@ -114,10 +117,27 @@ func Techniques() []string { return tech.Names() }
 
 // ReadFlightDump parses a /debug/flight.json document, e.g. one saved with
 // curl while debugging a slow request. Render each trace with
-// FlightTrace.Render, or feed dump.Records() to Summarize for the same
-// per-level and per-partition tables the JSONL trace path produces
-// (`sdplab inspect` wraps both).
+// FlightTrace.Render, or feed dump.Traces() to SummarizeTrace for the
+// per-technique, per-level and per-partition tables (`sdplab inspect`
+// wraps both).
 func ReadFlightDump(r io.Reader) (*FlightDump, error) { return span.ReadDump(r) }
+
+// TraceRun runs fn with a context carrying a fresh root span named name and
+// returns the finished trace: the span tree of every optimization fn ran
+// with that context as its options' Ctx — one "level" span per enumeration
+// level, and SDP's "sdp.level" and "sdp.partition" spans. Walk
+// FlightTrace.Root, or aggregate with SummarizeTrace.
+func TraceRun(ctx context.Context, name string, fn func(ctx context.Context)) FlightTrace {
+	root := span.New(name)
+	fn(span.NewContext(ctx, root))
+	root.Finish()
+	root.Trace().Finish(0)
+	return root.Trace().Snapshot()
+}
+
+// SummarizeTrace aggregates span trees — a FlightDump's Traces, or the
+// results of TraceRun; render the result with TraceSummary.Render.
+func SummarizeTrace(traces []FlightTrace) *TraceSummary { return span.Summarize(traces) }
 
 // ReadRegretDump parses a /debug/regret.json document; render it with
 // RegretDump.Render (`sdplab regret` wraps both).
