@@ -62,6 +62,12 @@ type Model struct {
 	relRows  []float64 // post-filter output cardinality per relation
 	relWidth []int     // tuple width per query-local relation
 
+	// logSel and logRows are log(predSel) and log(relRows), which SetRows and
+	// Selectivity sum for every new class: taken once here, they leave the
+	// sums what summing the logs in place gave, bit for bit.
+	logSel  []float64
+	logRows []float64
+
 	// predEq and idxEq snapshot the query's equivalence classes — per
 	// predicate, and per relation for its indexed column (-1 when that column
 	// joins nothing) — because join costing reads them per candidate and the
@@ -78,13 +84,11 @@ type Model struct {
 	relProbe   []float64
 	relIdxScan []*plan.Plan
 
-	// rowsMemo and widthMemo cache SetRows and Width per relation set. Both
-	// are pure functions of the set (SetRows is canonical by design), so
-	// memoization cannot change any estimate — it only removes the repeated
-	// per-member recomputation from the enumeration hot path, where Width
-	// runs several times per costed candidate. Lazily allocated.
-	rowsMemo  map[bits.Set]float64
-	widthMemo map[bits.Set]int
+	// rowsMemo caches SetRows per relation set. SetRows is a pure function of
+	// the set (canonical by design), so memoization cannot change any
+	// estimate; it spares greedy and IDP2, which ask for the same sets again
+	// and again, the per-member sums. Lazily allocated.
+	rowsMemo map[bits.Set]float64
 
 	// PlansCosted counts candidate plans constructed and costed.
 	PlansCosted int64
@@ -119,19 +123,22 @@ func NewModelEst(q *query.Query, params Params, est Estimator) *Model {
 }
 
 // derive snapshots the estimator's per-relation and per-predicate answers
-// into the hot-path arrays, with the per-relation index probe cost and scan
-// node that follow from them, and drops the estimator-dependent SetRows memo.
-// (widthMemo survives estimator swaps: tuple widths are physical schema
-// facts, not estimates.)
+// and their logs into the hot-path arrays, with the per-relation index probe
+// cost and scan node that follow from them, and drops the estimator-dependent
+// SetRows memo.
 func (m *Model) derive() {
 	q := m.Q
 	m.relRows = make([]float64, q.NumRelations())
+	m.logRows = make([]float64, q.NumRelations())
 	for i := 0; i < q.NumRelations(); i++ {
 		m.relRows[i] = m.est.RelRows(i)
+		m.logRows[i] = math.Log(m.relRows[i])
 	}
 	m.predSel = make([]float64, len(q.Preds))
+	m.logSel = make([]float64, len(q.Preds))
 	for i := range q.Preds {
 		m.predSel[i] = m.est.PredSel(i)
+		m.logSel[i] = math.Log(m.predSel[i])
 	}
 	m.relProbe = make([]float64, q.NumRelations())
 	m.relIdxScan = make([]*plan.Plan, q.NumRelations())
@@ -174,24 +181,17 @@ func (m *Model) PredSel(pi int) float64 { return m.predSel[pi] }
 func (m *Model) BaseRows(i int) float64 { return m.relRows[i] }
 
 // Width returns the output tuple width in bytes of a JCR covering set s
-// (these workloads project all columns, so widths add). Memoized per set.
+// (these workloads project all columns, so widths add). A memo class stores
+// its width, so the enumeration asks once per class.
 func (m *Model) Width(s bits.Set) int {
-	if w, ok := m.widthMemo[s]; ok {
-		return w
-	}
 	w := 0
 	for it := s.Iter(); ; {
 		i, ok := it.Next()
 		if !ok {
-			break
+			return w
 		}
 		w += m.relWidth[i]
 	}
-	if m.widthMemo == nil {
-		m.widthMemo = make(map[bits.Set]int, 256)
-	}
-	m.widthMemo[s] = w
-	return w
 }
 
 // JoinRows returns the cardinality of joining two disjoint JCRs with the
@@ -234,11 +234,11 @@ func (m *Model) SetRows(s bits.Set) float64 {
 		if !ok {
 			break
 		}
-		logRows += math.Log(m.relRows[i])
+		logRows += m.logRows[i]
 	}
 	var buf [32]int // on the stack; a set with more inner predicates spills to the heap
 	for _, pi := range m.Q.AppendPredsWithin(buf[:0], s) {
-		logRows += math.Log(m.predSel[pi])
+		logRows += m.logSel[pi]
 	}
 	rows := math.Exp(logRows)
 	if rows < 1 {
@@ -256,7 +256,7 @@ func (m *Model) SetRows(s bits.Set) float64 {
 // log space to avoid overflow on wide JCRs.
 func (m *Model) Selectivity(s bits.Set, rows float64) float64 {
 	logProd := 0.0
-	s.Each(func(i int) { logProd += math.Log(m.relRows[i]) })
+	s.Each(func(i int) { logProd += m.logRows[i] })
 	return math.Exp(math.Log(rows) - logProd)
 }
 
@@ -346,13 +346,12 @@ func (m *Model) indexScanNode(i, orderClass int) *plan.Plan {
 // exceeds work_mem.
 func (m *Model) SortPlan(p *plan.Plan, orderClass int) *plan.Plan {
 	m.PlansCosted++
-	s := sortOver(p, orderClass, p.Cost+m.sortCost(p.Rows, m.Width(p.Rels)))
-	return &s
+	return sortOver(p, orderClass, p.Cost+m.sortCost(p.Rows, m.Width(p.Rels)))
 }
 
 // sortOver returns the Sort node over p of the given total cost.
-func sortOver(p *plan.Plan, orderClass int, cost float64) plan.Plan {
-	return plan.Plan{Op: plan.Sort, Rels: p.Rels, Left: p, Cost: cost, Rows: p.Rows, Order: orderClass}
+func sortOver(p *plan.Plan, orderClass int, cost float64) *plan.Plan {
+	return &plan.Plan{Op: plan.Sort, Rels: p.Rels, Left: p, Cost: cost, Rows: p.Rows, Order: orderClass}
 }
 
 func (m *Model) sortCost(rows float64, width int) float64 {
@@ -385,14 +384,36 @@ type JoinInputs struct {
 	Rows float64
 }
 
-// JoinCand is one physical join of a JoinInputs, costed but not built: the
-// operator, the two inputs as given (before any sort or index scan the
-// operator puts over them), the output cardinality, and the cost and output
-// order a memo decides retention on. It is a plain value — costing a
-// candidate allocates nothing — and BuildJoin turns it into the plan tree.
+// Input is one join input as costing reads it: a plan, or a memo path that
+// has not been built into one. Every input of a memo class has the class's
+// relations and tuple width, which the coster takes per class pair.
+type Input struct {
+	Cost, Rows float64
+	Order      int
+	// Rel is the relation a scan input reads, or -1 for any other input: an
+	// indexed nested loop applies only over a scan, and probes Rel's index in
+	// its place.
+	Rel int
+	// Ref names the input to the caller; a candidate carries its inputs' Refs
+	// as its Outer and Inner.
+	Ref int32
+}
+
+// InputOf returns plan p as a join input named ref.
+func InputOf(p *plan.Plan, ref int32) Input {
+	in := Input{Cost: p.Cost, Rows: p.Rows, Order: p.Order, Rel: -1, Ref: ref}
+	if p.Op.IsScan() {
+		in.Rel = p.Rel
+	}
+	return in
+}
+
+// JoinCand is one physical join of two inputs, costed but not built: the
+// operator, the inputs' Refs, the output cardinality, and the cost and output
+// order a memo decides retention on. It holds no pointers, so a memo stores
+// it as it is, and BuildJoin turns it into the plan tree given the inputs'.
 type JoinCand struct {
-	Outer, Inner *plan.Plan
-	Rows, Cost   float64
+	Rows, Cost float64
 	// OuterCost and InnerCost are, for a merge join, what each input costs as
 	// the join reads it: the input's own cost, or, where the input is not
 	// ordered on the merge class, that of the Sort node BuildJoin puts over
@@ -401,203 +422,74 @@ type JoinCand struct {
 	// Order is the output order class: the merge class for a merge join, the
 	// outer's order for an indexed nested loop, plan.NoOrder otherwise.
 	Order int
-	Op    plan.Op
-}
-
-// plansCosted is what the candidate adds to Model.PlansCosted — what building
-// it would have counted: the join itself, one more per sort a merge join
-// inserts, one more for an indexed nested loop's inner index scan.
-func (c *JoinCand) plansCosted() int64 {
-	n := int64(1)
-	switch c.Op {
-	case plan.IndexNestLoop:
-		n++
-	case plan.MergeJoin:
-		if c.Outer.Order != c.Order {
-			n++
-		}
-		if c.Inner.Order != c.Order {
-			n++
-		}
-	}
-	return n
+	// Outer and Inner are the Refs of the inputs as given, before any sort or
+	// index scan the operator puts over them.
+	Outer, Inner int32
+	Op           plan.Op
 }
 
 // JoinPlans returns every candidate physical join of the inputs in this
 // orientation: nested loop, indexed nested loop when the inner is a bare
 // relation scan with its index on a spanning join column, hash join with
 // the inner as build side, and one merge join per distinct spanning
-// equivalence class. Callers enumerate both orientations.
+// equivalence class. Callers enumerate both orientations. It costs the
+// candidates (AppendJoinCands) and builds every one (BuildJoin); callers that
+// keep only some of the candidates — the enumerators — cost first and build
+// only the ones something reads.
 func (m *Model) JoinPlans(in JoinInputs) []*plan.Plan {
-	return m.AppendJoinPlans(make([]*plan.Plan, 0, 4), in)
-}
-
-// AppendJoinPlans is JoinPlans appending into a caller-owned slice: it costs
-// the candidates (AppendJoinCands) and builds every one of them (BuildJoin),
-// in candidate order. Callers that keep only some of the candidates — the
-// enumerators — cost first and build only the ones something reads.
-func (m *Model) AppendJoinPlans(dst []*plan.Plan, in JoinInputs) []*plan.Plan {
 	var buf [8]JoinCand
-	for _, c := range m.AppendJoinCands(buf[:0], in) {
-		dst = append(dst, m.BuildJoin(c))
+	cands := m.AppendJoinCands(buf[:0], in)
+	out := make([]*plan.Plan, len(cands))
+	for k, c := range cands {
+		out[k] = m.BuildJoin(c, in.Outer, in.Inner)
 	}
-	return dst
+	return out
 }
 
 // AppendJoinCands costs every candidate physical join of the inputs in this
-// orientation and appends them to dst in JoinPlans order: a one-pair,
-// one-orientation use of PairCoster under an open bar. The coster owns the
-// arithmetic and the PlansCosted accounting; a caller costing many path pairs
-// of one class pair holds a PairCoster itself and begins it once.
+// orientation and appends them to dst in JoinPlans order, the outer named 0
+// and the inner 1: a one-pair, one-orientation use of PairCoster under an
+// open bar. The coster owns the arithmetic and the PlansCosted accounting; a
+// caller costing many path pairs of one class pair holds a PairCoster itself
+// and begins it once.
 func (m *Model) AppendJoinCands(dst []JoinCand, in JoinInputs) []JoinCand {
 	var pc PairCoster
 	pc.Begin(m, in.Preds, in.Rows, m.Width(in.Outer.Rels), m.Width(in.Inner.Rels))
 	var open Bar
-	return pc.AppendCands(dst, in.Outer, in.Inner, false, &open)
+	o, i := InputOf(in.Outer, 0), InputOf(in.Inner, 1)
+	return pc.AppendCands(dst, &o, &i, false, &open)
 }
 
-// BuildJoin materializes a costed candidate as the plan tree JoinPlans
-// returns for it: the join node over its inputs, with a Sort node over each
-// merge input not already ordered on the merge class (its cost carried in
-// the candidate), and the model's per-relation IndexScan node (derive) as an
-// indexed nested loop's inner — one node shared by every plan that probes
-// that relation, as subplans are shared already. PlansCosted is not touched —
-// costing counted them.
-func (m *Model) BuildJoin(c JoinCand) *plan.Plan {
-	var t joinTree
-	m.layout(&c, &t)
-	n := new(plan.Plan)
-	*n = t.join
-	if t.sortOuter {
-		s := t.outer
-		n.Left = &s
-	}
-	if t.sortInner {
-		s := t.inner
-		n.Right = &s
-	}
-	return n
-}
-
-// CompareJoins is plan.Compare over two join trees, each given as a built
-// plan or, where that is nil, as the candidate BuildJoin would build it from.
-// A candidate's tree is laid out on the stack, so comparing allocates
-// nothing: it is how a memo breaks a cost tie between candidates it has not
-// built, and ties are common — a merge join costs the same in both
-// orientations. Two candidates are compared on their fields first
-// (compareCands), which settles that tie without laying out either tree.
-// Each side is linked up inline: stored through a helper's pointer, the
-// nodes' addresses would escape to the heap.
-func (m *Model) CompareJoins(a *plan.Plan, ac *JoinCand, b *plan.Plan, bc *JoinCand) int {
-	if a == nil && b == nil {
-		if c, ok := compareCands(ac, bc); ok {
-			return c
-		}
-	}
-	if a == nil {
-		var t joinTree
-		m.layout(ac, &t)
-		if t.sortOuter {
-			t.join.Left = &t.outer
-		}
-		if t.sortInner {
-			t.join.Right = &t.inner
-		}
-		a = &t.join
-	}
-	if b == nil {
-		var t joinTree
-		m.layout(bc, &t)
-		if t.sortOuter {
-			t.join.Left = &t.outer
-		}
-		if t.sortInner {
-			t.join.Right = &t.inner
-		}
-		b = &t.join
-	}
-	return plan.Compare(a, b)
-}
-
-// compareCands is plan.Compare over the trees two candidates build into, as
-// far as their fields decide it: the roots' cost, relations, operator and
-// order (a join node's Rel is zero), then the left children. Each test is
-// the one plan.Compare makes at that point, so where ok its answer is
-// plan.Compare's; otherwise the caller lays the trees out. The two common
-// ties are decided here: a merge join and its mirror orientation differ in
-// their left children's costs, and two indexed nested loops over one outer
-// probing one relation build into the same tree, whichever scan of that
-// relation each was given as its inner.
-func compareCands(a, b *JoinCand) (c int, ok bool) {
-	switch {
-	case a.Cost < b.Cost:
-		return -1, true
-	case a.Cost > b.Cost:
-		return 1, true
-	}
-	if c := a.Outer.Rels.Union(a.Inner.Rels).Compare(b.Outer.Rels.Union(b.Inner.Rels)); c != 0 {
-		return c, true
-	}
-	if a.Op != b.Op {
-		return int(a.Op) - int(b.Op), true
-	}
-	if a.Order != b.Order {
-		return a.Order - b.Order, true
-	}
-	if a.Op == plan.IndexNestLoop && a.Outer == b.Outer {
-		// One outer, so one probed relation (the roots cover the same
-		// relations): both trees are that outer over the relation's IndexScan.
-		return 0, true
-	}
-	switch la, lb := a.leftCost(), b.leftCost(); {
-	case la < lb:
-		return -1, true
-	case la > lb:
-		return 1, true
-	}
-	return 0, false
-}
-
-// leftCost is the cost of the left child of the tree c builds into (see
-// layout): the Sort node over the outer for a merge join whose outer is not
-// ordered on the merge class, the outer itself otherwise.
-func (c *JoinCand) leftCost() float64 {
-	if c.Op == plan.MergeJoin && c.Outer.Order != c.Order {
-		return c.OuterCost
-	}
-	return c.Outer.Cost
-}
-
-// joinTree is a candidate's tree as node values: the join node, whose
-// children are its inputs as given (an indexed nested loop's inner already
-// the shared IndexScan node), and the Sort nodes a merge join puts over an
-// input not ordered on the merge class, which the caller links in.
-type joinTree struct {
-	join, outer, inner   plan.Plan
-	sortOuter, sortInner bool
-}
-
-// layout is the one definition of the tree a candidate builds into: it
-// fills t, a zero joinTree.
-func (m *Model) layout(c *JoinCand, t *joinTree) {
-	o, i := c.Outer, c.Inner
+// BuildJoin materializes a costed candidate over the trees of its inputs as
+// the plan tree JoinPlans returns for it: the join node over outer and inner,
+// with a Sort node over each merge input not already ordered on the merge
+// class (its cost carried in the candidate), and the model's per-relation
+// IndexScan node (ProbedScan) as an indexed nested loop's inner — one node
+// shared by every plan that probes that relation, as subplans are shared
+// already. PlansCosted is not touched — costing counted them.
+func (m *Model) BuildJoin(c JoinCand, outer, inner *plan.Plan) *plan.Plan {
+	rels := outer.Rels.Union(inner.Rels)
 	switch c.Op {
 	case plan.MergeJoin:
-		if t.sortOuter = o.Order != c.Order; t.sortOuter {
-			t.outer = sortOver(o, c.Order, c.OuterCost)
+		if outer.Order != c.Order {
+			outer = sortOver(outer, c.Order, c.OuterCost)
 		}
-		if t.sortInner = i.Order != c.Order; t.sortInner {
-			t.inner = sortOver(i, c.Order, c.InnerCost)
+		if inner.Order != c.Order {
+			inner = sortOver(inner, c.Order, c.InnerCost)
 		}
 	case plan.IndexNestLoop:
 		// The inner scan plan is replaced by the index scan the loop repeats.
-		i = m.relIdxScan[i.Rel]
+		inner = m.relIdxScan[inner.Rel]
 	}
-	t.join = plan.Plan{
-		Op: c.Op, Rels: c.Outer.Rels.Union(c.Inner.Rels), Left: o, Right: i,
+	return &plan.Plan{
+		Op: c.Op, Rels: rels, Left: outer, Right: inner,
 		Cost: c.Cost, Rows: c.Rows, Order: c.Order,
 	}
 }
+
+// ProbedScan returns the IndexScan node every indexed nested loop probing
+// relation rel stands as its inner (nil where rel's index joins nothing).
+func (m *Model) ProbedScan(rel int) *plan.Plan { return m.relIdxScan[rel] }
 
 // CheapestJoin returns the cheapest physical join of subplans a and b over
 // both orientations (a as outer first), the first candidate winning cost
@@ -609,61 +501,56 @@ func (m *Model) CheapestJoin(a, b *plan.Plan, preds []int, rows float64) *plan.P
 	pc.Begin(m, preds, rows, m.Width(a.Rels), m.Width(b.Rels))
 	var open Bar
 	var buf [16]JoinCand
-	cands := pc.AppendCands(buf[:0], a, b, false, &open)
-	cands = pc.AppendCands(cands, b, a, true, &open)
+	in := [2]*plan.Plan{a, b}
+	ia, ib := InputOf(a, 0), InputOf(b, 1)
+	cands := pc.AppendCands(buf[:0], &ia, &ib, false, &open)
+	cands = pc.AppendCands(cands, &ib, &ia, true, &open)
 	best := 0
 	for k := range cands {
 		if cands[k].Cost < cands[best].Cost {
 			best = k
 		}
 	}
-	return m.BuildJoin(cands[best])
+	c := cands[best]
+	return m.BuildJoin(c, in[c.Outer], in[c.Inner])
 }
 
-// The per-operator constructors cost one candidate with the coster's
-// arithmetic, count it and build it — what Recost, which re-runs a single
-// known operator, needs.
-func (m *Model) nestLoop(in JoinInputs) *plan.Plan {
-	return m.joinOne(in, plan.NestLoop, plan.NoOrder)
-}
-
-func (m *Model) hashJoin(in JoinInputs) *plan.Plan {
-	return m.joinOne(in, plan.HashJoin, plan.NoOrder)
-}
-
-func (m *Model) mergeJoin(in JoinInputs, ec int) *plan.Plan {
-	return m.joinOne(in, plan.MergeJoin, ec)
-}
-
-// indexNestLoop returns nil when the operator does not apply to the inputs.
-func (m *Model) indexNestLoop(in JoinInputs) *plan.Plan {
-	return m.joinOne(in, plan.IndexNestLoop, plan.NoOrder)
-}
-
-// joinOne runs one operator's step of a PairCoster begun for the inputs; ec
-// is the merge class of a merge join.
+// joinOne costs, counts and builds one candidate of a known operator, with a
+// PairCoster begun for the inputs — what Recost, which re-runs a single
+// operator, needs. It counts what building the candidate counts: the join,
+// one more per sort a merge join inserts, one more for an indexed nested
+// loop's inner index scan. ec is the merge class of a merge join. It returns
+// nil for an indexed nested loop that does not apply to the inputs.
 func (m *Model) joinOne(in JoinInputs, op plan.Op, ec int) *plan.Plan {
 	var pc PairCoster
 	pc.Begin(m, in.Preds, in.Rows, m.Width(in.Outer.Rels), m.Width(in.Inner.Rels))
-	o, i := in.Outer, in.Inner
-	t := pc.terms(o, i, false)
-	c := JoinCand{Op: op, Outer: o, Inner: i, Rows: in.Rows, Order: plan.NoOrder}
+	o, i := InputOf(in.Outer, 0), InputOf(in.Inner, 1)
+	t := pc.terms(&o, &i, false)
+	c := JoinCand{Op: op, Outer: 0, Inner: 1, Rows: in.Rows, Order: plan.NoOrder}
+	n := int64(1)
 	switch op {
 	case plan.NestLoop:
-		c.Cost = pc.nestLoop(t, o, i)
+		c.Cost = pc.nestLoop(t, &o, &i)
 	case plan.HashJoin:
-		c.Cost = pc.hashJoin(t, o, i)
+		c.Cost = pc.hashJoin(t, &o, &i)
 	case plan.MergeJoin:
-		c.Cost, c.OuterCost, c.InnerCost = pc.mergeJoin(t, o, i, ec)
+		c.Cost, c.OuterCost, c.InnerCost = pc.mergeJoin(t, &o, &i, ec)
 		c.Order = ec
+		if o.Order != ec {
+			n++
+		}
+		if i.Order != ec {
+			n++
+		}
 	case plan.IndexNestLoop:
-		if !pc.probes(t, i) {
+		if !pc.probes(t, &i) {
 			return nil
 		}
-		c.Cost, c.Order = pc.indexNestLoop(t, o), o.Order
+		c.Cost, c.Order = pc.indexNestLoop(t, &o), o.Order
+		n++
 	}
-	m.PlansCosted += c.plansCosted()
-	return m.BuildJoin(c)
+	m.PlansCosted += n
+	return m.BuildJoin(c, in.Outer, in.Inner)
 }
 
 // PairCoster costs the physical joins of one class pair (A, B). Every path of
@@ -815,24 +702,25 @@ func (b *Bar) admitsOrdered(cost float64, order int) bool {
 // indexed nested loop if it applies, hash join, one merge join per spanning
 // equivalence class. Each candidate is costed to a number and tested against
 // bar; only those bar admits are appended to dst, as JoinCand values, in that
-// order. PlansCosted advances by what building every candidate would count
-// (JoinCand.plansCosted), admitted or not. Under an open bar every candidate
-// is appended.
-func (pc *PairCoster) AppendCands(dst []JoinCand, o, i *plan.Plan, swapped bool, bar *Bar) []JoinCand {
+// order, naming their inputs by o's and i's Refs. PlansCosted advances by
+// what building every candidate would count — the join, one more per sort a
+// merge join inserts, one more for an indexed nested loop's inner index scan
+// — admitted or not. Under an open bar every candidate is appended.
+func (pc *PairCoster) AppendCands(dst []JoinCand, o, i *Input, swapped bool, bar *Bar) []JoinCand {
 	t := pc.terms(o, i, swapped)
 	n := int64(2) // the nested loop and the hash join
 	if c := pc.nestLoop(t, o, i); bar.Admits(c, plan.NoOrder) {
-		dst = append(dst, JoinCand{Op: plan.NestLoop, Outer: o, Inner: i, Rows: pc.rows, Cost: c, Order: plan.NoOrder})
+		dst = append(dst, JoinCand{Op: plan.NestLoop, Outer: o.Ref, Inner: i.Ref, Rows: pc.rows, Cost: c, Order: plan.NoOrder})
 	}
 	if pc.probes(t, i) {
 		n += 2 // the join and the inner index scan it repeats
 		// Indexed nested loops preserve the outer ordering.
 		if c := pc.indexNestLoop(t, o); bar.Admits(c, o.Order) {
-			dst = append(dst, JoinCand{Op: plan.IndexNestLoop, Outer: o, Inner: i, Rows: pc.rows, Cost: c, Order: o.Order})
+			dst = append(dst, JoinCand{Op: plan.IndexNestLoop, Outer: o.Ref, Inner: i.Ref, Rows: pc.rows, Cost: c, Order: o.Order})
 		}
 	}
 	if c := pc.hashJoin(t, o, i); bar.Admits(c, plan.NoOrder) {
-		dst = append(dst, JoinCand{Op: plan.HashJoin, Outer: o, Inner: i, Rows: pc.rows, Cost: c, Order: plan.NoOrder})
+		dst = append(dst, JoinCand{Op: plan.HashJoin, Outer: o.Ref, Inner: i.Ref, Rows: pc.rows, Cost: c, Order: plan.NoOrder})
 	}
 	for _, ec := range pc.mergeClasses {
 		n++
@@ -843,7 +731,7 @@ func (pc *PairCoster) AppendCands(dst []JoinCand, o, i *plan.Plan, swapped bool,
 			n++ // a sort of the inner
 		}
 		if c, oCost, iCost := pc.mergeJoin(t, o, i, ec); bar.Admits(c, ec) {
-			dst = append(dst, JoinCand{Op: plan.MergeJoin, Outer: o, Inner: i, Rows: pc.rows, Cost: c, OuterCost: oCost, InnerCost: iCost, Order: ec})
+			dst = append(dst, JoinCand{Op: plan.MergeJoin, Outer: o.Ref, Inner: i.Ref, Rows: pc.rows, Cost: c, OuterCost: oCost, InnerCost: iCost, Order: ec})
 		}
 	}
 	pc.m.PlansCosted += n
@@ -852,7 +740,7 @@ func (pc *PairCoster) AppendCands(dst []JoinCand, o, i *plan.Plan, swapped bool,
 
 // terms returns the orientation's terms for these two paths, recomputing
 // them when they were computed from other row counts.
-func (pc *PairCoster) terms(o, i *plan.Plan, swapped bool) *pairTerms {
+func (pc *PairCoster) terms(o, i *Input, swapped bool) *pairTerms {
 	k := 0
 	if swapped {
 		k = 1
@@ -892,7 +780,7 @@ func (pc *PairCoster) sortCost(side int, rows float64) float64 {
 
 // nestLoop costs a plain nested loop with the inner side materialized once
 // and rescanned per outer row.
-func (pc *PairCoster) nestLoop(t *pairTerms, o, i *plan.Plan) float64 {
+func (pc *PairCoster) nestLoop(t *pairTerms, o, i *Input) float64 {
 	return o.Cost + i.Cost + t.mat + t.rescan + pc.outCPU
 }
 
@@ -907,12 +795,12 @@ func (m *Model) rescanIO(rows float64, width int) float64 {
 }
 
 // probes reports whether an indexed nested loop applies with i as the inner:
-// i is a single-relation scan and that relation's indexed column belongs to
+// i is a single-relation scan (Rel ≥ 0) and that relation's indexed column belongs to
 // the equivalence class of one of the spanning predicates — the plan shape
 // that makes star joins on indexed spoke columns cheap. The answer and the
 // probe term are kept per inner relation.
-func (pc *PairCoster) probes(t *pairTerms, i *plan.Plan) bool {
-	if !i.Op.IsScan() {
+func (pc *PairCoster) probes(t *pairTerms, i *Input) bool {
+	if i.Rel < 0 {
 		return false
 	}
 	if t.inlRel != i.Rel {
@@ -935,7 +823,7 @@ func (pc *PairCoster) probes(t *pairTerms, i *plan.Plan) bool {
 // index once per outer row (probes must have said it applies). The inner
 // scan plan's own cost is not paid: the index replaces it. The candidate
 // keeps the inner it was given; BuildJoin swaps in the index scan.
-func (pc *PairCoster) indexNestLoop(t *pairTerms, o *plan.Plan) float64 {
+func (pc *PairCoster) indexNestLoop(t *pairTerms, o *Input) float64 {
 	return o.Cost + t.inlProbe + pc.outCPU
 }
 
@@ -955,7 +843,7 @@ func (m *Model) indexProbeCost(rel int) float64 {
 
 // hashJoin costs a hash join building on the inner side, with batching IO
 // when the build side exceeds work_mem (PostgreSQL's hybrid hash join).
-func (pc *PairCoster) hashJoin(t *pairTerms, o, i *plan.Plan) float64 {
+func (pc *PairCoster) hashJoin(t *pairTerms, o, i *Input) float64 {
 	c := o.Cost + i.Cost + t.build + t.probe + pc.outCPU
 	if t.spill {
 		c += t.spillIO
@@ -967,7 +855,7 @@ func (pc *PairCoster) hashJoin(t *pairTerms, o, i *plan.Plan) float64 {
 // sort for each input not already ordered on ec (BuildJoin inserts the Sort
 // nodes), and returns what each input costs as the join reads it too. Its
 // output carries ec as an interesting order.
-func (pc *PairCoster) mergeJoin(t *pairTerms, o, i *plan.Plan, ec int) (c, oCost, iCost float64) {
+func (pc *PairCoster) mergeJoin(t *pairTerms, o, i *Input, ec int) (c, oCost, iCost float64) {
 	oCost, iCost = o.Cost, i.Cost
 	if o.Order != ec {
 		oCost += t.oSort

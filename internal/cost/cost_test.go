@@ -247,20 +247,20 @@ func TestIndexNestLoopApplicability(t *testing.T) {
 	c := m.AccessPaths(2)[0]
 	// Inner A: A's index (c1) is in the spanning class A.c1=B.c2 -> applies.
 	in := JoinInputs{Outer: b, Inner: a, Preds: m.Q.PredsBetween(b.Rels, a.Rels), Rows: 10}
-	if p := m.indexNestLoop(in); p == nil {
+	if p := m.joinOne(in, plan.IndexNestLoop, plan.NoOrder); p == nil {
 		t.Error("indexNestLoop should apply with inner A")
 	} else if p.Right.Op != plan.IndexScan {
 		t.Errorf("inner op = %v", p.Right.Op)
 	}
 	// Inner C: C's index is on c3 (col 2), not a join column of B⋈C -> nil.
 	in = JoinInputs{Outer: b, Inner: c, Preds: m.Q.PredsBetween(b.Rels, c.Rels), Rows: 10}
-	if p := m.indexNestLoop(in); p != nil {
+	if p := m.joinOne(in, plan.IndexNestLoop, plan.NoOrder); p != nil {
 		t.Error("indexNestLoop should not apply with inner C")
 	}
 	// Inner a composite (join plan) -> nil.
-	ab := m.hashJoin(JoinInputs{Outer: a, Inner: b, Preds: m.Q.PredsBetween(a.Rels, b.Rels), Rows: 10})
+	ab := m.joinOne(JoinInputs{Outer: a, Inner: b, Preds: m.Q.PredsBetween(a.Rels, b.Rels), Rows: 10}, plan.HashJoin, plan.NoOrder)
 	in = JoinInputs{Outer: c, Inner: ab, Preds: m.Q.PredsBetween(c.Rels, ab.Rels), Rows: 10}
-	if p := m.indexNestLoop(in); p != nil {
+	if p := m.joinOne(in, plan.IndexNestLoop, plan.NoOrder); p != nil {
 		t.Error("indexNestLoop should not apply with composite inner")
 	}
 }
@@ -270,7 +270,7 @@ func TestIndexNestLoopPreservesOuterOrder(t *testing.T) {
 	bIdx := m.AccessPaths(1)[1] // B index scan, ordered
 	a := m.AccessPaths(0)[0]
 	in := JoinInputs{Outer: bIdx, Inner: a, Preds: m.Q.PredsBetween(bIdx.Rels, a.Rels), Rows: 10}
-	p := m.indexNestLoop(in)
+	p := m.joinOne(in, plan.IndexNestLoop, plan.NoOrder)
 	if p == nil {
 		t.Fatal("indexNestLoop nil")
 	}
@@ -284,7 +284,7 @@ func TestMergeJoinInsertsSorts(t *testing.T) {
 	a := m.AccessPaths(0)[0] // unordered seq scan
 	b := m.AccessPaths(1)[0]
 	ec := m.Q.PredEqClass(0)
-	p := m.mergeJoin(JoinInputs{Outer: a, Inner: b, Preds: []int{0}, Rows: 10000}, ec)
+	p := m.joinOne(JoinInputs{Outer: a, Inner: b, Preds: []int{0}, Rows: 10000}, plan.MergeJoin, ec)
 	if p.Left.Op != plan.Sort || p.Right.Op != plan.Sort {
 		t.Errorf("children = %v,%v; want sorts", p.Left.Op, p.Right.Op)
 	}
@@ -294,7 +294,7 @@ func TestMergeJoinInsertsSorts(t *testing.T) {
 	// Pre-ordered inputs must not be re-sorted.
 	aIdx := m.AccessPaths(0)[1]
 	bIdx := m.AccessPaths(1)[1]
-	p2 := m.mergeJoin(JoinInputs{Outer: aIdx, Inner: bIdx, Preds: []int{0}, Rows: 10000}, ec)
+	p2 := m.joinOne(JoinInputs{Outer: aIdx, Inner: bIdx, Preds: []int{0}, Rows: 10000}, plan.MergeJoin, ec)
 	if p2.Left.Op == plan.Sort || p2.Right.Op == plan.Sort {
 		t.Error("pre-ordered inputs re-sorted")
 	}
@@ -304,8 +304,8 @@ func TestHashJoinSpill(t *testing.T) {
 	m := newFixtureModel(t)
 	a := m.AccessPaths(0)[0]
 	d := m.AccessPaths(3)[0] // 100k rows · wide
-	small := m.hashJoin(JoinInputs{Outer: d, Inner: a, Preds: nil, Rows: 10})
-	big := m.hashJoin(JoinInputs{Outer: a, Inner: d, Preds: nil, Rows: 10})
+	small := m.joinOne(JoinInputs{Outer: d, Inner: a, Preds: nil, Rows: 10}, plan.HashJoin, plan.NoOrder)
+	big := m.joinOne(JoinInputs{Outer: a, Inner: d, Preds: nil, Rows: 10}, plan.HashJoin, plan.NoOrder)
 	// Building on the 100k-row side must pay a spill penalty the small
 	// build avoids; compare the added cost beyond the inputs.
 	addSmall := small.Cost - a.Cost - d.Cost

@@ -6,6 +6,7 @@ import (
 
 	"sdpopt/internal/bits"
 	"sdpopt/internal/catalog"
+	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
 )
 
@@ -47,7 +48,7 @@ func chainQuery(t *testing.T, n int) *query.Query {
 // relation (the probe cost and the shared scan node).
 func indexNestLoopSig(m *Model) string {
 	a, b := m.AccessPaths(0)[0], m.AccessPaths(1)[0]
-	p := m.indexNestLoop(JoinInputs{Outer: a, Inner: b, Preds: m.Q.PredsBetween(a.Rels, b.Rels), Rows: m.SetRows(bits.Of(0, 1))})
+	p := m.joinOne(JoinInputs{Outer: a, Inner: b, Preds: m.Q.PredsBetween(a.Rels, b.Rels), Rows: m.SetRows(bits.Of(0, 1))}, plan.IndexNestLoop, plan.NoOrder)
 	if p == nil {
 		return "indexed nested loop does not apply"
 	}

@@ -108,7 +108,8 @@ func TestPairCosterReuseMatchesFresh(t *testing.T) {
 						o, i = pb, pa
 					}
 					reused.PlansCosted, fresh.PlansCosted = 0, 0
-					got := pc.AppendCands(nil, o, i, swapped, &Bar{})
+					oIn, iIn := InputOf(o, 0), InputOf(i, 1)
+					got := pc.AppendCands(nil, &oIn, &iIn, swapped, &Bar{})
 					want := fresh.AppendJoinCands(nil, JoinInputs{Outer: o, Inner: i, Preds: preds, Rows: rows})
 					if reused.PlansCosted != fresh.PlansCosted {
 						t.Errorf("%v × %v swapped=%v: reused coster counted %d plans, fresh %d",
@@ -222,21 +223,22 @@ func TestAppendCandsGate(t *testing.T) {
 			if swapped {
 				o, i = i, o
 			}
+			oIn, iIn := InputOf(o, 0), InputOf(i, 1)
 			before := m.PlansCosted
-			all := pc.AppendCands(nil, o, i, swapped, &open)
+			all := pc.AppendCands(nil, &oIn, &iIn, swapped, &open)
 			costed := m.PlansCosted - before
 
 			// The open bar against the single-operator constructors.
 			refIn := JoinInputs{Outer: o, Inner: i, Preds: in.Preds, Rows: in.Rows}
 			refBefore := ref.PlansCosted
 			var want []*plan.Plan
-			want = append(want, ref.nestLoop(refIn))
-			if p := ref.indexNestLoop(refIn); p != nil {
+			want = append(want, ref.joinOne(refIn, plan.NestLoop, plan.NoOrder))
+			if p := ref.joinOne(refIn, plan.IndexNestLoop, plan.NoOrder); p != nil {
 				want = append(want, p)
 			}
-			want = append(want, ref.hashJoin(refIn))
+			want = append(want, ref.joinOne(refIn, plan.HashJoin, plan.NoOrder))
 			for _, ec := range pc.mergeClasses {
-				want = append(want, ref.mergeJoin(refIn, ec))
+				want = append(want, ref.joinOne(refIn, plan.MergeJoin, ec))
 			}
 			if got := ref.PlansCosted - refBefore; got != costed {
 				t.Fatalf("case %d swapped=%v: open bar counted %d plans, the constructors %d", n, swapped, costed, got)
@@ -245,7 +247,7 @@ func TestAppendCandsGate(t *testing.T) {
 				t.Fatalf("case %d swapped=%v: open bar returned %d candidates, the constructors %d", n, swapped, len(all), len(want))
 			}
 			for k, c := range all {
-				if p := m.BuildJoin(c); planSig(p) != planSig(want[k]) {
+				if p := m.BuildJoin(c, o, i); planSig(p) != planSig(want[k]) {
 					t.Fatalf("case %d swapped=%v candidate %d: built %s, constructor %s", n, swapped, k, planSig(p), planSig(want[k]))
 				}
 			}
@@ -253,7 +255,7 @@ func TestAppendCandsGate(t *testing.T) {
 			for range 8 {
 				bar, rb := randomBar(rng, all)
 				before := m.PlansCosted
-				got := pc.AppendCands(nil, o, i, swapped, bar)
+				got := pc.AppendCands(nil, &oIn, &iIn, swapped, bar)
 				if d := m.PlansCosted - before; d != costed {
 					t.Fatalf("case %d swapped=%v: gated run counted %d plans, open %d", n, swapped, d, costed)
 				}

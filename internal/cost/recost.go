@@ -31,7 +31,12 @@ func (m *Model) Recost(p *plan.Plan) *plan.Plan {
 		return m.SortPlan(m.Recost(p.Left), p.Order)
 	}
 	// Join node: recost the children, recompute the joined cardinality from
-	// the canonical SetRows, and re-run the operator's own costing.
+	// the canonical SetRows, and re-run the operator's own costing. A merge
+	// join's tree already carries any explicit sorts the merge needed, so the
+	// recosted children arrive ordered on p.Order and it inserts nothing new.
+	if !p.Op.IsJoin() {
+		panic(fmt.Sprintf("cost: Recost: unknown operator %v", p.Op))
+	}
 	o, i := m.Recost(p.Left), m.Recost(p.Right)
 	in := JoinInputs{
 		Outer: o,
@@ -39,25 +44,12 @@ func (m *Model) Recost(p *plan.Plan) *plan.Plan {
 		Preds: m.Q.PredsBetween(p.Left.Rels, p.Right.Rels),
 		Rows:  m.SetRows(p.Rels),
 	}
-	switch p.Op {
-	case plan.NestLoop:
-		return m.nestLoop(in)
-	case plan.HashJoin:
-		return m.hashJoin(in)
-	case plan.MergeJoin:
-		// The tree already carries any explicit sorts the merge needed, so
-		// the recosted children arrive ordered on p.Order and mergeJoin
-		// inserts nothing new.
-		return m.mergeJoin(in, p.Order)
-	case plan.IndexNestLoop:
-		np := m.indexNestLoop(in)
-		if np == nil {
-			// The applicability conditions are structural (inner is a scan
-			// whose indexed column joins across); they cannot change between
-			// models of the same query.
-			panic(fmt.Sprintf("cost: Recost: indexed nested loop no longer applicable over %v", p.Rels))
-		}
-		return np
+	np := m.joinOne(in, p.Op, p.Order)
+	if np == nil {
+		// The applicability conditions are structural (inner is a scan
+		// whose indexed column joins across); they cannot change between
+		// models of the same query.
+		panic(fmt.Sprintf("cost: Recost: indexed nested loop no longer applicable over %v", p.Rels))
 	}
-	panic(fmt.Sprintf("cost: Recost: unknown operator %v", p.Op))
+	return np
 }

@@ -179,8 +179,7 @@ type scratch struct {
 	bar       cost.Bar
 	predBuf   []int
 	admitted  []cost.JoinCand
-	pathBufA  []*plan.Plan
-	pathBufB  []*plan.Plan
+	inA, inB  []cost.Input
 	pairsCons int64
 	pairsConn int64
 }
@@ -257,9 +256,8 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 		sp:            span.FromContext(opts.Ctx),
 	}
 	// Installed before any class exists so every creation site — the level-1
-	// seed, joinDirect, IDP's compound leaves — caches
-	// its neighborhood for the adjacency-indexed walk and builds its retained
-	// candidates with the engine's model.
+	// seed, joinDirect, IDP's compound leaves — caches its neighborhood for
+	// the adjacency-indexed walk and its width for the kernel.
 	e.Memo.Nbrs = q.Neighbors
 	e.Memo.Model = model
 	e.Memo.Observe(ob)
@@ -675,35 +673,32 @@ func (j *Joiner) Join(a, b *memo.Class, level int) (*memo.Class, bool, error) {
 
 // joinPair is the join kernel: for every physical join of classes a and b —
 // path × path × direction × operator — into their target class cls of m it
-// runs begin pair → cost → gate → offer. Everything constant per class pair
-// is read once here: the spanning predicates, both path lists, both tuple
-// widths, and — inside the coster this begins — every term of the operators'
-// cost formulas except the two input costs (see cost.PairCoster). The bar
-// snapshots cls's admission bar (cost.Bar: the cost of its cheapest retained
-// path and of each retained ordered path) once per pair. The coster costs
-// each candidate to a number and tests it against the bar; only a candidate
-// that passes becomes a cost.JoinCand value, offered to cls (Memo.AddCand —
-// the class's dominance rule, which retains it as the value and, when it
-// does, the bar is snapshot again), stopping at the first error. Retained
-// costs only fall, so a bar taken before later offers can only pass extra
-// candidates, which the class then drops without change; a candidate the bar
-// rejects would have changed nothing, so the retained plans are what offering
-// every candidate would retain and budget accounting fires at the same
-// candidate. Cost ties pass and are broken structurally on the trees.
-// Nothing is built here: a retained candidate becomes a plan tree when its
-// class is first read (a and b's paths, read above, are built by that read),
-// so candidates a cheaper one displaces before then, and classes SDP prunes,
-// are never built. The loop order pa × pb × {ab, ba} and the candidate order
-// within an orientation are part of that contract. The buffers, the bar and
-// the coster live in the scratch and are reused across pairs.
+// runs begin pair → cost → gate → offer. What is constant per class pair is
+// read once: the spanning predicates, both classes' retained paths as
+// cost.Inputs (values named by their memo slots), both widths, and, in the
+// coster this begins, every cost term but the two input costs. The bar
+// (cost.Bar) snapshots cls's retained costs once per pair and again after
+// every retention; a candidate it rejects would have changed nothing, and
+// retained costs only fall, so the retained paths — and the candidate a
+// budget abort fires at — are what offering every candidate gives. Cost ties
+// pass and are broken structurally through the slots (Memo.AddCand). Nothing
+// is built: trees are built from the memo for the answer only. The loop order
+// pa × pb × {ab, ba} and the candidate order within an orientation are part
+// of that contract. Buffers are stored back into the scratch only when they
+// grew: storing a slice is a pointer write, which costs a write barrier while
+// the collector marks.
 func (sc *scratch) joinPair(q *query.Query, m *memo.Memo, a, b, cls *memo.Class) error {
-	sc.predBuf = q.AppendPredsBetween(sc.predBuf[:0], a.Set, b.Set)
-	sc.pathBufA = a.AppendPaths(sc.pathBufA[:0])
-	sc.pathBufB = b.AppendPaths(sc.pathBufB[:0])
-	sc.coster.Begin(sc.model, sc.predBuf, cls.Rows, sc.model.Width(a.Set), sc.model.Width(b.Set))
-	cls.Bar(&sc.bar)
-	for _, pa := range sc.pathBufA {
-		for _, pb := range sc.pathBufB {
+	preds := q.AppendPredsBetween(sc.predBuf[:0], a.Set, b.Set)
+	inA := m.AppendInputs(sc.inA[:0], a)
+	inB := m.AppendInputs(sc.inB[:0], b)
+	keepGrown(&sc.predBuf, preds)
+	keepGrown(&sc.inA, inA)
+	keepGrown(&sc.inB, inB)
+	sc.coster.Begin(sc.model, preds, cls.Rows, a.Width, b.Width)
+	m.Bar(cls, &sc.bar)
+	for ka := range inA {
+		for kb := range inB {
+			pa, pb := &inA[ka], &inB[kb]
 			if err := sc.joinOriented(m, cls, pa, pb, false); err != nil {
 				return err
 			}
@@ -717,18 +712,26 @@ func (sc *scratch) joinPair(q *query.Query, m *memo.Memo, a, b, cls *memo.Class)
 
 // joinOriented is joinPair's inner step for one path pair in one orientation
 // (swapped: the outer is b's path).
-func (sc *scratch) joinOriented(m *memo.Memo, cls *memo.Class, o, i *plan.Plan, swapped bool) error {
-	sc.admitted = sc.coster.AppendCands(sc.admitted[:0], o, i, swapped, &sc.bar)
-	for k := range sc.admitted {
-		kept, err := m.AddCand(cls, sc.admitted[k])
+func (sc *scratch) joinOriented(m *memo.Memo, cls *memo.Class, o, i *cost.Input, swapped bool) error {
+	admitted := sc.coster.AppendCands(sc.admitted[:0], o, i, swapped, &sc.bar)
+	keepGrown(&sc.admitted, admitted)
+	for k := range admitted {
+		kept, err := m.AddCand(cls, admitted[k])
 		if kept {
-			cls.Bar(&sc.bar)
+			m.Bar(cls, &sc.bar)
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// keepGrown stores buf into *dst if appending to *dst grew it.
+func keepGrown[T any](dst *[]T, buf []T) {
+	if cap(buf) != cap(*dst) {
+		*dst = buf
+	}
 }
 
 // Finalize returns the completed plan for the full relation set, applying
@@ -740,7 +743,7 @@ func (e *Engine) Finalize() (*plan.Plan, error) {
 	cls := e.Memo.Get(full)
 	var best *plan.Plan
 	if cls != nil {
-		best = cls.Best()
+		best = e.Memo.Best(cls)
 	}
 	if best == nil {
 		return nil, fmt.Errorf("dp: no plan for the full relation set (enumeration incomplete)")
@@ -757,7 +760,7 @@ func (e *Engine) Finalize() (*plan.Plan, error) {
 		return best, nil
 	}
 	sorted := e.Model.SortPlan(best, ec)
-	if pre, ok := cls.OrderedPlan(ec); ok && plan.Less(pre, sorted) {
+	if pre, ok := e.Memo.OrderedPlan(cls, ec); ok && plan.Less(pre, sorted) {
 		return pre, nil
 	}
 	return sorted, nil

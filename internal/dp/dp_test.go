@@ -215,7 +215,7 @@ func TestHookSeesLevelsInOrder(t *testing.T) {
 			if c.Set.Len() != level {
 				t.Errorf("level %d created class of size %d", level, c.Set.Len())
 			}
-			if c.Best() == nil {
+			if m.Best(c) == nil {
 				t.Errorf("level %d class %v has no best plan", level, c.Set)
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"time"
 
+	"sdpopt/internal/bits"
 	"sdpopt/internal/cost"
 	"sdpopt/internal/dp"
 	"sdpopt/internal/memo"
@@ -151,7 +152,7 @@ func Optimize(q *query.Query, opts Options) (*plan.Plan, dp.Stats, error) {
 				return nil, finish(agg, model, costedAtStart, started), err
 			}
 			cIters.Add(1)
-			leaves = commit(leaves, chosen)
+			leaves = commit(leaves, e.Memo, chosen)
 		}
 	}()
 	dp.ObserveRun(ob, label, st)
@@ -208,7 +209,7 @@ func selectSubplan(q *query.Query, model *cost.Model, m *memo.Memo, leaves []dp.
 	var best *memo.Class
 	bestCost := math.Inf(1)
 	for _, c := range cands[:short] {
-		full := balloon(q, model, c, leaves, opts.Eval)
+		full := balloon(q, model, m.Best(c), c.Set, leaves, opts.Eval)
 		if full.Cost < bestCost {
 			bestCost = full.Cost
 			best = c
@@ -217,13 +218,12 @@ func selectSubplan(q *query.Query, model *cost.Model, m *memo.Memo, leaves []dp.
 	return best, nil
 }
 
-// balloon greedily extends class c's best plan to a complete plan: at each
-// step it joins the leaf (not yet covered) that minimizes the evaluation
-// function of the grown composite, using the cheapest physical join. This
-// is the IDP paper's "ballooning to complete plans".
-func balloon(q *query.Query, model *cost.Model, c *memo.Class, leaves []dp.Leaf, eval Eval) *plan.Plan {
-	cur := c.Best()
-	covered := c.Set
+// balloon greedily extends plan cur over covered — a class's best plan — to
+// a complete plan: at each step it joins the leaf (not yet covered) that
+// minimizes the evaluation function of the grown composite, using the
+// cheapest physical join. This is the IDP paper's "ballooning to complete
+// plans".
+func balloon(q *query.Query, model *cost.Model, cur *plan.Plan, covered bits.Set, leaves []dp.Leaf, eval Eval) *plan.Plan {
 	for {
 		remaining := false
 		bestScore := math.Inf(1)
@@ -283,15 +283,16 @@ func bestLeafPlan(model *cost.Model, l *dp.Leaf) *plan.Plan {
 }
 
 // commit replaces the leaves covered by the chosen class with one compound
-// leaf carrying the class's retained plans.
-func commit(leaves []dp.Leaf, chosen *memo.Class) []dp.Leaf {
+// leaf carrying the class's retained plans, built from m: an IDP1 block's
+// trees are built here, once per commit.
+func commit(leaves []dp.Leaf, m *memo.Memo, chosen *memo.Class) []dp.Leaf {
 	out := make([]dp.Leaf, 0, len(leaves))
 	for _, l := range leaves {
 		if !chosen.Set.Contains(l.Set) {
 			out = append(out, l)
 		}
 	}
-	return append(out, dp.Leaf{Set: chosen.Set, Plans: chosen.Paths()})
+	return append(out, dp.Leaf{Set: chosen.Set, Plans: m.Paths(chosen)})
 }
 
 // accumulate folds one iteration's engine stats into the running aggregate:

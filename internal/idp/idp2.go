@@ -201,7 +201,7 @@ func dpOverSubset(q *query.Query, model *cost.Model, ob *obs.Observer, set bits.
 	}
 	var best *plan.Plan
 	if cls := m.Get(set); cls != nil {
-		best = cls.Best()
+		best = m.Best(cls)
 	}
 	if best == nil {
 		return nil, m.Stats, fmt.Errorf("idp: subtree relations %v are not connected", set)

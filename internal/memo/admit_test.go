@@ -1,115 +1,170 @@
 package memo
 
 import (
-	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sdpopt/internal/bits"
 	"sdpopt/internal/cost"
 	"sdpopt/internal/plan"
-	"sdpopt/internal/query"
-	"sdpopt/internal/testutil"
 )
 
-// candStream returns a random stream of join candidates over relations {0, 1}
-// of a 3-relation chain, with the model that builds them. Costs come from a
-// handful of values so exact ties are common, and the operators, inputs and
-// orders vary so those ties are decided by plan.Compare's structural order:
-// merge joins with zero, one or two sorts, indexed nested loops, ordered and
-// unordered candidates over few order classes — and so a new Best displacing
-// the ordered path of its order.
+// streamModel is the cost model of a 3-relation indexed chain.
+func streamModel() *cost.Model {
+	return cost.NewModel(indexedChain(3), cost.DefaultParams())
+}
+
+// streamMemo returns a memo on model whose level 1 holds the access paths of
+// relations 0 and 1 — the inputs of candStream's candidates — and an empty
+// class {0, 1} to offer candidates to. Every such memo numbers the input
+// slots alike, so one candidate stream is valid in all of them.
+func streamMemo(t *testing.T, model *cost.Model) (*Memo, *Class) {
+	t.Helper()
+	m := New(0)
+	m.Model = model
+	for r := 0; r < 2; r++ {
+		s := bits.Single(r)
+		c, err := m.NewClass(s, 1, model.SetRows(s), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range model.AccessPaths(r) {
+			if _, err := m.AddPlan(c, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c, err := m.NewClass(bits.Of(0, 1), 2, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, c
+}
+
+// candStream returns a random stream of join candidates over streamMemo's
+// level-1 paths, with the model that costs them. Costs come from a handful of
+// values so exact ties are common, and the operators, inputs, orders and
+// merge inputs' costs vary so those ties are decided by plan.Compare's
+// structural order: merge joins with zero, one or two sorts, indexed nested
+// loops, ordered and unordered candidates over few order classes — and so a
+// new Best displacing the ordered path of its order.
 func candStream(t *testing.T, rng *rand.Rand, n int) (*cost.Model, []cost.JoinCand) {
 	t.Helper()
-	q := testutil.MustQuery(testutil.Catalog(3), 3, query.ChainEdges(3), nil)
-	m := cost.NewModel(q, cost.DefaultParams())
-	var inputs [2][]*plan.Plan
+	model := streamModel()
+	m, _ := streamMemo(t, model)
+	var inputs [2][]cost.Input
 	for r := range inputs {
-		inputs[r] = m.AccessPaths(r)
+		inputs[r] = m.AppendInputs(nil, m.Get(bits.Single(r)))
 	}
 	ops := []plan.Op{plan.NestLoop, plan.HashJoin, plan.MergeJoin, plan.IndexNestLoop}
 	out := make([]cost.JoinCand, n)
 	for k := range out {
 		side := rng.Intn(2)
-		out[k] = cost.JoinCand{
-			Outer: inputs[side][rng.Intn(len(inputs[side]))],
-			Inner: inputs[1-side][rng.Intn(len(inputs[1-side]))],
+		c := cost.JoinCand{
+			Outer: inputs[side][rng.Intn(len(inputs[side]))].Ref,
+			Inner: inputs[1-side][rng.Intn(len(inputs[1-side]))].Ref,
 			Rows:  10,
 			Cost:  float64(1 + rng.Intn(6)),
 			Order: rng.Intn(4) - 1, // NoOrder, 0, 1, 2
 			Op:    ops[rng.Intn(len(ops))],
 		}
+		if c.Op == plan.MergeJoin {
+			c.OuterCost, c.InnerCost = float64(rng.Intn(3)), float64(rng.Intn(3))
+		}
+		out[k] = c
 	}
-	return m, out
+	return model, out
 }
 
-// admits snapshots ps's admission bar and tests a candidate against it.
-func admits(ps *pathSet, c float64, order int) bool {
+// tree builds candidate c over m's paths, as the memo would build it.
+func tree(m *Memo, c cost.JoinCand) *plan.Plan {
+	return m.Model.BuildJoin(c, m.build(c.Outer), m.build(c.Inner))
+}
+
+// admits snapshots c's admission bar and tests a candidate against it.
+func admits(m *Memo, c *Class, cst float64, order int) bool {
 	var b cost.Bar
-	ps.Bar(&b)
-	return b.Admits(c, order)
+	m.Bar(c, &b)
+	return b.Admits(cst, order)
+}
+
+// offerCand offers jc to c and returns the retained-path delta.
+func offerCand(t *testing.T, m *Memo, c *Class, jc cost.JoinCand) (int, bool) {
+	t.Helper()
+	before := m.Stats.PathsRetained
+	kept, err := m.AddCand(c, jc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(m.Stats.PathsRetained - before), kept
+}
+
+// retained lists c's best slot and its ordered slots, by value.
+func retained(m *Memo, c *Class) []cost.JoinCand {
+	out := []cost.JoinCand{m.paths.at(c.best).JoinCand}
+	for s := c.ordered; s != noSlot; s = m.paths.at(s).next {
+		out = append(out, m.paths.at(s).JoinCand)
+	}
+	return out
 }
 
 // TestAdmitThenOfferMatchesOfferAll is the contract the join kernel's
-// cost → gate → offer loop rests on, for both kinds of input:
+// cost → gate → offer loop rests on:
 //
-//   - built plans: skipping every candidate the path set's bar does not
-//     admit leaves exactly the state offering every candidate leaves — the
-//     same Best and the same ordered plans, pointer for pointer, and the
-//     same summed retained-path delta — and a candidate that is not admitted
-//     would have been dropped by offer with delta 0;
+//   - skipping every candidate the class's bar does not admit leaves exactly
+//     the state offering every candidate leaves — the same best and ordered
+//     slots, value for value, and the same summed retained-path delta — and
+//     a candidate that is not admitted would have been dropped by offer with
+//     delta 0;
 //   - a stale bar: gating with a bar snapshotted again only after some of
 //     the offers it retained — never after a rejected one — retains the
 //     same paths at every step, since it admits a superset of what the
 //     current bar admits and offer drops the extra candidates with delta 0;
-//   - unbuilt candidates: offering the admitted stream to a class as values
-//     (Memo.AddCand) and reading the class afterwards gives trees plan.Compare
-//     finds equal to those of offering the built plans, with the same path
-//     delta at every step — retention decides on (cost, order) and on ties
-//     on the trees the candidates become, so building later changes nothing.
+//   - candidates as slot values against their trees: offering each admitted
+//     candidate's built tree whole (AddPlan) instead gives the same path
+//     delta at every step and trees plan.Compare finds equal — retention
+//     decides on (cost, order) and on ties on the trees the candidates
+//     become, and the walk through the slots finds what plan.Compare finds.
 //
 // Best is checked against the plan.Compare minimum of the stream throughout.
-// A last case offers candidates without cost ties and reads the class by cost
-// only — FeatureVector, BestCost, Bar — which must build nothing and leave
-// the class open; the first tree read closes it.
+// A last case checks that reading a class by cost and as join inputs
+// allocates nothing, and that reading a tree leaves the class open.
 func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 	totalStaleExtra := 0 // candidates admitted only by the stale bar
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		model, cands := candStream(t, rng, 60)
-		lazyMemo := New(0)
-		lazyMemo.Model = model
-		lazy, err := lazyMemo.NewClass(bits.Of(0, 1), 2, 10, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var all, admitted, stale pathSet
-		var staleBar cost.Bar // stale's bar, snapshotted after half its retentions
+		all, allC := streamMemo(t, model)
+		admitted, admC := streamMemo(t, model)
+		stale, staleC := streamMemo(t, model)
+		whole, wholeC := streamMemo(t, model) // offered the admitted candidates' trees
+		var staleBar cost.Bar                 // stale's bar, snapshotted after half its retentions
 		var allDelta, admittedDelta, staleDelta, skipped, staleExtra int
 		var least *plan.Plan // the plan.Compare minimum offered so far
 		for n, c := range cands {
-			p := model.BuildJoin(c)
-			admit := admits(&all, p.Cost, p.Order)
-			staleAdmit := staleBar.Admits(p.Cost, p.Order)
+			p := tree(all, c)
+			admit := admits(all, allC, c.Cost, c.Order)
+			staleAdmit := staleBar.Admits(c.Cost, c.Order)
 			if admit && !staleAdmit {
 				t.Fatalf("seed %d step %d: the current bar admits, the stale one does not", seed, n)
 			}
-			d, kept := all.offer(path{plan: p}, nil)
+			d, kept := offerCand(t, all, allC, c)
 			allDelta += d
 			if least == nil || plan.Less(p, least) {
 				least = p
 			}
-			if plan.Compare(all.best.plan, least) != 0 {
+			if plan.Compare(all.Best(allC), least) != 0 {
 				t.Fatalf("seed %d step %d: Best is not the least plan offered under plan.Compare", seed, n)
 			}
 			if !admit && (kept || d != 0) {
 				t.Fatalf("seed %d step %d: not admitted, but offer kept=%v delta=%d", seed, n, kept, d)
 			}
-			if admits(&admitted, p.Cost, p.Order) != admit || admits(&lazy.pathSet, c.Cost, c.Order) != admit {
-				t.Fatalf("seed %d step %d: the sets disagree on admission", seed, n)
+			if admits(admitted, admC, c.Cost, c.Order) != admit || admits(whole, wholeC, c.Cost, c.Order) != admit {
+				t.Fatalf("seed %d step %d: the classes disagree on admission", seed, n)
 			}
 			if staleAdmit {
-				d, kept := stale.offer(path{plan: p}, nil)
+				d, kept := offerCand(t, stale, staleC, c)
 				staleDelta += d
 				if !admit {
 					staleExtra++
@@ -118,52 +173,45 @@ func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 					}
 				}
 				if kept && rng.Intn(2) == 0 {
-					stale.Bar(&staleBar)
+					stale.Bar(staleC, &staleBar)
 				}
 			}
 			if admit {
-				d, _ := admitted.offer(path{plan: p}, nil)
+				d, _ := offerCand(t, admitted, admC, c)
 				admittedDelta += d
-				before := lazyMemo.Stats.PathsRetained
-				if _, err := lazyMemo.AddCand(lazy, c); err != nil {
+				before := whole.Stats.PathsRetained
+				if _, err := whole.AddPlan(wholeC, p); err != nil {
 					t.Fatal(err)
 				}
-				if ld := int(lazyMemo.Stats.PathsRetained - before); ld != d {
-					t.Fatalf("seed %d step %d: path delta %d offering the candidate, %d offering the plan", seed, n, ld, d)
+				if wd := int(whole.Stats.PathsRetained - before); wd != d {
+					t.Fatalf("seed %d step %d: path delta %d offering the candidate, %d offering its tree", seed, n, d, wd)
 				}
 			} else {
 				skipped++
 			}
-			if all.best.plan != admitted.best.plan || all.best.plan != stale.best.plan {
-				t.Fatalf("seed %d step %d: Best diverged", seed, n)
+			want := retained(all, allC)
+			if !slices.Equal(retained(admitted, admC), want) || !slices.Equal(retained(stale, staleC), want) {
+				t.Fatalf("seed %d step %d: the retained paths diverged", seed, n)
 			}
-			if lazy.BestCost() != admitted.best.cost() {
-				t.Fatalf("seed %d step %d: lazy Best costs %v, built %v", seed, n, lazy.BestCost(), admitted.best.cost())
-			}
-			if len(all.ordered) != len(admitted.ordered) || len(lazy.ordered) != len(admitted.ordered) || len(stale.ordered) != len(all.ordered) {
-				t.Fatalf("seed %d step %d: %d / %d / %d / %d ordered paths", seed, n, len(all.ordered), len(admitted.ordered), len(lazy.ordered), len(stale.ordered))
-			}
-			for i := range all.ordered {
-				if all.ordered[i].plan != admitted.ordered[i].plan || all.ordered[i].plan != stale.ordered[i].plan {
-					t.Fatalf("seed %d step %d: ordered[%d] diverged", seed, n, i)
-				}
+			if wholeC.BestCost() != allC.BestCost() || len(retained(whole, wholeC)) != len(want) {
+				t.Fatalf("seed %d step %d: offering trees retained other paths than offering candidates", seed, n)
 			}
 		}
-		if allDelta != admittedDelta || allDelta != staleDelta || allDelta != all.numPaths() || int(lazyMemo.Stats.PathsRetained) != allDelta {
-			t.Fatalf("seed %d: path delta %d offering all, %d after admission, %d after stale admission, %d offering candidates, %d paths retained",
-				seed, allDelta, admittedDelta, staleDelta, lazyMemo.Stats.PathsRetained, all.numPaths())
+		if allDelta != admittedDelta || allDelta != staleDelta || allDelta != all.numPaths(allC) || whole.numPaths(wholeC) != allDelta {
+			t.Fatalf("seed %d: path delta %d offering all, %d after admission, %d after stale admission; %d paths retained, %d offering trees",
+				seed, allDelta, admittedDelta, staleDelta, all.numPaths(allC), whole.numPaths(wholeC))
 		}
 		if skipped == 0 {
 			t.Fatalf("seed %d: admission never said no; the stream tests nothing", seed)
 		}
 		totalStaleExtra += staleExtra
-		want, got := admitted.appendPaths(nil, nil), lazy.Paths()
+		want, got := whole.Paths(wholeC), admitted.Paths(admC)
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d trees read from the candidates, %d from the plans", seed, len(got), len(want))
+			t.Fatalf("seed %d: %d trees read from the candidates, %d from the trees", seed, len(got), len(want))
 		}
 		for i := range want {
 			if plan.Compare(got[i], want[i]) != 0 {
-				t.Fatalf("seed %d: path %d built into %+v, the plan offered was %+v", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: path %d built into %+v, the tree offered was %+v", seed, i, got[i], want[i])
 			}
 		}
 	}
@@ -172,67 +220,55 @@ func TestAdmitThenOfferMatchesOfferAll(t *testing.T) {
 		t.Fatal("the stale bar never admitted more than the current one; the stale stream tests nothing")
 	}
 
-	// Cost-only reads build nothing and leave the class open.
+	// Reads by cost and as join inputs allocate nothing; a tree read leaves
+	// the class open to offers.
 	rng := rand.New(rand.NewSource(7))
 	model, cands := candStream(t, rng, 20)
-	m := New(0)
-	m.Model = model
-	c, err := m.NewClass(bits.Of(0, 1), 2, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, c := streamMemo(t, model)
 	for i, jc := range cands {
-		jc.Cost = float64(100 - i) // distinct costs: no tie builds a tree to compare
-		if _, err := m.AddCand(c, jc); err != nil {
-			t.Fatal(err)
-		}
+		jc.Cost = float64(100 - i) // distinct costs
+		offerCand(t, m, c, jc)
+	}
+	var b cost.Bar
+	var ins []cost.Input
+	if allocs := testing.AllocsPerRun(20, func() {
 		_ = c.FeatureVector()
-		_ = c.BestCost()
-		var b cost.Bar
-		c.Bar(&b)
-		_ = b.Admits(jc.Cost, jc.Order)
-	}
-	unbuilt := func() int {
-		n := 0
-		if c.best.plan == nil {
-			n++
-		}
-		for i := range c.ordered {
-			if c.ordered[i].id != c.best.id && c.ordered[i].plan == nil {
-				n++
-			}
-		}
-		return n
-	}
-	if got, want := unbuilt(), c.numPaths(); got != want {
-		t.Fatalf("cost-only reads built %d of %d retained paths", want-got, want)
+		m.Bar(c, &b)
+		ins = m.AppendInputs(ins[:0], c)
+	}); allocs != 0 {
+		t.Fatalf("cost-only reads allocate %v objects", allocs)
 	}
 	if fv := c.FeatureVector(); fv.Cost != 81 {
 		t.Fatalf("FeatureVector cost = %v, want 81 (the cheapest offered)", fv.Cost)
 	}
-	if best := c.Best(); best == nil || best.Cost != 81 {
+	if best := m.Best(c); best == nil || best.Cost != 81 {
 		t.Fatalf("Best = %+v, want the cost-81 candidate built", best)
 	}
-	if c.best.plan == nil {
-		t.Fatal("Best did not build the cheapest path")
-	}
-	if _, err := m.AddCand(c, cands[0]); !errors.Is(err, ErrReadOffer) {
-		t.Fatalf("offer after a read: err = %v, want ErrReadOffer", err)
+	cheaper := cands[0]
+	cheaper.Cost = 50
+	if _, kept := offerCand(t, m, c, cheaper); !kept || c.BestCost() != 50 {
+		t.Fatalf("offer after a read: kept=%v, best cost %v, want the cost-50 candidate", kept, c.BestCost())
 	}
 }
 
-// TestAdmitsTiesAndOrders spells out the boundary cases of a path set's bar:
+// TestAdmitsTiesAndOrders spells out the boundary cases of a class's bar:
 // ties are admitted, an ordered candidate is admitted on either criterion,
 // and an unordered one only against Best.
 func TestAdmitsTiesAndOrders(t *testing.T) {
-	set := bits.Of(0, 1)
-	var ps pathSet
-	if !admits(&ps, 1e9, plan.NoOrder) {
-		t.Error("empty set must admit anything")
+	m := New(0)
+	c, err := m.NewClass(bits.Of(0, 1), 2, 10, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ps.offer(path{plan: mkPlan(set, 10, plan.NoOrder)}, nil)
-	ps.offer(path{plan: mkPlan(set, 20, 1)}, nil)
-	for _, c := range []struct {
+	if !admits(m, c, 1e9, plan.NoOrder) {
+		t.Error("empty class must admit anything")
+	}
+	for _, p := range []*plan.Plan{mkPlan(c.Set, 10, plan.NoOrder), mkPlan(c.Set, 20, 1)} {
+		if _, err := m.AddPlan(c, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range []struct {
 		cost  float64
 		order int
 		want  bool
@@ -246,8 +282,8 @@ func TestAdmitsTiesAndOrders(t *testing.T) {
 		{1e9, 2, true}, // first plan of its order
 		{11, 1, true},
 	} {
-		if got := admits(&ps, c.cost, c.order); got != c.want {
-			t.Errorf("Admits(%v, %d) = %v, want %v", c.cost, c.order, got, c.want)
+		if got := admits(m, c, x.cost, x.order); got != x.want {
+			t.Errorf("Admits(%v, %d) = %v, want %v", x.cost, x.order, got, x.want)
 		}
 	}
 }

@@ -12,13 +12,10 @@ func mkPlan(set bits.Set, cost float64, order int) *plan.Plan {
 	return &plan.Plan{Op: plan.HashJoin, Rels: set, Cost: cost, Rows: 10, Order: order}
 }
 
-// mustOrdered returns the retained plan for an order class, or nil, without
-// reading the class (which would close it to further offers).
-func mustOrdered(c *Class, order int) *plan.Plan {
-	if x := c.orderedPath(order); x != nil {
-		return x.plan
-	}
-	return nil
+// mustOrdered returns the retained plan for an order class, or nil.
+func mustOrdered(m *Memo, c *Class, order int) *plan.Plan {
+	p, _ := m.OrderedPlan(c, order)
+	return p
 }
 
 func TestNewClassAndGet(t *testing.T) {
@@ -66,7 +63,7 @@ func TestAddPlanKeepsBestAndOrdered(t *testing.T) {
 	}
 	// A cheaper plan replaces Best.
 	cheap := mkPlan(s, 50, plan.NoOrder)
-	if kept, _ = m.AddPlan(c, cheap); !kept || c.best.plan != cheap {
+	if kept, _ = m.AddPlan(c, cheap); !kept || m.Best(c) != cheap {
 		t.Fatal("cheaper plan did not become Best")
 	}
 	// A costlier unordered plan is discarded.
@@ -78,18 +75,18 @@ func TestAddPlanKeepsBestAndOrdered(t *testing.T) {
 	if kept, _ = m.AddPlan(c, ord); !kept {
 		t.Fatal("ordered plan was not kept")
 	}
-	if c.best.plan != cheap {
+	if m.Best(c) != cheap {
 		t.Fatal("ordered plan displaced Best")
 	}
-	if n := c.numPaths(); n != 2 {
+	if n := m.numPaths(c); n != 2 {
 		t.Fatalf("%d paths retained, want 2", n)
 	}
 	// A cheaper plan with the same order replaces the ordered slot.
 	ord2 := mkPlan(s, 60, 3)
-	if kept, _ = m.AddPlan(c, ord2); !kept || mustOrdered(c, 3) != ord2 {
+	if kept, _ = m.AddPlan(c, ord2); !kept || mustOrdered(m, c, 3) != ord2 {
 		t.Fatal("cheaper ordered plan did not replace slot")
 	}
-	if n := c.numPaths(); n != 2 {
+	if n := m.numPaths(c); n != 2 {
 		t.Fatalf("%d paths retained after replacement, want 2", n)
 	}
 }
@@ -103,10 +100,10 @@ func TestAddPlanOrderedBestDedup(t *testing.T) {
 	if _, err := m.AddPlan(c, p); err != nil {
 		t.Fatal(err)
 	}
-	if c.best.plan != p || mustOrdered(c, 2) != p {
+	if m.Best(c) != p || mustOrdered(m, c, 2) != p {
 		t.Fatal("plan should be both Best and ordered")
 	}
-	if got := c.numPaths(); got != 1 {
+	if got := m.numPaths(c); got != 1 {
 		t.Fatalf("%d paths retained, want 1", got)
 	}
 	if m.Stats.PathsRetained != 1 {
@@ -117,7 +114,7 @@ func TestAddPlanOrderedBestDedup(t *testing.T) {
 	if _, err := m.AddPlan(c, p2); err != nil {
 		t.Fatal(err)
 	}
-	if c.best.plan != p2 || mustOrdered(c, 2) != p2 || c.numPaths() != 1 {
+	if m.Best(c) != p2 || mustOrdered(m, c, 2) != p2 || m.numPaths(c) != 1 {
 		t.Fatal("cheaper ordered plan should supersede both slots")
 	}
 }
@@ -136,8 +133,8 @@ func TestBestTakesOverDominatedOrderSlot(t *testing.T) {
 	if _, err := m.AddPlan(c, better); err != nil {
 		t.Fatal(err)
 	}
-	if mustOrdered(c, 4) != better || len(c.Paths()) != 1 {
-		t.Fatalf("dominated order slot not superseded: %d paths", len(c.Paths()))
+	if mustOrdered(m, c, 4) != better || len(m.Paths(c)) != 1 {
+		t.Fatalf("dominated order slot not superseded: %d paths", len(m.Paths(c)))
 	}
 }
 
@@ -201,14 +198,7 @@ func TestLevelIterationSkipsDead(t *testing.T) {
 	if got := m.Level(99); got != nil {
 		t.Errorf("Level(99) = %v", got)
 	}
-	if got := m.MaxLevel(); got != 2 {
-		t.Errorf("MaxLevel = %d", got)
-	}
-	var seen []bits.Set
-	m.Each(func(c *Class) { seen = append(seen, c.Set) })
-	if len(seen) != 2 {
-		t.Errorf("Each visited %d classes, want 2", len(seen))
-	}
+
 }
 
 func TestBudgetExceeded(t *testing.T) {
@@ -256,7 +246,7 @@ func TestPathsDeterministicOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	paths := c.Paths()
+	paths := m.Paths(c)
 	if len(paths) != 4 {
 		t.Fatalf("Paths = %d, want 4", len(paths))
 	}

@@ -142,7 +142,7 @@ func (w *Walker) Gather(m *Memo, a *Class, level, minSeq int) []*Class {
 		for word != 0 {
 			s := wi<<6 + mathbits.TrailingZeros64(word)
 			word &= word - 1
-			w.out = append(w.out, classes[s])
+			w.out = append(w.out, m.cls.at(classes[s]))
 		}
 	}
 	return w.out

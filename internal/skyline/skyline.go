@@ -203,21 +203,7 @@ func KDominant(pts [][]float64, k int) []bool {
 // points, and a point survives if it is on at least one of those skylines
 // (paper Section 2.1.3, Table 2.2).
 func DisjunctivePairwise(pts [][]float64, pairs [][2]int) []bool {
-	out := make([]bool, len(pts))
-	if len(pts) == 0 {
-		return out
-	}
-	proj := make([][]float64, len(pts))
-	for _, pr := range pairs {
-		for i, p := range pts {
-			proj[i] = []float64{p[pr[0]], p[pr[1]]}
-		}
-		for i, ok := range TwoD(proj) {
-			if ok {
-				out[i] = true
-			}
-		}
-	}
+	out, _ := disjunctive(pts, pairs, false)
 	return out
 }
 
@@ -226,18 +212,33 @@ func DisjunctivePairwise(pts [][]float64, pairs [][2]int) []bool {
 // layer reports per-criterion (RC/CS/RS) pruning efficacy from these
 // without recomputing the skylines.
 func DisjunctivePairwiseMasks(pts [][]float64, pairs [][2]int) ([]bool, [][]bool) {
+	return disjunctive(pts, pairs, true)
+}
+
+// disjunctive is DisjunctivePairwise, keeping each pair's mask when asked.
+// Every pair's projection is written into one flat buffer, allocated once.
+func disjunctive(pts [][]float64, pairs [][2]int, keepMasks bool) ([]bool, [][]bool) {
 	out := make([]bool, len(pts))
-	masks := make([][]bool, len(pairs))
+	var masks [][]bool
+	if keepMasks {
+		masks = make([][]bool, len(pairs))
+	}
 	if len(pts) == 0 {
 		return out, masks
 	}
+	flat := make([]float64, 2*len(pts))
 	proj := make([][]float64, len(pts))
+	for i := range proj {
+		proj[i] = flat[2*i : 2*i+2 : 2*i+2]
+	}
 	for pi, pr := range pairs {
 		for i, p := range pts {
-			proj[i] = []float64{p[pr[0]], p[pr[1]]}
+			proj[i][0], proj[i][1] = p[pr[0]], p[pr[1]]
 		}
 		m := TwoD(proj)
-		masks[pi] = m
+		if keepMasks {
+			masks[pi] = m
+		}
 		for i, ok := range m {
 			if ok {
 				out[i] = true
