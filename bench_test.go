@@ -248,12 +248,11 @@ func BenchmarkCostModel(b *testing.B) {
 
 // BenchmarkEnumerationOnly isolates the DP engine's pair-enumeration and
 // memoization machinery on a 12-relation star, comparing the retained
-// naive generate-and-filter reference scan, the adjacency-indexed walk,
-// and the default DPccp csg-cmp enumeration. Each sub-bench reports how
-// many candidate pairs one optimization considers; CI runs the trio as a
-// regression guard on the counts, which repeat exactly (pairs/op per
-// enumerator, and allocs/op at most 36 000 — memo classes build only the
-// plans something reads), and prints the wall times without gating on them.
+// naive generate-and-filter reference scan with the default
+// adjacency-indexed walk. Each sub-bench reports how many candidate pairs
+// one optimization considers; CI runs the pair as a regression guard on the
+// counts, which repeat exactly (pairs/op per enumerator, and a fence on
+// allocs/op), and prints the wall times without gating on them.
 func BenchmarkEnumerationOnly(b *testing.B) {
 	qs, err := workload.Instances(workload.Spec{
 		Cat: workload.PaperSchema(), Topology: workload.Star, NumRelations: 12, Seed: 9,
@@ -266,8 +265,7 @@ func BenchmarkEnumerationOnly(b *testing.B) {
 		opts dp.Options
 	}{
 		{"naive", dp.Options{Enum: dp.EnumNaive}},
-		{"indexed", dp.Options{Enum: dp.EnumIndexed}},
-		{"ccp", dp.Options{}},
+		{"indexed", dp.Options{}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

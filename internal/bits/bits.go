@@ -264,90 +264,10 @@ func (it *Iter) Next() (int, bool) {
 	return -1, false
 }
 
-// NextBit returns the smallest relation index in s that is at least from, or
-// -1 when no such member exists. It is the trailing-zeros primitive behind
-// Iter, exposed for resumable walks that skip ahead (from may be any value;
-// negative behaves like 0, values ≥ MaxRelations return -1).
-func (s Set) NextBit(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= MaxRelations {
-		return -1
-	}
-	w := from / wordBits
-	word := s[w] &^ (1<<uint(from%wordBits) - 1)
-	for {
-		if word != 0 {
-			return w*wordBits + mbits.TrailingZeros64(word)
-		}
-		w++
-		if w >= numWords {
-			return -1
-		}
-		word = s[w]
-	}
-}
-
 // Slice returns the relation indexes of s in increasing order.
 func (s Set) Slice() []int {
 	out := make([]int, 0, s.Len())
 	s.Each(func(i int) { out = append(out, i) })
-	return out
-}
-
-// Subsets calls fn for every non-empty proper subset of s that contains the
-// lowest bit of s. Restricting enumeration to subsets holding the lowest bit
-// visits each unordered {subset, complement} partition of s exactly once,
-// which is what a bushy join enumerator wants. fn returning false stops the
-// enumeration early.
-func (s Set) Subsets(fn func(sub Set) bool) {
-	if s.IsEmpty() {
-		return
-	}
-	lo := Single(s.Min())
-	rest := s.Diff(lo)
-	// Enumerate all subsets of rest (including empty) and or-in the low bit;
-	// skip the full set itself so only proper subsets are produced. The
-	// classic sub = (sub - rest) & rest counter carries across words with a
-	// full-width borrow chain, exactly the mod-2^128 analogue of the uint64
-	// trick.
-	for sub := (Set{}); ; sub = sub.subsetSucc(rest) {
-		if cand := sub.Union(lo); cand != s {
-			if !fn(cand) {
-				return
-			}
-		}
-		if sub == rest {
-			return
-		}
-	}
-}
-
-// SubsetsAll calls fn for every subset of s, including the empty set and s
-// itself, in the ⊆-compatible subset-counter order (a set is always emitted
-// after all of its proper subsets). This is the enumeration order DPccp's
-// EnumerateCsgRec relies on. fn returning false stops early.
-func (s Set) SubsetsAll(fn func(sub Set) bool) {
-	for sub := (Set{}); ; sub = sub.subsetSucc(s) {
-		if !fn(sub) {
-			return
-		}
-		if sub == s {
-			return
-		}
-	}
-}
-
-// subsetSucc advances the subset counter: the next subset of mask after s in
-// the (s - mask) & mask order. Wraps to the empty set after mask itself.
-func (s Set) subsetSucc(mask Set) Set {
-	var out Set
-	borrow := uint64(0)
-	for w := 0; w < numWords; w++ {
-		out[w], borrow = mbits.Sub64(s[w], mask[w], borrow)
-		out[w] &= mask[w]
-	}
 	return out
 }
 

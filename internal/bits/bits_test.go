@@ -225,90 +225,6 @@ func TestFromWords(t *testing.T) {
 	FromWords(1, 2, 3)
 }
 
-func TestSubsetsPartitionsOnce(t *testing.T) {
-	// For s spanning the word boundary, Subsets must visit each unordered
-	// 2-partition exactly once: every emitted subset contains the low bit,
-	// and together with its complement covers s.
-	s := Of(0, 1, 63, 64)
-	seen := map[Set]bool{}
-	s.Subsets(func(sub Set) bool {
-		if seen[sub] {
-			t.Fatalf("subset %v emitted twice", sub)
-		}
-		seen[sub] = true
-		if !sub.Has(0) {
-			t.Fatalf("subset %v missing low bit", sub)
-		}
-		comp := s.Diff(sub)
-		if comp.IsEmpty() {
-			t.Fatalf("full set %v emitted as proper subset", sub)
-		}
-		if !s.Contains(sub) {
-			t.Fatalf("subset %v not inside %v", sub, s)
-		}
-		return true
-	})
-	// A 4-element set has 2^3 subsets containing the low bit, minus the full
-	// set itself: 7 proper subsets.
-	if len(seen) != 7 {
-		t.Fatalf("got %d subsets, want 7", len(seen))
-	}
-}
-
-func TestSubsetsEarlyStop(t *testing.T) {
-	s := Of(0, 1, 2, 3, 4)
-	n := 0
-	s.Subsets(func(Set) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Fatalf("early stop after %d emissions, want 3", n)
-	}
-}
-
-func TestSubsetsEmptyAndSingleton(t *testing.T) {
-	(Set{}).Subsets(func(Set) bool {
-		t.Fatal("empty set emitted a subset")
-		return true
-	})
-	Single(3).Subsets(func(Set) bool {
-		t.Fatal("singleton emitted a proper subset containing its low bit")
-		return true
-	})
-	Single(127).Subsets(func(Set) bool {
-		t.Fatal("high-word singleton emitted a proper subset")
-		return true
-	})
-}
-
-func TestSubsetsAllOrderIsSubsetCompatible(t *testing.T) {
-	// DPccp relies on the subset-counter order being ⊆-compatible: every
-	// set is emitted after all of its proper subsets. Verify across the
-	// word boundary.
-	s := Of(2, 63, 64, 100)
-	var order []Set
-	pos := map[Set]int{}
-	s.SubsetsAll(func(sub Set) bool {
-		pos[sub] = len(order)
-		order = append(order, sub)
-		return true
-	})
-	if len(order) != 1<<s.Len() {
-		t.Fatalf("SubsetsAll emitted %d sets, want %d", len(order), 1<<s.Len())
-	}
-	if order[0] != (Set{}) || order[len(order)-1] != s {
-		t.Fatalf("SubsetsAll order starts %v ends %v", order[0], order[len(order)-1])
-	}
-	for _, a := range order {
-		for _, b := range order {
-			if a != b && b.Contains(a) && pos[b] < pos[a] {
-				t.Fatalf("superset %v emitted before subset %v", b, a)
-			}
-		}
-	}
-}
-
 // randomSet draws a set with popcount ≤ maxLen whose members spread across
 // the whole 128-bit range, biased to hit the word-boundary bits.
 func randomSet(rng *rand.Rand, maxLen int) Set {
@@ -399,33 +315,5 @@ func TestQuickLessTotalOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: every subset emitted by Subsets S satisfies S∪(s\S)=s, S∩(s\S)=∅,
-// and contains the low bit; the emission count is 2^(len-1)-1 for non-empty s.
-func TestQuickSubsetsInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		// Cap the popcount so enumeration stays fast; members span both words.
-		s := randomSet(rng, 10)
-		count := 0
-		ok := true
-		s.Subsets(func(sub Set) bool {
-			count++
-			comp := s.Diff(sub)
-			if !sub.Has(s.Min()) || sub.Union(comp) != s || !sub.Disjoint(comp) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if !ok {
-			t.Fatalf("subset invariant violated for %v", s)
-		}
-		want := 1<<(s.Len()-1) - 1
-		if count != want {
-			t.Fatalf("s=%v emitted %d subsets, want %d", s, count, want)
-		}
 	}
 }

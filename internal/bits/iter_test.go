@@ -2,10 +2,10 @@ package bits
 
 import "testing"
 
-// FuzzIterMatchesEach checks that the allocation-free Iter cursor and the
-// resumable NextBit primitive visit exactly the members Each visits, in the
-// same increasing order, for arbitrary two-word sets — including sets whose
-// members straddle the 63/64 word boundary and the top bit 127.
+// FuzzIterMatchesEach checks that the allocation-free Iter cursor visits
+// exactly the members Each visits, in the same increasing order, for
+// arbitrary two-word sets — including sets whose members straddle the 63/64
+// word boundary and the top bit 127.
 func FuzzIterMatchesEach(f *testing.F) {
 	f.Add(uint64(0), uint64(0))
 	f.Add(uint64(1), uint64(0))
@@ -35,19 +35,6 @@ func FuzzIterMatchesEach(f *testing.F) {
 				t.Fatalf("Iter over %v yielded %v, Each yielded %v", s, got, want)
 			}
 		}
-
-		got = got[:0]
-		for i := s.NextBit(0); i >= 0; i = s.NextBit(i + 1) {
-			got = append(got, i)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("NextBit over %v yielded %d members, Each yielded %d", s, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("NextBit over %v yielded %v, Each yielded %v", s, got, want)
-			}
-		}
 	})
 }
 
@@ -58,26 +45,5 @@ func TestIterExhausted(t *testing.T) {
 	}
 	if i, ok := it.Next(); ok || i != -1 {
 		t.Fatalf("repeated Next() on exhausted Iter = %d, %v; want -1, false", i, ok)
-	}
-}
-
-func TestNextBitBounds(t *testing.T) {
-	s := Of(0, 5, 63, 64, 127)
-	cases := []struct{ from, want int }{
-		{-7, 0}, {0, 0}, {1, 5}, {5, 5}, {6, 63}, {63, 63},
-		{64, 64}, {65, 127}, {127, 127}, {128, -1}, {200, -1},
-	}
-	for _, c := range cases {
-		if got := s.NextBit(c.from); got != c.want {
-			t.Errorf("NextBit(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-	if got := (Set{}).NextBit(0); got != -1 {
-		t.Errorf("empty NextBit(0) = %d, want -1", got)
-	}
-	// Low word empty: the resume must hop the word boundary.
-	hi := Of(100)
-	if got := hi.NextBit(3); got != 100 {
-		t.Errorf("NextBit(3) over {101} = %d, want 100", got)
 	}
 }

@@ -132,9 +132,9 @@ type Options struct {
 	// Obs receives metrics; nil falls back to the process default
 	// observer.
 	Obs *obs.Observer
-	// Enum is passed through to the DP substrate (see dp.EnumMode). SDP's
-	// hook makes the default resolve to the indexed walk; the equivalence
-	// tests set dp.EnumNaive to compare against the reference loop.
+	// Enum is passed through to the DP substrate (see dp.EnumMode): the
+	// default is the indexed walk; the equivalence tests set dp.EnumNaive to
+	// compare against the reference loop.
 	Enum dp.EnumMode
 }
 

@@ -9,22 +9,22 @@
 //
 // The engine is the substrate the paper's three strategies share: plain DP
 // runs it to the top; IDP runs it to level k, commits a subplan and
-// restarts it on a reduced leaf set; SDP installs a per-level hook that
-// prunes the memo with localized skylines. A leaf is normally one base
-// relation, but IDP's compound relations enter as leaves covering several
-// base relations with a pre-built access plan.
+// restarts it on a reduced leaf set; IDP2 runs it over the relations of one
+// plan subtree; SDP installs a per-level hook that prunes the memo with
+// localized skylines. A leaf is normally one base relation, but IDP's
+// compound relations enter as leaves covering several base relations with a
+// pre-built access plan.
 package dp
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
 	"sdpopt/internal/bits"
-	"sdpopt/internal/ccp"
 	"sdpopt/internal/cost"
 	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
@@ -63,51 +63,27 @@ type LevelHook func(level int, m *memo.Memo, created []*memo.Class) error
 // SortClasses orders classes canonically by relation set — the order level
 // hooks observe.
 func SortClasses(cs []*memo.Class) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Set.Less(cs[j].Set) })
+	slices.SortFunc(cs, func(a, b *memo.Class) int { return a.Set.Compare(b.Set) })
 }
 
-// EnumMode selects the engine's candidate-pair generation strategy. All
-// three modes enumerate exactly the same connected class pairs and produce
-// bit-for-bit identical memos, plans and costing (the equivalence property
-// tests assert this); they differ only in how much work finding those pairs
-// takes.
+// EnumMode selects the engine's candidate-pair source. Both modes walk the
+// same levels, join exactly the same connected class pairs in the same order
+// and produce bit-for-bit identical memos, plans and costing (the
+// equivalence tests assert this); they differ only in how many pairs they
+// look at to find those.
 type EnumMode int
 
 const (
-	// EnumDPccp, the default, generates connected-subgraph/connected-
-	// complement pairs directly from the join graph (Moerkotte & Neumann's
-	// DPccp): no candidate is ever generated and rejected, so
-	// pairs_considered == pairs_connected by construction and the
-	// enumeration cost is proportional to the connected pairs alone. Runs
-	// with a per-level hook (SDP) fall back to EnumIndexed: DPccp has no
-	// level barrier to run hooks at, and under hook pruning the surviving
-	// classes are a sparse memo-dependent subset that the structural
-	// enumeration cannot see — the indexed walk gathers candidates from the
-	// memo itself, which is exactly what pruned search needs.
-	// Stats.Enumerator reports the mode a run resolved to.
-	EnumDPccp EnumMode = iota
-	// EnumIndexed is the adjacency-indexed level walk: per-level bitmap
-	// indexes gather each class's joinable partners, skipping disconnected
-	// candidates without testing them. The enumerator behind every hooked
-	// (SDP) run.
-	EnumIndexed
+	// EnumIndexed, the default, is the adjacency-indexed level walk: per-level
+	// bitmap indexes gather each class's joinable partners, so no candidate is
+	// generated and rejected and pairs_considered == pairs_connected.
+	EnumIndexed EnumMode = iota
 	// EnumNaive is the generate-and-filter reference loop: scan every class
 	// pair per level and reject with Disjoint/Connected, recomputing the
-	// neighborhood per pair. Exists as the equivalence oracle and benchmark
-	// baseline for the two real enumerators.
+	// neighborhood per pair. It is the equivalence oracle the indexed walk is
+	// proven against, and ext.large's "DP-size" row.
 	EnumNaive
 )
-
-// String names the mode as Stats.Enumerator reports it.
-func (m EnumMode) String() string {
-	switch m {
-	case EnumIndexed:
-		return "indexed"
-	case EnumNaive:
-		return "naive"
-	}
-	return "dpccp"
-}
 
 // Options configures an engine run.
 type Options struct {
@@ -138,8 +114,8 @@ type Options struct {
 	// ("DP" when empty); IDP and SDP pass their own names so per-level
 	// spans attribute effort to the right strategy.
 	Label string
-	// Enum selects the candidate-pair generation strategy; the zero value is
-	// EnumDPccp (see EnumMode for the fallback rule hooked runs trigger).
+	// Enum selects the candidate-pair source; the zero value is the indexed
+	// walk.
 	Enum EnumMode
 }
 
@@ -159,29 +135,8 @@ type Stats struct {
 	// considered:connected ratio is the enumerator's filtering efficiency.
 	PairsConsidered int64
 	PairsConnected  int64
-	// Enumerator names the EnumMode the engine actually ran ("dpccp",
-	// "indexed" or "naive") after NewEngine's hook fallback; empty
-	// for techniques without a DP substrate.
-	Enumerator string
 	// Elapsed is the optimization wall time.
 	Elapsed time.Duration
-}
-
-// scratch is one enumerator's working state: the cost model it costs on,
-// the adjacency walker, the per-pair coster, the target class's admission
-// bar and the buffers the join kernel reuses across pairs (all consumed
-// before the next pair), and the pair counters. An Engine and a Joiner each
-// own one.
-type scratch struct {
-	model     *cost.Model
-	walker    memo.Walker
-	coster    cost.PairCoster
-	bar       cost.Bar
-	predBuf   []int
-	admitted  []cost.JoinCand
-	inA, inB  []cost.Input
-	pairsCons int64
-	pairsConn int64
 }
 
 // Engine runs the level-wise enumeration over a fixed leaf set.
@@ -195,16 +150,25 @@ type Engine struct {
 	leftDeep bool
 	enum     EnumMode
 
-	// done is the highest completed level. Run resumes above it whatever the
-	// enumerator, so IDP's block-wise Run(k) … Run(n) never re-joins a level.
+	// done is the highest completed level. Run resumes above it, so IDP's
+	// block-wise Run(k) … Run(n) never re-joins a level.
 	done int
 
 	costedAtStart int64
 	started       time.Time
 
-	// sc is the engine's scratch; its pair counters are the run's totals
-	// (see Stats).
-	sc scratch
+	// The enumerator's working state: the adjacency walker, the per-pair
+	// coster, the target class's admission bar and the buffers the join
+	// kernel reuses across pairs (all consumed before the next pair), and
+	// the run's pair counters (see Stats).
+	walker    memo.Walker
+	coster    cost.PairCoster
+	bar       cost.Bar
+	predBuf   []int
+	admitted  []cost.JoinCand
+	inA, inB  []cost.Input
+	pairsCons int64
+	pairsConn int64
 
 	// Telemetry handles, resolved once at construction; all nil-safe.
 	// (The per-level histogram is labeled by level and resolved per level —
@@ -220,7 +184,8 @@ type Engine struct {
 }
 
 // NewEngine prepares an engine and seeds level 1 of the memo. The leaves
-// must be disjoint and cover the query's relations.
+// must be disjoint and their union a connected set of the query's relations:
+// all of them for a whole query, a subtree's for IDP2's re-planning.
 func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 	model := opts.Model
 	if model == nil {
@@ -231,10 +196,6 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 	if label == "" {
 		label = "DP"
 	}
-	enum := opts.Enum
-	if enum == EnumDPccp && opts.Hook != nil {
-		enum = EnumIndexed // hooks need level barriers; see EnumMode docs
-	}
 	e := &Engine{
 		Q:             q,
 		Model:         model,
@@ -243,11 +204,10 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 		leaves:        leaves,
 		hook:          opts.Hook,
 		leftDeep:      opts.LeftDeepOnly,
-		enum:          enum,
+		enum:          opts.Enum,
 		done:          1,
 		costedAtStart: model.PlansCosted,
 		started:       time.Now(),
-		sc:            scratch{model: model},
 		ob:            ob,
 		label:         label,
 		cPlans:        ob.Counter(obs.MPlansCosted),
@@ -274,8 +234,8 @@ func NewEngine(q *query.Query, leaves []Leaf, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("dp: leaf %v has no plans but is not a base relation", l.Set)
 		}
 	}
-	if covered != bits.Full(q.NumRelations()) {
-		return nil, fmt.Errorf("dp: leaves cover %v, want all %d relations", covered, q.NumRelations())
+	if !q.ConnectedSet(covered) {
+		return nil, fmt.Errorf("dp: leaves cover %v, which is not a connected set of relations", covered)
 	}
 	lvStart := time.Now()
 	prevCosted := model.PlansCosted
@@ -368,16 +328,13 @@ func (e *Engine) Run(toLevel int) error {
 	if toLevel > len(e.leaves) {
 		toLevel = len(e.leaves)
 	}
-	if e.enum == EnumDPccp {
-		return e.runCCP(toLevel)
-	}
 	for k := e.done + 1; k <= toLevel; k++ {
 		if err := e.checkCtx(); err != nil {
 			return err
 		}
 		lvStart := time.Now()
 		prevCosted := e.Model.PlansCosted
-		prevCons, prevConn := e.sc.pairsCons, e.sc.pairsConn
+		prevCons, prevConn := e.pairsCons, e.pairsConn
 		created, err := e.runLevel(k)
 		if err == nil && e.hook != nil {
 			SortClasses(created)
@@ -436,17 +393,17 @@ func (e *Engine) runLevel(k int) ([]*memo.Class, error) {
 			case e.enum == EnumNaive:
 				partners = right
 			case j == i:
-				partners = e.sc.walker.Gather(e.Memo, a, j, a.Seq()+1)
+				partners = e.walker.Gather(e.Memo, a, j, a.Seq()+1)
 			default:
-				partners = e.sc.walker.Gather(e.Memo, a, j, 0)
+				partners = e.walker.Gather(e.Memo, a, j, 0)
 			}
 			for _, b := range partners {
-				e.sc.pairsCons++
+				e.pairsCons++
 				if !a.Set.Disjoint(b.Set) || (e.enum == EnumNaive && !e.Q.Connected(a.Set, b.Set)) {
 					continue
 				}
-				e.sc.pairsConn++
-				cls, isNew, err := e.sc.joinDirect(e.Q, e.Memo, a, b, k)
+				e.pairsConn++
+				cls, isNew, err := e.joinDirect(a, b, k)
 				if err != nil {
 					return created, err
 				}
@@ -461,24 +418,17 @@ func (e *Engine) runLevel(k int) ([]*memo.Class, error) {
 
 // observeLevel closes one enumeration level: the level-duration histogram,
 // the plans-costed and pair counters, and — when the run carries a request
-// span — a completed "level" child span with the level's creation, costing
-// and memory counts. A budget abort additionally bumps the abort counter;
-// the level span carries the error. No-op when telemetry and tracing are
-// both off.
+// span — a completed "level" child span with the level's creation, costing,
+// pair and memory counts. A budget abort additionally bumps the abort
+// counter; the level span carries the error. No-op when telemetry and
+// tracing are both off.
 func (e *Engine) observeLevel(k int, started time.Time, prevCosted, prevCons, prevConn int64, created int, err error) {
 	if e.ob == nil && e.sp == nil {
 		return
 	}
-	e.emitLevel(k, started, time.Since(started),
-		e.Model.PlansCosted-prevCosted, e.sc.pairsCons-prevCons, e.sc.pairsConn-prevConn,
-		created, e.Memo.Stats.SimBytes, err)
-}
-
-// emitLevel is observeLevel's emission body, taking the level's duration,
-// counter deltas and simulated memory at the level's end directly — the
-// DPccp path accumulates per-level deltas out of emission order and replays
-// them through here at run end. Call only when e.ob or e.sp is non-nil.
-func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pairsCons, pairsConn int64, created int, simBytes int64, err error) {
+	d := time.Since(started)
+	costed := e.Model.PlansCosted - prevCosted
+	pairsCons, pairsConn := e.pairsCons-prevCons, e.pairsConn-prevConn
 	if e.sp != nil {
 		lv := e.sp.ChildAt("level", started, d)
 		lv.SetAttr("tech", e.label)
@@ -487,7 +437,7 @@ func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pa
 		lv.SetAttr("plans_costed", costed)
 		lv.SetAttr("pairs_considered", pairsCons)
 		lv.SetAttr("pairs_connected", pairsConn)
-		lv.SetAttr("sim_bytes", simBytes)
+		lv.SetAttr("sim_bytes", e.Memo.Stats.SimBytes)
 		if err != nil {
 			lv.SetError(err.Error())
 		}
@@ -505,174 +455,27 @@ func (e *Engine) emitLevel(k int, started time.Time, d time.Duration, costed, pa
 	}
 }
 
-// ccpGraph builds the join graph the DPccp enumerator walks: one vertex per
-// leaf, an edge wherever a join predicate connects two leaves' relation
-// sets, plus the translation from vertex sets back to relation sets. For the
-// common base-relation leaf set (leaf i covers exactly relation i) both are
-// free — the adjacency is the query's own and the translation is identity;
-// IDP's compound leaves get a contracted graph built by pairwise
-// connectivity tests.
-func (e *Engine) ccpGraph() (adj []bits.Set, rels func(bits.Set) bits.Set) {
-	n := len(e.leaves)
-	identity := true
-	for i := range e.leaves {
-		if e.leaves[i].Set != bits.Single(i) {
-			identity = false
-			break
-		}
-	}
-	adj = make([]bits.Set, n)
-	if identity {
-		for i := range adj {
-			adj[i] = e.Q.Neighbors(bits.Single(i))
-		}
-		return adj, func(s bits.Set) bits.Set { return s }
-	}
-	leafSets := make([]bits.Set, n)
-	for i := range e.leaves {
-		leafSets[i] = e.leaves[i].Set
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if e.Q.Connected(leafSets[i], leafSets[j]) {
-				adj[i] = adj[i].Add(j)
-				adj[j] = adj[j].Add(i)
-			}
-		}
-	}
-	return adj, func(s bits.Set) bits.Set {
-		var r bits.Set
-		for it := s.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				return r
-			}
-			r = r.Union(leafSets[i])
-		}
-	}
-}
-
-// runCCP runs the DPccp enumerator for levels (e.done, toLevel]: every
-// emitted csg-cmp pair is a connected, disjoint class pair, joined the
-// moment it surfaces. The enumeration order guarantees both sides' classes
-// are complete before a pair is emitted (see package ccp), so no level
-// barrier is needed — which also means per-level telemetry cannot be closed
-// level by level; instead the pair callback accumulates each level's deltas
-// and the run replays them through emitLevel in ascending order at the end,
-// producing the same one-observation-per-level stream the level-synchronous
-// enumerators emit. A pair at level k changes only a level-k class, so the
-// simulated memory after level k is the run's starting memory plus the
-// deltas of levels up to k — what the level-synchronous walk reads off the
-// memo at the barrier.
-func (e *Engine) runCCP(toLevel int) error {
-	minLevel := e.done
-	if toLevel <= minLevel {
-		return nil
-	}
-	runStart := time.Now()
-	simBytes := e.Memo.Stats.SimBytes
-	adj, rels := e.ccpGraph()
-	timed := e.ob != nil || e.sp != nil
-	durs := make([]time.Duration, toLevel+1)
-	costed := make([]int64, toLevel+1)
-	simDelta := make([]int64, toLevel+1)
-	pairs := make([]int64, toLevel+1)
-	created := make([]int, toLevel+1)
-	abortLevel := 0
-	err := ccp.Enumerate(adj, ccp.Options{MinLevel: minLevel, MaxLevel: toLevel, LeftDeep: e.leftDeep},
-		func(s1, s2 bits.Set) error {
-			lvl := s1.Len() + s2.Len()
-			if cerr := e.checkCtx(); cerr != nil {
-				abortLevel = lvl
-				return cerr
-			}
-			a, b := e.Memo.Get(rels(s1)), e.Memo.Get(rels(s2))
-			// Considered == connected by construction: the enumerator only
-			// produces disjoint connected pairs, it never filters.
-			e.sc.pairsCons++
-			e.sc.pairsConn++
-			pairs[lvl]++
-			var t0 time.Time
-			var sb int64
-			if timed {
-				t0, sb = time.Now(), e.Memo.Stats.SimBytes
-			}
-			pc := e.Model.PlansCosted
-			_, isNew, jerr := e.sc.joinDirect(e.Q, e.Memo, a, b, lvl)
-			costed[lvl] += e.Model.PlansCosted - pc
-			if timed {
-				durs[lvl] += time.Since(t0)
-				simDelta[lvl] += e.Memo.Stats.SimBytes - sb
-			}
-			if isNew {
-				created[lvl]++
-			}
-			if jerr != nil {
-				abortLevel = lvl
-				return jerr
-			}
-			return nil
-		})
-	if err == nil {
-		e.done = toLevel
-	}
-	if timed {
-		lvStart := runStart
-		for k := minLevel + 1; k <= toLevel; k++ {
-			var lerr error
-			if k == abortLevel {
-				lerr = err
-			}
-			simBytes += simDelta[k]
-			e.emitLevel(k, lvStart, durs[k], costed[k], pairs[k], pairs[k], created[k], simBytes, lerr)
-			lvStart = lvStart.Add(durs[k])
-		}
-	}
-	return err
-}
-
 // joinDirect enumerates the physical joins of classes a and b, folding the
 // results straight into the memo class for a∪b (creating it if needed).
-func (sc *scratch) joinDirect(q *query.Query, m *memo.Memo, a, b *memo.Class, level int) (*memo.Class, bool, error) {
+func (e *Engine) joinDirect(a, b *memo.Class, level int) (*memo.Class, bool, error) {
 	set := a.Set.Union(b.Set)
-	cls := m.Get(set)
+	cls := e.Memo.Get(set)
 	isNew := cls == nil
 	if isNew {
 		// Canonical per-set cardinality: identical for every optimizer and
 		// enumeration order (see cost.SetRows).
-		rows := sc.model.SetRows(set)
+		rows := e.Model.SetRows(set)
 		var err error
-		cls, err = m.NewClass(set, level, rows, sc.model.Selectivity(set, rows))
+		cls, err = e.Memo.NewClass(set, level, rows, e.Model.Selectivity(set, rows))
 		if err != nil {
 			return nil, false, err
 		}
 	}
-	return cls, isNew, sc.joinPair(q, m, a, b, cls)
-}
-
-// Joiner is the engine's direct join step — the join kernel over a memo — for
-// a caller that drives its own pair source (IDP2 re-plans a subtree's
-// relations over ccp.Enumerate, which an Engine, requiring leaves that cover
-// the whole query, cannot run).
-type Joiner struct {
-	q    *query.Query
-	memo *memo.Memo
-	sc   scratch
-}
-
-// NewJoiner returns a Joiner costing on model and retaining into m.
-func NewJoiner(q *query.Query, model *cost.Model, m *memo.Memo) *Joiner {
-	return &Joiner{q: q, memo: m, sc: scratch{model: model}}
-}
-
-// Join folds every physical join of classes a and b into m's class for a∪b,
-// creating it at the given level if needed, and reports whether it did.
-func (j *Joiner) Join(a, b *memo.Class, level int) (*memo.Class, bool, error) {
-	return j.sc.joinDirect(j.q, j.memo, a, b, level)
+	return cls, isNew, e.joinPair(a, b, cls)
 }
 
 // joinPair is the join kernel: for every physical join of classes a and b —
-// path × path × direction × operator — into their target class cls of m it
+// path × path × direction × operator — into their target class cls it
 // runs begin pair → cost → gate → offer. What is constant per class pair is
 // read once: the spanning predicates, both classes' retained paths as
 // cost.Inputs (values named by their memo slots), both widths, and, in the
@@ -684,25 +487,26 @@ func (j *Joiner) Join(a, b *memo.Class, level int) (*memo.Class, bool, error) {
 // pass and are broken structurally through the slots (Memo.AddCand). Nothing
 // is built: trees are built from the memo for the answer only. The loop order
 // pa × pb × {ab, ba} and the candidate order within an orientation are part
-// of that contract. Buffers are stored back into the scratch only when they
+// of that contract. Buffers are stored back into the engine only when they
 // grew: storing a slice is a pointer write, which costs a write barrier while
 // the collector marks.
-func (sc *scratch) joinPair(q *query.Query, m *memo.Memo, a, b, cls *memo.Class) error {
-	preds := q.AppendPredsBetween(sc.predBuf[:0], a.Set, b.Set)
-	inA := m.AppendInputs(sc.inA[:0], a)
-	inB := m.AppendInputs(sc.inB[:0], b)
-	keepGrown(&sc.predBuf, preds)
-	keepGrown(&sc.inA, inA)
-	keepGrown(&sc.inB, inB)
-	sc.coster.Begin(sc.model, preds, cls.Rows, a.Width, b.Width)
-	m.Bar(cls, &sc.bar)
+func (e *Engine) joinPair(a, b, cls *memo.Class) error {
+	m := e.Memo
+	preds := e.Q.AppendPredsBetween(e.predBuf[:0], a.Set, b.Set)
+	inA := m.AppendInputs(e.inA[:0], a)
+	inB := m.AppendInputs(e.inB[:0], b)
+	keepGrown(&e.predBuf, preds)
+	keepGrown(&e.inA, inA)
+	keepGrown(&e.inB, inB)
+	e.coster.Begin(e.Model, preds, cls.Rows, a.Width, b.Width)
+	m.Bar(cls, &e.bar)
 	for ka := range inA {
 		for kb := range inB {
 			pa, pb := &inA[ka], &inB[kb]
-			if err := sc.joinOriented(m, cls, pa, pb, false); err != nil {
+			if err := e.joinOriented(m, cls, pa, pb, false); err != nil {
 				return err
 			}
-			if err := sc.joinOriented(m, cls, pb, pa, true); err != nil {
+			if err := e.joinOriented(m, cls, pb, pa, true); err != nil {
 				return err
 			}
 		}
@@ -712,13 +516,13 @@ func (sc *scratch) joinPair(q *query.Query, m *memo.Memo, a, b, cls *memo.Class)
 
 // joinOriented is joinPair's inner step for one path pair in one orientation
 // (swapped: the outer is b's path).
-func (sc *scratch) joinOriented(m *memo.Memo, cls *memo.Class, o, i *cost.Input, swapped bool) error {
-	admitted := sc.coster.AppendCands(sc.admitted[:0], o, i, swapped, &sc.bar)
-	keepGrown(&sc.admitted, admitted)
+func (e *Engine) joinOriented(m *memo.Memo, cls *memo.Class, o, i *cost.Input, swapped bool) error {
+	admitted := e.coster.AppendCands(e.admitted[:0], o, i, swapped, &e.bar)
+	keepGrown(&e.admitted, admitted)
 	for k := range admitted {
 		kept, err := m.AddCand(cls, admitted[k])
 		if kept {
-			m.Bar(cls, &sc.bar)
+			m.Bar(cls, &e.bar)
 		}
 		if err != nil {
 			return err
@@ -771,9 +575,8 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Memo:            e.Memo.Stats,
 		PlansCosted:     e.Model.PlansCosted - e.costedAtStart,
-		PairsConsidered: e.sc.pairsCons,
-		PairsConnected:  e.sc.pairsConn,
-		Enumerator:      e.enum.String(),
+		PairsConsidered: e.pairsCons,
+		PairsConnected:  e.pairsConn,
 		Elapsed:         time.Since(e.started),
 	}
 }

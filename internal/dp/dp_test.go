@@ -386,15 +386,27 @@ func TestCompoundLeaves(t *testing.T) {
 func TestNewEngineValidatesLeaves(t *testing.T) {
 	q := chainQuery(t, 3)
 	cases := map[string][]Leaf{
-		"empty leaf":      {{Set: bits.Set{}}, {Set: bits.Of(0, 1, 2), Plans: []*plan.Plan{{}}}},
-		"overlap":         {{Set: bits.Of(0, 1), Plans: []*plan.Plan{{}}}, {Set: bits.Of(1, 2), Plans: []*plan.Plan{{}}}},
-		"not covering":    {{Set: bits.Single(0)}, {Set: bits.Single(1)}},
-		"multi w/o plans": {{Set: bits.Of(0, 1)}, {Set: bits.Single(2)}},
+		"empty leaf":          {{Set: bits.Set{}}, {Set: bits.Of(0, 1, 2), Plans: []*plan.Plan{{}}}},
+		"overlap":             {{Set: bits.Of(0, 1), Plans: []*plan.Plan{{}}}, {Set: bits.Of(1, 2), Plans: []*plan.Plan{{}}}},
+		"union not connected": {{Set: bits.Single(0)}, {Set: bits.Single(2)}},
+		"multi w/o plans":     {{Set: bits.Of(0, 1)}, {Set: bits.Single(2)}},
 	}
 	for name, leaves := range cases {
 		if _, err := NewEngine(q, leaves, Options{}); err == nil {
 			t.Errorf("%s: NewEngine accepted bad leaves", name)
 		}
+	}
+	// Leaves need not cover the query: a connected subset (IDP2's subtree)
+	// runs to its own top level.
+	e, err := NewEngine(q, []Leaf{{Set: bits.Single(1)}, {Set: bits.Single(2)}}, Options{})
+	if err != nil {
+		t.Fatalf("connected subset rejected: %v", err)
+	}
+	if err := e.Run(e.NumLeaves()); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Memo.Get(bits.Of(1, 2)); c == nil || e.Memo.Best(c) == nil {
+		t.Error("no plan for the subset's relations")
 	}
 }
 

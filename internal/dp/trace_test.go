@@ -27,9 +27,8 @@ func countSpans(s span.SpanJSON, name string) int {
 
 // TestTracingDeterminism: spans observe, they never order, so a run with a
 // request span installed must stay bit-for-bit identical to the untraced
-// run, for the DPccp enumerator (which replays its level spans at run end)
-// and for the hooked indexed walk (which closes each level at its barrier),
-// and must attach one level span per level, the seed level included.
+// run, with and without a level hook, and must attach one level span per
+// level, the seed level included.
 func TestTracingDeterminism(t *testing.T) {
 	cat := workload.PaperSchema()
 	nop := func(int, *memo.Memo, []*memo.Class) error { return nil }
@@ -69,10 +68,10 @@ func TestTracingDeterminism(t *testing.T) {
 	}
 }
 
-// TestLevelSpansMatchAcrossEnumerators: the DPccp enumerator replays its
-// level spans at run end, yet each must report what the level-synchronous
-// walk reads off the memo at that level's barrier — the classes created
-// and the simulated memory held once the level is done, not at run end.
+// TestLevelSpansMatchAcrossEnumerators: each level span reports what the
+// memo holds at that level's barrier — the classes created and the simulated
+// memory once the level is done — so the indexed walk and the naive scan,
+// which join the same pairs in the same order, report identical rows.
 func TestLevelSpansMatchAcrossEnumerators(t *testing.T) {
 	cat := workload.PaperSchema()
 	type levelRow struct{ level, created, simBytes int64 }
@@ -93,9 +92,9 @@ func TestLevelSpansMatchAcrossEnumerators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("One: %v", err)
 			}
-			ccp, idx := rows(q, EnumDPccp), rows(q, EnumIndexed)
-			if len(ccp) != q.NumRelations() || !reflect.DeepEqual(ccp, idx) {
-				t.Errorf("%v ordered=%v: level spans (level, created, sim_bytes)\n dpccp   %v\n indexed %v", topo, ordered, ccp, idx)
+			idx, naive := rows(q, EnumIndexed), rows(q, EnumNaive)
+			if len(idx) != q.NumRelations() || !reflect.DeepEqual(idx, naive) {
+				t.Errorf("%v ordered=%v: level spans (level, created, sim_bytes)\n indexed %v\n naive   %v", topo, ordered, idx, naive)
 			}
 		}
 	}

@@ -906,12 +906,12 @@ func ExtEstimation(c Config) (string, error) {
 //     enumeration and grinds for tens of seconds to its budget abort, so it
 //     is recorded as a static infeasible row rather than re-probed every
 //     run; greedy is the reference and IDP2 the quality comparison.
-//   - Chain-40: exhaustive DP is feasible (the chain's csg-cmp pair count
+//   - Chain-40: exhaustive DP is feasible (the chain's connected pair count
 //     is cubic), so DP is the reference and the batch carries the DPsize
 //     generate-and-filter scan ("DP-size"), SDP, IDP2 and greedy beside it.
 //     The two DP rows report identical plans, costings and memory; their
 //     MeanPairsConsidered differ by the enumeration-work gap ((n³−n)/6 =
-//     10 660 csg-cmp pairs against the scan's ~274 k generated candidates).
+//     10 660 connected pairs against the scan's ~274 k generated candidates).
 //
 // Exhaustive DP is statically infeasible on Star-30 and Clique-25 exactly
 // as on the Star-17 main batch: 2³⁰ and 2²⁵ subsets dwarf the budget.

@@ -374,19 +374,19 @@ func TestExtLargeQuery(t *testing.T) {
 	if len(batches) != 3 || byGraph["Star-30"] == nil || byGraph["Clique-25"] == nil || byGraph["Chain-40"] == nil {
 		t.Fatalf("batches = %v, want Star-30, Clique-25, Chain-40", batches)
 	}
-	// Chain-40 is the headline: exhaustive DP via DPccp must be feasible
-	// beyond 64 relations, and its enumeration must be perfectly tight
-	// (every pair considered is connected), while the naive DP-size scan
-	// considers an order of magnitude more pairs for the same plan work.
-	ccp, size := byGraph["Chain-40"].Outcome("DP"), byGraph["Chain-40"].Outcome("DP-size")
-	if ccp == nil || size == nil || !ccp.Feasible || !size.Feasible {
-		t.Fatalf("Chain-40 DP feasibility: ccp=%+v size=%+v", ccp, size)
+	// Chain-40 is the headline: exhaustive DP on the indexed walk must be
+	// feasible beyond 64 relations, and its enumeration must be perfectly
+	// tight (every pair considered is connected), while the naive DP-size
+	// scan considers an order of magnitude more pairs for the same plan work.
+	walk, size := byGraph["Chain-40"].Outcome("DP"), byGraph["Chain-40"].Outcome("DP-size")
+	if walk == nil || size == nil || !walk.Feasible || !size.Feasible {
+		t.Fatalf("Chain-40 DP feasibility: DP=%+v DP-size=%+v", walk, size)
 	}
-	if ccp.MeanPairsConsidered != ccp.MeanPairsConnected {
-		t.Errorf("Chain-40 DPccp considered %v != connected %v", ccp.MeanPairsConsidered, ccp.MeanPairsConnected)
+	if walk.MeanPairsConsidered != walk.MeanPairsConnected {
+		t.Errorf("Chain-40 DP considered %v != connected %v", walk.MeanPairsConsidered, walk.MeanPairsConnected)
 	}
-	if size.MeanPairsConsidered <= 10*ccp.MeanPairsConsidered {
-		t.Errorf("Chain-40 DP-size considered %v, want >10x DPccp's %v", size.MeanPairsConsidered, ccp.MeanPairsConsidered)
+	if size.MeanPairsConsidered <= 10*walk.MeanPairsConsidered {
+		t.Errorf("Chain-40 DP-size considered %v, want >10x DP's %v", size.MeanPairsConsidered, walk.MeanPairsConsidered)
 	}
 	// Clique-25 records the exhaustive techniques as statically infeasible.
 	for _, name := range []string{"DP", "SDP"} {

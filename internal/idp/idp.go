@@ -310,7 +310,6 @@ func accumulate(agg *dp.Stats, s dp.Stats) {
 	}
 	agg.PairsConsidered += s.PairsConsidered
 	agg.PairsConnected += s.PairsConnected
-	agg.Enumerator = s.Enumerator
 }
 
 func finish(agg dp.Stats, model *cost.Model, costedAtStart int64, started time.Time) dp.Stats {

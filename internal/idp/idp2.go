@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"sdpopt/internal/bits"
-	"sdpopt/internal/ccp"
 	"sdpopt/internal/cost"
 	"sdpopt/internal/dp"
-	"sdpopt/internal/memo"
 	"sdpopt/internal/obs"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
@@ -93,7 +91,7 @@ func optimize2(q *query.Query, opts Options, model *cost.Model, ob *obs.Observer
 				return nil, finish(agg, model, costedAtStart, started), err
 			}
 			replanned, stats, err := replanSubtree(q, model, ob, current, sub, opts.Budget)
-			accumulate(&agg, dp.Stats{Memo: stats})
+			accumulate(&agg, stats)
 			if err != nil {
 				return nil, finish(agg, model, costedAtStart, started), err
 			}
@@ -139,74 +137,23 @@ func subtreesUpTo(p *plan.Plan, k int) []*plan.Plan {
 }
 
 // replanSubtree re-optimizes the base relations under sub with exhaustive
-// DP and splices the optimal subplan into a rebuilt tree.
-func replanSubtree(q *query.Query, model *cost.Model, ob *obs.Observer, root, sub *plan.Plan, budget int64) (*plan.Plan, memo.Stats, error) {
-	leaves := make([]dp.Leaf, 0, q.NumRelations())
+// DP — an engine over just those relations, run to the top — and splices the
+// optimal subplan into a rebuilt tree.
+func replanSubtree(q *query.Query, model *cost.Model, ob *obs.Observer, root, sub *plan.Plan, budget int64) (*plan.Plan, dp.Stats, error) {
+	leaves := make([]dp.Leaf, 0, sub.Rels.Len())
 	sub.Rels.Each(func(i int) { leaves = append(leaves, dp.Leaf{Set: bits.Single(i)}) })
-	// DP over only the subtree's relations: treat them as the whole
-	// problem by building a sub-engine on the same query but restricted
-	// leaves. The engine requires full coverage, so run a raw DPsize here.
-	best, stats, err := dpOverSubset(q, model, ob, sub.Rels, budget)
+	e, err := dp.NewEngine(q, leaves, dp.Options{Budget: budget, Model: model, Obs: ob})
+	if e == nil {
+		return nil, dp.Stats{}, err
+	}
+	if err == nil {
+		err = e.Run(len(leaves))
+	}
 	if err != nil {
-		return nil, stats, err
+		return nil, e.Stats(), err
 	}
-	return rebuildWith(q, model, root, sub, best), stats, nil
-}
-
-// dpOverSubset runs exhaustive DP over just the relations in set, driving
-// the DPccp enumerator over the induced subgraph: vertex i of the contracted
-// graph is the i-th relation of set, adjacent wherever the full query joins
-// the two relations. Every emitted pair is connected and disjoint with both
-// sides' classes already complete, so the joins fold straight into the memo
-// with no level loop and no filtering.
-func dpOverSubset(q *query.Query, model *cost.Model, ob *obs.Observer, set bits.Set, budget int64) (*plan.Plan, memo.Stats, error) {
-	m := memo.New(budget)
-	m.Model = model
-	m.Observe(ob)
-	rels := set.Slice()
-	for _, r := range rels {
-		s := bits.Single(r)
-		rows := model.SetRows(s)
-		c, err := m.NewClass(s, 1, rows, model.Selectivity(s, rows))
-		if err != nil {
-			return nil, m.Stats, err
-		}
-		for _, p := range model.AccessPaths(r) {
-			if _, err := m.AddPlan(c, p); err != nil {
-				return nil, m.Stats, err
-			}
-		}
-	}
-	adj := make([]bits.Set, len(rels))
-	for i, r := range rels {
-		nbrs := q.Neighbors(bits.Single(r))
-		for j, r2 := range rels {
-			if j != i && nbrs.Has(r2) {
-				adj[i] = adj[i].Add(j)
-			}
-		}
-	}
-	toRels := func(s bits.Set) bits.Set {
-		var out bits.Set
-		s.Each(func(i int) { out = out.Add(rels[i]) })
-		return out
-	}
-	joiner := dp.NewJoiner(q, model, m)
-	err := ccp.Enumerate(adj, ccp.Options{}, func(s1, s2 bits.Set) error {
-		_, _, err := joiner.Join(m.Get(toRels(s1)), m.Get(toRels(s2)), s1.Len()+s2.Len())
-		return err
-	})
-	if err != nil {
-		return nil, m.Stats, err
-	}
-	var best *plan.Plan
-	if cls := m.Get(set); cls != nil {
-		best = m.Best(cls)
-	}
-	if best == nil {
-		return nil, m.Stats, fmt.Errorf("idp: subtree relations %v are not connected", set)
-	}
-	return best, m.Stats, nil
+	best := e.Memo.Best(e.Memo.Get(sub.Rels))
+	return rebuildWith(q, model, root, sub, best), e.Stats(), nil
 }
 
 // rebuildWith returns root with the subtree sub replaced by repl,

@@ -5,6 +5,7 @@ import (
 
 	"sdpopt/internal/bits"
 	"sdpopt/internal/dp"
+	"sdpopt/internal/obs"
 	"sdpopt/internal/query"
 	"sdpopt/internal/testutil"
 )
@@ -34,6 +35,24 @@ func TestIDP2ProducesValidPlans(t *testing.T) {
 		if stats.PlansCosted <= 0 {
 			t.Errorf("%s: no plans costed", tc.name)
 		}
+	}
+}
+
+// TestIDP2ReportsPairs: IDP2's subtree re-plans run on the DP engine's
+// indexed walk, so its stats and the observer's pair counters carry the
+// pairs those runs joined — every one considered is connected.
+func TestIDP2ReportsPairs(t *testing.T) {
+	q := fixture(t, 12, query.StarChainEdges(12, 8))
+	ob := obs.New()
+	_, st, err := Optimize2(q, Options{K: 5, Obs: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PairsConnected <= 0 || st.PairsConsidered != st.PairsConnected {
+		t.Errorf("IDP2 considered %d pairs, connected %d; want equal and positive", st.PairsConsidered, st.PairsConnected)
+	}
+	if got := ob.Counter(obs.MPairsConnected).Value(); got != st.PairsConnected {
+		t.Errorf("pairs-connected counter %d, stats %d", got, st.PairsConnected)
 	}
 }
 

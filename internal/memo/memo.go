@@ -80,8 +80,8 @@ type Class struct {
 }
 
 // Seq returns the class's creation index within its level, counting pruned
-// classes. It indexes the enumerator's per-level visited stamps and orders
-// gathered candidates identically to the level's creation order.
+// classes. It is the class's bit in its level's adjacency index, so gathered
+// candidates come out in the level's creation order.
 func (c *Class) Seq() int { return int(c.seq) }
 
 // FeatureVector returns the [R,C,S] vector used by SDP's skyline pruning.
@@ -130,10 +130,11 @@ type Memo struct {
 	// byLevel[k] lists level k's classes by index in cls, in creation order.
 	byLevel [][]int32
 	// idx[level] is the level's adjacency index: per-relation membership
-	// bitmaps over class sequence numbers. Together with Class.Nbrs it
-	// gives the enumerator its indexed candidate walk — a few word-wide
-	// OR/AND-NOT operations compute exactly the alive classes that are
-	// connected to and disjoint from a left class (see Walker.Gather).
+	// bitmaps over class sequence numbers, in one word-major slab. Together
+	// with Class.Nbrs it gives the enumerator its indexed candidate walk — a
+	// few word-wide OR/AND-NOT operations compute exactly the alive classes
+	// that are connected to and disjoint from a left class (see
+	// Walker.Gather).
 	idx []levelIndex
 	// Nbrs, when set (the DP engine installs the query's Neighbors before
 	// seeding level 1), computes the neighborhood cached on each new class.
@@ -182,6 +183,15 @@ func (m *Memo) Get(set bits.Set) *Class {
 	return nil
 }
 
+// relations is the number of base relations a class of this memo can hold:
+// the query's when the memo has a model, else as many as a set can hold.
+func (m *Memo) relations() int {
+	if m.Model != nil {
+		return m.Model.Q.NumRelations()
+	}
+	return bits.MaxRelations
+}
+
 // NewClass creates and registers a class for set at the given leaf level
 // with the shared cardinality features. It fails with ErrBudget when the
 // simulated memory budget is exhausted and with an error on duplicates.
@@ -194,7 +204,7 @@ func (m *Memo) NewClass(set bits.Set, level int, rows, sel float64) (*Class, err
 	}
 	for len(m.byLevel) <= level {
 		m.byLevel = append(m.byLevel, nil)
-		m.idx = append(m.idx, levelIndex{})
+		m.idx = append(m.idx, levelIndex{stride: m.relations()})
 	}
 	h, c := m.cls.add()
 	*c = Class{Set: set, Level: level, Rows: rows, Sel: sel, best: noSlot, ordered: noSlot, h: h, seq: int32(len(m.byLevel[level]))}

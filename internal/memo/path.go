@@ -14,7 +14,7 @@ const noSlot = -1
 // its inputs, or a leaf path — a scan's fields, or a plan held whole. A
 // class's slot of an order is allocated when it first retains that order, and
 // a better path overwrites it in place: nothing reads a slot as an input
-// before its class is complete (the level barrier, DPccp's emission order).
+// before its class is complete (the level barrier).
 type path struct {
 	cost.JoinCand
 	rel  int32  // the relation a scan reads

@@ -6,10 +6,11 @@ package plan
 // equal only when they are structurally identical, which makes the order
 // total over the distinct candidates a memo class ever sees — and therefore
 // makes "the retained plan" independent of the order candidates arrive in.
-// That arrival-order independence is the invariant the three enumerators
-// (dp.EnumMode), which offer the same candidates in different orders, rely on
-// to produce bit-for-bit identical memos, so every retention decision in the
-// memo funnels through this comparison.
+// That arrival-order independence is what lets every optimizer that offers
+// the same candidates in a different order — IDP1's blocks, IDP2's subtree
+// re-plans, a run resumed level by level — produce bit-for-bit identical
+// memos, so every retention decision in the memo funnels through this
+// comparison.
 func Compare(a, b *Plan) int {
 	switch {
 	case a == b:

@@ -2,18 +2,15 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"sdpopt/internal/obs"
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plancache"
-	"sdpopt/internal/tech"
 	"sdpopt/internal/workload"
 )
 
@@ -268,45 +265,5 @@ func TestFlightUnderLoad(t *testing.T) {
 	d := getFlight(t, ts.URL)
 	if d.Counts.Finished != 60 {
 		t.Errorf("finished = %d, want 60", d.Counts.Finished)
-	}
-}
-
-// TestOptimizeReportsEnumerator pins where the engine's silent DPccp →
-// indexed fallback becomes visible: the "optimize" span's enum attribute.
-// SDP's hook resolves to the indexed walk,
-// unhooked DP stays on DPccp, and a technique without a DP substrate
-// reports nothing.
-func TestOptimizeReportsEnumerator(t *testing.T) {
-	q, err := workload.One(workload.Spec{Cat: workload.PaperSchema(), Topology: workload.Star, NumRelations: 6, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		technique string
-		want      any
-	}{
-		{"sdp", "indexed"},
-		{"dp", "dpccp"},
-		{"greedy", nil},
-	} {
-		rec := span.NewRecorder(span.RecorderOptions{SlowThreshold: time.Hour})
-		root := span.New("request")
-		rec.Start(root)
-		_, st, err := tech.Run(span.NewContext(context.Background(), root), tc.technique, q, tech.Options{Obs: obs.New()})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.technique, err)
-		}
-		rec.Finish(root, 200)
-		label := tc.technique
-		if tc.want != nil && st.Enumerator != tc.want {
-			t.Errorf("%s: Stats.Enumerator = %q, want %v", label, st.Enumerator, tc.want)
-		}
-		opt := spansNamed(*rec.Snapshot().Recent[0].Root, "optimize")
-		if len(opt) != 1 {
-			t.Fatalf("%s: %d optimize spans", label, len(opt))
-		}
-		if got := opt[0].Attrs["enum"]; got != tc.want {
-			t.Errorf("%s: optimize span enum = %v, want %v", label, got, tc.want)
-		}
 	}
 }

@@ -16,7 +16,7 @@
 // eliminate one another; we use the standard definition.)
 package skyline
 
-import "sort"
+import "slices"
 
 // Dominates reports whether a dominates b: a[j] ≤ b[j] for every dimension
 // and a[j] < b[j] for at least one. Smaller is better in every dimension.
@@ -71,7 +71,7 @@ func SFS(pts [][]float64) []bool {
 		}
 		return s
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return sum(pts[idx[a]]) < sum(pts[idx[b]]) })
+	slices.SortStableFunc(idx, func(a, b int) int { return order(sum(pts[a]), sum(pts[b])) })
 	out := make([]bool, n)
 	var window []int
 	for _, i := range idx {
@@ -103,12 +103,12 @@ func TwoD(pts [][]float64) []bool {
 		idx[i] = i
 	}
 	// Sort by (x, y); within equal x, smaller y first.
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := pts[idx[a]], pts[idx[b]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		pa, pb := pts[a], pts[b]
 		if pa[0] != pb[0] {
-			return pa[0] < pb[0]
+			return order(pa[0], pb[0])
 		}
-		return pa[1] < pb[1]
+		return order(pa[1], pb[1])
 	})
 	out := make([]bool, n)
 	bestY := 0.0
@@ -254,3 +254,16 @@ var RCSPairs = [][2]int{{0, 1}, {1, 2}, {0, 2}}
 
 // RCSNames names RCSPairs in order, for per-criterion reporting.
 var RCSNames = []string{"RC", "CS", "RS"}
+
+// order compares x and y for a sort: negative exactly when x < y, as the <
+// operator has it (NaN compares equal to everything, where cmp.Compare would
+// sort it first).
+func order(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
+}

@@ -89,8 +89,8 @@ func Names() []string {
 //
 // When ctx carries a span, the engine runs inside an "optimize" child span
 // that it hangs its own per-level spans off, and the run's summary
-// statistics — including the enumerator the engine resolved to, as "enum" —
-// land on that span as attributes. Without a span in ctx no span is opened.
+// statistics land on that span as attributes. Without a span in ctx no span
+// is opened.
 func Run(ctx context.Context, name string, q *query.Query, o Options) (*plan.Plan, dp.Stats, error) {
 	var e *entry
 	for i := range table {
@@ -112,9 +112,6 @@ func Run(ctx context.Context, name string, q *query.Query, o Options) (*plan.Pla
 	os.SetAttr("plans_costed", st.PlansCosted)
 	os.SetAttr("classes_created", st.Memo.ClassesCreated)
 	os.SetAttr("peak_sim_bytes", st.Memo.PeakSimBytes)
-	if st.Enumerator != "" {
-		os.SetAttr("enum", st.Enumerator)
-	}
 	if p != nil {
 		os.SetAttr("cost", p.Cost)
 	}
