@@ -12,6 +12,7 @@ import (
 	"sdpopt/internal/obs/span"
 	"sdpopt/internal/plan"
 	"sdpopt/internal/query"
+	"sdpopt/internal/testutil"
 	"sdpopt/internal/workload"
 )
 
@@ -40,28 +41,9 @@ func TestPlanInvariants(t *testing.T) {
 			}
 		}
 	}
-	const ncols = 4
 	for size := 2; size <= 14; size++ {
 		for _, ordered := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(int64(100*size) + 7))
-			rels := make([]int, size)
-			for i := range rels {
-				rels[i] = rng.Intn(cat.NumRelations())
-			}
-			var preds []query.Pred
-			for i := 1; i < size; i++ {
-				preds = append(preds, query.Pred{LeftRel: i, LeftCol: rng.Intn(ncols), RightRel: rng.Intn(i), RightCol: rng.Intn(ncols)})
-			}
-			for k := rng.Intn(size); k > 0; k-- {
-				if a, b := rng.Intn(size), rng.Intn(size); a != b {
-					preds = append(preds, query.Pred{LeftRel: a, LeftCol: rng.Intn(ncols), RightRel: b, RightCol: rng.Intn(ncols)})
-				}
-			}
-			var ob *query.OrderSpec
-			if ordered {
-				ob = &query.OrderSpec{Rel: rng.Intn(size), Col: rng.Intn(ncols)}
-			}
-			q, err := query.NewFiltered(cat, rels, preds, nil, ob)
+			q, err := testutil.RandomQuery(cat, rand.New(rand.NewSource(int64(100*size)+7)), size, ordered)
 			if err != nil {
 				t.Fatalf("size %d: generated query rejected: %v", size, err)
 			}

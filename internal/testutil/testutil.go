@@ -4,6 +4,7 @@ package testutil
 
 import (
 	"fmt"
+	"math/rand"
 
 	"sdpopt/internal/catalog"
 	"sdpopt/internal/query"
@@ -57,6 +58,33 @@ func MustQuery(cat *catalog.Catalog, n int, edges []query.Edge, orderBy *query.O
 		panic(err)
 	}
 	return q
+}
+
+// RandomQuery builds a random connected join graph of size relations drawn
+// from cat: a random spanning tree plus up to size−1 random extra edges, each
+// predicate on one of the first four columns of its relations, and, when
+// ordered, an ORDER BY on a random relation's column. The same rng state
+// always yields the same query.
+func RandomQuery(cat *catalog.Catalog, rng *rand.Rand, size int, ordered bool) (*query.Query, error) {
+	const ncols = 4
+	rels := make([]int, size)
+	for i := range rels {
+		rels[i] = rng.Intn(cat.NumRelations())
+	}
+	var preds []query.Pred
+	for i := 1; i < size; i++ {
+		preds = append(preds, query.Pred{LeftRel: i, LeftCol: rng.Intn(ncols), RightRel: rng.Intn(i), RightCol: rng.Intn(ncols)})
+	}
+	for k := rng.Intn(size); k > 0; k-- {
+		if a, b := rng.Intn(size), rng.Intn(size); a != b {
+			preds = append(preds, query.Pred{LeftRel: a, LeftCol: rng.Intn(ncols), RightRel: b, RightCol: rng.Intn(ncols)})
+		}
+	}
+	var ob *query.OrderSpec
+	if ordered {
+		ob = &query.OrderSpec{Rel: rng.Intn(size), Col: rng.Intn(ncols)}
+	}
+	return query.NewFiltered(cat, rels, preds, nil, ob)
 }
 
 // WarmHitMix returns the query population of the benchmark's warm-hit
