@@ -47,8 +47,10 @@ type trajectoryCase struct {
 
 // trajectoryCorpus is the five cold-enum templates (the benchmark's
 // population seeds), Table 1.2's Star-Chain-15 and Table 3.2's Star-15 at the
-// experiments' seed, and the Clique-25 SDP budget abort of ext.large. Every
-// run has the paper's 1 GB budget.
+// experiments' seed, the Clique-25 SDP budget abort of ext.large, and
+// routed-slo's Snowflake-16 template under SDP: its two root hubs put JCRs
+// in several partitions at once, which no other SDP run here does. Every run
+// has the paper's 1 GB budget.
 func trajectoryCorpus() []trajectoryCase {
 	paper := workload.PaperSchema()
 	var out []trajectoryCase
@@ -60,6 +62,8 @@ func trajectoryCorpus() []trajectoryCase {
 		{name: "tab3.2/star-15", spec: workload.Spec{Cat: paper, Topology: workload.Star, NumRelations: 15, Seed: 42}, instances: 1},
 		{name: "ext.large/clique-25", spec: workload.Spec{Cat: workload.ExtendedSchema(25), Topology: workload.Clique, NumRelations: 25, Seed: 42},
 			instances: 1, techs: []string{"SDP"}},
+		{name: "routed-slo/snowflake-16", spec: workload.Spec{Cat: paper, Topology: workload.Snowflake, NumRelations: 16, Seed: populationSeed + 4*101},
+			instances: 2, techs: []string{"SDP"}},
 	}...)
 }
 
