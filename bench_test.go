@@ -219,7 +219,7 @@ func BenchmarkSkyline(b *testing.B) {
 		b.Run(fmt.Sprintf("Disjunctive/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				skyline.DisjunctivePairwise(pts, skyline.RCSPairs)
+				skyline.DisjunctivePairwiseMasks(pts, skyline.RCSPairs)
 			}
 		})
 	}

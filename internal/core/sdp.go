@@ -31,6 +31,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -208,8 +209,10 @@ type sdp struct {
 	opts Options
 	ob   *obs.Observer
 
-	// Resolved metric handles (nil when telemetry is off).
-	cCand, cSurvAll, cSurvRC, cSurvCS, cSurvRS *obs.Counter
+	// Resolved metric handles (nil when telemetry is off); cSurvPair
+	// follows skyline.RCSNames.
+	cCand, cSurvAll *obs.Counter
+	cSurvPair       []*obs.Counter
 
 	// sp is the request span carried by opts.Ctx (nil when the caller is
 	// not tracing); cur is the open "sdp.level" child while the hook runs,
@@ -217,6 +220,41 @@ type sdp struct {
 	// single-threaded at the level barrier, so cur needs no locking.
 	sp  *span.Span
 	cur *span.Span
+
+	// hubs are the root hubs and orders the relations carrying the ORDER
+	// BY's equivalence class, each with its partition label, computed once
+	// per query. hubs is in label order ("hub:10" before "hub:2"), the order
+	// in which the starvation guard visits partitions.
+	hubs, orders []labeled
+
+	// The level being pruned, rebuilt by partition on every level into
+	// reused buffers: group holds the JCRs being pruned and free the rest;
+	// parts lists the group's partitions, hub partitions first in label
+	// order, then the order partitions; members backs the parts' index
+	// lists; feats holds the group's [R,C,S] points; survive is the verdict
+	// per group position.
+	parents     []bits.Set
+	group, free []*memo.Class
+	parts       []partition
+	members     []int
+	feats       []float64
+	pts         [][]float64
+	survive     []bool
+}
+
+// labeled is a relation with the label of the partition it defines.
+type labeled struct {
+	rel   int
+	label string
+}
+
+// partition is one skyline partition of a level: its members are positions
+// in the group being pruned. An order partition can only rescue a JCR; a hub
+// partition can veto it.
+type partition struct {
+	label   string
+	members []int
+	order   bool
 }
 
 func newSDP(q *query.Query, opts Options, ob *obs.Observer) *sdp {
@@ -224,9 +262,21 @@ func newSDP(q *query.Query, opts Options, ob *obs.Observer) *sdp {
 	if ob != nil {
 		s.cCand = ob.Counter(obs.MSkylineCandidates)
 		s.cSurvAll = ob.Counter(obs.Label(obs.MSkylineSurvivors, "criterion", "all"))
-		s.cSurvRC = ob.Counter(obs.Label(obs.MSkylineSurvivors, "criterion", "RC"))
-		s.cSurvCS = ob.Counter(obs.Label(obs.MSkylineSurvivors, "criterion", "CS"))
-		s.cSurvRS = ob.Counter(obs.Label(obs.MSkylineSurvivors, "criterion", "RS"))
+		for _, name := range skyline.RCSNames {
+			s.cSurvPair = append(s.cSurvPair, ob.Counter(obs.Label(obs.MSkylineSurvivors, "criterion", name)))
+		}
+	}
+	q.HubRels().Each(func(h int) { s.hubs = append(s.hubs, labeled{h, fmt.Sprintf("hub:%d", h+1)}) })
+	slices.SortFunc(s.hubs, func(a, b labeled) int { return strings.Compare(a.label, b.label) })
+	if ec := q.OrderEqClass(); ec >= 0 {
+		for r := range q.NumRelations() {
+			for col := range q.Relation(r).Cols {
+				if q.EqClass(r, col) == ec {
+					s.orders = append(s.orders, labeled{r, fmt.Sprintf("order:%d", r+1)})
+					break
+				}
+			}
+		}
 	}
 	return s
 }
@@ -244,381 +294,211 @@ func (s *sdp) hook(level int, m *memo.Memo, created []*memo.Class) error {
 		s.cur.SetAttr("tech", "SDP")
 		s.cur.SetAttr("level", level)
 	}
-	switch s.opts.Scope {
-	case Global:
-		s.pruneGlobal(level, m, created)
-	default:
-		s.pruneLocal(level, m, created)
+	if s.partition(m, level, created) {
+		s.prune(level, m)
 	}
 	s.cur.Finish()
 	s.cur = nil
 	return nil
 }
 
-// pruneGlobal applies the skyline to the level's whole output — the
-// ablation the paper uses to demonstrate that localized pruning matters.
-func (s *sdp) pruneGlobal(level int, m *memo.Memo, created []*memo.Class) {
-	mask := s.observedMask(level, "global", created)
-	tr := s.levelTrace(level)
-	if tr != nil {
-		tr.Partitions["global"] = setsOf(created)
+// partition splits the level into the group to prune and the rest and
+// lists the group's partitions. Under Global scope — the ablation showing
+// that localized pruning matters — the group is the whole level, one
+// partition "global". Under Local scope it is the PruneGroup, the JCRs
+// containing a hub of the previous level, partitioned by root or parent hub
+// (a JCR containing several hubs is in each of their partitions), plus one
+// partition per relation carrying the ORDER BY's class, of the PruneGroup
+// JCRs without that relation. Empty partitions are left out. It reports
+// false when the level has nothing to prune.
+func (s *sdp) partition(m *memo.Memo, level int, created []*memo.Class) bool {
+	s.group, s.free, s.parts, s.members = s.group[:0], s.free[:0], s.parts[:0], s.members[:0]
+	if s.opts.Scope == Global {
+		s.group = append(s.group, created...)
+		s.addPartition("global", false, func(*memo.Class) bool { return true })
+		return true
 	}
-	nSurv, nPruned := 0, 0
-	for i, c := range created {
-		if mask[i] {
-			nSurv++
-			if tr != nil {
-				tr.Survivors = append(tr.Survivors, c.Set)
-			}
-			continue
-		}
-		nPruned++
-		if tr != nil {
-			tr.Pruned = append(tr.Pruned, c.Set)
-		}
-		m.Remove(c)
-	}
-	s.spanLevel(len(created), 0, nSurv, nPruned)
-	s.recordLevel(tr)
-}
-
-// pruneLocal applies the paper's SDP pruning: split into PruneGroup and
-// FreeGroup by hub-parent containment, partition the PruneGroup by hub,
-// skyline within each partition, and prune JCRs that fail to survive every
-// hub partition they belong to (unless rescued by an interesting-order
-// partition).
-func (s *sdp) pruneLocal(level int, m *memo.Memo, created []*memo.Class) {
-	hubParents := s.hubParents(m, level)
-	if len(hubParents) == 0 {
-		return // no hubs at this level: pruning stays off
-	}
-	var pruneGroup, freeGroup []*memo.Class
-	for _, c := range created {
-		inPG := false
-		for _, hp := range hubParents {
-			if c.Set.Contains(hp) {
-				inPG = true
-				break
-			}
-		}
-		if inPG {
-			pruneGroup = append(pruneGroup, c)
-		} else {
-			freeGroup = append(freeGroup, c)
-		}
-	}
-	if len(pruneGroup) == 0 {
-		return
-	}
-
-	partitions := s.partition(pruneGroup, hubParents)
-	tr := s.levelTrace(level)
-	if tr != nil {
-		tr.PruneGroup = setsOf(pruneGroup)
-		tr.FreeGroup = setsOf(freeGroup)
-		for label, part := range partitions {
-			tr.Partitions[label] = setsOf(part)
-		}
-		for _, c := range pruneGroup {
-			tr.Features[c.Set] = c.FeatureVector()
-		}
-	}
-
-	// A JCR must survive in every hub partition it appears in. Partitions
-	// are pruned and reported (counters, events) in sorted-label order.
-	survive := map[bits.Set]bool{}
-	seen := map[bits.Set]bool{}
-	labels := sortedLabels(partitions)
-	for _, label := range labels {
-		part := partitions[label]
-		mask := s.observedMask(level, label, part)
-		for i, c := range part {
-			if !seen[c.Set] {
-				seen[c.Set] = true
-				survive[c.Set] = true
-			}
-			if !mask[i] {
-				survive[c.Set] = false
-			}
-		}
-	}
-	// PruneGroup members outside every partition (e.g. no root hub under
-	// root-hub partitioning) are left untouched, like the FreeGroup.
-	for _, c := range pruneGroup {
-		if !seen[c.Set] {
-			survive[c.Set] = true
-		}
-	}
-
-	// Interesting-order partitions can only rescue, never kill: their
-	// survivors are unioned into the level's survivor output.
-	s.applyOrderPartitions(level, pruneGroup, survive, tr)
-
-	// Guard: if the cross-partition veto rule emptied some partition
-	// entirely, resurrect that partition's cheapest member so every hub
-	// keeps at least one expansion and the search always completes. (The
-	// paper does not discuss this corner; see DESIGN.md.)
-	for _, label := range labels {
-		part := partitions[label]
-		any := false
-		for _, c := range part {
-			if survive[c.Set] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			best := part[0]
-			for _, c := range part[1:] {
-				if c.BestCost() < best.BestCost() {
-					best = c
-				}
-			}
-			survive[best.Set] = true
-		}
-	}
-
-	nSurv, nPruned := 0, 0
-	for _, c := range pruneGroup {
-		if survive[c.Set] {
-			nSurv++
-			if tr != nil {
-				tr.Survivors = append(tr.Survivors, c.Set)
-			}
-			continue
-		}
-		nPruned++
-		if tr != nil {
-			tr.Pruned = append(tr.Pruned, c.Set)
-		}
-		m.Remove(c)
-	}
-	s.spanLevel(len(pruneGroup), len(freeGroup), nSurv, nPruned)
-	s.recordLevel(tr)
-}
-
-// spanLevel closes the open "sdp.level" span's summary attributes.
-func (s *sdp) spanLevel(pruneGroup, freeGroup, survivors, pruned int) {
-	if s.cur == nil {
-		return
-	}
-	s.cur.SetAttr("prune_group", pruneGroup)
-	s.cur.SetAttr("free_group", freeGroup)
-	s.cur.SetAttr("survivors", survivors)
-	s.cur.SetAttr("pruned", pruned)
-}
-
-// hubParents returns the sets of the previous level's surviving classes
-// that are hubs of the contracted join graph. At level 2 these are the root
-// hub base relations themselves.
-func (s *sdp) hubParents(m *memo.Memo, level int) []bits.Set {
-	var out []bits.Set
+	// Hub parents: the previous level's survivors that are hubs of the
+	// contracted join graph; at level 2, the root hubs themselves.
+	s.parents = s.parents[:0]
 	for _, c := range m.Level(level - 1) {
 		if s.q.IsHub(c.Set) {
-			out = append(out, c.Set)
+			s.parents = append(s.parents, c.Set)
 		}
 	}
-	return out
-}
-
-// partition groups the PruneGroup by hub. A JCR containing several hubs
-// appears in all the corresponding partitions.
-func (s *sdp) partition(pruneGroup []*memo.Class, hubParents []bits.Set) map[string][]*memo.Class {
-	parts := map[string][]*memo.Class{}
+	for _, c := range created {
+		if slices.ContainsFunc(s.parents, c.Set.Contains) {
+			s.group = append(s.group, c)
+		} else {
+			s.free = append(s.free, c)
+		}
+	}
+	if len(s.group) == 0 {
+		return false // no hubs at this level, or none in its JCRs
+	}
 	if s.opts.Partitioning == ParentHub {
-		for _, hp := range hubParents {
-			label := fmt.Sprintf("hub:%v", hp)
-			for _, c := range pruneGroup {
-				if c.Set.Contains(hp) {
-					parts[label] = append(parts[label], c)
-				}
-			}
+		for _, hp := range s.parents {
+			s.addPartition("hub:"+hp.String(), false, func(c *memo.Class) bool { return c.Set.Contains(hp) })
 		}
-		return parts
-	}
-	rootHubs := s.q.HubRels()
-	rootHubs.Each(func(h int) {
-		label := fmt.Sprintf("hub:%d", h+1)
-		for _, c := range pruneGroup {
-			if c.Set.Has(h) {
-				parts[label] = append(parts[label], c)
-			}
-		}
-		if len(parts[label]) == 0 {
-			delete(parts, label)
-		}
-	})
-	return parts
-}
-
-// applyOrderPartitions forms one partition per relation carrying an
-// interesting join column (a column in the ORDER BY's equivalence class),
-// containing every PruneGroup JCR that does not include that relation, and
-// unions the skyline survivors into the survivor set.
-func (s *sdp) applyOrderPartitions(level int, pruneGroup []*memo.Class, survive map[bits.Set]bool, tr *LevelTrace) {
-	ec := s.q.OrderEqClass()
-	if ec < 0 {
-		return
-	}
-	for r := 0; r < s.q.NumRelations(); r++ {
-		if !s.relHasOrderColumn(r, ec) {
-			continue
-		}
-		var part []*memo.Class
-		for _, c := range pruneGroup {
-			if !c.Set.Has(r) {
-				part = append(part, c)
-			}
-		}
-		if len(part) == 0 {
-			continue
-		}
-		label := fmt.Sprintf("order:%d", r+1)
-		if tr != nil {
-			tr.Partitions[label] = setsOf(part)
-		}
-		mask := s.observedMask(level, label, part)
-		for i, c := range part {
-			if mask[i] {
-				survive[c.Set] = true
-			}
-		}
-	}
-}
-
-// relHasOrderColumn reports whether relation r has a join column in
-// equivalence class ec.
-func (s *sdp) relHasOrderColumn(r, ec int) bool {
-	for col := range s.q.Relation(r).Cols {
-		if s.q.EqClass(r, col) == ec {
-			return true
-		}
-	}
-	return false
-}
-
-// observedMask computes the survivor mask of one skyline partition under
-// the configured skyline option and reports it. When telemetry will want
-// them (Option 2 with an observer or request span attached) it also
-// computes the per-criterion pairwise masks, which fall out of the pruning
-// computation anyway. With telemetry off it is exactly the bare mask.
-func (s *sdp) observedMask(level int, label string, classes []*memo.Class) []bool {
-	start := time.Now()
-	pts := featurePoints(classes)
-	var mask []bool
-	var pairMasks [][]bool
-	if (s.ob != nil || s.sp != nil) && s.opts.Skyline == Option2 {
-		mask, pairMasks = skyline.DisjunctivePairwiseMasks(pts, skyline.RCSPairs)
+		slices.SortFunc(s.parts, func(a, b partition) int { return strings.Compare(a.label, b.label) })
 	} else {
-		mask = s.maskOf(pts)
+		for _, h := range s.hubs {
+			s.addPartition(h.label, false, func(c *memo.Class) bool { return c.Set.Has(h.rel) })
+		}
 	}
-	s.reportMask(level, label, len(classes), mask, pairMasks, start, time.Since(start))
-	return mask
+	for _, o := range s.orders {
+		s.addPartition(o.label, true, func(c *memo.Class) bool { return !c.Set.Has(o.rel) })
+	}
+	return true
 }
 
-// reportMask reports one partition's mask: candidate/survivor counters (per
-// RC/CS/RS criterion under Option 2) and — when the run carries a request
-// span — an "sdp.partition" child span under the current sdp.level span,
-// timed by the mask computation itself.
-func (s *sdp) reportMask(level int, label string, size int, mask []bool, pairMasks [][]bool, start time.Time, d time.Duration) {
-	if s.ob == nil && s.cur == nil {
-		return
+// addPartition appends the partition of the group's JCRs that in accepts,
+// unless there are none.
+func (s *sdp) addPartition(label string, order bool, in func(*memo.Class) bool) {
+	lo := len(s.members)
+	for i, c := range s.group {
+		if in(c) {
+			s.members = append(s.members, i)
+		}
 	}
-	surv := countTrue(mask)
-	var pairCounts []int
-	for i := range pairMasks {
-		pairCounts = append(pairCounts, countTrue(pairMasks[i]))
+	if hi := len(s.members); hi > lo {
+		s.parts = append(s.parts, partition{label: label, members: s.members[lo:hi:hi], order: order})
+	}
+}
+
+// prune applies the level rule to the group. A JCR survives unless it
+// falls off the skyline of a hub partition it is in (the veto); surviving
+// any order partition's skyline rescues it; and a hub partition the veto
+// left empty gets its cheapest member back (the guard: the paper does not
+// discuss this corner, see DESIGN.md). Partitions are pruned, reported and
+// guarded in list order. The losers leave the memo.
+func (s *sdp) prune(level int, m *memo.Memo) {
+	s.feats = s.feats[:0]
+	s.survive = s.survive[:0]
+	for _, c := range s.group {
+		fv := c.FeatureVector()
+		s.feats = append(s.feats, fv.Rows, fv.Cost, fv.Sel)
+		s.survive = append(s.survive, true)
+	}
+	survive := s.survive
+	for _, p := range s.parts {
+		s.pts = s.pts[:0]
+		for _, i := range p.members {
+			s.pts = append(s.pts, s.feats[3*i:3*i+3:3*i+3])
+		}
+		// A hub partition can only veto a JCR, an order partition only
+		// rescue one.
+		for k, ok := range s.mask(level, p.label, s.pts) {
+			if ok == p.order {
+				survive[p.members[k]] = ok
+			}
+		}
+	}
+	for _, p := range s.parts {
+		if p.order || slices.ContainsFunc(p.members, func(i int) bool { return survive[i] }) {
+			continue
+		}
+		best := p.members[0]
+		for _, i := range p.members[1:] {
+			if s.group[i].BestCost() < s.group[best].BestCost() {
+				best = i
+			}
+		}
+		survive[best] = true
+	}
+
+	var tr *LevelTrace
+	if s.opts.Trace != nil {
+		tr = &LevelTrace{
+			Level:      level,
+			PruneGroup: setsOf(s.group),
+			Partitions: make(map[string][]bits.Set, len(s.parts)),
+			Features:   make(map[bits.Set]memo.FV, len(s.group)),
+		}
+		if s.opts.Scope == Local {
+			tr.FreeGroup = setsOf(s.free)
+		}
+		for _, p := range s.parts {
+			sets := make([]bits.Set, len(p.members))
+			for k, i := range p.members {
+				sets[k] = s.group[i].Set
+			}
+			tr.Partitions[p.label] = sets
+		}
+	}
+	nSurv := 0
+	for i, c := range s.group {
+		if tr != nil {
+			tr.Features[c.Set] = c.FeatureVector()
+			if survive[i] {
+				tr.Survivors = append(tr.Survivors, c.Set)
+			} else {
+				tr.Pruned = append(tr.Pruned, c.Set)
+			}
+		}
+		if survive[i] {
+			nSurv++
+		} else {
+			m.Remove(c)
+		}
 	}
 	if s.cur != nil {
-		p := s.cur.ChildAt("sdp.partition", start, d)
+		s.cur.SetAttr("prune_group", len(s.group))
+		s.cur.SetAttr("free_group", len(s.free))
+		s.cur.SetAttr("survivors", nSurv)
+		s.cur.SetAttr("pruned", len(s.group)-nSurv)
+	}
+	if tr != nil {
+		s.opts.Trace.Levels = append(s.opts.Trace.Levels, *tr)
+	}
+}
+
+// mask computes one partition's survivor mask under the configured skyline
+// option and reports it: candidate/survivor counters (per RC/CS/RS
+// criterion under Option 2, whose per-pair masks fall out of the pruning
+// computation) and — when the run carries a request span — an
+// "sdp.partition" child span under the current sdp.level span, timed by the
+// mask computation itself.
+func (s *sdp) mask(level int, label string, pts [][]float64) []bool {
+	start := time.Now()
+	var mask []bool
+	var pairMasks [][]bool
+	switch s.opts.Skyline {
+	case Option1:
+		mask = skyline.SFS(pts)
+	case StrongSkyline:
+		// k-dominance is cyclic: the strong skyline can be empty. Fall back
+		// to the full skyline in that case so a partition never vanishes.
+		if mask = skyline.KDominant(pts, 2); !slices.Contains(mask, true) {
+			mask = skyline.SFS(pts)
+		}
+	default:
+		mask, pairMasks = skyline.DisjunctivePairwiseMasks(pts, skyline.RCSPairs)
+	}
+	d := time.Since(start)
+	var p *span.Span
+	if s.cur != nil {
+		p = s.cur.ChildAt("sdp.partition", start, d)
 		p.SetAttr("tech", "SDP")
 		p.SetAttr("level", level)
 		p.SetAttr("label", label)
-		p.SetAttr("size", size)
-		p.SetAttr("survivors", surv)
-		for i, n := range pairCounts {
+		p.SetAttr("size", len(pts))
+		p.SetAttr("survivors", countTrue(mask))
+	}
+	if s.ob != nil {
+		s.cCand.Add(int64(len(pts)))
+		s.cSurvAll.Add(int64(countTrue(mask)))
+	}
+	for i, pm := range pairMasks {
+		n := countTrue(pm)
+		if p != nil {
 			p.SetAttr(strings.ToLower(skyline.RCSNames[i]), n)
 		}
-	}
-	if s.ob == nil {
-		return
-	}
-	s.cCand.Add(int64(size))
-	s.cSurvAll.Add(int64(surv))
-	for i, c := range []*obs.Counter{s.cSurvRC, s.cSurvCS, s.cSurvRS} {
-		if pairCounts == nil {
-			break
-		}
-		c.Add(int64(pairCounts[i]))
-	}
-}
-
-// maskOf computes the survivor mask over feature points under the
-// configured skyline option.
-func (s *sdp) maskOf(pts [][]float64) []bool {
-	switch s.opts.Skyline {
-	case Option1:
-		return skyline.SFS(pts)
-	case StrongSkyline:
-		mask := skyline.KDominant(pts, 2)
-		// k-dominance is cyclic: the strong skyline can be empty. Fall back
-		// to the full skyline in that case so a partition never vanishes.
-		for _, ok := range mask {
-			if ok {
-				return mask
-			}
-		}
-		return skyline.SFS(pts)
-	default:
-		return skyline.DisjunctivePairwise(pts, skyline.RCSPairs)
-	}
-}
-
-// featurePoints returns the classes' (rows, cost, selectivity) points for the
-// skylines, all backed by one array: a partition costs two allocations, not
-// one per class.
-func featurePoints(classes []*memo.Class) [][]float64 {
-	flat := make([]float64, 3*len(classes))
-	pts := make([][]float64, len(classes))
-	for i, c := range classes {
-		fv := c.FeatureVector()
-		p := flat[3*i : 3*i+3 : 3*i+3]
-		p[0], p[1], p[2] = fv.Rows, fv.Cost, fv.Sel
-		pts[i] = p
-	}
-	return pts
-}
-
-func countTrue(mask []bool) int {
-	n := 0
-	for _, ok := range mask {
-		if ok {
-			n++
+		if s.ob != nil {
+			s.cSurvPair[i].Add(int64(n))
 		}
 	}
-	return n
-}
-
-// levelTrace starts the per-level pruning record — built only when the
-// caller asked for a Trace.
-func (s *sdp) levelTrace(level int) *LevelTrace {
-	if s.opts.Trace == nil {
-		return nil
-	}
-	return &LevelTrace{
-		Level:      level,
-		Partitions: map[string][]bits.Set{},
-		Features:   map[bits.Set]memo.FV{},
-	}
-}
-
-// recordLevel appends one level's finished pruning record to the caller's
-// Trace (no-op when none was asked for).
-func (s *sdp) recordLevel(tr *LevelTrace) {
-	if tr == nil {
-		return
-	}
-	s.opts.Trace.Levels = append(s.opts.Trace.Levels, *tr)
+	return mask
 }
 
 func setsOf(classes []*memo.Class) []bits.Set {
@@ -629,13 +509,14 @@ func setsOf(classes []*memo.Class) []bits.Set {
 	return out
 }
 
-func sortedLabels(parts map[string][]*memo.Class) []string {
-	labels := make([]string, 0, len(parts))
-	for l := range parts {
-		labels = append(labels, l)
+func countTrue(mask []bool) int {
+	n := 0
+	for _, ok := range mask {
+		if ok {
+			n++
+		}
 	}
-	sort.Strings(labels)
-	return labels
+	return n
 }
 
 // String renders the trace as the textual iteration walkthrough of the

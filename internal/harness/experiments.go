@@ -197,17 +197,7 @@ func Table22(c Config) (string, error) {
 		fv := lvl.Features[s]
 		pts[i] = []float64{fv.Rows, fv.Cost, fv.Sel}
 	}
-	masks := map[string][]bool{}
-	for _, pr := range []struct {
-		name string
-		a, b int
-	}{{"RC", 0, 1}, {"CS", 1, 2}, {"RS", 0, 2}} {
-		proj := make([][]float64, len(pts))
-		for i, p := range pts {
-			proj[i] = []float64{p[pr.a], p[pr.b]}
-		}
-		masks[pr.name] = skyline.TwoD(proj)
-	}
+	survives, masks := skyline.DisjunctivePairwiseMasks(pts, skyline.RCSPairs)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table 2.2: Multi-way Skyline Pruning (level-%d PruneGroup partition on root hub 1)\n", lvl.Level)
 	fmt.Fprintf(&sb, "%-14s %34s  %2s %2s %2s  %s\n", "JCR", "[Rows, Cost, Sel]", "RC", "CS", "RS", "verdict")
@@ -220,11 +210,11 @@ func Table22(c Config) (string, error) {
 	for i, s := range members {
 		fv := lvl.Features[s]
 		verdict := "pruned"
-		if masks["RC"][i] || masks["CS"][i] || masks["RS"][i] {
+		if survives[i] {
 			verdict = "survives"
 		}
 		fmt.Fprintf(&sb, "%-14s [%12.0f, %12.2f, %8.2e]  %2s %2s %2s  %s\n",
-			s, fv.Rows, fv.Cost, fv.Sel, yn(masks["RC"][i]), yn(masks["CS"][i]), yn(masks["RS"][i]), verdict)
+			s, fv.Rows, fv.Cost, fv.Sel, yn(masks[0][i]), yn(masks[1][i]), yn(masks[2][i]), verdict)
 	}
 	return sb.String(), nil
 }

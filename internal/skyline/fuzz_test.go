@@ -59,7 +59,7 @@ func FuzzDisjunctiveSubset(f *testing.F) {
 			pts[i] = []float64{float64(raw[3*i]), float64(raw[3*i+1]), float64(raw[3*i+2])}
 		}
 		full := BNL(pts)
-		dis := DisjunctivePairwise(pts, RCSPairs)
+		dis, _ := DisjunctivePairwiseMasks(pts, RCSPairs)
 		any := false
 		for i := range pts {
 			if dis[i] {

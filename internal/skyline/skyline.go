@@ -149,18 +149,6 @@ func TwoD(pts [][]float64) []bool {
 	return out
 }
 
-// Of computes the skyline with the best algorithm for the dimensionality:
-// the O(n log n) sweep for 2-D, SFS otherwise.
-func Of(pts [][]float64) []bool {
-	if len(pts) == 0 {
-		return nil
-	}
-	if len(pts[0]) == 2 {
-		return TwoD(pts)
-	}
-	return SFS(pts)
-}
-
 // KDominates reports whether a k-dominates b: a is no worse than b in at
 // least k dimensions and strictly better in at least one of those. With
 // k = len(a) this reduces to ordinary dominance.
@@ -198,31 +186,16 @@ func KDominant(pts [][]float64, k int) []bool {
 	return out
 }
 
-// DisjunctivePairwise computes SDP's Option-2 pruning function: for each
-// listed pair of dimensions it computes the 2-D skyline of the projected
+// DisjunctivePairwiseMasks computes SDP's Option-2 pruning function: for
+// each listed pair of dimensions it computes the 2-D skyline of the projected
 // points, and a point survives if it is on at least one of those skylines
-// (paper Section 2.1.3, Table 2.2).
-func DisjunctivePairwise(pts [][]float64, pairs [][2]int) []bool {
-	out, _ := disjunctive(pts, pairs, false)
-	return out
-}
-
-// DisjunctivePairwiseMasks is DisjunctivePairwise additionally returning
-// each pair's projected 2-D skyline mask, in pairs order. The observability
-// layer reports per-criterion (RC/CS/RS) pruning efficacy from these
-// without recomputing the skylines.
-func DisjunctivePairwiseMasks(pts [][]float64, pairs [][2]int) ([]bool, [][]bool) {
-	return disjunctive(pts, pairs, true)
-}
-
-// disjunctive is DisjunctivePairwise, keeping each pair's mask when asked.
+// (paper Section 2.1.3, Table 2.2). It returns the survivor mask and each
+// pair's projected 2-D skyline mask, in pairs order, from which the
+// observability layer reports per-criterion (RC/CS/RS) pruning efficacy.
 // Every pair's projection is written into one flat buffer, allocated once.
-func disjunctive(pts [][]float64, pairs [][2]int, keepMasks bool) ([]bool, [][]bool) {
+func DisjunctivePairwiseMasks(pts [][]float64, pairs [][2]int) ([]bool, [][]bool) {
 	out := make([]bool, len(pts))
-	var masks [][]bool
-	if keepMasks {
-		masks = make([][]bool, len(pairs))
-	}
+	masks := make([][]bool, len(pairs))
 	if len(pts) == 0 {
 		return out, masks
 	}
@@ -235,11 +208,8 @@ func disjunctive(pts [][]float64, pairs [][2]int, keepMasks bool) ([]bool, [][]b
 		for i, p := range pts {
 			proj[i][0], proj[i][1] = p[pr[0]], p[pr[1]]
 		}
-		m := TwoD(proj)
-		if keepMasks {
-			masks[pi] = m
-		}
-		for i, ok := range m {
+		masks[pi] = TwoD(proj)
+		for i, ok := range masks[pi] {
 			if ok {
 				out[i] = true
 			}

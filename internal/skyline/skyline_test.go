@@ -89,7 +89,7 @@ func TestPaperTable22PairwiseSkylines(t *testing.T) {
 
 func TestPaperTable22Disjunctive(t *testing.T) {
 	tt := paperTable22
-	got := DisjunctivePairwise(tt.fvs, RCSPairs)
+	got, _ := DisjunctivePairwiseMasks(tt.fvs, RCSPairs)
 	for i := range got {
 		if got[i] != tt.union[i] {
 			t.Errorf("disjunctive survivor %s = %v, want %v", tt.names[i], got[i], tt.union[i])
@@ -170,25 +170,6 @@ func TestTwoDRequires2D(t *testing.T) {
 	TwoD([][]float64{{1, 2, 3}})
 }
 
-func TestOfDispatch(t *testing.T) {
-	if got := Of(nil); got != nil {
-		t.Errorf("Of(nil) = %v", got)
-	}
-	pts2 := [][]float64{{1, 2}, {2, 1}, {3, 3}}
-	got := Of(pts2)
-	want := []bool{true, true, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Of 2-D = %v, want %v", got, want)
-		}
-	}
-	pts3 := [][]float64{{1, 1, 1}, {2, 2, 2}}
-	got3 := Of(pts3)
-	if !got3[0] || got3[1] {
-		t.Errorf("Of 3-D = %v", got3)
-	}
-}
-
 func TestKDominates(t *testing.T) {
 	a := []float64{1, 5, 2}
 	b := []float64{2, 3, 4}
@@ -241,7 +222,7 @@ func TestDisjunctiveSupersetOfFullSkyline(t *testing.T) {
 			pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
 		full := BNL(pts)
-		dis := DisjunctivePairwise(pts, RCSPairs)
+		dis, _ := DisjunctivePairwiseMasks(pts, RCSPairs)
 		fullCount, disCount := 0, 0
 		for i := range pts {
 			if full[i] {
@@ -272,7 +253,7 @@ func TestQuickSkylineSoundComplete(t *testing.T) {
 		for i := 0; i < n; i++ {
 			pts[i] = []float64{float64(raw[2*i] % 16), float64(raw[2*i+1] % 16)}
 		}
-		mask := Of(pts)
+		mask := SFS(pts)
 		for i := range pts {
 			if mask[i] {
 				for j := range pts {
