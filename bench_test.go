@@ -210,12 +210,6 @@ func BenchmarkSkyline(b *testing.B) {
 				skyline.BNL(pts)
 			}
 		})
-		b.Run(fmt.Sprintf("SFS/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				skyline.SFS(pts)
-			}
-		})
 		b.Run(fmt.Sprintf("Disjunctive/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -48,7 +48,7 @@ func referenceSurvivors(q *query.Query, opts Options, level int, created []oracl
 		for i := range all {
 			all[i] = i
 		}
-		return referenceSkyline(created, all)
+		return referenceSkyline(opts.Skyline, created, all)
 	}
 
 	// Hub parents: previous-level JCRs with three or more neighbours on the
@@ -108,7 +108,7 @@ func referenceSurvivors(q *query.Query, opts Options, level int, created []oracl
 	// every hub partition it is in.
 	in := make([]int, len(created))
 	for _, part := range parts {
-		keep := referenceSkyline(created, part)
+		keep := referenceSkyline(opts.Skyline, created, part)
 		for k, i := range part {
 			if in[i]++; in[i] == 2 {
 				cov.multi++
@@ -131,7 +131,7 @@ func referenceSurvivors(q *query.Query, opts Options, level int, created []oracl
 				continue
 			}
 			part := members(func(s bits.Set) bool { return !s.Has(r) })
-			keep := referenceSkyline(created, part)
+			keep := referenceSkyline(opts.Skyline, created, part)
 			for k, i := range part {
 				if keep[k] && !survive[i] {
 					survive[i] = true
@@ -170,17 +170,24 @@ func referenceSurvivors(q *query.Query, opts Options, level int, created []oracl
 	return survive
 }
 
-// referenceSkyline returns which members of part survive Option 2, by O(n²)
-// dominance: a member survives when no other member dominates it on RC, on
-// CS or on RS.
-func referenceSkyline(created []oracleClass, part []int) []bool {
+// referenceSkyline returns which members of part survive the skyline
+// option, by O(n²) dominance: under Option 2 a member survives when no
+// other member dominates it on RC, on CS or on RS; under Option 1 when none
+// dominates it on all of rows, cost and selectivity.
+func referenceSkyline(option SkylineOption, created []oracleClass, part []int) []bool {
 	keep := make([]bool, len(part))
-	for _, dims := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
+	projections := [][]int{{0, 1}, {1, 2}, {0, 2}}
+	if option == Option1 {
+		projections = [][]int{{0, 1, 2}}
+	}
+	for _, dims := range projections {
 		proj := make([][]float64, len(part))
 		for k, i := range part {
 			fv := created[i].fv
 			p := [3]float64{fv.Rows, fv.Cost, fv.Sel}
-			proj[k] = []float64{p[dims[0]], p[dims[1]]}
+			for _, d := range dims {
+				proj[k] = append(proj[k], p[d])
+			}
 		}
 		for k := range part {
 			dominated := false
@@ -232,6 +239,8 @@ func TestSDPLevelRuleOracle(t *testing.T) {
 		{Partitioning: RootHub, Skyline: Option2},
 		{Partitioning: ParentHub, Skyline: Option2},
 		{Partitioning: RootHub, Skyline: Option2, Scope: Global},
+		{Partitioning: RootHub, Skyline: Option1},
+		{Partitioning: ParentHub, Skyline: Option1},
 	}
 	var cov coverage
 	names, qs := oracleQueries(t)

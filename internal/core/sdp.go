@@ -465,12 +465,12 @@ func (s *sdp) mask(level int, label string, pts [][]float64) []bool {
 	var pairMasks [][]bool
 	switch s.opts.Skyline {
 	case Option1:
-		mask = skyline.SFS(pts)
+		mask = skyline.BNL(pts)
 	case StrongSkyline:
 		// k-dominance is cyclic: the strong skyline can be empty. Fall back
 		// to the full skyline in that case so a partition never vanishes.
 		if mask = skyline.KDominant(pts, 2); !slices.Contains(mask, true) {
-			mask = skyline.SFS(pts)
+			mask = skyline.BNL(pts)
 		}
 	default:
 		mask, pairMasks = skyline.DisjunctivePairwiseMasks(pts, skyline.RCSPairs)

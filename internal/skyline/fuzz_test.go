@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// FuzzAlgorithmsAgree drives the three skyline implementations with
-// arbitrary byte-derived point sets and checks they agree and stay sound.
+// FuzzAlgorithmsAgree drives BNL and TwoD with arbitrary byte-derived
+// 2-D point sets and checks they agree and stay sound.
 func FuzzAlgorithmsAgree(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -23,12 +23,10 @@ func FuzzAlgorithmsAgree(f *testing.F) {
 			pts[i] = []float64{float64(raw[2*i] % 32), float64(raw[2*i+1] % 32)}
 		}
 		bnl := BNL(pts)
-		sfs := SFS(pts)
 		twod := TwoD(pts)
 		for i := range pts {
-			if bnl[i] != sfs[i] || bnl[i] != twod[i] {
-				t.Fatalf("algorithms disagree at %d: BNL=%v SFS=%v TwoD=%v pts=%v",
-					i, bnl[i], sfs[i], twod[i], pts)
+			if bnl[i] != twod[i] {
+				t.Fatalf("algorithms disagree at %d: BNL=%v TwoD=%v pts=%v", i, bnl[i], twod[i], pts)
 			}
 			// Soundness: survivors are not dominated.
 			if bnl[i] {

@@ -5,9 +5,9 @@
 // the feature vector [Rows, Cost, Selectivity] (all minimized). The paper
 // assumes "fast techniques for computing skyline functions" from the skyline
 // literature; this package provides the standard ones — a linear-scan
-// O(n log n) algorithm for two dimensions, block-nested-loop (BNL) and
-// sort-filter-skyline (SFS) for general dimension — plus the k-dominant
-// ("strong") skyline the paper's future-work section points at.
+// O(n log n) algorithm for two dimensions and block-nested-loop (BNL) for
+// general dimension — plus the k-dominant ("strong") skyline the paper's
+// future-work section points at.
 //
 // Dominance is the standard strict form: a dominates b when a is no worse in
 // every dimension and strictly better in at least one. Duplicated points do
@@ -49,42 +49,6 @@ func BNL(pts [][]float64) []bool {
 				out[i] = false
 				break
 			}
-		}
-	}
-	return out
-}
-
-// SFS computes the skyline with sort-filter-skyline: points are visited in
-// ascending order of a monotone score (the coordinate sum), so a point can
-// only be dominated by one already in the window. Returns a survivor mask
-// aligned with pts.
-func SFS(pts [][]float64) []bool {
-	n := len(pts)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sum := func(p []float64) float64 {
-		s := 0.0
-		for _, v := range p {
-			s += v
-		}
-		return s
-	}
-	slices.SortStableFunc(idx, func(a, b int) int { return order(sum(pts[a]), sum(pts[b])) })
-	out := make([]bool, n)
-	var window []int
-	for _, i := range idx {
-		dominated := false
-		for _, w := range window {
-			if Dominates(pts[w], pts[i]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out[i] = true
-			window = append(window, i)
 		}
 	}
 	return out

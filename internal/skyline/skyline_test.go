@@ -97,32 +97,20 @@ func TestPaperTable22Disjunctive(t *testing.T) {
 	}
 }
 
+// TestAlgorithmsAgree checks TwoD against BNL on 2-D points with many ties.
 func TestAlgorithmsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(40)
-		dim := 2 + rng.Intn(3)
 		pts := make([][]float64, n)
 		for i := range pts {
-			pts[i] = make([]float64, dim)
-			for j := range pts[i] {
-				// Small integer coordinates force plenty of ties.
-				pts[i][j] = float64(rng.Intn(6))
-			}
+			// Small integer coordinates force plenty of ties.
+			pts[i] = []float64{float64(rng.Intn(6)), float64(rng.Intn(6))}
 		}
-		bnl := BNL(pts)
-		sfs := SFS(pts)
+		bnl, twod := BNL(pts), TwoD(pts)
 		for i := range pts {
-			if bnl[i] != sfs[i] {
-				t.Fatalf("trial %d: BNL and SFS disagree at %d: %v vs %v\npts=%v", trial, i, bnl[i], sfs[i], pts)
-			}
-		}
-		if dim == 2 {
-			twod := TwoD(pts)
-			for i := range pts {
-				if bnl[i] != twod[i] {
-					t.Fatalf("trial %d: BNL and TwoD disagree at %d\npts=%v", trial, i, pts)
-				}
+			if bnl[i] != twod[i] {
+				t.Fatalf("trial %d: BNL and TwoD disagree at %d\npts=%v", trial, i, pts)
 			}
 		}
 	}
@@ -253,7 +241,7 @@ func TestQuickSkylineSoundComplete(t *testing.T) {
 		for i := 0; i < n; i++ {
 			pts[i] = []float64{float64(raw[2*i] % 16), float64(raw[2*i+1] % 16)}
 		}
-		mask := SFS(pts)
+		mask := BNL(pts)
 		for i := range pts {
 			if mask[i] {
 				for j := range pts {
@@ -293,14 +281,14 @@ func TestQuickSkylineIdempotent(t *testing.T) {
 		for i := 0; i < n; i++ {
 			pts[i] = []float64{float64(raw[3*i]), float64(raw[3*i+1]), float64(raw[3*i+2])}
 		}
-		mask := SFS(pts)
+		mask := BNL(pts)
 		var surv [][]float64
 		for i := range pts {
 			if mask[i] {
 				surv = append(surv, pts[i])
 			}
 		}
-		again := SFS(surv)
+		again := BNL(surv)
 		for _, ok := range again {
 			if !ok {
 				return false
