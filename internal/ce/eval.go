@@ -267,7 +267,7 @@ func evaluateTopology(cfg *Config, topo TopoSpec, ob *obs.Observer) (*TopologyRe
 					acc.alive = append(acc.alive, float64(st.Memo.ClassesAlive))
 					acc.paths = append(acc.paths, float64(st.Memo.PathsRetained))
 					ob.Counter(obs.Label(obs.MCEEvaluations, "tech", name)).Add(1)
-					ob.FloatHistogram(obs.Label(obs.MCEPlanRatio, "tech", name), nil).Observe(ratio)
+					ob.Histogram(obs.Label(obs.MCEPlanRatio, "tech", name), obs.RatioBuckets).Observe(ratio)
 				}
 				cell := Cell{
 					Tech:              name,
@@ -283,7 +283,7 @@ func evaluateTopology(cfg *Config, topo TopoSpec, ob *obs.Observer) (*TopologyRe
 					Infeasible:        acc.infeas,
 				}
 				for _, qe := range acc.qerrs {
-					ob.FloatHistogram(obs.Label(obs.MCEQError, "tech", name), nil).Observe(qe)
+					ob.Histogram(obs.Label(obs.MCEQError, "tech", name), obs.RatioBuckets).Observe(qe)
 				}
 				tr.Cells = append(tr.Cells, cell)
 			}

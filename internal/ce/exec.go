@@ -66,7 +66,7 @@ func execValidate(cfg *Config) (*ExecReport, error) {
 		}
 		qe := qerror(j.Rows, float64(t.NumRows()))
 		qerrs = append(qerrs, qe)
-		ob.FloatHistogram(obs.MCEExecQError, nil).Observe(qe)
+		ob.Histogram(obs.MCEExecQError, obs.RatioBuckets).Observe(qe)
 	}
 
 	// Result equivalence under the worst lie: optimization may pick a

@@ -446,7 +446,7 @@ func (e *Engine) observeLevel(k int, started time.Time, prevCosted, prevCons, pr
 		return
 	}
 	// Labeled per level so level profiles line up on /metrics.
-	e.ob.Histogram(obs.Label(obs.MLevelSeconds, "level", strconv.Itoa(k))).Observe(d)
+	e.ob.Histogram(obs.Label(obs.MLevelSeconds, "level", strconv.Itoa(k)), obs.SecondsBuckets).Observe(d.Seconds())
 	e.cPlans.Add(costed)
 	e.cPairsCons.Add(pairsCons)
 	e.cPairsConn.Add(pairsConn)
@@ -589,7 +589,7 @@ func ObserveRun(ob *obs.Observer, tech string, st Stats) {
 	if ob == nil {
 		return
 	}
-	ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", tech)).Observe(st.Elapsed)
+	ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", tech), obs.SecondsBuckets).Observe(st.Elapsed.Seconds())
 	ob.Counter(obs.Label(obs.MOptimizations, "tech", tech)).Add(1)
 }
 

@@ -70,7 +70,7 @@ func TestObserveRunMetricsAndEvents(t *testing.T) {
 	if got := ob.Counter(obs.Label(obs.MOptimizations, "tech", "DP")).Value(); got != 1 {
 		t.Errorf("optimizations{tech=DP} = %d, want 1", got)
 	}
-	if n := ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", "DP")).Count(); n != 1 {
+	if n := ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", "DP"), obs.SecondsBuckets).Count(); n != 1 {
 		t.Errorf("optimize-seconds{tech=DP} observations = %d, want 1", n)
 	}
 	if got := ob.Gauge(obs.MMemoPeakSimBytes).Value(); got != stats.Memo.PeakSimBytes {
@@ -79,7 +79,7 @@ func TestObserveRunMetricsAndEvents(t *testing.T) {
 	// One labeled histogram per level, one observation each.
 	for k := 1; k <= 5; k++ {
 		name := obs.Label(obs.MLevelSeconds, "level", strconv.Itoa(k))
-		if n := ob.Histogram(name).Count(); n != 1 {
+		if n := ob.Histogram(name, obs.SecondsBuckets).Count(); n != 1 {
 			t.Errorf("histogram %s count = %d, want 1", name, n)
 		}
 	}

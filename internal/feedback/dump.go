@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
 
-	"sdpopt/internal/obs"
 	"sdpopt/internal/obs/lane"
 )
 
@@ -91,7 +91,7 @@ func (l *Ledger) Snapshot(s *Sampler) *Dump {
 			}
 			qerrs[i] = r
 		}
-		p50, p95, maxQ := obs.SummarizeWindow(qerrs)
+		p50, p95, maxQ := summarizeWindow(qerrs)
 		score := st.score()
 		d.Objects = append(d.Objects, ObjectSummary{
 			Object:     key,
@@ -208,4 +208,36 @@ func staleQErr(score float64) float64 {
 		return 1e18
 	}
 	return 1 / (1 - score)
+}
+
+// summarizeWindow reduces one rolling window of raw observations to the
+// (p50, p95, max) triple the ledger reports. It is defensively NaN-safe for
+// the degenerate windows real ledgers produce — empty (all zeros),
+// single-observation (all three equal that value), and all-equal — and
+// ignores NaN/Inf inputs entirely rather than letting one bad division
+// poison a JSON rendering.
+func summarizeWindow(vals []float64) (p50, p95, max float64) {
+	clean := make([]float64, 0, len(vals))
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		clean = append(clean, v)
+	}
+	if len(clean) == 0 {
+		return 0, 0, 0
+	}
+	sort.Float64s(clean)
+	// Nearest-rank quantiles: exact for 1-element and all-equal windows.
+	pick := func(q float64) float64 {
+		i := int(math.Ceil(q*float64(len(clean)))) - 1
+		if i < 0 {
+			i = 0
+		}
+		if i >= len(clean) {
+			i = len(clean) - 1
+		}
+		return clean[i]
+	}
+	return pick(0.5), pick(0.95), clean[len(clean)-1]
 }

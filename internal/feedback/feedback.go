@@ -284,7 +284,7 @@ func (l *Ledger) Record(observations ...Observation) {
 		l.mu.Unlock()
 
 		if ob := l.opts.Obs; ob != nil {
-			ob.FloatHistogram(obs.Label(obs.MFeedbackQError, "kind", o.Kind), nil).
+			ob.Histogram(obs.Label(obs.MFeedbackQError, "kind", o.Kind), obs.RatioBuckets).
 				ObserveExemplar(o.QError(), o.TraceID)
 			ob.Counter(obs.Label(obs.MFeedbackObservations, "kind", o.Kind)).Add(1)
 		}

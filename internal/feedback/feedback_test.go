@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -452,5 +453,33 @@ func TestSamplerRelabelsCachedFrame(t *testing.T) {
 	cached := sample(Sample{Query: q, Plan: p.Remap(cn.RelTo, cn.EqTo), Frame: cn, Technique: "dp", TraceID: "t1"})
 	if local == "" || cached != local {
 		t.Fatalf("canonical-frame sample recorded\n%s\nwant the requester-frame plan's\n%s", cached, local)
+	}
+}
+
+func TestSummarizeWindow(t *testing.T) {
+	// Empty window: zeros, not NaN.
+	if p50, p95, max := summarizeWindow(nil); p50 != 0 || p95 != 0 || max != 0 {
+		t.Fatalf("empty window = %g/%g/%g, want zeros", p50, p95, max)
+	}
+	// Single observation: all three equal it.
+	if p50, p95, max := summarizeWindow([]float64{3.5}); p50 != 3.5 || p95 != 3.5 || max != 3.5 {
+		t.Fatalf("single window = %g/%g/%g, want 3.5 each", p50, p95, max)
+	}
+	// All-equal observations.
+	if p50, p95, max := summarizeWindow([]float64{2, 2, 2, 2}); p50 != 2 || p95 != 2 || max != 2 {
+		t.Fatalf("all-equal window = %g/%g/%g, want 2 each", p50, p95, max)
+	}
+	// NaN and Inf inputs are dropped, not propagated.
+	vals := []float64{1, math.NaN(), 4, math.Inf(1), 2}
+	p50, p95, max := summarizeWindow(vals)
+	if p50 != p50 || p95 != p95 || max != max {
+		t.Fatalf("NaN leaked through: %g/%g/%g", p50, p95, max)
+	}
+	if p50 != 2 || max != 4 {
+		t.Fatalf("window with NaN/Inf = %g/%g/%g, want p50=2 max=4", p50, p95, max)
+	}
+	// All-garbage window degrades to zeros.
+	if p50, _, max := summarizeWindow([]float64{math.NaN(), math.Inf(-1)}); p50 != 0 || max != 0 {
+		t.Fatalf("garbage window = %g/%g, want zeros", p50, max)
 	}
 }

@@ -175,7 +175,7 @@ func (s *Sampler) runJob(j sampleJob) error {
 			s.opts.Corpus.Append(observations...)
 		}
 	}
-	s.opts.Obs.Histogram(obs.MFeedbackExecSeconds).Observe(time.Since(started))
+	s.opts.Obs.Histogram(obs.MFeedbackExecSeconds, obs.SecondsBuckets).Observe(time.Since(started).Seconds())
 	return err
 }
 

@@ -113,7 +113,7 @@ func TestGreedyObsParity(t *testing.T) {
 	if got := ob.Counter(obs.Label(obs.MOptimizations, "tech", "GOO")).Value(); got != 1 {
 		t.Errorf("optimizations{tech=GOO} = %d, want 1", got)
 	}
-	if n := ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", "GOO")).Count(); n != 1 {
+	if n := ob.Histogram(obs.Label(obs.MOptimizeSeconds, "tech", "GOO"), obs.SecondsBuckets).Count(); n != 1 {
 		t.Errorf("optimize-seconds{tech=GOO} observations = %d, want 1", n)
 	}
 

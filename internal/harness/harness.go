@@ -204,7 +204,7 @@ func RunBatchWorkers(graph string, qs []*query.Query, techs []Technique, referen
 	gQueue := ob.Gauge(obs.MQueueDepth)
 	techHists := make([]*obs.Histogram, len(techs))
 	for i, t := range techs {
-		techHists[i] = ob.Histogram(obs.Label(obs.MTechniqueSeconds, "tech", t.Name))
+		techHists[i] = ob.Histogram(obs.Label(obs.MTechniqueSeconds, "tech", t.Name), obs.SecondsBuckets)
 	}
 
 	type cell struct {
@@ -226,7 +226,7 @@ func RunBatchWorkers(graph string, qs []*query.Query, techs []Technique, referen
 		p, stats, err := techs[ti].Run(qs[0])
 		results[ti][0] = cell{p, stats}
 		ran[ti] = 1
-		techHists[ti].Observe(stats.Elapsed)
+		techHists[ti].Observe(stats.Elapsed.Seconds())
 		if err != nil {
 			if !errors.Is(err, memo.ErrBudget) {
 				return nil, fmt.Errorf("harness: %s on instance 0: %w", techs[ti].Name, err)
@@ -247,7 +247,7 @@ func RunBatchWorkers(graph string, qs []*query.Query, techs []Technique, referen
 			for j := range jobs {
 				gQueue.Add(-1)
 				p, stats, err := techs[j.ti].Run(qs[j.qi])
-				techHists[j.ti].Observe(stats.Elapsed)
+				techHists[j.ti].Observe(stats.Elapsed.Seconds())
 				mu.Lock()
 				results[j.ti][j.qi] = cell{p, stats}
 				if j.qi+1 > ran[j.ti] {

@@ -44,7 +44,7 @@ func TestRunBatchWorkersRace(t *testing.T) {
 		t.Errorf("batches counter = %d, want 1", got)
 	}
 	for _, tech := range []string{"DP", "IDP(4)", "SDP"} {
-		h := ob.Histogram(obs.Label(obs.MTechniqueSeconds, "tech", tech))
+		h := ob.Histogram(obs.Label(obs.MTechniqueSeconds, "tech", tech), obs.SecondsBuckets)
 		if h.Count() != 6 {
 			t.Errorf("%s technique histogram count = %d, want 6", tech, h.Count())
 		}

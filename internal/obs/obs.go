@@ -1,6 +1,9 @@
 // Package obs is the optimizer's metrics layer: an atomic-counter metrics
-// Registry (counters, gauges, duration and float histograms) that aggregates
-// across runs. Its per-request counterpart is package obs/span, whose span
+// Registry (counters, gauges and histograms) that aggregates across runs.
+// There is one histogram type; its bucket bounds are its only parameter —
+// SecondsBuckets for durations, observed in seconds, and RatioBuckets for
+// cost ratios and q-errors, whose bounds include the paper's quality
+// thresholds. Its per-request counterpart is package obs/span, whose span
 // trees carry the same numbers for one request or one run.
 //
 // Every number the paper's tables report — plans costed, memo memory,
@@ -43,13 +46,13 @@ func (o *Observer) Gauge(name string) *Gauge {
 	return o.Registry.Gauge(name)
 }
 
-// Histogram resolves a duration histogram from the observer's registry.
-// Nil-safe.
-func (o *Observer) Histogram(name string) *Histogram {
+// Histogram resolves a histogram with the given bucket bounds from the
+// observer's registry. Nil-safe.
+func (o *Observer) Histogram(name string, bounds []float64) *Histogram {
 	if o == nil {
 		return nil
 	}
-	return o.Registry.Histogram(name)
+	return o.Registry.Histogram(name, bounds)
 }
 
 // defaultObs is the process-wide observer, nil until a CLI enables
@@ -86,12 +89,13 @@ const (
 	// MPlansCosted counts candidate plans costed across all runs.
 	MPlansCosted = "sdpopt_plans_costed_total"
 	// MPairsConsidered counts candidate class pairs the enumerator
-	// examined; MPairsConnected counts those passing the disjoint+connected
-	// filter. Their ratio is the enumerator's filtering efficiency: the
-	// adjacency-indexed walk considers only the connected neighborhood,
-	// the naive reference scan every pair.
+	// examined. Its ratio to MPairsConnected is the enumerator's filtering
+	// efficiency: the adjacency-indexed walk considers only the connected
+	// neighborhood, the naive reference scan every pair.
 	MPairsConsidered = "sdpopt_pairs_considered_total"
-	MPairsConnected  = "sdpopt_pairs_connected_total"
+	// MPairsConnected counts considered pairs passing the
+	// disjoint+connected filter.
+	MPairsConnected = "sdpopt_pairs_connected_total"
 	// MClassesCreated counts memo classes (JCRs) ever created.
 	MClassesCreated = "sdpopt_memo_classes_created_total"
 	// MClassesPruned counts classes removed by SDP pruning.
@@ -167,7 +171,7 @@ const (
 
 	// Plan-quality regret metrics (see internal/obs/regret).
 
-	// MRegretRatio is the served-vs-reference cost-ratio float histogram,
+	// MRegretRatio is the served-vs-reference cost-ratio histogram,
 	// labeled tech= and shape=, with RatioBuckets bounds and trace-ID
 	// exemplars linking extreme ratios to flight-recorder entries.
 	MRegretRatio = "sdpopt_regret_ratio"
@@ -206,11 +210,11 @@ const (
 	// MCEInfeasible counts evaluations the technique could not finish
 	// under the memory budget, labeled tech=.
 	MCEInfeasible = "sdpopt_ce_infeasible_total"
-	// MCEPlanRatio is the true-cost-over-true-optimum float histogram of
+	// MCEPlanRatio is the true-cost-over-true-optimum histogram of
 	// plans chosen under a lying estimator, labeled tech=, with
 	// RatioBuckets bounds.
 	MCEPlanRatio = "sdpopt_ce_plan_ratio"
-	// MCEQError is the per-join-node q-error float histogram of the lying
+	// MCEQError is the per-join-node q-error histogram of the lying
 	// model's intermediate cardinalities against the true model's,
 	// labeled tech=.
 	MCEQError = "sdpopt_ce_qerror"
@@ -220,7 +224,7 @@ const (
 
 	// Cardinality-feedback metrics (see internal/feedback).
 
-	// MFeedbackQError is the estimate-vs-actual q-error float histogram of
+	// MFeedbackQError is the estimate-vs-actual q-error histogram of
 	// executed plan nodes, labeled kind= (relation, predicate), with
 	// RatioBuckets bounds and trace-ID exemplars linking the worst lies to
 	// flight-recorder entries.

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,7 +24,6 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	histograms map[string]*Histogram
-	floatHists map[string]*FloatHistogram
 }
 
 // NewRegistry returns an empty metrics registry.
@@ -34,7 +33,6 @@ func NewRegistry() *Registry {
 		gauges:     map[string]*Gauge{},
 		gaugeFuncs: map[string]func() int64{},
 		histograms: map[string]*Histogram{},
-		floatHists: map[string]*FloatHistogram{},
 	}
 }
 
@@ -102,93 +100,74 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBuckets are the duration histogram upper bounds: exponential from 1 µs
-// to ~68 s (factor 4), covering everything from a single enumeration level
-// to a full paper-scale batch.
-var histBuckets = func() []time.Duration {
-	var b []time.Duration
+// SecondsBuckets are the upper bounds of duration histograms, in seconds:
+// exponential from 1 µs to ~68 s (factor 4), covering everything from a
+// single enumeration level to a full paper-scale batch. Call sites observe
+// time.Duration.Seconds().
+var SecondsBuckets = func() []float64 {
+	var b []float64
 	for d := time.Microsecond; d < 2*time.Minute; d *= 4 {
-		b = append(b, d)
+		b = append(b, d.Seconds())
 	}
 	return b
 }()
 
-// Histogram is a fixed-bucket duration histogram with atomic counters. The
-// last bucket slot is the +Inf overflow. Each bucket additionally retains
-// the most recent exemplar — the trace ID of the last request that landed
-// in it — so an extreme bucket in a latency histogram links straight to a
-// flight-recorder entry.
+// RatioBuckets are the upper bounds of ratio histograms — cost ratios ρ of
+// a served plan against a reference, q-errors. The paper's quality
+// thresholds (1.01 Ideal, 2 Good, 10 Acceptable) are exact bounds so the
+// exposition's cumulative buckets reproduce the Ideal/Good/Acceptable/Bad
+// split directly; the remaining bounds resolve the interesting 1–10 region.
+var RatioBuckets = []float64{1, 1.01, 1.1, 1.25, 1.5, 2, 3, 5, 10, 30, 100}
+
+// Histogram is a fixed-bucket histogram over float64 values with atomic
+// counters. Its bucket bounds (SecondsBuckets, RatioBuckets) are set at
+// creation; the last bucket slot is the +Inf overflow. Each bucket
+// additionally retains the most recent exemplar — the trace ID of the last
+// request that landed in it — so an extreme bucket links straight to a
+// flight-recorder entry. All methods are nil-safe.
 type Histogram struct {
 	name      string
-	buckets   [16]atomic.Int64
-	exemplars [16]atomic.Pointer[Exemplar]
+	bounds    []float64 // ascending upper bounds
+	buckets   []atomic.Int64
+	exemplars []atomic.Pointer[Exemplar]
 	count     atomic.Int64
-	sumNS     atomic.Int64
+	sumBits   atomic.Uint64 // math.Float64bits of the running sum
 }
 
 // Exemplar ties one histogram observation to the request trace that
 // produced it.
 type Exemplar struct {
 	TraceID string
-	Value   time.Duration
+	Value   float64
 	Time    time.Time
 }
 
-func init() {
-	if len(histBuckets) >= 16 {
-		panic("obs: histogram bucket array too small")
-	}
-}
+// Observe records one value. No-op on a nil histogram.
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
 
-// bucketIndex returns the bucket slot for d (len(histBuckets) = overflow).
-func bucketIndex(d time.Duration) int {
-	i := 0
-	for i < len(histBuckets) && d > histBuckets[i] {
-		i++
-	}
-	return i
-}
-
-// Observe records one duration. No-op on a nil histogram.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
-	i := bucketIndex(d)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(int64(d))
-}
-
-// ObserveExemplar records one duration and, when traceID is non-empty,
+// ObserveExemplar records one value and, when traceID is non-empty,
 // replaces the landed bucket's exemplar with it. An empty traceID makes
 // this identical to Observe, so call sites need no tracing-enabled branch.
-func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
+// NaN lands in the first bucket; callers filter it before observing.
+func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	if h == nil {
 		return
 	}
-	i := bucketIndex(d)
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.sumNS.Add(int64(d))
-	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: d, Time: time.Now()})
-	}
-}
-
-// Exemplars returns the histogram's current per-bucket exemplars in bucket
-// order (empty buckets skipped). Nil-safe.
-func (h *Histogram) Exemplars() []Exemplar {
-	if h == nil {
-		return nil
-	}
-	var out []Exemplar
-	for i := range h.exemplars {
-		if ex := h.exemplars[i].Load(); ex != nil {
-			out = append(out, *ex)
+	for {
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
 		}
 	}
-	return out
+	if traceID != "" {
+		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v, Time: time.Now()})
+	}
 }
 
 // Count returns the number of observations (0 for nil).
@@ -199,12 +178,20 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the total observed duration (0 for nil).
-func (h *Histogram) Sum() time.Duration {
+// Sum returns the total of all observed values (0 for nil).
+func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return time.Duration(h.sumNS.Load())
+	return math.Float64frombits(h.sumBits.Load())
+}
+
+// upperBound returns bucket i's upper bound, +Inf for the overflow slot.
+func (h *Histogram) upperBound(i int) float64 {
+	if i < len(h.bounds) {
+		return h.bounds[i]
+	}
+	return math.Inf(1)
 }
 
 // Counter resolves (creating on first use) the named counter. Nil-safe.
@@ -237,9 +224,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram resolves (creating on first use) the named duration histogram.
-// Nil-safe.
-func (r *Registry) Histogram(name string) *Histogram {
+// Histogram resolves (creating on first use) the named histogram. bounds
+// sets the ascending bucket upper bounds at creation — SecondsBuckets or
+// RatioBuckets — and is neither copied nor modified; a later call for the
+// same name returns the existing histogram and ignores bounds. Nil-safe.
+func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -247,10 +236,29 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h := r.histograms[name]
 	if h == nil {
-		h = &Histogram{name: name}
+		h = &Histogram{
+			name:      name,
+			bounds:    bounds,
+			buckets:   make([]atomic.Int64, len(bounds)+1),
+			exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		}
 		r.histograms[name] = h
 	}
 	return h
+}
+
+// GaugeFunc registers a gauge whose value is computed at exposition time by
+// fn — for values owned elsewhere (process uptime, a queue's current depth)
+// that would otherwise need a polling goroutine. fn must be safe for
+// concurrent use and fast: it runs on every scrape. Re-registering a name
+// replaces its function. Nil-safe.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeFuncs[name] = fn
 }
 
 // Label formats a metric name with label pairs in Prometheus exposition
@@ -288,92 +296,57 @@ func splitLabeled(key string) (base, labels string) {
 }
 
 // ExemplarInfo is one histogram bucket's exemplar with enough context to
-// render it standalone (metric name plus the bucket's le bound). Value is
-// pre-formatted — a duration string for latency histograms, a plain number
-// for float (ratio) histograms.
+// render it standalone: metric name plus the bucket's le bound.
 type ExemplarInfo struct {
 	Metric  string
 	LE      string
 	TraceID string
-	Value   string
+	Value   float64
 	Time    time.Time
 }
 
-// Exemplars returns every histogram bucket exemplar in the registry —
-// duration and float histograms alike — sorted by metric name then bucket
-// bound: the data behind the /debug/requests "latency exemplars" table.
-// Nil-safe.
-func (r *Registry) Exemplars() []ExemplarInfo {
-	if r == nil {
-		return nil
-	}
+// sortedHistograms returns the registry's histograms sorted by name.
+func (r *Registry) sortedHistograms() []*Histogram {
 	r.mu.Lock()
 	hists := make([]*Histogram, 0, len(r.histograms))
 	for _, h := range r.histograms {
 		hists = append(hists, h)
 	}
-	fhists := make([]*FloatHistogram, 0, len(r.floatHists))
-	for _, h := range r.floatHists {
-		fhists = append(fhists, h)
-	}
 	r.mu.Unlock()
+	slices.SortFunc(hists, func(a, b *Histogram) int { return strings.Compare(a.name, b.name) })
+	return hists
+}
+
+// Exemplars returns every histogram bucket exemplar in the registry, sorted
+// by metric name then bucket bound: the data behind the /debug/requests
+// "latency exemplars" table. Nil-safe.
+func (r *Registry) Exemplars() []ExemplarInfo {
+	if r == nil {
+		return nil
+	}
 	var out []ExemplarInfo
-	for _, h := range hists {
+	for _, h := range r.sortedHistograms() {
 		for i := range h.exemplars {
-			ex := h.exemplars[i].Load()
-			if ex == nil {
-				continue
+			if ex := h.exemplars[i].Load(); ex != nil {
+				out = append(out, ExemplarInfo{Metric: h.name, LE: formatLE(h.upperBound(i)), TraceID: ex.TraceID, Value: ex.Value, Time: ex.Time})
 			}
-			ub := math.Inf(1)
-			if i < len(histBuckets) {
-				ub = histBuckets[i].Seconds()
-			}
-			out = append(out, ExemplarInfo{
-				Metric:  h.name,
-				LE:      formatLE(ub),
-				TraceID: ex.TraceID,
-				Value:   ex.Value.String(),
-				Time:    ex.Time,
-			})
 		}
 	}
-	for _, h := range fhists {
-		for i := range h.exemplars {
-			ex := h.exemplars[i].Load()
-			if ex == nil {
-				continue
-			}
-			ub := math.Inf(1)
-			if i < len(h.bounds) {
-				ub = h.bounds[i]
-			}
-			out = append(out, ExemplarInfo{
-				Metric:  h.name,
-				LE:      formatLE(ub),
-				TraceID: ex.TraceID,
-				Value:   fmt.Sprintf("%g", ex.Value),
-				Time:    ex.Time,
-			})
-		}
-	}
-	// Entries were appended in bucket order per metric; a stable sort on
-	// the metric name alone preserves that within each histogram.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Metric < out[j].Metric })
 	return out
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): counters and gauges as single samples, histograms
-// as cumulative _bucket/_sum/_count series with seconds-valued buckets.
+// as cumulative _bucket/_sum/_count series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	return r.writeText(w, false)
 }
 
 // WriteOpenMetrics renders the registry like WritePrometheus but in
 // OpenMetrics form: bucket samples carry their exemplar suffix
-// (`# {trace_id="..."} <seconds> <unix>`) and the stream is terminated
+// (`# {trace_id="..."} <value> <unix>`) and the stream is terminated
 // with `# EOF`. Scrapers that accept application/openmetrics-text get this
-// variant and can link extreme latency buckets to flight-recorder traces.
+// variant and can link extreme buckets to flight-recorder traces.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	if err := r.writeText(w, true); err != nil {
 		return err
@@ -408,15 +381,8 @@ func (r *Registry) writeText(w io.Writer, exemplars bool) error {
 			fn   func() int64
 		}{name, fn})
 	}
-	hists := make([]*Histogram, 0, len(r.histograms))
-	for _, h := range r.histograms {
-		hists = append(hists, h)
-	}
-	fhists := make([]*FloatHistogram, 0, len(r.floatHists))
-	for _, h := range r.floatHists {
-		fhists = append(fhists, h)
-	}
 	r.mu.Unlock()
+	hists := r.sortedHistograms()
 
 	// Gauge functions are evaluated outside the registry lock — they may
 	// take their owners' locks — and merged with the stored gauges into one
@@ -433,10 +399,8 @@ func (r *Registry) writeText(w io.Writer, exemplars bool) error {
 		gsamples = append(gsamples, sample{f.name, f.fn()})
 	}
 
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	sort.Slice(gsamples, func(i, j int) bool { return gsamples[i].name < gsamples[j].name })
-	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-	sort.Slice(fhists, func(i, j int) bool { return fhists[i].name < fhists[j].name })
+	slices.SortFunc(counters, func(a, b *Counter) int { return strings.Compare(a.name, b.name) })
+	slices.SortFunc(gsamples, func(a, b sample) int { return strings.Compare(a.name, b.name) })
 
 	typed := map[string]bool{}
 	header := func(key, kind string) {
@@ -461,40 +425,15 @@ func (r *Registry) writeText(w io.Writer, exemplars bool) error {
 	for _, h := range hists {
 		header(h.name, "histogram")
 		base, labels := splitLabeled(h.name)
-		bucket := func(i int, ub float64, cum int64) error {
-			_, err := fmt.Fprintf(w, "%s%s %d%s\n", base+"_bucket", mergeLE(labels, ub), cum, h.exemplarSuffix(i, exemplars))
-			return err
-		}
 		cum := int64(0)
-		for i, ub := range histBuckets {
+		for i := range h.buckets {
 			cum += h.buckets[i].Load()
-			if err := bucket(i, ub.Seconds(), cum); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", base, mergeLE(labels, h.upperBound(i)), cum, h.exemplarSuffix(i, exemplars)); err != nil {
 				return err
 			}
 		}
-		cum += h.buckets[len(histBuckets)].Load()
-		if err := bucket(len(histBuckets), math.Inf(1), cum); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s%s %g\n", base+"_sum", labels, h.Sum().Seconds())
-		fmt.Fprintf(w, "%s%s %d\n", base+"_count", labels, h.Count())
-	}
-	for _, h := range fhists {
-		header(h.name, "histogram")
-		base, labels := splitLabeled(h.name)
-		cum := int64(0)
-		for i, ub := range h.bounds {
-			cum += h.buckets[i].Load()
-			if _, err := fmt.Fprintf(w, "%s%s %d%s\n", base+"_bucket", mergeLE(labels, ub), cum, h.exemplarSuffix(i, exemplars)); err != nil {
-				return err
-			}
-		}
-		cum += h.buckets[len(h.bounds)].Load()
-		if _, err := fmt.Fprintf(w, "%s%s %d%s\n", base+"_bucket", mergeLE(labels, math.Inf(1)), cum, h.exemplarSuffix(len(h.bounds), exemplars)); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s%s %g\n", base+"_sum", labels, h.Sum())
-		fmt.Fprintf(w, "%s%s %d\n", base+"_count", labels, h.Count())
+		fmt.Fprintf(w, "%s_sum%s %g\n", base, labels, h.Sum())
+		fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.Count())
 	}
 	return nil
 }
@@ -509,13 +448,7 @@ func (h *Histogram) exemplarSuffix(i int, enabled bool) string {
 	if ex == nil {
 		return ""
 	}
-	return formatExemplarSuffix(ex.TraceID, ex.Value.Seconds(), ex.Time)
-}
-
-// formatExemplarSuffix renders one OpenMetrics exemplar annotation shared
-// by the duration and float histogram expositions.
-func formatExemplarSuffix(traceID string, value float64, at time.Time) string {
-	return fmt.Sprintf(" # {trace_id=%q} %g %.3f", traceID, value, float64(at.UnixMilli())/1000)
+	return fmt.Sprintf(" # {trace_id=%q} %g %.3f", ex.TraceID, ex.Value, float64(ex.Time.UnixMilli())/1000)
 }
 
 // mergeLE inserts the le="..." bucket label into an existing label block

@@ -320,7 +320,7 @@ func (s *Shadow) runJob(j *job) error {
 	started := time.Now()
 	refPlan, _, err := s.opts.Optimize(ctx, j.ref, j.q, tech.Options{Budget: s.opts.Budget})
 	dur := time.Since(started)
-	s.opts.Obs.Histogram(obs.MRegretShadowSeconds).Observe(dur)
+	s.opts.Obs.Histogram(obs.MRegretShadowSeconds, obs.SecondsBuckets).Observe(dur.Seconds())
 	if err == nil && (refPlan == nil || refPlan.Cost <= 0) {
 		err = fmt.Errorf("regret: reference %s produced invalid cost", j.ref)
 	}
@@ -369,7 +369,7 @@ func (s *Shadow) runJob(j *job) error {
 	}
 
 	if s.opts.Obs != nil {
-		s.opts.Obs.FloatHistogram(obs.Label(obs.MRegretRatio, "tech", j.tech, "shape", j.shape), nil).
+		s.opts.Obs.Histogram(obs.Label(obs.MRegretRatio, "tech", j.tech, "shape", j.shape), obs.RatioBuckets).
 			ObserveExemplar(ratio, j.traceID)
 		s.opts.Obs.Counter(obs.Label(obs.MRegretSamples, "tech", j.tech)).Add(1)
 	}

@@ -114,7 +114,7 @@ func TestShadowMeasuresRegret(t *testing.T) {
 	}
 
 	// Metrics: the labeled ratio histogram and sample counter moved.
-	h := ob.Registry.FloatHistogram(obs.Label(obs.MRegretRatio, "tech", "greedy", "shape", "chain"), nil)
+	h := ob.Histogram(obs.Label(obs.MRegretRatio, "tech", "greedy", "shape", "chain"), obs.RatioBuckets)
 	if h.Count() != 1 || h.Sum() != 2 {
 		t.Errorf("ratio histogram count=%d sum=%g", h.Count(), h.Sum())
 	}

@@ -276,7 +276,7 @@ func (r *Recorder) RequestsHandler(reg *obs.Registry) http.Handler {
 			if exs := reg.Exemplars(); len(exs) > 0 {
 				b.WriteString("<h2>Latency exemplars</h2>\n<table><tr><th>histogram</th><th>&le; bucket</th><th>value</th><th>trace</th></tr>\n")
 				for _, ex := range exs {
-					fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%v</td><td><code>%s</code></td></tr>\n",
+					fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%g</td><td><code>%s</code></td></tr>\n",
 						html.EscapeString(ex.Metric), html.EscapeString(ex.LE), ex.Value, html.EscapeString(ex.TraceID))
 				}
 				b.WriteString("</table>\n")

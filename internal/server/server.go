@@ -784,11 +784,11 @@ func (s *Server) handleOptimize(w *optimizeWriter, r *http.Request) {
 	if err != nil {
 		root.SetError(err.Error())
 	}
-	if h := s.ob.Histogram(obs.Label(obs.MServerSeconds, "source", src)); h != nil {
+	if h := s.ob.Histogram(obs.Label(obs.MServerSeconds, "source", src), obs.SecondsBuckets); h != nil {
 		// The exemplar ties an extreme latency bucket to this trace ID, so
 		// the slow request behind a histogram outlier is one flight-recorder
 		// lookup away.
-		h.ObserveExemplar(time.Since(started), root.TraceID())
+		h.ObserveExemplar(time.Since(started).Seconds(), root.TraceID())
 	}
 	if demoted != "" {
 		// A demotion is exactly the trace worth keeping: pin it into the
@@ -833,8 +833,8 @@ func (s *Server) handleOptimize(w *optimizeWriter, r *http.Request) {
 // time. 429 sheds never reach it, so the histogram measures only time spent
 // actually queued, and the exemplar names the trace that waited longest.
 func (s *Server) observeQueueWait(d time.Duration, traceID string) {
-	if h := s.ob.Histogram(obs.MServerQueueSeconds); h != nil {
-		h.ObserveExemplar(d, traceID)
+	if h := s.ob.Histogram(obs.MServerQueueSeconds, obs.SecondsBuckets); h != nil {
+		h.ObserveExemplar(d.Seconds(), traceID)
 	}
 }
 
