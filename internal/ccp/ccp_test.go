@@ -73,7 +73,7 @@ func Enumerate(adj []bits.Set, opts Options, emit func(s1, s2 bits.Set) error) e
 		}
 		for i := 1; i <= maxSplit; i++ {
 			j := k - i
-			for _, a := range m.Level(i) {
+			for _, a := range m.AppendLevel(nil, i) {
 				minSeq := 0
 				if j == i {
 					minSeq = a.Seq() + 1
@@ -533,7 +533,7 @@ func TestEnumerateAbortError(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("hook ran %d times after abort, want 3", calls)
 	}
-	if got := len(m.Level(4)); got != 0 {
+	if got := len(m.AppendLevel(nil, 4)); got != 0 {
 		t.Fatalf("%d classes joined above the aborted level", got)
 	}
 }

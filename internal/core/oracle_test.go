@@ -255,7 +255,7 @@ func TestSDPLevelRuleOracle(t *testing.T) {
 					snap[i] = oracleClass{set: c.Set, fv: c.FeatureVector(), best: c.BestCost()}
 				}
 				var prev []bits.Set
-				for _, c := range m.Level(level - 1) {
+				for _, c := range m.AppendLevel(nil, level-1) {
 					prev = append(prev, c.Set)
 				}
 				if err := s.hook(level, m, created); err != nil {

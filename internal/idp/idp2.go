@@ -146,6 +146,8 @@ func replanSubtree(q *query.Query, model *cost.Model, ob *obs.Observer, root, su
 	if e == nil {
 		return nil, dp.Stats{}, err
 	}
+	// Deferred, Release runs after the returned e.Stats() is evaluated.
+	defer e.Release()
 	if err == nil {
 		err = e.Run(len(leaves))
 	}

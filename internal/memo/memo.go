@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	mathbits "math/bits"
+	"sync"
 
 	"sdpopt/internal/bits"
 	"sdpopt/internal/cost"
@@ -120,6 +121,10 @@ func (s *Stats) PeakMB() float64 { return float64(s.PeakSimBytes) / (1 << 20) }
 // Memo is the DP table. Its classes and paths are pointer-free values in two
 // arenas: the garbage collector does not scan them, and writing them needs no
 // write barrier. Trees are built only where read (Best, OrderedPlan, Paths).
+//
+// A memo's storage outlives it: Release hands the arenas, the class map and
+// the level lists to the next New, emptied, so an optimization allocates
+// them only when it outgrows every memo released before it.
 type Memo struct {
 	// classes maps each alive class's set to its index in cls.
 	classes map[bits.Set]int32
@@ -127,15 +132,12 @@ type Memo struct {
 	paths   arena[path]
 	// plans holds the non-scan plans offered whole (IDP's compound leaves).
 	plans []*plan.Plan
-	// byLevel[k] lists level k's classes by index in cls, in creation order.
-	byLevel [][]int32
-	// idx[level] is the level's adjacency index: per-relation membership
-	// bitmaps over class sequence numbers, in one word-major slab. Together
-	// with Class.Nbrs it gives the enumerator its indexed candidate walk — a
-	// few word-wide OR/AND-NOT operations compute exactly the alive classes
+	// levels[k] is leaf level k's classes and adjacency index. Together with
+	// Class.Nbrs the index gives the enumerator its indexed candidate walk —
+	// a few word-wide OR/AND-NOT operations compute exactly the alive classes
 	// that are connected to and disjoint from a left class (see
 	// Walker.Gather).
-	idx []levelIndex
+	levels []leafLevel
 	// Nbrs, when set (the DP engine installs the query's Neighbors before
 	// seeding level 1), computes the neighborhood cached on each new class.
 	Nbrs func(bits.Set) bits.Set
@@ -149,17 +151,55 @@ type Memo struct {
 	Stats  Stats
 
 	// Metric handles, resolved once by Observe; nil (a no-op) by default.
-	// The gauges aggregate across every live memo sharing the registry, so
-	// a metrics endpoint sees total alive classes and simulated bytes of
-	// all concurrent optimizations.
+	// The gauges aggregate across every memo sharing the registry until it
+	// is released, so a metrics endpoint sees total alive classes and
+	// simulated bytes of all running optimizations.
 	cCreated, cPruned   *obs.Counter
 	gAlive, gSim, gPeak *obs.Gauge
 }
 
+// leafLevel is one leaf level of the memo: its classes by index in the class
+// arena, in creation order, and its adjacency index.
+type leafLevel struct {
+	classes []int32
+	levelIndex
+}
+
+// maxPooledChunks caps the storage Release keeps: a memo whose class or path
+// arena has grown past this many chunks (65 520 elements, about 5 MiB of
+// paths) is left to the garbage collector. The memos of ordinary queries fit
+// well under it; a scale-up run or a budget abort would otherwise pin its
+// arenas for the life of the process.
+const maxPooledChunks = 12
+
+// pool holds released memos, emptied, for New to reuse.
+var pool sync.Pool
+
 // New returns an empty memo with the given simulated-memory budget
-// (0 = unlimited).
+// (0 = unlimited), reusing a released memo's storage when there is one.
 func New(budget int64) *Memo {
+	if m, ok := pool.Get().(*Memo); ok {
+		m.Budget = budget
+		return m
+	}
 	return &Memo{classes: map[bits.Set]int32{}, Budget: budget}
+}
+
+// Release ends the memo's life: it takes the memo's alive classes and
+// simulated bytes off the observer's gauges and hands its storage to the
+// next New, unless the storage is over the pool's cap. Nothing may read the
+// memo, or a class or plan slot of it, after Release.
+func (m *Memo) Release() {
+	m.gAlive.Add(-m.Stats.ClassesAlive)
+	m.gSim.Add(-m.Stats.SimBytes)
+	if len(m.cls.chunks) > maxPooledChunks || len(m.paths.chunks) > maxPooledChunks {
+		return
+	}
+	clear(m.classes)
+	clear(m.plans)
+	m.cls.n, m.paths.n = 0, 0
+	*m = Memo{classes: m.classes, cls: m.cls, paths: m.paths, plans: m.plans[:0], levels: m.levels[:0]}
+	pool.Put(m)
 }
 
 // Observe registers the memo's class/memory accounting with o's metrics
@@ -202,12 +242,18 @@ func (m *Memo) NewClass(set bits.Set, level int, rows, sel float64) (*Class, err
 	if _, ok := m.classes[set]; ok {
 		return nil, fmt.Errorf("memo: class %v already exists", set)
 	}
-	for len(m.byLevel) <= level {
-		m.byLevel = append(m.byLevel, nil)
-		m.idx = append(m.idx, levelIndex{stride: m.relations()})
+	for len(m.levels) <= level {
+		// A released memo's levels beyond len are kept for their buffers.
+		if n := len(m.levels); n < cap(m.levels) {
+			m.levels = m.levels[:n+1]
+		} else {
+			m.levels = append(m.levels, leafLevel{})
+		}
+		m.levels[len(m.levels)-1].reset(m.relations())
 	}
+	lv := &m.levels[level]
 	h, c := m.cls.add()
-	*c = Class{Set: set, Level: level, Rows: rows, Sel: sel, best: noSlot, ordered: noSlot, h: h, seq: int32(len(m.byLevel[level]))}
+	*c = Class{Set: set, Level: level, Rows: rows, Sel: sel, best: noSlot, ordered: noSlot, h: h, seq: int32(len(lv.classes))}
 	if m.Model != nil {
 		c.Width = m.Model.Width(set)
 	}
@@ -215,8 +261,8 @@ func (m *Memo) NewClass(set bits.Set, level int, rows, sel float64) (*Class, err
 		c.Nbrs = m.Nbrs(set)
 	}
 	m.classes[set] = h
-	m.byLevel[level] = append(m.byLevel[level], h)
-	m.idx[level].add(int(c.seq), set)
+	lv.classes = append(lv.classes, h)
+	lv.add(int(c.seq), set)
 	m.Stats.ClassesCreated++
 	m.Stats.ClassesAlive++
 	m.cCreated.Add(1)
@@ -270,7 +316,7 @@ func (m *Memo) Remove(c *Class) {
 		return
 	}
 	c.dead = true
-	m.idx[c.Level].remove(int(c.seq))
+	m.levels[c.Level].remove(int(c.seq))
 	delete(m.classes, c.Set)
 	n := int64(m.numPaths(c))
 	m.Stats.ClassesAlive--
@@ -281,19 +327,18 @@ func (m *Memo) Remove(c *Class) {
 	m.gSim.Add(-(SimClassBytes + n*SimPathBytes))
 }
 
-// Level returns the alive classes created at leaf level k, in creation
-// order.
-func (m *Memo) Level(k int) []*Class {
-	if k < 0 || k >= len(m.byLevel) {
-		return nil
+// AppendLevel appends the alive classes created at leaf level k to dst, in
+// creation order, and returns the extended slice.
+func (m *Memo) AppendLevel(dst []*Class, k int) []*Class {
+	if k < 0 || k >= len(m.levels) {
+		return dst
 	}
-	out := make([]*Class, 0, len(m.byLevel[k]))
-	for _, h := range m.byLevel[k] {
+	for _, h := range m.levels[k].classes {
 		if c := m.cls.at(h); !c.dead {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 func (m *Memo) addSim(bytes int64) error {
@@ -309,7 +354,8 @@ func (m *Memo) addSim(bytes int64) error {
 }
 
 // arena is an append-only sequence of T in chunks that double in size: an
-// element never moves, so a *Class stays valid as the memo grows.
+// element never moves, so a *Class stays valid as the memo grows. Release
+// empties it by setting n to 0 and keeps the chunks.
 type arena[T any] struct {
 	chunks [][]T
 	n      int32
@@ -331,7 +377,9 @@ func (a *arena[T]) at(i int32) *T {
 	return &a.chunks[k][off]
 }
 
-// add appends a zero element and returns its index and address.
+// add appends an element and returns its index and address. The element is
+// not zeroed: in a reused arena it holds an earlier memo's value, and every
+// caller assigns the whole element.
 func (a *arena[T]) add() (int32, *T) {
 	i := a.n
 	k, off := locate(i)

@@ -187,16 +187,19 @@ func TestLevelIterationSkipsDead(t *testing.T) {
 	b, _ := m.NewClass(bits.Of(1), 1, 2, 1)
 	ab, _ := m.NewClass(bits.Of(0, 1), 2, 3, 1)
 	m.Remove(b)
-	l1 := m.Level(1)
+	l1 := m.AppendLevel(nil, 1)
 	if len(l1) != 1 || l1[0] != a {
-		t.Errorf("Level(1) = %v", l1)
+		t.Errorf("AppendLevel(nil, 1) = %v", l1)
 	}
-	l2 := m.Level(2)
+	l2 := m.AppendLevel(nil, 2)
 	if len(l2) != 1 || l2[0] != ab {
-		t.Errorf("Level(2) = %v", l2)
+		t.Errorf("AppendLevel(nil, 2) = %v", l2)
 	}
-	if got := m.Level(99); got != nil {
-		t.Errorf("Level(99) = %v", got)
+	if got := m.AppendLevel(nil, 99); got != nil {
+		t.Errorf("AppendLevel(nil, 99) = %v", got)
+	}
+	if got := m.AppendLevel(l2, 1); len(got) != 2 || got[0] != ab || got[1] != a {
+		t.Errorf("AppendLevel([ab], 1) = %v, want [ab a]", got)
 	}
 
 }

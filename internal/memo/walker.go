@@ -47,6 +47,13 @@ func (ix *levelIndex) add(seq int, set bits.Set) {
 	}
 }
 
+// reset empties the index for a query of stride relations, keeping its
+// buffers.
+func (lv *leafLevel) reset(stride int) {
+	lv.classes = lv.classes[:0]
+	lv.stride, lv.byRel, lv.alive = stride, lv.byRel[:0], lv.alive[:0]
+}
+
 // remove clears a pruned class's alive bit; its membership bits stay (they
 // are masked out by alive on every walk).
 func (ix *levelIndex) remove(seq int) {
@@ -87,16 +94,15 @@ type Walker struct {
 // order. minSeq implements the same-level unordered-pair rule: passing
 // a.Seq()+1 when left and right draw from the same level visits each
 // unordered pair exactly once, matching the naive loop's right[ai+1:]
-// slice (Level preserves creation order, so "after a in the alive slice"
-// is exactly "alive with larger Seq"). The returned slice is the walker's
-// scratch, valid until the next Gather.
+// slice (AppendLevel preserves creation order, so "after a in the alive
+// slice" is exactly "alive with larger Seq"). The returned slice is the
+// walker's scratch, valid until the next Gather.
 func (w *Walker) Gather(m *Memo, a *Class, level, minSeq int) []*Class {
 	w.out = w.out[:0]
-	if level < 0 || level >= len(m.byLevel) {
+	if level < 0 || level >= len(m.levels) {
 		return w.out
 	}
-	classes := m.byLevel[level]
-	ix := &m.idx[level]
+	ix := &m.levels[level]
 	if minSeq < 0 {
 		minSeq = 0
 	}
@@ -113,7 +119,7 @@ func (w *Walker) Gather(m *Memo, a *Class, level, minSeq int) []*Class {
 		for word != 0 {
 			s := wi<<6 + mathbits.TrailingZeros64(word)
 			word &= word - 1
-			w.out = append(w.out, m.cls.at(classes[s]))
+			w.out = append(w.out, m.cls.at(ix.classes[s]))
 		}
 	}
 	return w.out
