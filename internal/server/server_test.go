@@ -664,6 +664,21 @@ func TestServerRegretShadow(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	// The handler flushes the response before it hands the sample to the
+	// shadow — the answer goes on the wire first — so the last sample can
+	// reach the shadow after the client has its response. Drain waits only
+	// for jobs already offered: wait until all three are sampled and offered.
+	for {
+		c := srv.Regret().Snapshot().Counts
+		if c.Sampled == 3 && c.Enqueued+c.Deduped+c.Dropped == c.Sampled {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatalf("shadow never sampled and offered three serves: %+v", c)
+		case <-time.After(time.Millisecond):
+		}
+	}
 	if err := srv.Regret().Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
