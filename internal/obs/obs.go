@@ -100,11 +100,13 @@ const (
 	MClassesCreated = "sdpopt_memo_classes_created_total"
 	// MClassesPruned counts classes removed by SDP pruning.
 	MClassesPruned = "sdpopt_memo_classes_pruned_total"
-	// MMemoAlive gauges currently alive memo classes.
+	// MMemoAlive gauges the alive memo classes of running optimizations: an
+	// optimization's classes leave it when its memo is released.
 	MMemoAlive = "sdpopt_memo_classes_alive"
-	// MMemoSimBytes gauges current simulated memo memory.
+	// MMemoSimBytes gauges the simulated memo memory of running
+	// optimizations.
 	MMemoSimBytes = "sdpopt_memo_sim_bytes"
-	// MMemoPeakSimBytes gauges the simulated-memory high-water mark.
+	// MMemoPeakSimBytes gauges the high-water mark of MMemoSimBytes.
 	MMemoPeakSimBytes = "sdpopt_memo_peak_sim_bytes"
 	// MBudgetAborts counts optimizations aborted by the memory budget.
 	MBudgetAborts = "sdpopt_budget_aborts_total"
